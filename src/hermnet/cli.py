@@ -38,6 +38,7 @@ from .network import (
     bundle_to_dict,
     compute_delta,
     fit_delta_K,
+    surrogate_eval,
 )
 
 EXIT_OK = 0
@@ -618,11 +619,7 @@ def cmd_net_eval(args):
     if pts.shape[1] < dim:
         raise ConfigError(f"points have {pts.shape[1]} coordinates; the "
                           f"bundle needs {dim}")
-    pts = pts[:, :dim]
-    out = np.zeros((pts.shape[0], samples.shape[1]))
-    for t in range(len(bundle.networks)):
-        phi = bundle.networks[t].eval_batch(pts)[:, 0]
-        out += (signs[t] * phi)[:, None] * samples[t][None, :]
+    out = surrogate_eval(bundle, signs, samples, pts[:, :dim])
     lines = [",".join(repr(float(v)) for v in row) for row in out]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"net eval: {pts.shape[0]} points -> {args.out}")

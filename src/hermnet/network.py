@@ -3,12 +3,22 @@
 A network's layer l reads the concatenation of the input and every
 previous layer's output; hidden units apply sigma(t) = max(t, 0) and the
 final layer is affine.  Rows store only their nonzero (column, weight)
-entries in ascending column order, and evaluation accumulates each row
-strictly left to right, adding the bias last.  That fixed order is
-load-bearing: the compiled networks below are arranged so that whenever
-an input leaves a gadget's support, or a product factor is exactly zero,
-the running sums cancel in adjacent pairs and the output is the
+entries, and evaluation accumulates each row strictly left to right in
+stored order, adding the bias last.  That fixed order is load-bearing:
+the compiled networks below are arranged so that whenever an input
+leaves a gadget's support, or a product factor is exactly zero, the
+running sums cancel in adjacent pairs and the output is the
 floating-point zero, not merely a small number.
+
+`ReluNetwork.eval_batch` is the one evaluation kernel: each layer is one
+CSR matrix whose rows keep their stored entry order and duplicate
+columns (SciPy's CSR product sums a row left to right), the bias is
+added after the product, and points run in chunks that bound the
+activation buffer.  A bundle's members share most hidden units (the same
+gadgets and product-tree nodes recur across triples), so the bundle is
+evaluated through one shared network that holds each distinct unit once;
+identical rows over identical inputs give identical floats, so every
+member output is unchanged to the bit.
 
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
@@ -18,11 +28,13 @@ the compiler turning Lagrange monomial tables into per-triple networks,
 and the accuracy parameter delta derived from a collocation plan.
 """
 
+import functools
 import itertools
 import json
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
 from .hermite import NodeFamily
@@ -33,6 +45,10 @@ from .lagrange import lagrange_coeffs
 # row-major block; larger layers use the sparse entries form.
 _DENSE_CELL_LIMIT = 4096
 
+# Cells (network columns x points) of the activation buffer one
+# eval_batch chunk may use: 32 MiB of float64.
+_EVAL_CELL_LIMIT = 1 << 22
+
 # Pointwise certificates below float64 evaluation noise are unverifiable;
 # delta is floored here and both values are reported.
 DELTA_FLOOR = 1e-12
@@ -41,39 +57,33 @@ DELTA_FLOOR = 1e-12
 class _Layer:
     """One layer: per-unit sparse rows over all earlier columns."""
 
-    __slots__ = ("rows", "bias", "_prog")
+    __slots__ = ("rows", "bias", "_csr")
 
     def __init__(self, rows, bias):
-        self.rows = rows          # list of (cols int64 asc, weights float64)
+        self.rows = rows          # list of (cols int64, weights float64)
         self.bias = np.asarray(bias, dtype=float)
-        self._prog = None
+        self._csr = None
 
     @property
     def width(self):
         return len(self.rows)
 
-    def program(self):
-        """Rows bucketed by entry count for vectorized evaluation.
+    def matrix(self, n_cols):
+        """The rows as one CSR matrix over the n_cols earlier columns.
 
-        Accumulation order per row is unchanged: position t of every row
-        in a bucket is added in the same step, so each row still sums its
-        entries left to right with the bias last.
+        Built once.  Each row keeps its stored entry order, duplicate
+        columns included: the indices are never sorted or summed, and
+        SciPy's CSR product adds a row's entries left to right.
         """
-        if self._prog is None:
-            buckets = {}
-            for r, (cols, wts) in enumerate(self.rows):
-                buckets.setdefault(len(cols), []).append(r)
-            prog = []
-            for nnz in sorted(buckets):
-                ridx = np.array(buckets[nnz], dtype=np.intp)
-                if nnz == 0:
-                    prog.append((ridx, None, None))
-                    continue
-                C = np.stack([self.rows[r][0] for r in buckets[nnz]])
-                W = np.stack([self.rows[r][1] for r in buckets[nnz]])
-                prog.append((ridx, C, W))
-            self._prog = prog
-        return self._prog
+        if self._csr is None:
+            indptr = np.zeros(self.width + 1, dtype=np.int64)
+            np.cumsum([len(c) for c, _ in self.rows], out=indptr[1:])
+            cols = np.concatenate(
+                [np.empty(0, dtype=np.int64)] + [c for c, _ in self.rows])
+            wts = np.concatenate([np.empty(0)] + [w for _, w in self.rows])
+            self._csr = csr_matrix((wts, cols, indptr),
+                                   shape=(self.width, n_cols))
+        return self._csr
 
 
 class ReluNetwork:
@@ -120,7 +130,12 @@ class ReluNetwork:
         return [layer.width for layer in self.layers]
 
     def eval_batch(self, pts):
-        """Forward pass at a batch of points, shape (n, input_dim)."""
+        """Forward pass at a batch of points, shape (n, input_dim).
+
+        Points run in chunks so that the activation buffer (one row per
+        input or hidden unit, one column per point) stays within
+        _EVAL_CELL_LIMIT cells.
+        """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.input_dim:
             raise ValueError(
@@ -129,32 +144,26 @@ class ReluNetwork:
         n = pts.shape[0]
         hidden = self.layers[:-1]
         total = self.input_dim + sum(layer.width for layer in hidden)
-        z = np.empty((total, n))
-        z[: self.input_dim] = pts.T
-        base = self.input_dim
-        for layer in hidden:
-            block = _apply_layer(layer, z, n)
-            np.maximum(block, 0.0, out=block)
-            z[base: base + layer.width] = block
-            base += layer.width
-        out = _apply_layer(self.layers[-1], z, n)
-        return out.T
+        chunk = max(1, _EVAL_CELL_LIMIT // max(total, 1))
+        buf = np.empty(total * min(n, chunk))
+        out = np.empty((n, self.out_dim))
+        for start in range(0, n, chunk):
+            stop = min(n, start + chunk)
+            z = buf[: total * (stop - start)].reshape(total, stop - start)
+            z[: self.input_dim] = pts[start:stop].T
+            base = self.input_dim
+            for layer in hidden:
+                pre = layer.matrix(base) @ z[:base]
+                pre += layer.bias[:, None]
+                np.maximum(pre, 0.0, out=z[base: base + layer.width])
+                base += layer.width
+            pre = self.layers[-1].matrix(base) @ z[:base]
+            pre += self.layers[-1].bias[:, None]
+            out[start:stop] = pre.T
+        return out
 
     def __call__(self, pts):
         return self.eval_batch(pts)
-
-
-def _apply_layer(layer, z, n):
-    pre = np.zeros((layer.width, n))
-    for ridx, C, W in layer.program():
-        if C is None:
-            continue
-        acc = W[:, 0:1] * z[C[:, 0]]
-        for t in range(1, C.shape[1]):
-            acc += W[:, t: t + 1] * z[C[:, t]]
-        pre[ridx] = acc
-    pre += layer.bias[:, None]
-    return pre
 
 
 def net_eval(net, x):
@@ -751,9 +760,9 @@ def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
 class NetworkBundle:
     """Per-triple scalar networks sharing one input dimension.
 
-    The bundle is never merged into one network: W is the sum and L the
-    maximum of the members, and the labels list is parallel to the
-    networks list.
+    W is the sum and L the maximum of the members, and the labels list
+    is parallel to the networks list.  The members are merged only for
+    evaluation, in `shared`, which W and L do not count.
     """
 
     def __init__(self, networks, labels, meta=None):
@@ -777,6 +786,68 @@ class NetworkBundle:
     @property
     def L(self):
         return max((n.depth for n in self.networks), default=0)
+
+    @functools.cached_property
+    def shared(self):
+        """One network whose output t is member t's output, bit for bit.
+
+        Each distinct hidden unit is held once.  A unit is keyed on its
+        canonical input columns in stored order, its weight bytes and its
+        bias bits (so a -0.0 bias stays distinct); equal keys over equal
+        inputs compute equal floats.  A unit sits one layer above its
+        deepest input, and the final layer holds each member's output row
+        in its stored order.
+        """
+        d = self.input_dim
+        unit_of = {}
+        layer_of = [0] * d         # layer of each canonical column
+        rows, bias = [], []        # hidden rows, by canonical column - d
+        out_rows, out_bias = [], []
+        for net in self.networks:
+            canon = np.arange(d + sum(net.widths[:-1]), dtype=np.int64)
+            col = d
+            for layer in net.layers[:-1]:
+                for (cols, wts), b in zip(layer.rows, layer.bias.tolist()):
+                    ids = canon[cols]
+                    key = (ids.tobytes(), wts.tobytes(), b.hex())
+                    uid = unit_of.get(key)
+                    if uid is None:
+                        uid = unit_of[key] = len(layer_of)
+                        layer_of.append(1 + max(
+                            (layer_of[i] for i in ids.tolist()), default=0))
+                        rows.append((ids, wts))
+                        bias.append(b)
+                    canon[col] = uid
+                    col += 1
+            (cols, wts), = net.layers[-1].rows
+            out_rows.append((canon[cols], wts))
+            out_bias.append(net.layers[-1].bias[0])
+        # columns grouped by layer, creation order within a layer
+        order = sorted(range(d, len(layer_of)), key=layer_of.__getitem__)
+        new_col = np.arange(len(layer_of), dtype=np.int64)
+        new_col[order] = np.arange(d, len(layer_of))
+        layers = []
+        for _, group in itertools.groupby(order, key=layer_of.__getitem__):
+            group = [u - d for u in group]
+            layers.append(_Layer([(new_col[rows[u][0]], rows[u][1])
+                                  for u in group], [bias[u] for u in group]))
+        layers.append(_Layer([(new_col[c], w) for c, w in out_rows],
+                             out_bias))
+        return ReluNetwork(d, layers, {"kind": "shared"})
+
+
+def surrogate_eval(bundle, signs, samples, pts):
+    """sum_t signs[t] * samples[t] * net_t(pts), added up in t order.
+
+    `pts` has shape (n, bundle.input_dim) and `samples` one row per
+    member; the members are evaluated together through `bundle.shared`.
+    Returns shape (n, samples.shape[1]).
+    """
+    phi = bundle.shared.eval_batch(pts)
+    out = np.zeros((phi.shape[0], samples.shape[1]))
+    for t in range(len(bundle)):
+        out += (signs[t] * phi[:, t])[:, None] * samples[t][None, :]
+    return out
 
 
 def assemble_surrogate(plan, samples, delta, omega):
@@ -823,11 +894,7 @@ def assemble_surrogate(plan, samples, delta, omega):
         if pts.shape[1] < dim:
             raise ValueError(
                 f"points have {pts.shape[1]} coordinates; plan needs {dim}")
-        pts = pts[:, :dim]
-        out = np.zeros((pts.shape[0], samples.shape[1]))
-        for t in range(len(nets)):
-            phi = nets[t].eval_batch(pts)[:, 0]
-            out += (signs[t] * phi)[:, None] * samples[t][None, :]
+        out = surrogate_eval(bundle, signs, samples, pts[:, :dim])
         if samples.shape[1] == 1:
             out = out[:, 0]
         return out[0] if single else out
@@ -981,21 +1048,27 @@ def network_from_dict(data):
                 rows.append((nz.astype(np.int64), block[r, nz]))
         else:
             # entry order within a row is the stored accumulation order;
-            # keep it (merged rows are deliberately not globally sorted)
-            per_row = [[] for _ in range(rows_n)]
-            for r, c, wv in spec["entries"]:
-                per_row[int(r)].append((int(c), float(wv)))
-            for r in range(rows_n):
-                cols = np.array([c for c, _ in per_row[r]], dtype=np.int64)
-                wts = np.array([wv for _, wv in per_row[r]])
-                rows.append((cols, wts))
+            # a stable grouping by row keeps it (merged rows are
+            # deliberately not globally sorted)
+            ent = np.asarray(spec["entries"], dtype=float).reshape(-1, 3)
+            r = ent[:, 0].astype(np.int64)
+            if len(r) and (r.min() < 0 or r.max() >= rows_n):
+                raise ValueError("sparse entry names a row out of range")
+            order = np.argsort(r, kind="stable")
+            cols = ent[order, 1].astype(np.int64)
+            wts = ent[order, 2]
+            counts = np.bincount(r, minlength=rows_n)
+            ends = np.cumsum(counts)
+            rows = [(cols[a:b], wts[a:b])
+                    for a, b in zip((ends - counts).tolist(), ends.tolist())]
         layers.append(_Layer(rows, [float(v) for v in spec["bias"]]))
-    net = ReluNetwork(int(data["input_dim"]), layers, data.get("meta"))
     meta = data.get("meta", {})
-    if "W" in meta and meta["W"] != net.size:
-        raise ValueError(f"stored size {meta['W']} != recount {net.size}")
-    if "L" in meta and meta["L"] != net.depth:
-        raise ValueError(f"stored depth {meta['L']} != recount {net.depth}")
+    net = ReluNetwork(int(data["input_dim"]), layers, meta)
+    # the constructor recounted W and L from the rows into net.meta
+    for key in ("W", "L"):
+        if key in meta and meta[key] != net.meta[key]:
+            raise ValueError(
+                f"stored {key} {meta[key]} != recount {net.meta[key]}")
     return net
 
 

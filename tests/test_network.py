@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermnet import network
 from hermnet.indices import MultiIndex, WeightModel, build_plan
 from hermnet.lagrange import lagrange_coeffs, sparse_interpolate, truncate_interpolant
 from hermnet.network import (
@@ -38,6 +39,7 @@ from hermnet.network import (
     recount_size,
     save_network,
     surrogate_bound,
+    surrogate_eval,
     truncated_product_net,
     DELTA_FLOOR,
 )
@@ -152,6 +154,20 @@ class TestEvaluator:
             X = rng.uniform(-2, 2, size=(50, net.input_dim))
             np.testing.assert_allclose(
                 net.eval_batch(X), dense_forward(net, X), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("points_per_chunk", [0, 3])
+    def test_chunked_batch_matches_rows(self, monkeypatch, points_per_chunk):
+        # a cell budget below one point's columns still runs one point
+        # per chunk; 10 points at 3 per chunk leave a short last chunk
+        net = assemble_phi_triple(
+            MultiIndex(((1, 1), (2, 1))), (1, -1), None, 2.0, 1e-5)
+        total = net.input_dim + sum(net.widths[:-1])
+        monkeypatch.setattr(network, "_EVAL_CELL_LIMIT",
+                            max(1, points_per_chunk * total))
+        rng = np.random.default_rng(42)
+        Y = rng.uniform(-6, 6, size=(10, net.input_dim))
+        rows = np.vstack([net.eval_batch(y[None, :]) for y in Y])
+        assert net.eval_batch(Y).tobytes() == rows.tobytes()
 
     def test_skip_connections_are_real(self):
         # the product root row reads layers far below the last hidden
@@ -503,6 +519,16 @@ class TestSerialization:
         with open(path, encoding="utf-8") as fh:
             json.load(fh)
 
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_sparse_entry_row_out_of_range_rejected(self, row):
+        d = {"input_dim": 1, "meta": {},
+             "layers": [{"rows": 2, "cols": 1, "bias": [0.0, 0.0],
+                         "entries": [[0, 0, 1.0], [row, 0, 1.0]]},
+                        {"rows": 1, "cols": 3, "bias": [0.0],
+                         "entries": [[0, 1, 1.0]]}]}
+        with pytest.raises(ValueError):
+            network_from_dict(d)
+
     def test_corrupt_meta_rejected(self):
         d = network_to_dict(phi0_net())
         d["meta"]["W"] = 7
@@ -585,6 +611,46 @@ class TestSurrogate:
         Y = rng.normal(size=(10, bundle.input_dim))
         for a, b in zip(bundle.networks, back.networks):
             assert np.array_equal(a.eval_batch(Y), b.eval_batch(Y))
+
+    def test_shared_units_match_members_bitwise(self):
+        # auto delta gives members of depths 3, 17 and 34; the shared
+        # network must reproduce each member and the t-ordered sum, down
+        # to the sign of zero (np.array_equal would not see it)
+        plan = _small_plan()
+        omega = 2.0
+        delta = compute_delta(plan, omega)
+        rng = np.random.default_rng(42)
+        samples = rng.normal(size=(plan.n_triples, 3))
+        signs = np.array([float(t.sign) for t in plan.triples])
+        bundle, ev = assemble_surrogate(plan, samples, delta, omega)
+        assert len({net.depth for net in bundle.networks}) > 1
+        W, L = bundle.W, bundle.L
+
+        g = rng.normal(size=(200, plan.m_active))
+        edge = 8.0 * math.sqrt(omega) * 1.001
+        outside = np.where(g < 0, -edge, edge) + g
+        Y = np.vstack([g, 3.0 * g, outside])
+
+        def member_sum(pts):
+            out = np.zeros((pts.shape[0], samples.shape[1]))
+            for t, net in enumerate(bundle.networks):
+                phi = net.eval_batch(pts)[:, 0]
+                out += (signs[t] * phi)[:, None] * samples[t][None, :]
+            return out
+
+        want = member_sum(Y)
+        members = np.hstack([net.eval_batch(Y) for net in bundle.networks])
+        assert bundle.shared.eval_batch(Y).tobytes() == members.tobytes()
+        assert surrogate_eval(bundle, signs, samples, Y).tobytes() == \
+            want.tobytes()
+        assert ev(Y).tobytes() == want.tobytes()
+        assert np.all(want[-200:] == 0.0)
+        assert ev(Y[0]).tobytes() == want[0].tobytes()
+
+        shared_hidden = sum(bundle.shared.widths[:-1])
+        assert shared_hidden < sum(sum(net.widths[:-1])
+                                   for net in bundle.networks)
+        assert (bundle.W, bundle.L) == (W, L)
 
     def test_wrong_sample_count_rejected(self):
         plan = _small_plan()
