@@ -620,7 +620,7 @@ def cmd_net_eval(args):
         raise ConfigError(f"points have {pts.shape[1]} coordinates; the "
                           f"bundle needs {dim}")
     out = surrogate_eval(bundle, signs, samples, pts[:, :dim])
-    lines = [",".join(repr(float(v)) for v in row) for row in out]
+    lines = [",".join(map(repr, row.tolist())) for row in out]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"net eval: {pts.shape[0]} points -> {args.out}")
     return EXIT_OK

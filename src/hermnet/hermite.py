@@ -26,7 +26,9 @@ def hermite_eval(k, y):
 
     Returns
     -------
-    float or ndarray with the shape of y.
+    float or ndarray with the shape of y.  Where the recurrence
+    overflows the double range, the value is infinite with the sign of
+    y**k, and no floating-point warning is raised.
     """
     y = np.asarray(y, dtype=float)
     if k < 0:
@@ -35,24 +37,40 @@ def hermite_eval(k, y):
     if k == 0:
         return h_prev if h_prev.ndim else float(h_prev)
     h = y.copy()
-    for n in range(1, k):
-        h_prev, h = h, (y * h - np.sqrt(n) * h_prev) / np.sqrt(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, k):
+            h_prev, h = h, (y * h - np.sqrt(n) * h_prev) / np.sqrt(n + 1)
+    h = _mend_overflow(h, y, k)
     return h if h.ndim else float(h)
 
 
 def hermite_eval_all(max_k, y):
     """Evaluate H_0..H_max_k at y in one recurrence sweep.
 
-    Returns an array of shape (max_k+1,) + y.shape.
+    Returns an array of shape (max_k+1,) + y.shape; overflowed values
+    are infinite with the sign of y**k, as in hermite_eval.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.empty((max_k + 1,) + y.shape)
     out[0] = 1.0
     if max_k >= 1:
         out[1] = y
-    for n in range(1, max_k):
-        out[n + 1] = (y * out[n] - np.sqrt(n) * out[n - 1]) / np.sqrt(n + 1)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, max_k):
+            out[n + 1] = ((y * out[n] - np.sqrt(n) * out[n - 1])
+                          / np.sqrt(n + 1))
+    degrees = np.arange(max_k + 1).reshape((-1,) + (1,) * y.ndim)
+    return _mend_overflow(out, y, degrees)
+
+
+def _mend_overflow(h, y, k):
+    """h, with each value the recurrence lost to overflow (inf, or NaN
+    from inf - inf) replaced by the infinity of sign y**k.  Once a value
+    leaves the double range it never returns, so every finite value is
+    the recurrence's own; NaN inputs stay NaN."""
+    lost = ~np.isfinite(h) & ~np.isnan(y)
+    return np.where(lost, np.where((y < 0) & (k % 2 == 1), -np.inf, np.inf),
+                    h)
 
 
 def gaussian_density(y):
@@ -119,11 +137,11 @@ def gauss_hermite_nodes(m):
     order = np.argsort(vals)
     nodes = vals[order]
     # H_m^2 overflows at the outer nodes from m of about 400, and H_m itself
-    # (inf, or NaN from inf - inf in the recurrence) at larger m, only where
-    # the true weight is below the double range: those weights become 0
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        h = hermite_eval(m, nodes)
-        weights = np.where(np.isnan(h), 0.0, 1.0 / ((m + 1) * (h * h)))
+    # at larger m, only where the true weight is below the double range:
+    # those weights come out as 1 / inf = 0
+    h = hermite_eval(m, nodes)
+    with np.errstate(over="ignore", under="ignore"):
+        weights = 1.0 / ((m + 1) * (h * h))
     # enforce exact symmetry: the rule is invariant under y -> -y
     nodes = 0.5 * (nodes - nodes[::-1])
     if m % 2 == 0:

@@ -20,6 +20,14 @@ evaluated through one shared network that holds each distinct unit once;
 identical rows over identical inputs give identical floats, so every
 member output is unchanged to the bit.
 
+A compile builds each distinct network once: triples with the same
+(s-e, k) get networks that share one set of layers, and each monomial
+gadget product is built once per compile.  The bundle and its artifact
+still list every member with its own meta, so W, L and the serialized
+form are those of the per-triple networks.  Network algebra moves rows
+a whole layer at a time (one column map, one stable sort), and each row
+keeps arrays of its own.
+
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
 identity with piecewise-linear refinement chains, network algebra
@@ -49,6 +57,9 @@ _DENSE_CELL_LIMIT = 4096
 # eval_batch chunk may use: 32 MiB of float64.
 _EVAL_CELL_LIMIT = 1 << 22
 
+# Points per block of the member sum in surrogate_eval.
+_SUM_BLOCK = 256
+
 # Pointwise certificates below float64 evaluation noise are unverifiable;
 # delta is floored here and both values are reported.
 DELTA_FLOOR = 1e-12
@@ -57,16 +68,39 @@ DELTA_FLOOR = 1e-12
 class _Layer:
     """One layer: per-unit sparse rows over all earlier columns."""
 
-    __slots__ = ("rows", "bias", "_csr")
+    __slots__ = ("rows", "bias", "_csr", "_extent")
 
     def __init__(self, rows, bias):
         self.rows = rows          # list of (cols int64, weights float64)
         self.bias = np.asarray(bias, dtype=float)
         self._csr = None
+        self._extent = None
 
     @property
     def width(self):
         return len(self.rows)
+
+    def flat(self):
+        """(entries per row, columns, weights) with the rows laid end to
+        end in stored order."""
+        counts = np.array([len(c) for c, _ in self.rows], dtype=np.int64)
+        cols = np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [c for c, _ in self.rows])
+        wts = np.concatenate([np.empty(0)] + [w for _, w in self.rows])
+        return counts, cols, wts
+
+    def extent(self):
+        """(largest stored column, -1 if none; nonzero weights and biases).
+
+        Counted once, like the matrix below: a layer shared by several
+        networks is checked and counted a single time.
+        """
+        if self._extent is None:
+            _, cols, wts = self.flat()
+            self._extent = (int(cols.max()) if cols.size else -1,
+                            int(np.count_nonzero(wts))
+                            + int(np.count_nonzero(self.bias)))
+        return self._extent
 
     def matrix(self, n_cols):
         """The rows as one CSR matrix over the n_cols earlier columns.
@@ -76,14 +110,20 @@ class _Layer:
         SciPy's CSR product adds a row's entries left to right.
         """
         if self._csr is None:
+            counts, cols, wts = self.flat()
             indptr = np.zeros(self.width + 1, dtype=np.int64)
-            np.cumsum([len(c) for c, _ in self.rows], out=indptr[1:])
-            cols = np.concatenate(
-                [np.empty(0, dtype=np.int64)] + [c for c, _ in self.rows])
-            wts = np.concatenate([np.empty(0)] + [w for _, w in self.rows])
+            np.cumsum(counts, out=indptr[1:])
             self._csr = csr_matrix((wts, cols, indptr),
                                    shape=(self.width, n_cols))
         return self._csr
+
+
+def _split_rows(counts, cols, wts):
+    """Per-row (cols, wts) pairs, each an array of its own, from rows
+    laid end to end."""
+    ends = np.cumsum(counts).tolist()
+    return [(cols[a:b].copy(), wts[a:b].copy())
+            for a, b in zip([0] + ends[:-1], ends)]
 
 
 class ReluNetwork:
@@ -104,11 +144,11 @@ class ReluNetwork:
         self.meta = dict(meta or {})
         cols = self.input_dim
         for li, layer in enumerate(self.layers):
-            for c, _ in layer.rows:
-                if len(c) and c.max() >= cols:
-                    raise ValueError(
-                        f"layer {li} references column {c.max()} but only "
-                        f"{cols} earlier columns exist")
+            top = layer.extent()[0]
+            if top >= cols:
+                raise ValueError(
+                    f"layer {li} references column {top} but only "
+                    f"{cols} earlier columns exist")
             cols += layer.width
         self.meta["W"] = self.size
         self.meta["L"] = self.depth
@@ -175,13 +215,9 @@ def net_eval(net, x):
 
 
 def recount_size(net):
-    """Recount nonzero weights and biases from the stored rows."""
-    total = 0
-    for layer in net.layers:
-        for _, wts in layer.rows:
-            total += int(np.count_nonzero(wts))
-        total += int(np.count_nonzero(layer.bias))
-    return total
+    """Nonzero weights and biases, counted from the stored rows (once
+    per layer object; see _Layer.extent)."""
+    return sum(layer.extent()[1] for layer in net.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -469,52 +505,45 @@ def _gadget_product_expr(b, factors, scale, delta):
 # ---------------------------------------------------------------------------
 # algebra
 
-def _shift_net(net, offsets, out):
-    """Copy net's rows into builder-style layers with reindexed columns.
+def _colmap(net, offsets):
+    """Column map moving net's hidden layer l to the block at offsets[l];
+    input columns keep their index."""
+    return np.concatenate(
+        [np.arange(net.input_dim)]
+        + [off + np.arange(layer.width)
+           for off, layer in zip(offsets, net.layers[:-1])]).astype(np.int64)
 
-    offsets[l] maps net's layer l to the target global column base.
-    Returns per-layer lists of (cols, wts, bias) for the hidden part and
-    the remapped final rows.
+
+def _reindex(layer, colmap, twin=None):
+    """The layer's rows with each stored column c moved to colmap[c].
+
+    Where twin[c] >= 0, the entry is followed by its negation on column
+    twin[c] (the sigma(v), sigma(-v) pair that carries an input across a
+    composition).  Each row is then sorted by its new columns; the sort
+    is stable, so equal columns keep their stored order.  Returns the
+    rows as (cols, wts) pairs.
     """
-    bases = []
-    col = net.input_dim
-    for layer in net.layers[:-1]:
-        bases.append(col)
-        col += layer.width
-
-    def remap(cols, wts):
-        new = np.empty_like(cols)
-        for t, c in enumerate(cols):
-            if c < net.input_dim:
-                new[t] = c
-            else:
-                li = 0
-                while li + 1 < len(bases) and bases[li + 1] <= c:
-                    li += 1
-                new[t] = offsets[li] + (c - bases[li])
-        order = np.argsort(new, kind="stable")
-        return new[order], wts[order]
-
-    for li, layer in enumerate(net.layers[:-1]):
-        for (cols, wts), bias in zip(layer.rows, layer.bias):
-            c, w = remap(cols, wts)
-            out[li].append((c, w, float(bias)))
-    final = []
-    for (cols, wts), bias in zip(net.layers[-1].rows, net.layers[-1].bias):
-        c, w = remap(cols, wts)
-        final.append((c, w, float(bias)))
-    return final
+    counts, cols, wts = layer.flat()
+    row = np.repeat(np.arange(layer.width), counts)
+    new = colmap[cols]
+    if twin is not None:
+        pair = twin[cols]
+        src = np.repeat(np.arange(len(cols)), np.where(pair >= 0, 2, 1))
+        second = np.zeros(len(src), dtype=bool)
+        second[1:] = src[1:] == src[:-1]
+        new = np.where(second, pair[src], new[src])
+        wts = np.where(second, -wts[src], wts[src])
+        row = row[src]
+        counts = np.bincount(row, minlength=layer.width)
+    order = np.lexsort((new, row))
+    return _split_rows(counts, new[order], wts[order])
 
 
-def _emit(input_dim, hidden, outputs, meta):
-    """Assemble a ReluNetwork from explicit per-layer row triples."""
-    layers = []
-    for rows in hidden:
-        layers.append(_Layer([(c, w) for c, w, _ in rows],
-                             [b for _, _, b in rows]))
-    layers.append(_Layer([(c, w) for c, w, _ in outputs],
-                         [b for _, _, b in outputs]))
-    return ReluNetwork(input_dim, layers, meta)
+def _pm_rows(rows, bias, hidden_layer):
+    """Append sigma(v), sigma(-v) rows for each (row, bias) v."""
+    for (c, w), b in zip(rows, bias):
+        hidden_layer[0].extend([(c, w), (c, -w)])
+        hidden_layer[1].extend([b, -b])
 
 
 def parallelize(nets, coefficients):
@@ -540,7 +569,7 @@ def parallelize(nets, coefficients):
         raise ValueError("output dimensions differ")
     depth = max(n.depth for n in nets)
     n_hidden = depth - 1
-    hidden = [[] for _ in range(n_hidden)]
+    hidden = [([], []) for _ in range(n_hidden)]
 
     # reserve column layout: per hidden layer, each net's block in order
     # (carry pairs included), so offsets are known before copying rows.
@@ -561,29 +590,31 @@ def parallelize(nets, coefficients):
     outputs = [[] for _ in range(p0)]
     out_bias = [0.0] * p0
     for j, net in enumerate(nets):
-        own = [offsets[li][j] for li in range(net.depth - 1)]
-        final = _shift_net(net, own, hidden)
+        colmap = _colmap(net, [offsets[li][j] for li in range(net.depth - 1)])
+        for li, layer in enumerate(net.layers[:-1]):
+            hidden[li][0].extend(_reindex(layer, colmap))
+            hidden[li][1].extend(layer.bias.tolist())
+        final = _reindex(net.layers[-1], colmap)
+        final_bias = net.layers[-1].bias.tolist()
         if net.depth == depth:
-            for r, (c, w, bias) in enumerate(final):
+            for r, ((c, w), bias) in enumerate(zip(final, final_bias)):
                 outputs[r].append((c, w * lam[j]))
                 out_bias[r] += lam[j] * bias
         else:
             # identity-carry padding: materialize the member's output at
             # its own final depth, then carry the pair upward.
-            carry = []
-            for r, (c, w, bias) in enumerate(final):
-                li = net.depth - 1
-                cbase = offsets[li][j]
-                hidden[li].append((c, w, bias))
-                hidden[li].append((c, -w, -bias))
-                carry.append((cbase + 2 * r, cbase + 2 * r + 1))
+            li = net.depth - 1
+            _pm_rows(final, final_bias, hidden[li])
+            carry = [(offsets[li][j] + 2 * r, offsets[li][j] + 2 * r + 1)
+                     for r in range(p0)]
             for li in range(net.depth, n_hidden):
                 cbase = offsets[li][j]
                 nxt = []
                 for r, (cp, cm) in enumerate(carry):
                     cols = np.array([cp, cm], dtype=np.int64)
-                    hidden[li].append((cols, np.array([1.0, -1.0]), 0.0))
-                    hidden[li].append((cols, np.array([-1.0, 1.0]), 0.0))
+                    hidden[li][0].extend([(cols, np.array([1.0, -1.0])),
+                                          (cols, np.array([-1.0, 1.0]))])
+                    hidden[li][1].extend([0.0, 0.0])
                     nxt.append((cbase + 2 * r, cbase + 2 * r + 1))
                 carry = nxt
             for r, (cp, cm) in enumerate(carry):
@@ -599,9 +630,10 @@ def parallelize(nets, coefficients):
         wts = np.concatenate([p[1] for p in pieces]) if pieces else \
             np.array([])
         keep = wts != 0.0
-        out_rows.append((cols[keep], wts[keep], out_bias[r]))
+        out_rows.append((cols[keep], wts[keep]))
+    hidden.append((out_rows, out_bias))
     meta = {"kind": "parallelize", "raw_W": sum(n.size for n in nets)}
-    return _emit(d0, hidden, out_rows, meta)
+    return ReluNetwork(d0, [_Layer(*block) for block in hidden], meta)
 
 
 def concatenate(first, second):
@@ -614,59 +646,30 @@ def concatenate(first, second):
         raise ValueError(
             f"second expects {second.input_dim} inputs but first "
             f"produces {first.out_dim}")
-    n_hidden = (first.depth - 1) + 1 + (second.depth - 1)
-    hidden = [[] for _ in range(n_hidden)]
-
-    base = first.input_dim
-    first_offsets = []
+    hidden = []
+    first_map = np.arange(first.input_dim + sum(first.widths[:-1]))
     for layer in first.layers[:-1]:
-        first_offsets.append(base)
-        base += layer.width
-    f_final = _shift_net(first, first_offsets, hidden)
-    pair_base = base
-    pair_layer = first.depth - 1
-    for c, w, bias in f_final:
-        hidden[pair_layer].append((c, w, bias))
-        hidden[pair_layer].append((c, -w, -bias))
+        hidden.append((_reindex(layer, first_map), layer.bias.tolist()))
+    pair_base = len(first_map)
+    hidden.append(([], []))
+    _pm_rows(_reindex(first.layers[-1], first_map),
+             first.layers[-1].bias.tolist(), hidden[-1])
+
     base = pair_base + 2 * first.out_dim
-
-    second_offsets = []
+    offsets = []
     for layer in second.layers[:-1]:
-        second_offsets.append(base)
+        offsets.append(base)
         base += layer.width
-
-    def remap_second(cols, wts):
-        out_c, out_w = [], []
-        sbases = []
-        col = second.input_dim
-        for layer in second.layers[:-1]:
-            sbases.append(col)
-            col += layer.width
-        for c, w in zip(cols, wts):
-            if c < second.input_dim:
-                out_c.extend([pair_base + 2 * c, pair_base + 2 * c + 1])
-                out_w.extend([w, -w])
-            else:
-                li = 0
-                while li + 1 < len(sbases) and sbases[li + 1] <= c:
-                    li += 1
-                out_c.append(second_offsets[li] + (c - sbases[li]))
-                out_w.append(w)
-        c_arr = np.array(out_c, dtype=np.int64)
-        w_arr = np.array(out_w)
-        order = np.argsort(c_arr, kind="stable")
-        return c_arr[order], w_arr[order]
-
-    for li, layer in enumerate(second.layers[:-1]):
-        for (cols, wts), bias in zip(layer.rows, layer.bias):
-            c, w = remap_second(cols, wts)
-            hidden[pair_layer + 1 + li].append((c, w, float(bias)))
-    outputs = []
-    for (cols, wts), bias in zip(second.layers[-1].rows,
-                                 second.layers[-1].bias):
-        c, w = remap_second(cols, wts)
-        outputs.append((c, w, float(bias)))
-    return _emit(first.input_dim, hidden, outputs, {"kind": "concatenate"})
+    colmap = _colmap(second, offsets)
+    twin = np.full(len(colmap), -1, dtype=np.int64)
+    colmap[: second.input_dim] = pair_base + 2 * np.arange(second.input_dim)
+    twin[: second.input_dim] = colmap[: second.input_dim] + 1
+    for layer in second.layers[:-1]:
+        hidden.append((_reindex(layer, colmap, twin), layer.bias.tolist()))
+    hidden.append((_reindex(second.layers[-1], colmap, twin),
+                   second.layers[-1].bias.tolist()))
+    return ReluNetwork(first.input_dim, [_Layer(*block) for block in hidden],
+                       {"kind": "concatenate"})
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +708,20 @@ def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
     the certificate weight of this triple: the network is within
     delta * coeff_abs_sum of its polynomial on the plateau box.
     """
+    return _compile_triple(s_minus_e, k, _coeff_source(coeffs), omega, delta,
+                           input_dim, gate_coord, label, {})
+
+
+def _compile_triple(s_minus_e, k, source, omega, delta, input_dim,
+                    gate_coord, label, monomials):
+    """assemble_phi_triple, taking each monomial network from `monomials`
+    (factor tuple -> network) when there and adding it when not.  The
+    networks also depend on omega, delta and the input dimension, so one
+    dict serves one compile."""
     if omega < 1:
         raise ValueError("omega must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    source = _coeff_source(coeffs)
     pairs = s_minus_e.pairs
     if len(k) != len(pairs):
         raise ValueError("need one signed node index per support coordinate")
@@ -747,9 +759,12 @@ def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
                 factors.append((j - 1, "phi0"))
             else:
                 factors.extend([(j - 1, "phi1")] * e)
-        b = _NetBuilder(dim)
-        expr = _gadget_product_expr(b, factors, inv, delta)
-        nets.append(b.finalize([(expr, 0.0)]))
+        key = tuple(factors)
+        if key not in monomials:
+            b = _NetBuilder(dim)
+            expr = _gadget_product_expr(b, factors, inv, delta)
+            monomials[key] = b.finalize([(expr, 0.0)])
+        nets.append(monomials[key])
     net = parallelize(nets, lams)
     net.meta.update({
         "kind": "phi_triple", "label": label, "delta": delta,
@@ -796,14 +811,22 @@ class NetworkBundle:
         bias bits (so a -0.0 bias stays distinct); equal keys over equal
         inputs compute equal floats.  A unit sits one layer above its
         deepest input, and the final layer holds each member's output row
-        in its stored order.
+        in its stored order.  A member built on the layers of an earlier
+        one (a repeated triple) reuses that member's output row.
         """
         d = self.input_dim
         unit_of = {}
         layer_of = [0] * d         # layer of each canonical column
         rows, bias = [], []        # hidden rows, by canonical column - d
         out_rows, out_bias = [], []
+        first_of = {}              # member layers -> first output row
         for net in self.networks:
+            first = first_of.setdefault(tuple(map(id, net.layers)),
+                                        len(out_rows))
+            if first < len(out_rows):
+                out_rows.append(out_rows[first])
+                out_bias.append(out_bias[first])
+                continue
             canon = np.arange(d + sum(net.widths[:-1]), dtype=np.int64)
             col = d
             for layer in net.layers[:-1]:
@@ -841,12 +864,16 @@ def surrogate_eval(bundle, signs, samples, pts):
 
     `pts` has shape (n, bundle.input_dim) and `samples` one row per
     member; the members are evaluated together through `bundle.shared`.
-    Returns shape (n, samples.shape[1]).
+    The sum runs over blocks of _SUM_BLOCK points, so each block of the
+    output stays in cache while every member is added to it.  Returns
+    shape (n, samples.shape[1]).
     """
     phi = bundle.shared.eval_batch(pts)
     out = np.zeros((phi.shape[0], samples.shape[1]))
-    for t in range(len(bundle)):
-        out += (signs[t] * phi[:, t])[:, None] * samples[t][None, :]
+    for a in range(0, phi.shape[0], _SUM_BLOCK):
+        block, part = out[a: a + _SUM_BLOCK], phi[a: a + _SUM_BLOCK]
+        for t in range(len(bundle)):
+            block += (signs[t] * part[:, t])[:, None] * samples[t][None, :]
     return out
 
 
@@ -870,6 +897,8 @@ def assemble_surrogate(plan, samples, delta, omega):
                          f"(got {samples.shape[0]} for {plan.n_triples})")
     dim = max(plan.m_active, 1)
     source = _coeff_source(None)
+    # each distinct network is built once; a repeat shares its layers
+    built, monomials = {}, {}
     nets, labels, signs = [], [], []
     for t in plan.triples:
         s = plan.indices[t.s_ref]
@@ -877,9 +906,14 @@ def assemble_surrogate(plan, samples, delta, omega):
         gate = min(s.support) if s.pairs else 1
         label = {"s": [list(p) for p in s.pairs],
                  "e": list(t.e_mask), "k": list(t.k)}
-        nets.append(assemble_phi_triple(
-            sme, t.k, source, omega, delta,
-            input_dim=dim, gate_coord=gate, label=label))
+        key = (sme.pairs, tuple(t.k), None if sme.pairs else gate)
+        net = built.get(key)
+        if net is None:
+            net = built[key] = _compile_triple(
+                sme, t.k, source, omega, delta, dim, gate, label, monomials)
+        else:
+            net = ReluNetwork(dim, net.layers, dict(net.meta, label=label))
+        nets.append(net)
         labels.append(label)
         signs.append(float(t.sign))
     signs = np.asarray(signs)
@@ -998,25 +1032,22 @@ def network_to_dict(net):
     for layer in net.layers:
         rows = layer.width
         cols = col_base
+        counts, c, w = layer.flat()
+        r = np.repeat(np.arange(rows), counts)
         # dense form loses entry order, so it is only safe when every
         # row is strictly ascending (the sparse form keeps stored order)
-        ascending = all(
-            len(c) < 2 or bool(np.all(np.diff(c) > 0))
-            for c, _ in layer.rows)
+        ascending = bool(np.all(np.diff(c)[r[1:] == r[:-1]] > 0))
         if rows * cols <= _DENSE_CELL_LIMIT and ascending:
             block = np.zeros((rows, cols))
-            for r, (c, w) in enumerate(layer.rows):
-                block[r, c] = w
+            block[r, c] = w
             layers.append({"rows": rows, "cols": cols,
-                           "weights": [float(v) for v in block.ravel()],
-                           "bias": [float(v) for v in layer.bias]})
+                           "weights": block.ravel().tolist(),
+                           "bias": layer.bias.tolist()})
         else:
-            entries = []
-            for r, (c, w) in enumerate(layer.rows):
-                entries.extend([[int(r), int(cc), float(ww)]
-                                for cc, ww in zip(c, w)])
+            entries = list(map(list, zip(r.tolist(), c.tolist(),
+                                         w.tolist())))
             layers.append({"rows": rows, "cols": cols, "entries": entries,
-                           "bias": [float(v) for v in layer.bias]})
+                           "bias": layer.bias.tolist()})
         col_base += rows
     meta = {k: v for k, v in net.meta.items() if _json_safe(v)}
     return {"input_dim": net.input_dim, "layers": layers, "meta": meta}
@@ -1037,15 +1068,14 @@ def network_from_dict(data):
     layers = []
     for spec in data["layers"]:
         rows_n, cols_n = int(spec["rows"]), int(spec["cols"])
-        rows = []
         if "weights" in spec:
             block = np.asarray(spec["weights"], dtype=float)
             if block.size != rows_n * cols_n:
                 raise ValueError("dense block has wrong cell count")
             block = block.reshape(rows_n, cols_n)
-            for r in range(rows_n):
-                nz = np.nonzero(block[r])[0]
-                rows.append((nz.astype(np.int64), block[r, nz]))
+            r, c = np.nonzero(block)
+            rows = _split_rows(np.bincount(r, minlength=rows_n),
+                               c.astype(np.int64), block[r, c])
         else:
             # entry order within a row is the stored accumulation order;
             # a stable grouping by row keeps it (merged rows are

@@ -64,6 +64,23 @@ class TestHermiteEval:
         assert envelope.max() < 1.0
         np.testing.assert_allclose(envelope.max(), 0.6316187777460647, rtol=1e-10)
 
+    def test_overflow_is_signed_infinity(self):
+        # H_k(+-70) leaves the double range before k = 1000: the value is
+        # the infinity of sign y**k, without a floating-point warning
+        y = np.array([70.0, -70.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h999, h1000 = hermite_eval(999, y), hermite_eval(1000, y)
+            table = hermite_eval_all(1000, y)
+            scalar = hermite_eval(1000, -70.0)
+            assert np.isnan(hermite_eval(1000, np.nan))
+        assert h1000[:2].tolist() == [np.inf, np.inf] and scalar == np.inf
+        assert h999[:2].tolist() == [np.inf, -np.inf]
+        assert np.isfinite(h999[2]) and np.isfinite(h1000[2])
+        assert table[999].tobytes() == h999.tobytes()
+        assert table[1000].tobytes() == h1000.tobytes()
+        assert np.isfinite(table[:, 2]).all()
+
     @given(st.integers(min_value=0, max_value=25),
            st.floats(min_value=-6, max_value=6, allow_nan=False))
     @settings(max_examples=60, deadline=None)

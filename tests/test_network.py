@@ -178,6 +178,29 @@ class TestEvaluator:
         assert cols.min() < last_hidden_base
 
 
+    @pytest.mark.parametrize("layer, col", [(0, 2), (0, 7), (1, 5)])
+    def test_column_beyond_earlier_layers_rejected(self, layer, col):
+        # input_dim 2 and three units in layer 0: layer 0 may read columns
+        # 0-1, layer 1 columns 0-4; the bad entry follows an empty row
+        empty = (np.empty(0, dtype=np.int64), np.empty(0))
+        rows = [[(np.array([1, 0]), np.array([1.0, -1.0])), empty,
+                 empty],
+                [(np.array([2, 0]), np.array([1.0, 2.0])), empty]]
+        rows[layer][-1] = (np.array([0, col]), np.array([1.0, 1.0]))
+        layers = [network._Layer(rows[0], [0.0] * 3),
+                  network._Layer(rows[1], [0.0, 0.0])]
+        with pytest.raises(ValueError, match=f"layer {layer} references "
+                                             f"column {col}"):
+            network.ReluNetwork(2, layers)
+
+    def test_columns_within_earlier_layers_accepted(self):
+        layers = [network._Layer([(np.array([1]), np.array([1.0]))], [0.0]),
+                  network._Layer([(np.array([2, 0]), np.array([1.0, 2.0]))],
+                                 [0.5])]
+        net = network.ReluNetwork(2, layers)
+        assert (net.size, net.depth) == (4, 2)
+
+
 class TestProductNet:
     def test_accuracy_within_delta(self):
         rng = np.random.default_rng(42)
@@ -374,6 +397,45 @@ def _cardinal(order, k):
     return f
 
 
+def reindex_reference(layer, colmap, twin=None):
+    """Per-entry remap of each row, then a stable sort by new column."""
+    rows = []
+    for cols, wts in layer.rows:
+        out_c, out_w = [], []
+        for c, w in zip(cols.tolist(), wts.tolist()):
+            out_c.append(int(colmap[c]))
+            out_w.append(w)
+            if twin is not None and twin[c] >= 0:
+                out_c.append(int(twin[c]))
+                out_w.append(-w)
+        out_c = np.array(out_c, dtype=np.int64)
+        order = np.argsort(out_c, kind="stable")
+        rows.append((out_c[order], np.array(out_w, dtype=float)[order]))
+    return rows
+
+
+class TestReindex:
+    @pytest.mark.parametrize("use_twin", [False, True])
+    def test_matches_per_entry_reference(self, use_twin):
+        # descending and duplicate columns, an empty row, a -0.0 weight
+        rows = [(np.array([4, 1, 3, 1]), np.array([0.5, 1.0, -0.0, 2.0])),
+                (np.empty(0, dtype=np.int64), np.empty(0)),
+                (np.array([0, 2, 0]), np.array([3.0, -1.0, 0.25])),
+                (np.array([3, 2, 1, 0]), np.array([1.0, 2.0, 3.0, 4.0]))]
+        layer = network._Layer(rows, [0.0] * len(rows))
+        colmap = np.array([9, 3, 20, 4, 11], dtype=np.int64)
+        twin = np.array([10, -1, 21, -1, -1], dtype=np.int64)
+        twin = twin if use_twin else None
+        got = network._reindex(layer, colmap, twin)
+        want = reindex_reference(layer, colmap, twin)
+        assert len(got) == len(want)
+        for (gc, gw), (wc, ww) in zip(got, want):
+            assert gc.dtype == np.int64 and gw.dtype == np.float64
+            assert gc.tobytes() == wc.tobytes()
+            assert gw.tobytes() == ww.tobytes()
+            assert gc.base is None and gw.base is None
+
+
 class TestPhiTriple:
     def test_empty_difference_is_plateau(self):
         net = assemble_phi_triple(MultiIndex(()), (), None, 4.0, 1e-6)
@@ -529,6 +591,60 @@ class TestSerialization:
         with pytest.raises(ValueError):
             network_from_dict(d)
 
+    def test_to_dict_matches_per_row_reference(self):
+        def reference(net):
+            layers = []
+            col_base = net.input_dim
+            for layer in net.layers:
+                rows, cols = layer.width, col_base
+                ascending = all(len(c) < 2 or bool(np.all(np.diff(c) > 0))
+                                for c, _ in layer.rows)
+                bias = [float(v) for v in layer.bias]
+                if rows * cols <= network._DENSE_CELL_LIMIT and ascending:
+                    block = np.zeros((rows, cols))
+                    for r, (c, w) in enumerate(layer.rows):
+                        block[r, c] = w
+                    layers.append({"rows": rows, "cols": cols, "bias": bias,
+                                   "weights": [float(v)
+                                               for v in block.ravel()]})
+                else:
+                    entries = []
+                    for r, (c, w) in enumerate(layer.rows):
+                        entries.extend([[int(r), int(cc), float(ww)]
+                                        for cc, ww in zip(c, w)])
+                    layers.append({"rows": rows, "cols": cols, "bias": bias,
+                                   "entries": entries})
+                col_base += rows
+            return {"input_dim": net.input_dim, "layers": layers,
+                    "meta": dict(net.meta)}
+
+        empty = (np.empty(0, dtype=np.int64), np.empty(0))
+        with_empty = network.ReluNetwork(2, [
+            network._Layer([(np.array([0, 1]), np.array([1.0, -0.5])), empty,
+                            (np.array([1]), np.array([-0.0]))],
+                           [0.0, -0.0, 1.5]),
+            network._Layer([(np.array([4, 2, 0]), np.array([1.0, 2.0, 3.0])),
+                            empty], [0.25, 0.0])], {"kind": "test"})
+        merged = assemble_phi_triple(
+            MultiIndex(((1, 1), (2, 1))), (1, -1), None, 2.0, 1e-5)
+        plan = _small_plan()
+        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples),
+                                       compute_delta(plan, 2.0), 2.0)
+        nets = [phi1_net(), product_net(3, 1e-3), with_empty, merged,
+                bundle.networks[-1]]
+        kinds = set()
+        for net in nets:
+            got, want = network_to_dict(net), reference(net)
+            assert got == want
+            assert json.dumps(got, sort_keys=True) == \
+                json.dumps(want, sort_keys=True)
+            kinds.update("weights" if "weights" in spec else "entries"
+                         for spec in got["layers"])
+        assert kinds == {"weights", "entries"}
+        # the small non-ascending output layer takes the sparse form
+        assert "entries" in network_to_dict(with_empty)["layers"][1]
+        assert "weights" in network_to_dict(with_empty)["layers"][0]
+
     def test_corrupt_meta_rejected(self):
         d = network_to_dict(phi0_net())
         d["meta"]["W"] = 7
@@ -651,6 +767,49 @@ class TestSurrogate:
         assert shared_hidden < sum(sum(net.widths[:-1])
                                    for net in bundle.networks)
         assert (bundle.W, bundle.L) == (W, L)
+
+    def test_members_match_fresh_compile_bitwise(self):
+        # auto delta: members of depths 3, 17 and 34, and repeated
+        # (s-e, k) keys, which compile reuses
+        plan = _small_plan()
+        omega = 2.0
+        delta = compute_delta(plan, omega)
+        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta,
+                                       omega)
+        assert len({net.depth for net in bundle.networks}) > 1
+        dim = max(plan.m_active, 1)
+        first, repeats = {}, 0
+        for t, net, label in zip(plan.triples, bundle.networks,
+                                 bundle.labels):
+            s = plan.indices[t.s_ref]
+            sme = s.subtract_mask(t.e_mask)
+            gate = min(s.support) if s.pairs else 1
+            fresh = assemble_phi_triple(sme, t.k, None, omega, delta,
+                                        input_dim=dim, gate_coord=gate,
+                                        label=label)
+            assert net.meta == fresh.meta
+            assert net.meta["label"] is label
+            assert (net.input_dim, net.depth) == (fresh.input_dim,
+                                                  fresh.depth)
+            for a, b in zip(net.layers, fresh.layers):
+                assert a.bias.tobytes() == b.bias.tobytes()
+                assert len(a.rows) == len(b.rows)
+                for (ac, aw), (bc, bw) in zip(a.rows, b.rows):
+                    assert ac.tobytes() == bc.tobytes()
+                    assert aw.tobytes() == bw.tobytes()
+            key = (sme.pairs, tuple(t.k), None if sme.pairs else gate)
+            if key in first:
+                repeats += 1
+                assert all(a is b for a, b in zip(net.layers,
+                                                  first[key].layers))
+                assert net is not first[key]
+            else:
+                first[key] = net
+        assert repeats > 0
+        assert len(first) < plan.n_triples
+        shared_layers = {id(layer) for net in bundle.networks
+                         for layer in net.layers}
+        assert len(shared_layers) == sum(net.depth for net in first.values())
 
     def test_wrong_sample_count_rejected(self):
         plan = _small_plan()
