@@ -605,15 +605,23 @@ def cmd_net_eval(args):
         art = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read bundle {args.bundle}: {exc}") from exc
-    if art.get("kind") != "bundle":
+    except ValueError as exc:
+        raise ConfigError(f"{args.bundle} is not valid JSON ({exc}); "
+                          "regenerate the artifact") from exc
+    if not isinstance(art, dict) or art.get("kind") != "bundle":
         raise ConfigError(f"{args.bundle} is not a bundle artifact")
-    bundle = bundle_from_dict(art["bundle"])
-    signs = np.asarray(art["signs"], dtype=float)
-    samples = np.asarray(art["samples"], dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    samples = samples[np.asarray(art["point_ref"], dtype=int)]
-    dim = int(art["input_dim"])
+    try:
+        bundle = bundle_from_dict(art["bundle"])
+        signs = np.asarray(art["signs"], dtype=float)
+        samples = np.asarray(art["samples"], dtype=float)
+        if samples.ndim == 1:
+            samples = samples[:, None]
+        samples = samples[np.asarray(art["point_ref"], dtype=int)]
+        dim = int(art["input_dim"])
+    except (AttributeError, KeyError, IndexError, TypeError,
+            ValueError) as exc:
+        raise ConfigError(f"cannot parse bundle {args.bundle} ({exc!r}); "
+                          "regenerate the artifact") from exc
 
     pts = np.loadtxt(args.points, delimiter=",", ndmin=2, dtype=float)
     if pts.shape[1] < dim:

@@ -22,11 +22,13 @@ member output is unchanged to the bit.
 
 A compile builds each distinct network once: triples with the same
 (s-e, k) get networks that share one set of layers, and each monomial
-gadget product is built once per compile.  The bundle and its artifact
-still list every member with its own meta, so W, L and the serialized
-form are those of the per-triple networks.  Network algebra moves rows
-a whole layer at a time (one column map, one stable sort), and each row
-keeps arrays of its own.
+gadget product is built once per compile.  The bundle lists every member
+with its own meta, so W and L are those of the per-triple networks.  Its
+artifact (format 2) stores each distinct layer block once in a pool and
+each member as a list of pool indices; a reload builds every pooled
+block into one layer that all members using it share.  Network algebra
+moves rows a whole layer at a time (one column map, one stable sort),
+and each row keeps arrays of its own.
 
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
@@ -59,6 +61,9 @@ _EVAL_CELL_LIMIT = 1 << 22
 
 # Points per block of the member sum in surrogate_eval.
 _SUM_BLOCK = 256
+
+# Layout of bundle_to_dict's output: 2 is the layer pool.
+BUNDLE_FORMAT = 2
 
 # Pointwise certificates below float64 evaluation noise are unverifiable;
 # delta is floored here and both values are reported.
@@ -811,37 +816,39 @@ class NetworkBundle:
         bias bits (so a -0.0 bias stays distinct); equal keys over equal
         inputs compute equal floats.  A unit sits one layer above its
         deepest input, and the final layer holds each member's output row
-        in its stored order.  A member built on the layers of an earlier
-        one (a repeated triple) reuses that member's output row.
+        in its stored order.  A member whose hidden layers are an earlier
+        member's objects (a repeated triple, or members sharing pooled
+        layers after bundle_from_dict) reuses that member's canonical
+        columns and maps only its output row.
         """
         d = self.input_dim
         unit_of = {}
         layer_of = [0] * d         # layer of each canonical column
         rows, bias = [], []        # hidden rows, by canonical column - d
         out_rows, out_bias = [], []
-        first_of = {}              # member layers -> first output row
+        canon_of = {}              # hidden layer ids -> canonical columns
         for net in self.networks:
-            first = first_of.setdefault(tuple(map(id, net.layers)),
-                                        len(out_rows))
-            if first < len(out_rows):
-                out_rows.append(out_rows[first])
-                out_bias.append(out_bias[first])
-                continue
-            canon = np.arange(d + sum(net.widths[:-1]), dtype=np.int64)
-            col = d
-            for layer in net.layers[:-1]:
-                for (cols, wts), b in zip(layer.rows, layer.bias.tolist()):
-                    ids = canon[cols]
-                    key = (ids.tobytes(), wts.tobytes(), b.hex())
-                    uid = unit_of.get(key)
-                    if uid is None:
-                        uid = unit_of[key] = len(layer_of)
-                        layer_of.append(1 + max(
-                            (layer_of[i] for i in ids.tolist()), default=0))
-                        rows.append((ids, wts))
-                        bias.append(b)
-                    canon[col] = uid
-                    col += 1
+            hidden = tuple(map(id, net.layers[:-1]))
+            canon = canon_of.get(hidden)
+            if canon is None:
+                canon = np.arange(d + sum(net.widths[:-1]), dtype=np.int64)
+                col = d
+                for layer in net.layers[:-1]:
+                    for (cols, wts), b in zip(layer.rows,
+                                              layer.bias.tolist()):
+                        ids = canon[cols]
+                        key = (ids.tobytes(), wts.tobytes(), b.hex())
+                        uid = unit_of.get(key)
+                        if uid is None:
+                            uid = unit_of[key] = len(layer_of)
+                            layer_of.append(1 + max(
+                                (layer_of[i] for i in ids.tolist()),
+                                default=0))
+                            rows.append((ids, wts))
+                            bias.append(b)
+                        canon[col] = uid
+                        col += 1
+                canon_of[hidden] = canon
             (cols, wts), = net.layers[-1].rows
             out_rows.append((canon[cols], wts))
             out_bias.append(net.layers[-1].bias[0])
@@ -1020,37 +1027,65 @@ def compute_delta(plan, omega, w=None, K=None, *, return_info=False):
 # ---------------------------------------------------------------------------
 # serialization
 
-def network_to_dict(net):
-    """JSON-ready form: per-layer blocks over all earlier columns.
+def _layer_to_dict(layer, cols, flat):
+    """JSON-ready block of one layer over `cols` earlier columns, from
+    its `flat()` arrays.
 
     Small blocks are dense row-major; large ones use sparse
     [row, col, weight] entries (ascending), which round-trips the exact
     row order either way.
     """
-    layers = []
-    col_base = net.input_dim
-    for layer in net.layers:
-        rows = layer.width
-        cols = col_base
-        counts, c, w = layer.flat()
-        r = np.repeat(np.arange(rows), counts)
-        # dense form loses entry order, so it is only safe when every
-        # row is strictly ascending (the sparse form keeps stored order)
-        ascending = bool(np.all(np.diff(c)[r[1:] == r[:-1]] > 0))
-        if rows * cols <= _DENSE_CELL_LIMIT and ascending:
-            block = np.zeros((rows, cols))
-            block[r, c] = w
-            layers.append({"rows": rows, "cols": cols,
-                           "weights": block.ravel().tolist(),
-                           "bias": layer.bias.tolist()})
-        else:
-            entries = list(map(list, zip(r.tolist(), c.tolist(),
-                                         w.tolist())))
-            layers.append({"rows": rows, "cols": cols, "entries": entries,
-                           "bias": layer.bias.tolist()})
-        col_base += rows
-    meta = {k: v for k, v in net.meta.items() if _json_safe(v)}
-    return {"input_dim": net.input_dim, "layers": layers, "meta": meta}
+    counts, c, w = flat
+    rows = layer.width
+    r = np.repeat(np.arange(rows), counts)
+    # dense form loses entry order, so it is only safe when every
+    # row is strictly ascending (the sparse form keeps stored order)
+    ascending = bool(np.all(np.diff(c)[r[1:] == r[:-1]] > 0))
+    if rows * cols <= _DENSE_CELL_LIMIT and ascending:
+        block = np.zeros((rows, cols))
+        block[r, c] = w
+        return {"rows": rows, "cols": cols,
+                "weights": block.ravel().tolist(),
+                "bias": layer.bias.tolist()}
+    entries = list(map(list, zip(r.tolist(), c.tolist(), w.tolist())))
+    return {"rows": rows, "cols": cols, "entries": entries,
+            "bias": layer.bias.tolist()}
+
+
+def _layer_from_dict(spec):
+    """The (_Layer, cols) a block written by _layer_to_dict encodes."""
+    rows_n, cols_n = int(spec["rows"]), int(spec["cols"])
+    if "weights" in spec:
+        block = np.asarray(spec["weights"], dtype=float)
+        if block.size != rows_n * cols_n:
+            raise ValueError("dense block has wrong cell count")
+        block = block.reshape(rows_n, cols_n)
+        r, c = np.nonzero(block)
+        rows = _split_rows(np.bincount(r, minlength=rows_n),
+                           c.astype(np.int64), block[r, c])
+    else:
+        # entry order within a row is the stored accumulation order;
+        # a stable grouping by row keeps it (merged rows are
+        # deliberately not globally sorted)
+        ent = np.asarray(spec["entries"], dtype=float).reshape(-1, 3)
+        r = ent[:, 0].astype(np.int64)
+        if len(r) and (r.min() < 0 or r.max() >= rows_n):
+            raise ValueError("sparse entry names a row out of range")
+        order = np.argsort(r, kind="stable")
+        cols = ent[order, 1].astype(np.int64)
+        wts = ent[order, 2]
+        counts = np.bincount(r, minlength=rows_n)
+        ends = np.cumsum(counts)
+        rows = [(cols[a:b], wts[a:b])
+                for a, b in zip((ends - counts).tolist(), ends.tolist())]
+    if len(spec["bias"]) != rows_n:
+        raise ValueError(f"block of {rows_n} rows has {len(spec['bias'])} "
+                         "biases")
+    return _Layer(rows, [float(v) for v in spec["bias"]]), cols_n
+
+
+def _json_meta(meta):
+    return {k: v for k, v in meta.items() if _json_safe(v)}
 
 
 def _json_safe(v):
@@ -1063,43 +1098,44 @@ def _json_safe(v):
     return False
 
 
-def network_from_dict(data):
-    """Rebuild a network; validates the recorded size and depth."""
-    layers = []
-    for spec in data["layers"]:
-        rows_n, cols_n = int(spec["rows"]), int(spec["cols"])
-        if "weights" in spec:
-            block = np.asarray(spec["weights"], dtype=float)
-            if block.size != rows_n * cols_n:
-                raise ValueError("dense block has wrong cell count")
-            block = block.reshape(rows_n, cols_n)
-            r, c = np.nonzero(block)
-            rows = _split_rows(np.bincount(r, minlength=rows_n),
-                               c.astype(np.int64), block[r, c])
-        else:
-            # entry order within a row is the stored accumulation order;
-            # a stable grouping by row keeps it (merged rows are
-            # deliberately not globally sorted)
-            ent = np.asarray(spec["entries"], dtype=float).reshape(-1, 3)
-            r = ent[:, 0].astype(np.int64)
-            if len(r) and (r.min() < 0 or r.max() >= rows_n):
-                raise ValueError("sparse entry names a row out of range")
-            order = np.argsort(r, kind="stable")
-            cols = ent[order, 1].astype(np.int64)
-            wts = ent[order, 2]
-            counts = np.bincount(r, minlength=rows_n)
-            ends = np.cumsum(counts)
-            rows = [(cols[a:b], wts[a:b])
-                    for a, b in zip((ends - counts).tolist(), ends.tolist())]
-        layers.append(_Layer(rows, [float(v) for v in spec["bias"]]))
-    meta = data.get("meta", {})
-    net = ReluNetwork(int(data["input_dim"]), layers, meta)
+def _network_from_blocks(input_dim, blocks, meta):
+    """Network over decoded (layer, cols) blocks.
+
+    Each block's cols must be the running column count where it sits,
+    and a stored W or L in `meta` must equal the recount.
+    """
+    cols = input_dim
+    for li, (layer, block_cols) in enumerate(blocks):
+        if block_cols != cols:
+            raise ValueError(f"layer {li} block has {block_cols} columns "
+                             f"but sits over {cols}")
+        cols += layer.width
+    net = ReluNetwork(input_dim, [layer for layer, _ in blocks], meta)
     # the constructor recounted W and L from the rows into net.meta
     for key in ("W", "L"):
         if key in meta and meta[key] != net.meta[key]:
             raise ValueError(
                 f"stored {key} {meta[key]} != recount {net.meta[key]}")
     return net
+
+
+def network_to_dict(net):
+    """JSON-ready form: per-layer blocks over all earlier columns."""
+    layers = []
+    col_base = net.input_dim
+    for layer in net.layers:
+        layers.append(_layer_to_dict(layer, col_base, layer.flat()))
+        col_base += layer.width
+    return {"input_dim": net.input_dim, "layers": layers,
+            "meta": _json_meta(net.meta)}
+
+
+def network_from_dict(data):
+    """Rebuild a network; validates the recorded size and depth."""
+    return _network_from_blocks(
+        int(data["input_dim"]),
+        [_layer_from_dict(spec) for spec in data["layers"]],
+        data.get("meta", {}))
 
 
 def save_network(net, path):
@@ -1114,16 +1150,67 @@ def load_network(path):
         return network_from_dict(json.load(fh))
 
 
-def bundle_to_dict(bundle, plan=None):
-    out = {"meta": dict(bundle.meta), "input_dim": bundle.input_dim,
-           "W": bundle.W, "L": bundle.L,
-           "networks": [network_to_dict(n) for n in bundle.networks],
-           "labels": bundle.labels}
-    if plan is not None:
-        out["plan_xi"] = plan.xi
-    return out
+def bundle_to_dict(bundle):
+    """JSON-ready bundle in the layer-pool layout (BUNDLE_FORMAT).
+
+    `layers` holds each distinct layer block once, in first-use order;
+    two layers are one block when their cols, rows, weight bytes and
+    bias bytes agree.  Each member lists its blocks by pool index and
+    keeps its own meta.
+    """
+    pool, index_of, seen = [], {}, {}
+    networks = []
+    for net in bundle.networks:
+        refs, cols = [], net.input_dim
+        for layer in net.layers:
+            i = seen.get((id(layer), cols))
+            if i is None:
+                flat = layer.flat()
+                key = (cols, layer.bias.tobytes()) + tuple(
+                    a.tobytes() for a in flat)
+                i = index_of.get(key)
+                if i is None:
+                    i = index_of[key] = len(pool)
+                    pool.append(_layer_to_dict(layer, cols, flat))
+                seen[id(layer), cols] = i
+            refs.append(i)
+            cols += layer.width
+        networks.append({"input_dim": net.input_dim, "layers": refs,
+                         "meta": _json_meta(net.meta)})
+    return {"format": BUNDLE_FORMAT, "meta": dict(bundle.meta),
+            "input_dim": bundle.input_dim, "W": bundle.W, "L": bundle.L,
+            "layers": pool, "networks": networks, "labels": bundle.labels}
 
 
 def bundle_from_dict(data):
-    nets = [network_from_dict(d) for d in data["networks"]]
-    return NetworkBundle(nets, data["labels"], meta=data.get("meta"))
+    """Rebuild a bundle written by bundle_to_dict.
+
+    Each pool block becomes one _Layer that every member referencing it
+    shares.  Raises ValueError for another format, a missing field, a
+    pool index out of range, a block whose cols is not the running
+    column count where a member uses it, or a stored W or L (member or
+    bundle) that differs from the recount.
+    """
+    fmt = data.get("format")
+    if fmt != BUNDLE_FORMAT:
+        raise ValueError(f"bundle format {fmt!r} is not {BUNDLE_FORMAT}")
+    try:
+        pool = [_layer_from_dict(spec) for spec in data["layers"]]
+        nets = []
+        for t, spec in enumerate(data["networks"]):
+            refs = spec["layers"]
+            bad = [i for i in refs if not 0 <= i < len(pool)]
+            if bad:
+                raise ValueError(f"network {t} names layer {bad[0]} outside "
+                                 f"the pool of {len(pool)}")
+            nets.append(_network_from_blocks(
+                int(spec["input_dim"]), [pool[i] for i in refs],
+                spec["meta"]))
+        bundle = NetworkBundle(nets, data["labels"], meta=data.get("meta"))
+        stored = (data["W"], data["L"])
+    except KeyError as exc:
+        raise ValueError(f"bundle lacks field {exc.args[0]!r}") from None
+    if stored != (bundle.W, bundle.L):
+        raise ValueError(f"stored W, L {stored} != recount "
+                         f"{(bundle.W, bundle.L)}")
+    return bundle

@@ -225,6 +225,33 @@ class TestCompileCmd:
         assert (tmp_path / "out" / "bundle_00.json").read_bytes() == first
 
 
+def _old_layout(path):
+    """Rewrite a bundle artifact in the layout before the layer pool."""
+    art = json.loads(path.read_text())
+    pool = art["bundle"].pop("layers")
+    del art["bundle"]["format"]
+    for spec in art["bundle"]["networks"]:
+        spec["layers"] = [pool[i] for i in spec["layers"]]
+    path.write_text(json.dumps(art))
+
+
+def _truncate(path):
+    text = path.read_bytes()
+    path.write_bytes(text[: len(text) // 2])
+
+
+def _drop_member_layers(path):
+    art = json.loads(path.read_text())
+    del art["bundle"]["networks"][0]["layers"]
+    path.write_text(json.dumps(art))
+
+
+def _bundle_not_object(path):
+    art = json.loads(path.read_text())
+    art["bundle"] = [art["bundle"]]
+    path.write_text(json.dumps(art))
+
+
 class TestNetEval:
     def test_matches_in_memory_evaluator_bitwise(self, cfg_file, tmp_path):
         for cmd in ("plan", "solve", "compile"):
@@ -269,6 +296,34 @@ class TestNetEval:
                    "--points", pts_file, "--out", tmp_path / "o.csv")
         assert code == 2
         assert "coordinates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [_old_layout, _truncate,
+                                        _drop_member_layers,
+                                        _bundle_not_object],
+                             ids=["old_layout", "truncated",
+                                  "member_lacks_layers", "not_an_object"])
+    def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        bundle = tmp_path / "out" / "bundle_02.json"
+        damage(bundle)
+        pts_file = tmp_path / "pts.csv"
+        pts_file.write_text("0.0,0.0\n")
+        capsys.readouterr()
+        code = run("net", "eval", "--bundle", bundle,
+                   "--points", pts_file, "--out", tmp_path / "o.csv")
+        assert code == 2
+        assert "regenerate the artifact" in capsys.readouterr().err
+
+    def test_rejects_json_array(self, tmp_path, capsys):
+        bundle = tmp_path / "b.json"
+        bundle.write_text("[]\n")
+        pts_file = tmp_path / "pts.csv"
+        pts_file.write_text("0.0,0.0\n")
+        code = run("net", "eval", "--bundle", bundle,
+                   "--points", pts_file, "--out", tmp_path / "o.csv")
+        assert code == 2
+        assert "not a bundle artifact" in capsys.readouterr().err
 
 
 class TestEvaluateCmd:

@@ -652,6 +652,64 @@ class TestSerialization:
             network_from_dict(d)
 
 
+def _pool_bundle():
+    """Members with sparse blocks: a triple network, an equal network
+    built anew (equal blocks, other objects), and one reusing the
+    first's layers."""
+    def triple():
+        return assemble_phi_triple(
+            MultiIndex(((1, 1), (2, 1))), (1, -1), None, 2.0, 1e-5)
+    first = triple()
+    nets = [first, triple(),
+            network.ReluNetwork(first.input_dim, first.layers, first.meta)]
+    return NetworkBundle(nets, ["a", "b", "c"])
+
+
+def _set_ref(d, index):
+    d["networks"][-1]["layers"][0] = index
+
+
+def _shift_cols(d, by):
+    block = next(b for b in d["layers"] if "entries" in b)
+    block["cols"] += by
+
+
+class TestBundlePool:
+    def test_equal_layers_share_one_block(self):
+        bundle = _pool_bundle()
+        d = bundle_to_dict(bundle)
+        assert d["format"] == network.BUNDLE_FORMAT
+        refs = [spec["layers"] for spec in d["networks"]]
+        assert refs[0] == refs[1] == refs[2]
+        assert refs[0] == list(range(len(d["layers"])))
+        back = bundle_from_dict(json.loads(json.dumps(d)))
+        assert all(a is b for a, b in zip(back.networks[0].layers,
+                                          back.networks[1].layers))
+        assert (back.W, back.L) == (bundle.W, bundle.L)
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda d: _set_ref(d, -1), "outside the pool"),
+        (lambda d: _set_ref(d, len(d["layers"])), "outside the pool"),
+        (lambda d: _shift_cols(d, 1), "sits over"),
+        (lambda d: _shift_cols(d, -1), "sits over"),
+        (lambda d: d["layers"][0]["bias"].pop(), "biases"),
+        (lambda d: d.update(W=d["W"] + 1), "recount"),
+        (lambda d: d.update(L=d["L"] - 1), "recount"),
+        (lambda d: d.update(format=1), "format"),
+        (lambda d: d.pop("format"), "format"),
+        (lambda d: d["networks"][0].pop("layers"), "layers"),
+        (lambda d: d.pop("labels"), "labels"),
+    ], ids=["index_-1", "index_past_pool", "cols_plus_1", "cols_minus_1",
+            "bias_short", "W_plus_1", "L_minus_1", "old_format", "no_format",
+            "member_lacks_layers", "no_labels"])
+    def test_bad_bundle_rejected(self, damage, match):
+        d = bundle_to_dict(_pool_bundle())
+        bundle_from_dict(d)
+        damage(d)
+        with pytest.raises(ValueError, match=match):
+            bundle_from_dict(d)
+
+
 def _small_plan():
     model = WeightModel(q=2.0 / 3.0, rho=[1.5, 2.5, 4.0], tail=(2.0, 2.0))
     return build_plan(6.0, model)
@@ -810,6 +868,55 @@ class TestSurrogate:
         shared_layers = {id(layer) for net in bundle.networks
                          for layer in net.layers}
         assert len(shared_layers) == sum(net.depth for net in first.values())
+
+    def test_pool_factoring_is_lossless(self):
+        # auto delta: members of depths 3, 17 and 34 sharing layers
+        plan = _small_plan()
+        omega = 2.0
+        delta = compute_delta(plan, omega)
+        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta,
+                                       omega)
+        assert len({net.depth for net in bundle.networks}) > 1
+        d = bundle_to_dict(bundle)
+        pool = d["layers"]
+        for net, spec in zip(bundle.networks, d["networks"]):
+            want = network_to_dict(net)
+            got = [pool[i] for i in spec["layers"]]
+            assert got == want["layers"]
+            assert json.dumps(got, sort_keys=True) == \
+                json.dumps(want["layers"], sort_keys=True)
+            assert spec["meta"] == want["meta"]
+            assert spec["input_dim"] == want["input_dim"]
+        texts = [json.dumps(block, sort_keys=True) for block in pool]
+        assert len(set(texts)) == len(texts)
+        assert len(pool) < sum(net.depth for net in bundle.networks)
+
+        back = bundle_from_dict(json.loads(json.dumps(d, sort_keys=True)))
+        owner = {}
+        for net, spec in zip(back.networks, d["networks"]):
+            for layer, i in zip(net.layers, spec["layers"]):
+                assert owner.setdefault(i, layer) is layer
+        assert len({id(layer) for net in back.networks
+                    for layer in net.layers}) == len(pool)
+        for a, b in zip(bundle.networks, back.networks):
+            assert a.meta == b.meta
+            assert (a.input_dim, a.depth) == (b.input_dim, b.depth)
+            for la, lb in zip(a.layers, b.layers):
+                assert la.bias.tobytes() == lb.bias.tobytes()
+                assert len(la.rows) == len(lb.rows)
+                for (ac, aw), (bc, bw) in zip(la.rows, lb.rows):
+                    assert ac.tobytes() == bc.tobytes()
+                    assert aw.tobytes() == bw.tobytes()
+
+        rng = np.random.default_rng(42)
+        g = rng.normal(size=(100, plan.m_active))
+        edge = 8.0 * math.sqrt(omega) * 1.001
+        Y = np.vstack([g, np.where(g < 0, -edge, edge) + g])
+        before = bundle.shared.eval_batch(Y)
+        after = back.shared.eval_batch(Y)
+        assert before.tobytes() == after.tobytes()
+        assert np.all(before[100:] == 0.0)
+        assert back.shared.widths == bundle.shared.widths
 
     def test_wrong_sample_count_rejected(self):
         plan = _small_plan()
