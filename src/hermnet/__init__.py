@@ -10,10 +10,12 @@ network   sparse ReLU networks, product gadgets, surrogate assembly
 fem       one-dimensional P1 finite elements for the diffusion problem
 errors    Monte Carlo error estimators and the four-term decomposition
 cli       command-line pipeline (plan/solve/compile/evaluate/sweep)
+
+The package root re-exports the Hermite polynomial and node helpers;
+everything else is imported from its submodule.
 """
 
 from .hermite import (
-    HermiteBasis,
     NodeFamily,
     gauss_hermite_nodes,
     gaussian_density,
@@ -22,7 +24,6 @@ from .hermite import (
 )
 
 __all__ = [
-    "HermiteBasis",
     "NodeFamily",
     "gauss_hermite_nodes",
     "gaussian_density",

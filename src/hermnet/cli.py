@@ -7,11 +7,16 @@ later stages refuse inputs whose hash does not match.  Reruns are
 byte-identical apart from the wall_ms timing column, and --parallel N
 changes wall time only, never output bytes.
 
-Exit codes: 0 success, 2 configuration or artifact mismatch, 3 numeric
-failure during a run.
+Every stage that reads an artifact goes through one reader, and every
+report row, from `evaluate` or `sweep`, is measured by one row
+evaluator.
+
+Exit codes: 0 success, 2 configuration error or a missing, unreadable,
+malformed or stale artifact, 3 numeric failure during a run.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -19,6 +24,7 @@ import multiprocessing
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .errors import (
     weighted_sup_error,
 )
 from .fem import LognormalProblem, fem_solve, sine_family, solution_norm
-from .indices import WeightModel, build_plan
+from .indices import WeightModel, build_plan, plan_stats
 from .lagrange import SparseInterpolant
 from .network import (
     assemble_surrogate,
@@ -261,15 +267,39 @@ def _write_json(path, obj):
         encoding="utf-8")
 
 
-def _read_artifact(path, kind, cfg):
+@contextlib.contextmanager
+def _parsing(path):
+    """Report a failure to parse the artifact at path as ConfigError.
+
+    A ConfigError raised inside keeps its own message.
+    """
     try:
-        art = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(
-            f"missing artifact {path}; run the earlier stages first "
-            f"({exc})") from exc
-    if art.get("kind") != kind:
-        raise ConfigError(f"{path} is not a {kind} artifact")
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ConfigError(f"cannot parse {path} ({exc!r}); regenerate the "
+                          "artifact") from exc
+
+
+def _read_artifact(path, kind, cfg):
+    """The `kind` artifact at path as a dict; any failure is ConfigError.
+
+    Its config hash must match cfg's, unless cfg is None.
+    """
+    with _parsing(path):
+        try:
+            art = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(
+                f"missing artifact {path}; run the earlier stages first "
+                f"({exc})") from exc
+    if not isinstance(art, dict) or art.get("kind") != kind:
+        raise ConfigError(f"{path} is not a {kind} artifact; regenerate the "
+                          "artifact")
+    if cfg is None:
+        return art
     have, want = art.get("config_hash"), config_hash(cfg)
     if have != want:
         raise ConfigError(
@@ -293,12 +323,6 @@ def _write_csv(path, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _plan_stats(plan):
-    return {"n_indices": len(plan.indices), "n_triples": plan.n_triples,
-            "n_points": plan.n_points, "m1": plan.m1,
-            "m_active": plan.m_active}
-
-
 # ---------------------------------------------------------------------------
 # FEM solves (optionally parallel)
 
@@ -315,16 +339,14 @@ def _solve_worker(row):
     return fem_solve(_WORKER_PROBLEM, row).values
 
 
-def solve_at_points(problem, pts, parallel, cfg, dims):
+def solve_at_points(problem, pts, parallel, cfg):
     """Full nodal solution vectors at each row of pts, in row order."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if parallel > 1 and pts.shape[0] > 1:
-        p = cfg["problem"]
-        n_terms = p["psi"]["dims"] if p["psi"]["dims"] is not None else dims
-        init_args = (problem.mesh_n, p["psi"]["c"], p["psi"]["alpha"],
-                     n_terms)
+        psi = cfg["problem"]["psi"]
+        init_args = (problem.mesh_n, psi["c"], psi["alpha"], len(problem.psi))
         with multiprocessing.Pool(parallel, initializer=_solve_worker_init,
                                   initargs=init_args) as pool:
             rows = pool.map(_solve_worker, list(pts))
@@ -350,54 +372,73 @@ class _SolutionCache:
             self._store[key] = got
         return got
 
+    def at_points(self, pts, parallel, cfg):
+        """Values at each row of pts; the rows not yet cached are solved
+        together through solve_at_points."""
+        fresh = [r for r in pts if r.tobytes() not in self._store]
+        if fresh:
+            solved = solve_at_points(self.problem, np.stack(fresh), parallel,
+                                     cfg)
+            for r, v in zip(fresh, solved):
+                self._store[r.tobytes()] = v[::self.restrict]
+        return np.stack([self._store[r.tobytes()] for r in pts])
+
 
 # ---------------------------------------------------------------------------
 # pipeline stages (pure compute; the cmd_* wrappers do file I/O)
 
 
-def _evaluate_plan_row(cfg, plan, point_values, mode, omega, delta, seed,
-                       dims_eval):
-    """One report row (without wall_ms) for a solved plan."""
-    problem = build_problem(cfg, dims_eval)
-    factor = cfg["problem"]["truth_factor"]
-    truth = _SolutionCache(build_problem(cfg, dims_eval, factor=factor),
-                           restrict=factor)
-    h = problem.h
-    norm = lambda v: solution_norm(v, h)
-    n = cfg["mc"]["n_samples"]
+def _eval_setup(cfg, model, args):
+    """What every report row of a run shares.
 
+    The largest plan in the sweep; the evaluation dims (its active
+    coordinates plus the tail dims); the coarse and truth solution
+    caches on those dims; the norm, sample count and seed of the error
+    estimates; and the omega and delta schedules.
+    """
+    largest = build_plan(cfg["xi_sweep"][-1], model)
+    dims = max(largest.m_active, 1) + cfg["mc"]["tail_dims"]
+    problem = build_problem(cfg, dims)
+    factor = cfg["problem"]["truth_factor"]
+    omega_of, delta_of = make_schedules(cfg, model)
+    return SimpleNamespace(
+        largest=largest, dims=dims, coarse=_SolutionCache(problem),
+        truth=_SolutionCache(build_problem(cfg, dims, factor=factor),
+                             restrict=factor),
+        norm=lambda v: solution_norm(v, problem.h),
+        n=cfg["mc"]["n_samples"],
+        seed=args.seed if args.seed is not None else cfg["mc"]["seed"],
+        omega_of=omega_of, delta_of=delta_of)
+
+
+def _evaluate_plan_row(plan, point_values, mode, ev):
+    """One report row (without wall_ms) for a solved plan.
+
+    `ev` comes from _eval_setup.  The network fields stay unset in
+    interpolant mode.
+    """
+    omega = ev.omega_of(plan.xi)
+    delta = ev.delta_of(plan, omega)
     row = {"xi": plan.xi, "n_solvers": plan.n_triples,
            "n_unique_points": plan.n_points}
     if mode == "network":
-        bundle, net = assemble_surrogate(plan, point_values, delta, omega)
-        coarse = _SolutionCache(problem)
+        bundle, surrogate = assemble_surrogate(plan, point_values, delta,
+                                               omega)
         dec = error_decomposition(
-            coarse, plan, omega, delta, dims_eval, n, seed,
-            point_values=point_values, surrogate=(bundle, net), norm=norm)
-        l2, l2se = mc_l2_error(pointwise(truth), net, dims_eval, n, seed,
-                               norm=norm)
-        sup = weighted_sup_error(pointwise(truth), net, dims_eval, n, seed,
-                                 omega=omega, norm=norm)
-        row.update({"W": bundle.W, "L": bundle.L, "l2_error": l2,
-                    "l2_stderr": l2se, "sup_error": sup,
-                    "term1": dec.term1, "term2": dec.term2,
-                    "term3": dec.term3, "term4": dec.term4})
+            ev.coarse, plan, omega, delta, ev.dims, ev.n, ev.seed,
+            point_values=point_values, surrogate=(bundle, surrogate),
+            norm=ev.norm)
+        row.update({"W": bundle.W, "L": bundle.L, "term1": dec.term1,
+                    "term2": dec.term2, "term3": dec.term3,
+                    "term4": dec.term4})
     else:
-        interp = SparseInterpolant.from_point_values(plan, point_values)
-        l2, l2se = mc_l2_error(pointwise(truth), interp, dims_eval, n, seed,
-                               norm=norm)
-        sup = weighted_sup_error(pointwise(truth), interp, dims_eval, n,
-                                 seed, omega=omega, norm=norm)
-        row.update({"W": None, "L": None, "l2_error": l2, "l2_stderr": l2se,
-                    "sup_error": sup, "term1": None, "term2": None,
-                    "term3": None, "term4": None})
+        surrogate = SparseInterpolant.from_point_values(plan, point_values)
+    truth = pointwise(ev.truth)
+    row["l2_error"], row["l2_stderr"] = mc_l2_error(
+        truth, surrogate, ev.dims, ev.n, ev.seed, norm=ev.norm)
+    row["sup_error"] = weighted_sup_error(
+        truth, surrogate, ev.dims, ev.n, ev.seed, omega=omega, norm=ev.norm)
     return row
-
-
-def _eval_dims(cfg, model):
-    """Active coordinates of the largest plan in the sweep + tail dims."""
-    largest = build_plan(cfg["xi_sweep"][-1], model)
-    return max(largest.m_active, 1) + cfg["mc"]["tail_dims"], largest
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +450,7 @@ def cmd_plan(cfg, out_dir, args):
     h = config_hash(cfg)
     for i, xi in enumerate(cfg["xi_sweep"]):
         plan = build_plan(xi, model)
-        stats = _plan_stats(plan)
+        stats = plan_stats(plan)
         art = {"kind": "plan", "config_hash": h, "index": i,
                "xi": float(xi), "stats": stats}
         _write_json(out_dir / f"plan_{i:02d}.json", art)
@@ -420,13 +461,15 @@ def cmd_plan(cfg, out_dir, args):
 
 
 def _load_plan(cfg, out_dir, index, model):
-    art = _read_artifact(out_dir / f"plan_{index:02d}.json", "plan", cfg)
-    xi = art["xi"]
-    if index >= len(cfg["xi_sweep"]) or cfg["xi_sweep"][index] != xi:
+    path = out_dir / f"plan_{index:02d}.json"
+    art = _read_artifact(path, "plan", cfg)
+    with _parsing(path):
+        xi, stats = art["xi"], art["stats"]
+    if cfg["xi_sweep"][index] != xi:
         raise ConfigError(f"plan_{index:02d}.json has xi={xi}, which is not "
                           f"entry {index} of xi_sweep")
     plan = build_plan(xi, model)
-    if _plan_stats(plan) != art["stats"]:
+    if plan_stats(plan) != stats:
         raise ConfigError(f"plan_{index:02d}.json stats do not match the "
                           "rebuilt plan; regenerate the artifact")
     return plan
@@ -440,7 +483,7 @@ def cmd_solve(cfg, out_dir, args):
         gdims = max(plan.m_active, 1)
         problem = build_problem(cfg, gdims)
         pts = plan.point_array(gdims)
-        values = solve_at_points(problem, pts, args.parallel, cfg, gdims)
+        values = solve_at_points(problem, pts, args.parallel, cfg)
         art = {"kind": "samples", "config_hash": h, "index": i,
                "xi": float(plan.xi), "mesh_n": problem.mesh_n,
                "n_points": plan.n_points, "values": values.tolist()}
@@ -459,13 +502,15 @@ def cmd_solve(cfg, out_dir, args):
 
 
 def _load_samples(cfg, out_dir, index, plan):
-    art = _read_artifact(out_dir / f"samples_{index:02d}.json", "samples",
-                         cfg)
-    values = np.asarray(art["values"], dtype=float)
-    if values.shape[0] != plan.n_points:
-        raise ConfigError(f"samples_{index:02d}.json holds "
-                          f"{values.shape[0]} rows for {plan.n_points} "
-                          "grid points; regenerate the artifact")
+    path = out_dir / f"samples_{index:02d}.json"
+    art = _read_artifact(path, "samples", cfg)
+    with _parsing(path):
+        values = np.asarray(art["values"], dtype=float)
+    want = (plan.n_points, cfg["problem"]["mesh_n"] + 2)
+    if values.shape != want:
+        raise ConfigError(f"samples_{index:02d}.json holds values of shape "
+                          f"{values.shape}, not {want} for its grid points "
+                          "and mesh; regenerate the artifact")
     return values
 
 
@@ -493,20 +538,15 @@ def cmd_compile(cfg, out_dir, args):
 
 
 def cmd_evaluate(cfg, out_dir, args):
-    model = build_model(cfg)
-    seed = args.seed if args.seed is not None else cfg["mc"]["seed"]
-    dims_eval, _ = _eval_dims(cfg, model)
     i = args.index
     if not 0 <= i < len(cfg["xi_sweep"]):
         raise ConfigError(f"--index {i} is outside the xi_sweep")
+    model = build_model(cfg)
+    ev = _eval_setup(cfg, model, args)
     plan = _load_plan(cfg, out_dir, i, model)
     values = _load_samples(cfg, out_dir, i, plan)
-    omega_of, delta_of = make_schedules(cfg, model)
-    omega = omega_of(plan.xi)
-    delta = delta_of(plan, omega)
     start = time.perf_counter()
-    row = _evaluate_plan_row(cfg, plan, values, args.mode, omega, delta,
-                             seed, dims_eval)
+    row = _evaluate_plan_row(plan, values, args.mode, ev)
     row["wall_ms"] = int(round((time.perf_counter() - start) * 1000))
     path = out_dir / f"report_{i:02d}_{args.mode}.csv"
     _write_csv(path, [row])
@@ -517,57 +557,23 @@ def cmd_evaluate(cfg, out_dir, args):
 
 def cmd_sweep(cfg, out_dir, args):
     model = build_model(cfg)
-    seed = args.seed if args.seed is not None else cfg["mc"]["seed"]
     h = config_hash(cfg)
-    dims_eval, largest = _eval_dims(cfg, model)
-    omega_of, delta_of = make_schedules(cfg, model)
-    problem = build_problem(cfg, dims_eval)
-    factor = cfg["problem"]["truth_factor"]
-    truth = _SolutionCache(build_problem(cfg, dims_eval, factor=factor),
-                           restrict=factor)
-    coarse = _SolutionCache(problem)
-    norm = lambda v: solution_norm(v, problem.h)
-    n = cfg["mc"]["n_samples"]
+    ev = _eval_setup(cfg, model, args)
 
     rows, failures = [], []
     for i, xi in enumerate(cfg["xi_sweep"]):
         start = time.perf_counter()
         row = {"xi": float(xi)}
         try:
-            plan = build_plan(xi, model) if xi != largest.xi else largest
+            plan = (ev.largest if xi == ev.largest.xi
+                    else build_plan(xi, model))
             row.update({"n_solvers": plan.n_triples,
                         "n_unique_points": plan.n_points})
-            omega = omega_of(xi)
-            delta = delta_of(plan, omega)
-            gdims = max(plan.m_active, 1)
-            gpts = plan.point_array(gdims)
-            padded = np.zeros((gpts.shape[0], dims_eval))
-            padded[:, :gdims] = gpts
-            if args.parallel > 1:
-                fresh = [r for r in padded
-                         if r.tobytes() not in coarse._store]
-                if fresh:
-                    solved = solve_at_points(problem, np.stack(fresh),
-                                             args.parallel, cfg, dims_eval)
-                    for r, v in zip(fresh, solved):
-                        coarse._store[r.tobytes()] = v
-            point_values = np.stack([coarse(r) for r in padded])
-            bundle, net = assemble_surrogate(plan, point_values, delta,
-                                             omega)
-            dec = error_decomposition(
-                coarse, plan, omega, delta, dims_eval, n, seed,
-                point_values=point_values, surrogate=(bundle, net),
-                norm=norm)
-            l2, l2se = mc_l2_error(pointwise(truth), net, dims_eval, n,
-                                   seed, norm=norm)
-            sup = weighted_sup_error(pointwise(truth), net, dims_eval, n,
-                                     seed, omega=omega, norm=norm)
-            row.update({"W": bundle.W, "L": bundle.L, "l2_error": l2,
-                        "l2_stderr": l2se, "sup_error": sup,
-                        "term1": dec.term1, "term2": dec.term2,
-                        "term3": dec.term3, "term4": dec.term4})
+            point_values = ev.coarse.at_points(plan.point_array(ev.dims),
+                                               args.parallel, cfg)
+            row = _evaluate_plan_row(plan, point_values, "network", ev)
             print(f"sweep {i:02d}: xi={xi:g} |G|={plan.n_points} "
-                  f"W={bundle.W} l2={l2:.6g}")
+                  f"W={row['W']} l2={row['l2_error']:.6g}")
         except _NUMERIC_ERRORS as exc:
             failures.append(f"xi={xi:g}: {exc}")
             print(f"sweep {i:02d}: xi={xi:g} FAILED: {exc}",
@@ -601,16 +607,8 @@ def cmd_sweep(cfg, out_dir, args):
 
 
 def cmd_net_eval(args):
-    try:
-        art = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read bundle {args.bundle}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{args.bundle} is not valid JSON ({exc}); "
-                          "regenerate the artifact") from exc
-    if not isinstance(art, dict) or art.get("kind") != "bundle":
-        raise ConfigError(f"{args.bundle} is not a bundle artifact")
-    try:
+    art = _read_artifact(args.bundle, "bundle", None)
+    with _parsing(args.bundle):
         bundle = bundle_from_dict(art["bundle"])
         signs = np.asarray(art["signs"], dtype=float)
         samples = np.asarray(art["samples"], dtype=float)
@@ -618,10 +616,6 @@ def cmd_net_eval(args):
             samples = samples[:, None]
         samples = samples[np.asarray(art["point_ref"], dtype=int)]
         dim = int(art["input_dim"])
-    except (AttributeError, KeyError, IndexError, TypeError,
-            ValueError) as exc:
-        raise ConfigError(f"cannot parse bundle {args.bundle} ({exc!r}); "
-                          "regenerate the artifact") from exc
 
     pts = np.loadtxt(args.points, delimiter=",", ndmin=2, dtype=float)
     if pts.shape[1] < dim:

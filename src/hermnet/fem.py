@@ -43,14 +43,12 @@ class LognormalProblem:
     """Immutable problem description: mesh, right-hand side, basis.
 
     mesh_n interior nodes on (0,1), so h = 1/(mesh_n+1) and mesh_n+1
-    elements.  `f` is a callable or the preset "one"; `psi` is a list of
-    callables on [0,1], or `psi_table` gives their values directly at
-    the element midpoints as an array of shape (J, mesh_n+1).
-    `active_dims` truncates the expansion to its first J terms.
+    elements.  `f` is a callable or the preset "one"; `psi` is the list
+    of callables psi_1..psi_J on [0,1], and a parameter point's
+    coordinates beyond J are ignored.
     """
 
-    def __init__(self, mesh_n, f="one", psi=(), active_dims=None,
-                 psi_table=None):
+    def __init__(self, mesh_n, f="one", psi=()):
         if mesh_n < 3:
             raise ValueError("mesh_n must be >= 3")
         self.mesh_n = int(mesh_n)
@@ -61,23 +59,7 @@ class LognormalProblem:
             self.f = f
         else:
             raise ValueError(f"unknown right-hand side preset {f!r}")
-        if psi_table is not None:
-            table = np.asarray(psi_table, dtype=float)
-            if table.ndim != 2 or table.shape[1] != self.mesh_n + 1:
-                raise ValueError(
-                    "psi_table needs shape (J, mesh_n+1): one row of "
-                    "element-midpoint values per basis function")
-            self._psi_mid = table
-            self.psi = None
-        else:
-            self.psi = list(psi)
-            self._psi_mid = None
-        n_terms = (self._psi_mid.shape[0] if self._psi_mid is not None
-                   else len(self.psi))
-        self.active_dims = n_terms if active_dims is None else int(active_dims)
-        if self.active_dims < 0:
-            raise ValueError("active_dims must be >= 0")
-        self.active_dims = min(self.active_dims, n_terms)
+        self.psi = list(psi)
 
     @property
     def nodes(self):
@@ -94,16 +76,14 @@ class LognormalProblem:
         return (np.arange(self.mesh_n + 1) + 0.5) * self.h
 
     def psi_matrix(self):
-        """(active_dims, n_elements) values of psi_j at the midpoints."""
-        if self._psi_mid is not None:
-            return self._psi_mid[: self.active_dims]
+        """(J, n_elements) values of psi_j at the midpoints."""
         if not hasattr(self, "_psi_cache"):
             xm = self.midpoints
             rows = [np.asarray(p(xm), dtype=float) for p in self.psi]
             cache = (np.stack(rows) if rows
                      else np.zeros((0, self.mesh_n + 1)))
             object.__setattr__(self, "_psi_cache", cache)
-        return self._psi_cache[: self.active_dims]
+        return self._psi_cache
 
     def load_vector(self):
         """Trapezoidal load: F_i = h * f(x_i) at the interior nodes."""
@@ -142,7 +122,7 @@ def assemble_coefficient(problem, y_point):
     clamp never activates.
     """
     psi = problem.psi_matrix()
-    y = _dense_point(y_point, problem.active_dims)
+    y = _dense_point(y_point, len(psi))
     if not np.all(np.isfinite(y)):
         raise ValueError("parameter point has non-finite entries")
     b = np.zeros(problem.mesh_n + 1)
@@ -164,17 +144,10 @@ class FemSolution:
     def __init__(self, values, h):
         self.values = np.asarray(values, dtype=float)
         self.h = float(h)
-        self._norm = None
 
     @property
     def interior(self):
         return self.values[1:-1]
-
-    @property
-    def energy_norm(self):
-        if self._norm is None:
-            self._norm = solution_norm(self)
-        return self._norm
 
 
 def fem_solve(problem, y_point):

@@ -187,24 +187,6 @@ class NodeFamily:
         return f"NodeFamily(order={self.order})"
 
 
-class HermiteBasis:
-    """Evaluator for the normalized Hermite family up to a fixed degree."""
-
-    def __init__(self, max_degree):
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.max_degree = int(max_degree)
-
-    def eval(self, k, y):
-        if not 0 <= k <= self.max_degree:
-            raise ValueError(f"degree {k} outside [0, {self.max_degree}]")
-        return hermite_eval(k, y)
-
-    def eval_all(self, y):
-        """Table of H_0..H_max_degree at y, shape (max_degree+1,)+y.shape."""
-        return hermite_eval_all(self.max_degree, y)
-
-
 def hermite_tensor_eval(s, y):
     """Product of H_{s_j}(y_j) over the entries of a sparse multi-index.
 

@@ -323,47 +323,6 @@ class CollocationPlan:
                 out[i, j - 1] = v
         return out
 
-    def to_dict(self):
-        return {
-            "xi": self.xi,
-            "weight_model": {
-                "q": self.model.q,
-                "rho": list(self.model.rho),
-                "tail": list(self.model.tail) if self.model.tail else None,
-                "eta": self.model.eta,
-                "theta": self.model.theta,
-                "lambda": self.model.lam,
-            },
-            "indices": [[[j, s] for j, s in s.pairs] for s in self.indices],
-            "triples": [
-                {"s_ref": t.s_ref, "e_mask": list(t.e_mask),
-                 "k": list(t.k), "sign": t.sign, "point_ref": t.point_ref}
-                for t in self.triples
-            ],
-            "points": [[[j, v] for j, v in pt] for pt in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        model = WeightModel(
-            q=data["weight_model"]["q"],
-            rho=tuple(data["weight_model"]["rho"]),
-            tail=tuple(data["weight_model"]["tail"]) if data["weight_model"]["tail"] else None,
-            eta=data["weight_model"]["eta"],
-            theta=data["weight_model"]["theta"],
-            lam=data["weight_model"]["lambda"],
-        )
-        indices = [MultiIndex(tuple((j, s) for j, s in pairs))
-                   for pairs in data["indices"]]
-        triples = [Triple(t["s_ref"], tuple(t["e_mask"]), tuple(t["k"]),
-                          t["sign"], t["point_ref"]) for t in data["triples"]]
-        points = [tuple((j, float(v)) for j, v in pt) for pt in data["points"]]
-        plan = cls(xi=data["xi"], model=model, indices=indices,
-                   triples=triples, points=points)
-        plan.m1 = max((s.max_degree for s in indices), default=0)
-        plan.m_active = max((s.max_coord for s in indices), default=0)
-        return plan
-
 
 def _support_masks(n):
     """All binary masks of length n, low bit = first support coordinate."""
@@ -423,13 +382,7 @@ def build_plan(xi, model, cap=1_000_000):
 
 
 def plan_stats(plan):
-    """Summary row describing one plan (used for the stats CSV)."""
-    return {
-        "xi": plan.xi,
-        "n_indices": plan.n_indices,
-        "n_triples": plan.n_triples,
-        "n_points": plan.n_points,
-        "m1": plan.m1,
-        "m_active": plan.m_active,
-        "max_total_degree": max((s.total_degree for s in plan.indices), default=0),
-    }
+    """The sizes of one plan, as its plan artifact stores them."""
+    return {"n_indices": plan.n_indices, "n_triples": plan.n_triples,
+            "n_points": plan.n_points, "m1": plan.m1,
+            "m_active": plan.m_active}

@@ -40,7 +40,6 @@ and the accuracy parameter delta derived from a collocation plan.
 
 import functools
 import itertools
-import json
 import math
 
 import numpy as np
@@ -1136,18 +1135,6 @@ def network_from_dict(data):
         int(data["input_dim"]),
         [_layer_from_dict(spec) for spec in data["layers"]],
         data.get("meta", {}))
-
-
-def save_network(net, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_network(path):
-    with open(path, encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))
 
 
 def bundle_to_dict(bundle):

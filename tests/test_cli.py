@@ -326,6 +326,57 @@ class TestNetEval:
         assert "not a bundle artifact" in capsys.readouterr().err
 
 
+def _drop(key):
+    def damage(path):
+        art = json.loads(path.read_text())
+        del art[key]
+        path.write_text(json.dumps(art))
+    return damage
+
+
+def _replace_with(value):
+    def damage(path):
+        path.write_text(json.dumps(value))
+    return damage
+
+
+def _ragged_values(path):
+    art = json.loads(path.read_text())
+    art["values"][0] = art["values"][0][:-1]
+    path.write_text(json.dumps(art))
+
+
+def _narrow_values(path):
+    art = json.loads(path.read_text())
+    art["values"] = [row[:-1] for row in art["values"]]
+    path.write_text(json.dumps(art))
+
+
+class TestStageArtifacts:
+    @pytest.mark.parametrize(
+        "name, command, damage",
+        [("samples_00.json", "compile", _truncate),
+         ("samples_00.json", "compile", _replace_with([])),
+         ("samples_00.json", "compile", _drop("values")),
+         ("samples_00.json", "compile", _ragged_values),
+         ("samples_00.json", "compile", _narrow_values),
+         ("plan_00.json", "solve", _drop("xi")),
+         ("plan_00.json", "solve", _replace_with("plan"))],
+        ids=["samples_truncated", "samples_array", "samples_no_values",
+             "samples_ragged", "samples_narrow", "plan_no_xi",
+             "plan_string"])
+    def test_bad_artifact_exits_2(self, cfg_file, tmp_path, capsys, name,
+                                  command, damage):
+        for cmd in ("plan", "solve"):
+            assert run(cmd, "--config", cfg_file) == 0
+        damage(tmp_path / "out" / name)
+        capsys.readouterr()
+        assert run(command, "--config", cfg_file) == 2
+        err = capsys.readouterr().err
+        assert name in err
+        assert "regenerate the artifact" in err
+
+
 class TestEvaluateCmd:
     def test_network_report_columns(self, cfg_file, tmp_path):
         for cmd in ("plan", "solve"):
@@ -430,6 +481,11 @@ class TestSweepCmd:
         _, rows = read_csv(tmp_path / "out" / "results.csv")
         assert len(rows) == 3
         assert rows[1]["l2_error"] == "" and rows[1]["W"] == ""
+        # the failed row still names its plan
+        plan = build_plan(4.0, build_model(load_config(cfg_file)))
+        assert float(rows[1]["xi"]) == 4.0
+        assert int(rows[1]["n_solvers"]) == plan.n_triples
+        assert int(rows[1]["n_unique_points"]) == plan.n_points
         assert float(rows[0]["l2_error"]) > 0
         assert float(rows[2]["l2_error"]) > 0
         fits = json.loads((tmp_path / "out" / "fits.json").read_text())

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermnet.hermite import (
-    HermiteBasis,
     NodeFamily,
     gauss_hermite_nodes,
     gaussian_density,
@@ -242,15 +241,3 @@ class TestHermiteTensorEval:
         with pytest.raises(ValueError):
             hermite_tensor_eval([(5, 1)], np.zeros(3))
 
-
-class TestHermiteBasis:
-    def test_degree_guard(self):
-        basis = HermiteBasis(4)
-        with pytest.raises(ValueError):
-            basis.eval(5, 0.0)
-        np.testing.assert_allclose(basis.eval(4, 1.0), hermite_eval(4, 1.0))
-
-    def test_eval_all_shape(self):
-        basis = HermiteBasis(6)
-        table = basis.eval_all(np.zeros(5))
-        assert table.shape == (7, 5)

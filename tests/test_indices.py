@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from hermnet.indices import (
     CapacityError,
-    CollocationPlan,
     MultiIndex,
     WeightModel,
     build_lambda,
@@ -265,16 +264,6 @@ class TestBuildPlan:
         with pytest.raises(ValueError):
             build_plan(0.9, w)
 
-    def test_roundtrip(self):
-        w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
-        plan = build_plan(26.0, w)
-        other = CollocationPlan.from_dict(plan.to_dict())
-        assert other.xi == plan.xi
-        assert other.indices == plan.indices
-        assert other.triples == plan.triples
-        assert other.points == plan.points
-        assert (other.m1, other.m_active) == (plan.m1, plan.m_active)
-
     def test_stats(self):
         w = WeightModel(q=1.0, rho=tuple(float(j + 2) for j in range(6)), eta=1)
         stats = plan_stats(build_plan(5.1, w))
@@ -282,4 +271,3 @@ class TestBuildPlan:
         assert stats["n_triples"] == 63
         assert stats["m1"] == 6
         assert stats["m_active"] == 4
-        assert stats["max_total_degree"] == 6

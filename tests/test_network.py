@@ -28,7 +28,6 @@ from hermnet.network import (
     concatenate,
     fit_delta_K,
     identity_net,
-    load_network,
     net_eval,
     network_from_dict,
     network_to_dict,
@@ -37,7 +36,6 @@ from hermnet.network import (
     phi1_net,
     product_net,
     recount_size,
-    save_network,
     surrogate_bound,
     surrogate_eval,
     truncated_product_net,
@@ -568,18 +566,6 @@ class TestSerialization:
         rng = np.random.default_rng(42)
         Y = rng.uniform(-6, 6, size=(150, net.input_dim))
         assert np.array_equal(back.eval_batch(Y), net.eval_batch(Y))
-
-    def test_file_roundtrip(self, tmp_path):
-        net = product_net(3, 1e-3)
-        path = tmp_path / "net.json"
-        save_network(net, path)
-        back = load_network(path)
-        rng = np.random.default_rng(42)
-        X = rng.uniform(-1, 1, size=(100, 3))
-        assert np.array_equal(back.eval_batch(X), net.eval_batch(X))
-        # the file is valid minified JSON
-        with open(path, encoding="utf-8") as fh:
-            json.load(fh)
 
     @pytest.mark.parametrize("row", [-1, 2])
     def test_sparse_entry_row_out_of_range_rejected(self, row):
