@@ -617,7 +617,12 @@ def cmd_net_eval(args):
         samples = samples[np.asarray(art["point_ref"], dtype=int)]
         dim = int(art["input_dim"])
 
-    pts = np.loadtxt(args.points, delimiter=",", ndmin=2, dtype=float)
+    try:
+        pts = np.loadtxt(args.points, delimiter=",", ndmin=2, dtype=float)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read points file {args.points} "
+                          f"({exc}); it must hold one comma-separated row "
+                          "of numbers per point") from exc
     if pts.shape[1] < dim:
         raise ConfigError(f"points have {pts.shape[1]} coordinates; the "
                           f"bundle needs {dim}")

@@ -20,13 +20,20 @@ evaluated through one shared network that holds each distinct unit once;
 identical rows over identical inputs give identical floats, so every
 member output is unchanged to the bit.
 
-A compile builds each distinct network once: triples with the same
-(s-e, k) get networks that share one set of layers, and each monomial
-gadget product is built once per compile.  The bundle lists every member
-with its own meta, so W and L are those of the per-triple networks.  Its
-artifact (format 2) stores each distinct layer block once in a pool and
-each member as a list of pool indices; a reload builds every pooled
-block into one layer that all members using it share.  Network algebra
+A compile fills that shared network's unit table (_UnitTable) directly
+instead of building per-triple networks.  Each monomial gadget product
+is built once per compile, and each distinct (s-e, k) keeps a recipe:
+its monomial networks, their coefficients lambda_j and its depth.  On
+first use a recipe hash-conses its monomials' hidden rows and carry
+units into the table and gives its output row over the table and its
+W, as parallelize would build them, without building them.  The
+per-triple networks are lazy projections: `NetworkBundle.networks`
+builds them from the recipes through parallelize on first access, and
+W and L remain those of the per-triple networks.  The bundle artifact
+(format 2) stores each distinct layer block of those networks once in a
+pool and each member as a list of pool indices; a reload builds every
+pooled block into one layer that all members using it share, and the
+same table routine hash-conses the reloaded members.  Network algebra
 moves rows a whole layer at a time (one column map, one stable sort),
 and each row keeps arrays of its own.
 
@@ -694,6 +701,192 @@ def _coeff_source(coeffs):
     return source
 
 
+_PLUS_MINUS = np.array([1.0, -1.0])
+_MINUS_PLUS = np.array([-1.0, 1.0])
+
+
+class _UnitTable:
+    """Each distinct hidden unit once, over `input_dim` inputs.
+
+    A unit is keyed on its canonical input columns in stored order, its
+    weight bytes and its bias bits (so a -0.0 bias stays distinct);
+    equal keys over equal inputs compute equal floats.  A unit sits one
+    layer above its deepest input.  Canonical columns number the inputs
+    first, then the units in the order they were first seen.
+    """
+
+    def __init__(self, input_dim):
+        self.input_dim = input_dim
+        self._uid = {}
+        self._layer = [0] * input_dim  # layer of each canonical column
+        self._rows, self._bias = [], []  # by canonical column - input_dim
+        self._canon = {}               # hidden layers -> canonical columns
+        self._chains = {}              # sigma pair -> its carried pairs
+
+    def unit(self, ids, wts, bias):
+        """Canonical column of sigma(wts . z[ids] + bias), ids canonical."""
+        key = (ids.tobytes(), wts.tobytes(), bias.hex())
+        uid = self._uid.get(key)
+        if uid is None:
+            uid = self._uid[key] = len(self._layer)
+            self._layer.append(1 + max(
+                (self._layer[i] for i in ids.tolist()), default=0))
+            self._rows.append((ids, wts))
+            self._bias.append(bias)
+        return uid
+
+    def intern(self, net):
+        """Canonical column of each input and hidden column of net, its
+        hidden rows interned.  A network whose hidden layers are objects
+        already interned (a repeated triple, or members sharing pooled
+        layers after bundle_from_dict) reuses their columns."""
+        hidden = tuple(net.layers[:-1])
+        canon = self._canon.get(hidden)
+        if canon is None:
+            canon = np.arange(self.input_dim + sum(net.widths[:-1]),
+                              dtype=np.int64)
+            col = self.input_dim
+            for layer in hidden:
+                for (cols, wts), b in zip(layer.rows, layer.bias.tolist()):
+                    canon[col] = self.unit(canon[cols], wts, b)
+                    col += 1
+            self._canon[hidden] = canon
+        return canon
+
+    def output_row(self, net):
+        """A scalar network's output row over canonical columns, as
+        (columns, weights, bias)."""
+        (cols, wts), = net.layers[-1].rows
+        return self.intern(net)[cols], wts, net.layers[-1].bias[0]
+
+    def carried(self, ids, wts, bias, levels):
+        """Canonical columns of the sigma(v), sigma(-v) pair for the row
+        v = (ids, wts, bias), carried up `levels` layers by identity
+        pairs, as parallelize pads a shorter member."""
+        pair = self.unit(ids, wts, bias), self.unit(ids, -wts, -bias)
+        chain = self._chains.setdefault(pair, [pair])
+        while len(chain) <= levels:
+            ids = np.array(chain[-1], dtype=np.int64)
+            chain.append((self.unit(ids, _PLUS_MINUS, 0.0),
+                          self.unit(ids, _MINUS_PLUS, 0.0)))
+        return chain[levels]
+
+    def network(self, out_rows):
+        """The units as hidden layers, grouped by layer in first-seen
+        order, under one output row per (columns, weights, bias)."""
+        d = self.input_dim
+        order = sorted(range(d, len(self._layer)),
+                       key=self._layer.__getitem__)
+        new_col = np.arange(len(self._layer), dtype=np.int64)
+        new_col[order] = np.arange(d, len(self._layer))
+        layers = []
+        for _, group in itertools.groupby(order, key=self._layer.__getitem__):
+            group = [u - d for u in group]
+            layers.append(_Layer(
+                [(new_col[self._rows[u][0]], self._rows[u][1])
+                 for u in group], [self._bias[u] for u in group]))
+        layers.append(_Layer([(new_col[c], w) for c, w, _ in out_rows],
+                             [b for _, _, b in out_rows]))
+        return ReluNetwork(d, layers, {"kind": "shared"})
+
+
+class _Recipe:
+    """A distinct triple's network before it is built: its monomial
+    networks, their coefficients lambda_j and the meta the network gets.
+
+    `depth` is the deepest monomial's.  `row` and `size` place the
+    network in the _UnitTable `table` on first use, without building it:
+    its output row over canonical columns and its size W.  `network`
+    builds it through parallelize.
+    """
+
+    __slots__ = ("input_dim", "monos", "lams", "meta", "depth", "table",
+                 "_placed", "_net")
+
+    def __init__(self, monos, lams, meta, table):
+        self.input_dim = monos[0].input_dim
+        self.monos, self.meta, self.table = monos, meta, table
+        self.lams = [float(c) for c in lams]
+        self.depth = max(net.depth for net in monos)
+        self._placed = self._net = None
+
+    @property
+    def row(self):
+        return self._place()[0]
+
+    @property
+    def size(self):
+        return self._place()[1]
+
+    def network(self, label):
+        """The network parallelize builds, once.  Under another label
+        than the recipe's (a repeated triple) it is a new network over
+        the same layers."""
+        if self._net is None:
+            self._net = parallelize(self.monos, self.lams)
+            self._net.meta.update(self.meta)
+        if label is self.meta["label"]:
+            return self._net
+        return ReluNetwork(self.input_dim, self._net.layers,
+                           dict(self._net.meta, label=label))
+
+    def _place(self):
+        """(row, size) as parallelize's member would have them, once.
+
+        The output row takes (c, w * lambda_j) from each full-depth
+        monomial and the carried sigma pair (lambda_j, -lambda_j) from
+        each shorter one, ordered by their first column in parallelize's
+        layout (per hidden layer, each monomial's block in turn), with
+        zero weights dropped.  W counts the monomials' hidden weights,
+        the carry units and the output row.
+        """
+        if self._placed is not None:
+            return self._placed
+        top = self.depth - 1
+        widths = np.array([net.widths[:-1] + [2] * (top + 1 - net.depth)
+                           for net in self.monos], dtype=np.int64).T
+        flat = widths.ravel()
+        offsets = (self.input_dim + np.cumsum(flat) - flat).reshape(
+            widths.shape)
+        firsts, pieces = [], []
+        bias, size = 0.0, 0
+        for j, (net, lam) in enumerate(zip(self.monos, self.lams)):
+            canon = self.table.intern(net)
+            (cols, wts), = net.layers[-1].rows
+            b = net.layers[-1].bias.tolist()[0]
+            size += net.meta["W"] - net.layers[-1].extent()[1]
+            if net.depth == self.depth:
+                pieces.append((canon[cols], wts * lam))
+                bias += lam * b
+                firsts.append(_parallel_col(net, offsets[:, j], cols[0])
+                              if len(cols) else -1)
+            else:
+                levels = top - net.depth
+                pair = self.table.carried(canon[cols], wts, b, levels)
+                pieces.append((np.array(pair, dtype=np.int64),
+                               np.array([lam, -lam])))
+                firsts.append(int(offsets[top - 1, j]))
+                size += (2 * int(np.count_nonzero(wts)) + 2 * (b != 0.0)
+                         + 4 * levels)
+        order = sorted(range(len(pieces)), key=firsts.__getitem__)
+        cols = np.concatenate([pieces[i][0] for i in order])
+        wts = np.concatenate([pieces[i][1] for i in order])
+        keep = wts != 0.0
+        self._placed = ((cols[keep], wts[keep], bias),
+                        size + int(np.count_nonzero(keep)) + (bias != 0.0))
+        return self._placed
+
+
+def _parallel_col(net, offsets, col):
+    """Where parallelize puts net's column col, given the offset of each
+    of net's hidden layers; input columns keep their index."""
+    if col < net.input_dim:
+        return int(col)
+    starts = net.input_dim + np.cumsum([0] + net.widths[:-1])
+    li = int(np.searchsorted(starts, col, side="right")) - 1
+    return int(offsets[li] + col - starts[li])
+
+
 def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
                         input_dim=None, gate_coord=1, label=None):
     """Compile one collocation triple into a scalar network.
@@ -712,16 +905,18 @@ def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
     the certificate weight of this triple: the network is within
     delta * coeff_abs_sum of its polynomial on the plateau box.
     """
-    return _compile_triple(s_minus_e, k, _coeff_source(coeffs), omega, delta,
-                           input_dim, gate_coord, label, {})
+    member = _compile_triple(s_minus_e, k, _coeff_source(coeffs), omega,
+                             delta, input_dim, gate_coord, label, {}, None)
+    return member.network(label) if isinstance(member, _Recipe) else member
 
 
 def _compile_triple(s_minus_e, k, source, omega, delta, input_dim,
-                    gate_coord, label, monomials):
-    """assemble_phi_triple, taking each monomial network from `monomials`
-    (factor tuple -> network) when there and adding it when not.  The
-    networks also depend on omega, delta and the input dimension, so one
-    dict serves one compile."""
+                    gate_coord, label, monomials, table):
+    """assemble_phi_triple's network, or its _Recipe over the unit table
+    `table` when s-e is not empty.  Each monomial network comes from
+    `monomials` (factor tuple -> network) when there and is added when
+    not.  The networks also depend on omega, delta and the input
+    dimension, so one dict serves one compile."""
     if omega < 1:
         raise ValueError("omega must be >= 1")
     if not 0.0 < delta < 1.0:
@@ -769,100 +964,72 @@ def _compile_triple(s_minus_e, k, source, omega, delta, input_dim,
             expr = _gadget_product_expr(b, factors, inv, delta)
             monomials[key] = b.finalize([(expr, 0.0)])
         nets.append(monomials[key])
-    net = parallelize(nets, lams)
-    net.meta.update({
+    return _Recipe(nets, lams, {
         "kind": "phi_triple", "label": label, "delta": delta,
-        "omega": omega, "coeff_abs_sum": float(np.sum(np.abs(lams)))})
-    return net
+        "omega": omega, "coeff_abs_sum": float(np.sum(np.abs(lams)))},
+        table)
 
 
 class NetworkBundle:
     """Per-triple scalar networks sharing one input dimension.
 
-    W is the sum and L the maximum of the members, and the labels list
-    is parallel to the networks list.  The members are merged only for
-    evaluation, in `shared`, which W and L do not count.
+    `members` holds each triple's ReluNetwork, or, from a compile
+    until `networks` is read, its _Recipe (a repeated triple's recipe
+    is the same object), with `unit_table` the _UnitTable the recipes
+    are placed in.  W is the sum and L the maximum of the members'
+    sizes and depths, and the labels list is parallel to the members.
+    The members are merged only for evaluation, in `shared`, which W
+    and L do not count.
     """
 
-    def __init__(self, networks, labels, meta=None):
-        if len(networks) != len(labels):
+    def __init__(self, members, labels, meta=None, unit_table=None):
+        if len(members) != len(labels):
             raise ValueError("labels must be parallel to networks")
-        dims = {n.input_dim for n in networks}
+        dims = {m.input_dim for m in members}
         if len(dims) > 1:
             raise ValueError("member networks disagree on input dimension")
-        self.networks = list(networks)
+        self.members = list(members)
         self.labels = list(labels)
         self.input_dim = dims.pop() if dims else 0
         self.meta = dict(meta or {})
+        self._table = unit_table
 
     def __len__(self):
-        return len(self.networks)
+        return len(self.members)
 
     @property
     def W(self):
-        return sum(n.size for n in self.networks)
+        return sum(m.size for m in self.members)
 
     @property
     def L(self):
-        return max((n.depth for n in self.networks), default=0)
+        return max((m.depth for m in self.members), default=0)
+
+    @functools.cached_property
+    def networks(self):
+        """The member networks.  A compiled bundle builds them from its
+        recipes on first access and then holds them alone: recipes and
+        unit table are released, so the two forms never coexist, and a
+        `shared` not yet built interns the networks instead (the same
+        network, bit for bit)."""
+        self.members = [m.network(label) if isinstance(m, _Recipe) else m
+                        for m, label in zip(self.members, self.labels)]
+        self._table = None
+        return list(self.members)
 
     @functools.cached_property
     def shared(self):
         """One network whose output t is member t's output, bit for bit.
 
-        Each distinct hidden unit is held once.  A unit is keyed on its
-        canonical input columns in stored order, its weight bytes and its
-        bias bits (so a -0.0 bias stays distinct); equal keys over equal
-        inputs compute equal floats.  A unit sits one layer above its
-        deepest input, and the final layer holds each member's output row
-        in its stored order.  A member whose hidden layers are an earlier
-        member's objects (a repeated triple, or members sharing pooled
-        layers after bundle_from_dict) reuses that member's canonical
-        columns and maps only its output row.
+        Each distinct hidden unit is held once (see _UnitTable), and the
+        final layer holds each member's output row in its stored order.
+        A recipe's row is placed in the compile's unit table; a member
+        network has its hidden rows interned into it here.
         """
-        d = self.input_dim
-        unit_of = {}
-        layer_of = [0] * d         # layer of each canonical column
-        rows, bias = [], []        # hidden rows, by canonical column - d
-        out_rows, out_bias = [], []
-        canon_of = {}              # hidden layer ids -> canonical columns
-        for net in self.networks:
-            hidden = tuple(map(id, net.layers[:-1]))
-            canon = canon_of.get(hidden)
-            if canon is None:
-                canon = np.arange(d + sum(net.widths[:-1]), dtype=np.int64)
-                col = d
-                for layer in net.layers[:-1]:
-                    for (cols, wts), b in zip(layer.rows,
-                                              layer.bias.tolist()):
-                        ids = canon[cols]
-                        key = (ids.tobytes(), wts.tobytes(), b.hex())
-                        uid = unit_of.get(key)
-                        if uid is None:
-                            uid = unit_of[key] = len(layer_of)
-                            layer_of.append(1 + max(
-                                (layer_of[i] for i in ids.tolist()),
-                                default=0))
-                            rows.append((ids, wts))
-                            bias.append(b)
-                        canon[col] = uid
-                        col += 1
-                canon_of[hidden] = canon
-            (cols, wts), = net.layers[-1].rows
-            out_rows.append((canon[cols], wts))
-            out_bias.append(net.layers[-1].bias[0])
-        # columns grouped by layer, creation order within a layer
-        order = sorted(range(d, len(layer_of)), key=layer_of.__getitem__)
-        new_col = np.arange(len(layer_of), dtype=np.int64)
-        new_col[order] = np.arange(d, len(layer_of))
-        layers = []
-        for _, group in itertools.groupby(order, key=layer_of.__getitem__):
-            group = [u - d for u in group]
-            layers.append(_Layer([(new_col[rows[u][0]], rows[u][1])
-                                  for u in group], [bias[u] for u in group]))
-        layers.append(_Layer([(new_col[c], w) for c, w in out_rows],
-                             out_bias))
-        return ReluNetwork(d, layers, {"kind": "shared"})
+        table = self._table or _UnitTable(self.input_dim)
+        return table.network([m.row if isinstance(m, _Recipe)
+                              else table.output_row(m)
+                              for m in self.members])
 
 
 def surrogate_eval(bundle, signs, samples, pts):
@@ -903,9 +1070,11 @@ def assemble_surrogate(plan, samples, delta, omega):
                          f"(got {samples.shape[0]} for {plan.n_triples})")
     dim = max(plan.m_active, 1)
     source = _coeff_source(None)
-    # each distinct network is built once; a repeat shares its layers
+    # each distinct triple and monomial is compiled once; a repeated
+    # plateau triple shares its layers, a repeated recipe is reused
     built, monomials = {}, {}
-    nets, labels, signs = [], [], []
+    table = _UnitTable(dim)
+    members, labels, signs = [], [], []
     for t in plan.triples:
         s = plan.indices[t.s_ref]
         sme = s.subtract_mask(t.e_mask)
@@ -913,19 +1082,21 @@ def assemble_surrogate(plan, samples, delta, omega):
         label = {"s": [list(p) for p in s.pairs],
                  "e": list(t.e_mask), "k": list(t.k)}
         key = (sme.pairs, tuple(t.k), None if sme.pairs else gate)
-        net = built.get(key)
-        if net is None:
-            net = built[key] = _compile_triple(
-                sme, t.k, source, omega, delta, dim, gate, label, monomials)
-        else:
-            net = ReluNetwork(dim, net.layers, dict(net.meta, label=label))
-        nets.append(net)
+        member = built.get(key)
+        if member is None:
+            member = built[key] = _compile_triple(
+                sme, t.k, source, omega, delta, dim, gate, label, monomials,
+                table)
+        elif not isinstance(member, _Recipe):
+            member = ReluNetwork(dim, member.layers,
+                                 dict(member.meta, label=label))
+        members.append(member)
         labels.append(label)
         signs.append(float(t.sign))
     signs = np.asarray(signs)
-    bundle = NetworkBundle(nets, labels, meta={
+    bundle = NetworkBundle(members, labels, meta={
         "xi": plan.xi, "delta": delta, "omega": omega,
-        "n_triples": plan.n_triples})
+        "n_triples": plan.n_triples}, unit_table=table)
 
     def evaluator(y):
         y_arr = np.asarray(y, dtype=float)
@@ -953,8 +1124,8 @@ def surrogate_bound(bundle, samples, norm=None):
         norm = lambda v: float(np.linalg.norm(v))
     delta = bundle.meta.get("delta")
     total = 0.0
-    for t, net in enumerate(bundle.networks):
-        total += norm(samples[t]) * net.meta["coeff_abs_sum"]
+    for t, member in enumerate(bundle.members):
+        total += norm(samples[t]) * member.meta["coeff_abs_sum"]
     return delta * total
 
 

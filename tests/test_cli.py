@@ -315,6 +315,24 @@ class TestNetEval:
         assert code == 2
         assert "regenerate the artifact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [None, "abc,1\n"],
+                             ids=["missing", "non_numeric"])
+    def test_bad_points_file_exits_2(self, cfg_file, tmp_path, capsys, text):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        pts_file = tmp_path / "pts.csv"
+        if text is not None:
+            pts_file.write_text(text)
+        capsys.readouterr()
+        code = run("net", "eval", "--bundle",
+                   tmp_path / "out" / "bundle_02.json",
+                   "--points", pts_file, "--out", tmp_path / "o.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "points file" in err and str(pts_file) in err
+        assert "regenerate the artifact" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_rejects_json_array(self, tmp_path, capsys):
         bundle = tmp_path / "b.json"
         bundle.write_text("[]\n")

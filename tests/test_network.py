@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermnet import network
@@ -904,6 +904,40 @@ class TestSurrogate:
         assert np.all(before[100:] == 0.0)
         assert back.shared.widths == bundle.shared.widths
 
+    def test_row_path_never_parallelizes(self, monkeypatch):
+        # compile, certificate, W/L and evaluation run on recipes and the
+        # unit table; only bundle.networks builds member networks
+        plan = _small_plan()
+        omega = 2.0
+        delta = compute_delta(plan, omega)
+        samples = np.random.default_rng(42).normal(size=(plan.n_triples, 2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parallelize called")
+
+        monkeypatch.setattr(network, "parallelize", refuse)
+        bundle, ev = assemble_surrogate(plan, samples, delta, omega)
+        bound = surrogate_bound(bundle, samples)
+        W, L = bundle.W, bundle.L
+        Y = np.random.default_rng(7).normal(size=(50, plan.m_active))
+        got = ev(Y)
+        compiled = bundle.shared.eval_batch(Y)
+        sizes = [(m.size, m.depth) for m in bundle.members]
+        monkeypatch.undo()
+
+        nets = bundle.networks
+        assert len({net.depth for net in nets}) > 1
+        assert (sum(recount_size(net) for net in nets),
+                max(net.depth for net in nets)) == (W, L)
+        assert sizes == [(recount_size(net), net.depth) for net in nets]
+        # the bundle now holds the networks alone, with unchanged results
+        assert bundle.members == nets
+        assert (bundle.W, bundle.L) == (W, L)
+        assert surrogate_bound(bundle, samples) == bound
+        assert ev(Y).tobytes() == got.tobytes()
+        assert bundle_from_dict(bundle_to_dict(bundle)).shared.eval_batch(
+            Y).tobytes() == compiled.tobytes()
+
     def test_wrong_sample_count_rejected(self):
         plan = _small_plan()
         with pytest.raises(ValueError):
@@ -914,3 +948,55 @@ class TestSurrogate:
             NetworkBundle([phi1_net(), identity_net(2)], ["a", "b"])
         with pytest.raises(ValueError):
             NetworkBundle([phi1_net()], ["a", "b"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho=st.lists(st.floats(1.5, 4.0), min_size=1, max_size=3),
+       xi=st.floats(1.5, 7.0),
+       omega=st.sampled_from([1.0, 2.0, 3.0]),
+       delta=st.sampled_from([1e-3, 1e-5, 1e-7, "auto"]))
+def test_recipes_match_parallelize_members(rho, xi, omega, delta):
+    """Compile's recipes against the networks parallelize builds: each
+    materialized member equals a fresh assemble_phi_triple bit for bit,
+    the recipe W and L equal the recount, and the shared network placed
+    at compile equals the one hash-consed from the reloaded members."""
+    plan = build_plan(xi, WeightModel(q=2.0 / 3.0, rho=sorted(rho),
+                                      tail=(2.0, 2.0)))
+    assume(plan.n_triples <= 150)
+    if delta == "auto":
+        delta = compute_delta(plan, omega)
+    bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta,
+                                   omega)
+    sizes = [(m.size, m.depth) for m in bundle.members]
+    W, L = bundle.W, bundle.L
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(64, bundle.input_dim))
+    edge = 8.0 * math.sqrt(omega) * 1.001
+    Y = np.vstack([g, 4.0 * g, np.where(g < 0, -edge, edge) + g])
+    compiled = bundle.shared.eval_batch(Y)
+
+    dim = max(plan.m_active, 1)
+    for t, net, label, size in zip(plan.triples, bundle.networks,
+                                   bundle.labels, sizes):
+        s = plan.indices[t.s_ref]
+        gate = min(s.support) if s.pairs else 1
+        fresh = assemble_phi_triple(s.subtract_mask(t.e_mask), t.k, None,
+                                    omega, delta, input_dim=dim,
+                                    gate_coord=gate, label=label)
+        assert net.meta == fresh.meta
+        assert size == (recount_size(fresh), fresh.depth)
+        assert (net.input_dim, net.depth) == (fresh.input_dim, fresh.depth)
+        for a, b in zip(net.layers, fresh.layers):
+            assert a.bias.tobytes() == b.bias.tobytes()
+            assert len(a.rows) == len(b.rows)
+            for (ac, aw), (bc, bw) in zip(a.rows, b.rows):
+                assert ac.tobytes() == bc.tobytes()
+                assert aw.tobytes() == bw.tobytes()
+    assert (W, L) == (sum(net.size for net in bundle.networks),
+                      max(net.depth for net in bundle.networks))
+
+    back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
+    assert back.shared.eval_batch(Y).tobytes() == compiled.tobytes()
+    assert back.shared.widths == bundle.shared.widths
+    if plan.m_active:
+        assert np.all(compiled[-64:] == 0.0)
