@@ -23,6 +23,7 @@ import math
 import multiprocessing
 import sys
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -618,14 +619,22 @@ def cmd_net_eval(args):
         dim = int(art["input_dim"])
 
     try:
-        pts = np.loadtxt(args.points, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():  # a file without data: below
+            warnings.simplefilter("ignore", UserWarning)
+            pts = np.loadtxt(args.points, delimiter=",", ndmin=2, dtype=float)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read points file {args.points} "
                           f"({exc}); it must hold one comma-separated row "
                           "of numbers per point") from exc
+    if pts.size == 0:
+        raise ConfigError(f"points file {args.points} holds no points")
     if pts.shape[1] < dim:
         raise ConfigError(f"points have {pts.shape[1]} coordinates; the "
                           f"bundle needs {dim}")
+    bad = np.flatnonzero(~np.isfinite(pts[:, :dim]).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"row {bad[0] + 1} of points file {args.points} "
+                          "has a non-finite coordinate (nan or inf)")
     out = surrogate_eval(bundle, signs, samples, pts[:, :dim])
     lines = [",".join(map(repr, row.tolist())) for row in out]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -33,9 +33,10 @@ W and L remain those of the per-triple networks.  The bundle artifact
 (format 2) stores each distinct layer block of those networks once in a
 pool and each member as a list of pool indices; a reload builds every
 pooled block into one layer that all members using it share, and the
-same table routine hash-conses the reloaded members.  Network algebra
-moves rows a whole layer at a time (one column map, one stable sort),
-and each row keeps arrays of its own.
+same table routine hash-conses the reloaded members.  A layer is one
+CSR array triple (entries per row, columns, weights) and its biases;
+network algebra, serialization and the unit table move whole arrays
+(parallelize: one column gather per member net, one stable sort).
 
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
@@ -65,9 +66,6 @@ _DENSE_CELL_LIMIT = 4096
 # eval_batch chunk may use: 32 MiB of float64.
 _EVAL_CELL_LIMIT = 1 << 22
 
-# Points per block of the member sum in surrogate_eval.
-_SUM_BLOCK = 256
-
 # Layout of bundle_to_dict's output: 2 is the layer pool.
 BUNDLE_FORMAT = 2
 
@@ -77,28 +75,29 @@ DELTA_FLOOR = 1e-12
 
 
 class _Layer:
-    """One layer: per-unit sparse rows over all earlier columns."""
+    """One layer as CSR arrays over all earlier columns: each row's
+    entry count, every row's columns (int64) and weights (float64) laid
+    end to end in stored order, and one bias per row."""
 
-    __slots__ = ("rows", "bias", "_csr", "_extent")
+    __slots__ = ("counts", "cols", "wts", "bias", "_csr", "_extent")
 
-    def __init__(self, rows, bias):
-        self.rows = rows          # list of (cols int64, weights float64)
+    def __init__(self, counts, cols, wts, bias):
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.wts = np.asarray(wts, dtype=float)
         self.bias = np.asarray(bias, dtype=float)
-        self._csr = None
-        self._extent = None
+        self._csr = self._extent = None
 
     @property
     def width(self):
-        return len(self.rows)
+        return len(self.counts)
 
-    def flat(self):
-        """(entries per row, columns, weights) with the rows laid end to
-        end in stored order."""
-        counts = np.array([len(c) for c, _ in self.rows], dtype=np.int64)
-        cols = np.concatenate(
-            [np.empty(0, dtype=np.int64)] + [c for c, _ in self.rows])
-        wts = np.concatenate([np.empty(0)] + [w for _, w in self.rows])
-        return counts, cols, wts
+    @property
+    def rows(self):
+        """Each row's (cols, wts) as views into the stored arrays."""
+        ends = np.cumsum(self.counts).tolist()
+        return [(self.cols[a:b], self.wts[a:b])
+                for a, b in zip([0] + ends[:-1], ends)]
 
     def extent(self):
         """(largest stored column, -1 if none; nonzero weights and biases).
@@ -107,9 +106,8 @@ class _Layer:
         networks is checked and counted a single time.
         """
         if self._extent is None:
-            _, cols, wts = self.flat()
-            self._extent = (int(cols.max()) if cols.size else -1,
-                            int(np.count_nonzero(wts))
+            self._extent = (int(self.cols.max()) if self.cols.size else -1,
+                            int(np.count_nonzero(self.wts))
                             + int(np.count_nonzero(self.bias)))
         return self._extent
 
@@ -121,20 +119,11 @@ class _Layer:
         SciPy's CSR product adds a row's entries left to right.
         """
         if self._csr is None:
-            counts, cols, wts = self.flat()
             indptr = np.zeros(self.width + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._csr = csr_matrix((wts, cols, indptr),
+            np.cumsum(self.counts, out=indptr[1:])
+            self._csr = csr_matrix((self.wts, self.cols, indptr),
                                    shape=(self.width, n_cols))
         return self._csr
-
-
-def _split_rows(counts, cols, wts):
-    """Per-row (cols, wts) pairs, each an array of its own, from rows
-    laid end to end."""
-    ends = np.cumsum(counts).tolist()
-    return [(cols[a:b].copy(), wts[a:b].copy())
-            for a, b in zip([0] + ends[:-1], ends)]
 
 
 class ReluNetwork:
@@ -285,7 +274,9 @@ class _NetBuilder:
                 col[id(u)] = next_col
                 next_col += 1
 
-        def resolve(terms):
+        def resolve(terms, cols, wts):
+            """Append the row's entries, sorted by column, equal columns
+            merged, zeros dropped, to cols and wts; return their count."""
             entries = []
             for ref, w in terms:
                 w = float(w)
@@ -302,18 +293,16 @@ class _NetBuilder:
                     merged[-1][1] += w
                 else:
                     merged.append([c, w])
-            cols = np.array([c for c, w in merged if w != 0.0], dtype=np.int64)
-            wts = np.array([w for _, w in merged if w != 0.0], dtype=float)
-            return cols, wts
+            merged = [(c, w) for c, w in merged if w != 0.0]
+            cols.extend(c for c, _ in merged)
+            wts.extend(w for _, w in merged)
+            return len(merged)
 
         layers = []
-        for bucket in per_layer:
-            rows = [resolve(terms) for _, terms, _ in bucket]
-            bias = [b for _, _, b in bucket]
-            layers.append(_Layer(rows, bias))
-        out_rows = [resolve(terms) for terms, _ in outputs]
-        out_bias = [b for _, b in outputs]
-        layers.append(_Layer(out_rows, out_bias))
+        for bucket in per_layer + [[(None, t, b) for t, b in outputs]]:
+            cols, wts = [], []
+            counts = [resolve(terms, cols, wts) for _, terms, _ in bucket]
+            layers.append(_Layer(counts, cols, wts, [b for _, _, b in bucket]))
         return ReluNetwork(self.input_dim, layers, meta)
 
 
@@ -519,23 +508,29 @@ def _gadget_product_expr(b, factors, scale, delta):
 def _colmap(net, offsets):
     """Column map moving net's hidden layer l to the block at offsets[l];
     input columns keep their index."""
-    return np.concatenate(
-        [np.arange(net.input_dim)]
-        + [off + np.arange(layer.width)
-           for off, layer in zip(offsets, net.layers[:-1])]).astype(np.int64)
+    widths = np.array(net.widths[:-1], dtype=np.int64)
+    colmap = np.arange(net.input_dim + widths.sum())
+    colmap[net.input_dim:] += np.repeat(
+        np.asarray(offsets, dtype=np.int64)
+        - (net.input_dim + np.cumsum(widths) - widths), widths)
+    return colmap
 
 
-def _reindex(layer, colmap, twin=None):
-    """The layer's rows with each stored column c moved to colmap[c].
+def _reindex(layers, colmap, twin=None):
+    """The entries of `layers`, their rows numbered on from 0 across the
+    layers, as (row, column, weight, bias) arrays in stored order with
+    one bias per row; each stored column c is moved to colmap[c].
 
     Where twin[c] >= 0, the entry is followed by its negation on column
     twin[c] (the sigma(v), sigma(-v) pair that carries an input across a
-    composition).  Each row is then sorted by its new columns; the sort
-    is stable, so equal columns keep their stored order.  Returns the
-    rows as (cols, wts) pairs.
+    composition).
     """
-    counts, cols, wts = layer.flat()
-    row = np.repeat(np.arange(layer.width), counts)
+    counts, cols, wts, bias = (
+        np.concatenate([np.empty(0, dtype)]
+                       + [getattr(layer, name) for layer in layers])
+        for name, dtype in (("counts", np.int64), ("cols", np.int64),
+                            ("wts", float), ("bias", float)))
+    row = np.repeat(np.arange(len(counts)), counts)
     new = colmap[cols]
     if twin is not None:
         pair = twin[cols]
@@ -545,16 +540,48 @@ def _reindex(layer, colmap, twin=None):
         new = np.where(second, pair[src], new[src])
         wts = np.where(second, -wts[src], wts[src])
         row = row[src]
-        counts = np.bincount(row, minlength=layer.width)
-    order = np.lexsort((new, row))
-    return _split_rows(counts, new[order], wts[order])
+    return row, new, wts, bias
 
 
-def _pm_rows(rows, bias, hidden_layer):
-    """Append sigma(v), sigma(-v) rows for each (row, bias) v."""
-    for (c, w), b in zip(rows, bias):
-        hidden_layer[0].extend([(c, w), (c, -w)])
-        hidden_layer[1].extend([b, -b])
+def _sorted_layers(row, cols, wts, bias, widths):
+    """Layers of the given widths from (row, column, weight, bias)
+    arrays, the rows numbered on from 0 across the layers.
+
+    Each row's entries are sorted by column with one stable sort, so
+    equal columns keep their order.  Every layer owns its arrays.
+    """
+    order = np.lexsort((cols, row))
+    cols, wts = cols[order], wts[order]
+    counts = np.bincount(row, minlength=len(bias))
+    ends = [0] + np.cumsum(counts).tolist()
+    layers, a = [], 0
+    for b in np.cumsum(widths).tolist():
+        s, t = ends[a], ends[b]
+        layers.append(_Layer(counts[a:b].copy(), cols[s:t].copy(),
+                             wts[s:t].copy(), bias[a:b].copy()))
+        a = b
+    return layers
+
+
+def _pm(row, cols, wts, bias):
+    """The sigma(v), sigma(-v) rows 2r, 2r+1 for each row r: v, as
+    (row, column, weight, bias) arrays like their input."""
+    return (np.concatenate([2 * row, 2 * row + 1]), np.tile(cols, 2),
+            np.concatenate([wts, -wts]),
+            np.stack([bias, -bias], axis=1).ravel())
+
+
+def _layout(nets):
+    """Hidden layer widths of parallelize(nets), and the first column of
+    each net's block (its carry pairs, if shorter), shape (layers, nets).
+    """
+    depth, p0 = max(net.depth for net in nets), nets[0].out_dim
+    widths = np.array([net.widths[:-1] + [2 * p0] * (depth - net.depth)
+                       for net in nets], dtype=np.int64).reshape(
+                           len(nets), depth - 1).T
+    flat = widths.ravel()
+    return widths.sum(axis=1), (nets[0].input_dim + np.cumsum(flat)
+                                - flat).reshape(widths.shape)
 
 
 def parallelize(nets, coefficients):
@@ -565,6 +592,10 @@ def parallelize(nets, coefficients):
     (sigma(t), sigma(-t) per output scalar per missing layer), whose
     cost is counted in W.  meta["raw_W"] records the plain sum of member
     sizes without padding.
+
+    Every moved row is sorted by its new columns.  Output row r joins
+    each net's row r, scaled, in order of first column (ties in net
+    order), without zero weights.
     """
     nets = list(nets)
     lam = [float(c) for c in coefficients]
@@ -579,72 +610,55 @@ def parallelize(nets, coefficients):
     if any(n.out_dim != p0 for n in nets):
         raise ValueError("output dimensions differ")
     depth = max(n.depth for n in nets)
-    n_hidden = depth - 1
-    hidden = [([], []) for _ in range(n_hidden)]
+    widths, offsets = _layout(nets)
 
-    # reserve column layout: per hidden layer, each net's block in order
-    # (carry pairs included), so offsets are known before copying rows.
-    widths = [[0] * len(nets) for _ in range(n_hidden)]
-    for j, net in enumerate(nets):
-        for li, layer in enumerate(net.layers[:-1]):
-            widths[li][j] = layer.width
-        if net.depth < depth:
-            for li in range(net.depth - 1, n_hidden):
-                widths[li][j] = 2 * p0
-    base = d0
-    offsets = [[0] * len(nets) for _ in range(n_hidden)]
-    for li in range(n_hidden):
-        for j in range(len(nets)):
-            offsets[li][j] = base
-            base += widths[li][j]
+    # hidden entries by hidden row of the sum (column - d0), all layers
+    parts, bias = [], np.zeros(int(widths.sum()))
+    pieces = []  # output (row, first column, net, column, weight)
+    out_bias = np.zeros(p0)
+    carry_row = np.repeat(np.arange(2 * p0), 2)
+    carry_cols = np.repeat(2 * np.arange(p0), 4) + np.tile([0, 1], 2 * p0)
+    carry_wts = np.tile([1.0, -1.0, -1.0, 1.0], p0)
 
-    outputs = [[] for _ in range(p0)]
-    out_bias = [0.0] * p0
+    def piece(j, row, cols, wts):
+        first = np.full(p0, np.iinfo(np.int64).max)
+        np.minimum.at(first, row, cols)
+        pieces.append((row, first[row], np.full(len(row), j), cols, wts))
+
     for j, net in enumerate(nets):
-        colmap = _colmap(net, [offsets[li][j] for li in range(net.depth - 1)])
-        for li, layer in enumerate(net.layers[:-1]):
-            hidden[li][0].extend(_reindex(layer, colmap))
-            hidden[li][1].extend(layer.bias.tolist())
-        final = _reindex(net.layers[-1], colmap)
-        final_bias = net.layers[-1].bias.tolist()
+        colmap = _colmap(net, offsets[: net.depth - 1, j])
+        unit = colmap[d0:] - d0
+        row, cols, wts, bias[unit] = _reindex(net.layers[:-1], colmap)
+        parts.append((unit[row], cols, wts))
+        row, cols, wts, final_bias = _reindex(net.layers[-1:], colmap)
         if net.depth == depth:
-            for r, ((c, w), bias) in enumerate(zip(final, final_bias)):
-                outputs[r].append((c, w * lam[j]))
-                out_bias[r] += lam[j] * bias
-        else:
-            # identity-carry padding: materialize the member's output at
-            # its own final depth, then carry the pair upward.
-            li = net.depth - 1
-            _pm_rows(final, final_bias, hidden[li])
-            carry = [(offsets[li][j] + 2 * r, offsets[li][j] + 2 * r + 1)
-                     for r in range(p0)]
-            for li in range(net.depth, n_hidden):
-                cbase = offsets[li][j]
-                nxt = []
-                for r, (cp, cm) in enumerate(carry):
-                    cols = np.array([cp, cm], dtype=np.int64)
-                    hidden[li][0].extend([(cols, np.array([1.0, -1.0])),
-                                          (cols, np.array([-1.0, 1.0]))])
-                    hidden[li][1].extend([0.0, 0.0])
-                    nxt.append((cbase + 2 * r, cbase + 2 * r + 1))
-                carry = nxt
-            for r, (cp, cm) in enumerate(carry):
-                outputs[r].append((np.array([cp, cm], dtype=np.int64),
-                                   np.array([lam[j], -lam[j]])))
+            piece(j, row, cols, wts * lam[j])
+            out_bias += lam[j] * final_bias
+            continue
+        # identity-carry padding: materialize the member's output at
+        # its own final depth, then carry the pair upward
+        row, cols, wts, pair_bias = _pm(row, cols, wts, final_bias)
+        base = offsets[net.depth - 1, j] - d0
+        parts.append((row + base, cols, wts))
+        bias[base: base + 2 * p0] = pair_bias
+        rows = offsets[net.depth:, j] - d0
+        below = offsets[net.depth - 1: -1, j]
+        parts.append(((rows[:, None] + carry_row).ravel(),
+                      (below[:, None] + carry_cols).ravel(),
+                      np.tile(carry_wts, len(rows))))
+        piece(j, np.repeat(np.arange(p0), 2),
+              offsets[-1, j] + np.arange(2 * p0),
+              np.tile([lam[j], -lam[j]], p0))
 
-    out_rows = []
-    for r in range(p0):
-        pieces = sorted(outputs[r], key=lambda piece: piece[0][0] if
-                        len(piece[0]) else -1)
-        cols = np.concatenate([p[0] for p in pieces]) if pieces else \
-            np.array([], dtype=np.int64)
-        wts = np.concatenate([p[1] for p in pieces]) if pieces else \
-            np.array([])
-        keep = wts != 0.0
-        out_rows.append((cols[keep], wts[keep]))
-    hidden.append((out_rows, out_bias))
+    row, cols, wts = (np.concatenate(a) for a in zip(*parts))
+    layers = _sorted_layers(row, cols, wts, bias, widths)
+    row, first, net_of, cols, wts = (np.concatenate(a) for a in zip(*pieces))
+    order = np.lexsort((cols, net_of, first, row))
+    order = order[wts[order] != 0.0]
+    layers.append(_Layer(np.bincount(row[order], minlength=p0),
+                         cols[order], wts[order], out_bias))
     meta = {"kind": "parallelize", "raw_W": sum(n.size for n in nets)}
-    return ReluNetwork(d0, [_Layer(*block) for block in hidden], meta)
+    return ReluNetwork(d0, layers, meta)
 
 
 def concatenate(first, second):
@@ -657,30 +671,22 @@ def concatenate(first, second):
         raise ValueError(
             f"second expects {second.input_dim} inputs but first "
             f"produces {first.out_dim}")
-    hidden = []
     first_map = np.arange(first.input_dim + sum(first.widths[:-1]))
-    for layer in first.layers[:-1]:
-        hidden.append((_reindex(layer, first_map), layer.bias.tolist()))
-    pair_base = len(first_map)
-    hidden.append(([], []))
-    _pm_rows(_reindex(first.layers[-1], first_map),
-             first.layers[-1].bias.tolist(), hidden[-1])
+    layers = _sorted_layers(*_reindex(first.layers[:-1], first_map),
+                            first.widths[:-1])
+    layers += _sorted_layers(*_pm(*_reindex(first.layers[-1:], first_map)),
+                             [2 * first.out_dim])
 
-    base = pair_base + 2 * first.out_dim
-    offsets = []
-    for layer in second.layers[:-1]:
-        offsets.append(base)
-        base += layer.width
-    colmap = _colmap(second, offsets)
+    pair_base = len(first_map)
+    widths = np.array(second.widths[:-1], dtype=np.int64)
+    colmap = _colmap(second, pair_base + 2 * first.out_dim
+                     + np.cumsum(widths) - widths)
     twin = np.full(len(colmap), -1, dtype=np.int64)
     colmap[: second.input_dim] = pair_base + 2 * np.arange(second.input_dim)
     twin[: second.input_dim] = colmap[: second.input_dim] + 1
-    for layer in second.layers[:-1]:
-        hidden.append((_reindex(layer, colmap, twin), layer.bias.tolist()))
-    hidden.append((_reindex(second.layers[-1], colmap, twin),
-                   second.layers[-1].bias.tolist()))
-    return ReluNetwork(first.input_dim, [_Layer(*block) for block in hidden],
-                       {"kind": "concatenate"})
+    layers += _sorted_layers(*_reindex(second.layers, colmap, twin),
+                             second.widths)
+    return ReluNetwork(first.input_dim, layers, {"kind": "concatenate"})
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +725,7 @@ class _UnitTable:
         self.input_dim = input_dim
         self._uid = {}
         self._layer = [0] * input_dim  # layer of each canonical column
-        self._rows, self._bias = [], []  # by canonical column - input_dim
+        self._rows = []                # by canonical column - input_dim
         self._canon = {}               # hidden layers -> canonical columns
         self._chains = {}              # sigma pair -> its carried pairs
 
@@ -731,8 +737,7 @@ class _UnitTable:
             uid = self._uid[key] = len(self._layer)
             self._layer.append(1 + max(
                 (self._layer[i] for i in ids.tolist()), default=0))
-            self._rows.append((ids, wts))
-            self._bias.append(bias)
+            self._rows.append((ids, wts, bias))
         return uid
 
     def intern(self, net):
@@ -747,8 +752,10 @@ class _UnitTable:
                               dtype=np.int64)
             col = self.input_dim
             for layer in hidden:
-                for (cols, wts), b in zip(layer.rows, layer.bias.tolist()):
-                    canon[col] = self.unit(canon[cols], wts, b)
+                moved = _Layer(layer.counts, canon[layer.cols], layer.wts,
+                               layer.bias)
+                for (ids, wts), b in zip(moved.rows, layer.bias.tolist()):
+                    canon[col] = self.unit(ids, wts, b)
                     col += 1
             self._canon[hidden] = canon
         return canon
@@ -781,13 +788,20 @@ class _UnitTable:
         new_col[order] = np.arange(d, len(self._layer))
         layers = []
         for _, group in itertools.groupby(order, key=self._layer.__getitem__):
-            group = [u - d for u in group]
-            layers.append(_Layer(
-                [(new_col[self._rows[u][0]], self._rows[u][1])
-                 for u in group], [self._bias[u] for u in group]))
-        layers.append(_Layer([(new_col[c], w) for c, w, _ in out_rows],
-                             [b for _, _, b in out_rows]))
+            layers.append(_moved_layer(new_col,
+                                       [self._rows[u - d] for u in group]))
+        layers.append(_moved_layer(new_col, out_rows))
         return ReluNetwork(d, layers, {"kind": "shared"})
+
+
+def _moved_layer(new_col, rows):
+    """The (columns, weights, bias) rows as one layer, every column c
+    moved to new_col[c] in one take."""
+    ids = np.concatenate([np.empty(0, dtype=np.int64)]
+                         + [c for c, _, _ in rows])
+    return _Layer([len(c) for c, _, _ in rows], new_col[ids],
+                  np.concatenate([np.empty(0)] + [w for _, w, _ in rows]),
+                  [b for _, _, b in rows])
 
 
 class _Recipe:
@@ -843,11 +857,7 @@ class _Recipe:
         if self._placed is not None:
             return self._placed
         top = self.depth - 1
-        widths = np.array([net.widths[:-1] + [2] * (top + 1 - net.depth)
-                           for net in self.monos], dtype=np.int64).T
-        flat = widths.ravel()
-        offsets = (self.input_dim + np.cumsum(flat) - flat).reshape(
-            widths.shape)
+        offsets = _layout(self.monos)[1]
         firsts, pieces = [], []
         bias, size = 0.0, 0
         for j, (net, lam) in enumerate(zip(self.monos, self.lams)):
@@ -858,7 +868,7 @@ class _Recipe:
             if net.depth == self.depth:
                 pieces.append((canon[cols], wts * lam))
                 bias += lam * b
-                firsts.append(_parallel_col(net, offsets[:, j], cols[0])
+                firsts.append(int(_colmap(net, offsets[:, j])[cols[0]])
                               if len(cols) else -1)
             else:
                 levels = top - net.depth
@@ -875,16 +885,6 @@ class _Recipe:
         self._placed = ((cols[keep], wts[keep], bias),
                         size + int(np.count_nonzero(keep)) + (bias != 0.0))
         return self._placed
-
-
-def _parallel_col(net, offsets, col):
-    """Where parallelize puts net's column col, given the offset of each
-    of net's hidden layers; input columns keep their index."""
-    if col < net.input_dim:
-        return int(col)
-    starts = net.input_dim + np.cumsum([0] + net.widths[:-1])
-    li = int(np.searchsorted(starts, col, side="right")) - 1
-    return int(offsets[li] + col - starts[li])
 
 
 def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
@@ -1037,17 +1037,17 @@ def surrogate_eval(bundle, signs, samples, pts):
 
     `pts` has shape (n, bundle.input_dim) and `samples` one row per
     member; the members are evaluated together through `bundle.shared`.
-    The sum runs over blocks of _SUM_BLOCK points, so each block of the
-    output stays in cache while every member is added to it.  Returns
-    shape (n, samples.shape[1]).
+    The sum is one CSR product whose row i holds signs[t] * net_t(pts[i])
+    for every t in order, zeros included, so each output cell adds the
+    same products in the same order as a loop over the members.
+    Returns shape (n, samples.shape[1]).
     """
     phi = bundle.shared.eval_batch(pts)
-    out = np.zeros((phi.shape[0], samples.shape[1]))
-    for a in range(0, phi.shape[0], _SUM_BLOCK):
-        block, part = out[a: a + _SUM_BLOCK], phi[a: a + _SUM_BLOCK]
-        for t in range(len(bundle)):
-            block += (signs[t] * part[:, t])[:, None] * samples[t][None, :]
-    return out
+    phi *= signs
+    n, members = phi.shape
+    return csr_matrix(
+        (phi.ravel(), np.tile(np.arange(members, dtype=np.int32), n),
+         np.arange(n + 1) * members), shape=(n, members)) @ samples
 
 
 def assemble_surrogate(plan, samples, delta, omega):
@@ -1197,17 +1197,15 @@ def compute_delta(plan, omega, w=None, K=None, *, return_info=False):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _layer_to_dict(layer, cols, flat):
-    """JSON-ready block of one layer over `cols` earlier columns, from
-    its `flat()` arrays.
+def _layer_to_dict(layer, cols):
+    """JSON-ready block of one layer over `cols` earlier columns.
 
     Small blocks are dense row-major; large ones use sparse
     [row, col, weight] entries (ascending), which round-trips the exact
     row order either way.
     """
-    counts, c, w = flat
-    rows = layer.width
-    r = np.repeat(np.arange(rows), counts)
+    rows, c, w = layer.width, layer.cols, layer.wts
+    r = np.repeat(np.arange(rows), layer.counts)
     # dense form loses entry order, so it is only safe when every
     # row is strictly ascending (the sparse form keeps stored order)
     ascending = bool(np.all(np.diff(c)[r[1:] == r[:-1]] > 0))
@@ -1223,7 +1221,10 @@ def _layer_to_dict(layer, cols, flat):
 
 
 def _layer_from_dict(spec):
-    """The (_Layer, cols) a block written by _layer_to_dict encodes."""
+    """The (_Layer, cols) a block written by _layer_to_dict encodes.
+
+    The layer's arrays are its own, not views into the decoded block.
+    """
     rows_n, cols_n = int(spec["rows"]), int(spec["cols"])
     if "weights" in spec:
         block = np.asarray(spec["weights"], dtype=float)
@@ -1231,8 +1232,7 @@ def _layer_from_dict(spec):
             raise ValueError("dense block has wrong cell count")
         block = block.reshape(rows_n, cols_n)
         r, c = np.nonzero(block)
-        rows = _split_rows(np.bincount(r, minlength=rows_n),
-                           c.astype(np.int64), block[r, c])
+        cols, wts = c.astype(np.int64), block[r, c]
     else:
         # entry order within a row is the stored accumulation order;
         # a stable grouping by row keeps it (merged rows are
@@ -1242,16 +1242,12 @@ def _layer_from_dict(spec):
         if len(r) and (r.min() < 0 or r.max() >= rows_n):
             raise ValueError("sparse entry names a row out of range")
         order = np.argsort(r, kind="stable")
-        cols = ent[order, 1].astype(np.int64)
-        wts = ent[order, 2]
-        counts = np.bincount(r, minlength=rows_n)
-        ends = np.cumsum(counts)
-        rows = [(cols[a:b], wts[a:b])
-                for a, b in zip((ends - counts).tolist(), ends.tolist())]
+        cols, wts = ent[order, 1].astype(np.int64), ent[order, 2]
     if len(spec["bias"]) != rows_n:
         raise ValueError(f"block of {rows_n} rows has {len(spec['bias'])} "
                          "biases")
-    return _Layer(rows, [float(v) for v in spec["bias"]]), cols_n
+    return _Layer(np.bincount(r, minlength=rows_n), cols, wts,
+                  [float(v) for v in spec["bias"]]), cols_n
 
 
 def _json_meta(meta):
@@ -1294,7 +1290,7 @@ def network_to_dict(net):
     layers = []
     col_base = net.input_dim
     for layer in net.layers:
-        layers.append(_layer_to_dict(layer, col_base, layer.flat()))
+        layers.append(_layer_to_dict(layer, col_base))
         col_base += layer.width
     return {"input_dim": net.input_dim, "layers": layers,
             "meta": _json_meta(net.meta)}
@@ -1312,25 +1308,20 @@ def bundle_to_dict(bundle):
     """JSON-ready bundle in the layer-pool layout (BUNDLE_FORMAT).
 
     `layers` holds each distinct layer block once, in first-use order;
-    two layers are one block when their cols, rows, weight bytes and
-    bias bytes agree.  Each member lists its blocks by pool index and
+    two layers are one block when their cols and the bytes of their
+    stored arrays agree.  Each member lists its blocks by pool index and
     keeps its own meta.
     """
-    pool, index_of, seen = [], {}, {}
-    networks = []
+    pool, index_of, networks = [], {}, []
     for net in bundle.networks:
         refs, cols = [], net.input_dim
         for layer in net.layers:
-            i = seen.get((id(layer), cols))
+            key = (cols, layer.counts.tobytes(), layer.cols.tobytes(),
+                   layer.wts.tobytes(), layer.bias.tobytes())
+            i = index_of.get(key)
             if i is None:
-                flat = layer.flat()
-                key = (cols, layer.bias.tobytes()) + tuple(
-                    a.tobytes() for a in flat)
-                i = index_of.get(key)
-                if i is None:
-                    i = index_of[key] = len(pool)
-                    pool.append(_layer_to_dict(layer, cols, flat))
-                seen[id(layer), cols] = i
+                i = index_of[key] = len(pool)
+                pool.append(_layer_to_dict(layer, cols))
             refs.append(i)
             cols += layer.width
         networks.append({"input_dim": net.input_dim, "layers": refs,

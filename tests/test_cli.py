@@ -315,21 +315,28 @@ class TestNetEval:
         assert code == 2
         assert "regenerate the artifact" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [None, "abc,1\n"],
-                             ids=["missing", "non_numeric"])
-    def test_bad_points_file_exits_2(self, cfg_file, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, why", [
+        (None, "cannot read"), ("abc,1\n", "cannot read"),
+        ("", "holds no points"), ("\n\n", "holds no points"),
+        ("0.5,0.5\n0.1,nan\n", "row 2 of"),
+        ("-inf,0.0,1.0\n", "row 1 of")],
+        ids=["missing", "non_numeric", "empty", "blank", "nan", "inf"])
+    def test_bad_points_file_exits_2(self, cfg_file, tmp_path, capsys,
+                                     recwarn, text, why):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0
         pts_file = tmp_path / "pts.csv"
         if text is not None:
             pts_file.write_text(text)
         capsys.readouterr()
+        recwarn.clear()
         code = run("net", "eval", "--bundle",
                    tmp_path / "out" / "bundle_02.json",
                    "--points", pts_file, "--out", tmp_path / "o.csv")
         assert code == 2
+        assert not recwarn.list
         err = capsys.readouterr().err
-        assert "points file" in err and str(pts_file) in err
+        assert "points file" in err and str(pts_file) in err and why in err
         assert "regenerate the artifact" not in err
         assert not (tmp_path / "o.csv").exists()
 

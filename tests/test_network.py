@@ -7,6 +7,7 @@ checked against the certified bounds, and the evaluator is cross-checked
 against a dense all-earlier-columns matrix implementation.
 """
 
+import hashlib
 import json
 import math
 
@@ -52,6 +53,14 @@ def phi1_ref(t):
     a = abs(t)
     mag = a if a <= 1 else (2.0 - a if a < 2 else 0.0)
     return math.copysign(mag, t) if mag else 0.0
+
+
+def layer_of_rows(rows, bias):
+    """A network._Layer from per-row (cols, wts) pairs."""
+    return network._Layer(
+        [len(c) for c, _ in rows],
+        np.concatenate([np.empty(0, dtype=np.int64)] + [c for c, _ in rows]),
+        np.concatenate([np.empty(0)] + [w for _, w in rows]), bias)
 
 
 def dense_forward(net, pts):
@@ -185,16 +194,16 @@ class TestEvaluator:
                  empty],
                 [(np.array([2, 0]), np.array([1.0, 2.0])), empty]]
         rows[layer][-1] = (np.array([0, col]), np.array([1.0, 1.0]))
-        layers = [network._Layer(rows[0], [0.0] * 3),
-                  network._Layer(rows[1], [0.0, 0.0])]
+        layers = [layer_of_rows(rows[0], [0.0] * 3),
+                  layer_of_rows(rows[1], [0.0, 0.0])]
         with pytest.raises(ValueError, match=f"layer {layer} references "
                                              f"column {col}"):
             network.ReluNetwork(2, layers)
 
     def test_columns_within_earlier_layers_accepted(self):
-        layers = [network._Layer([(np.array([1]), np.array([1.0]))], [0.0]),
-                  network._Layer([(np.array([2, 0]), np.array([1.0, 2.0]))],
-                                 [0.5])]
+        layers = [layer_of_rows([(np.array([1]), np.array([1.0]))], [0.0]),
+                  layer_of_rows([(np.array([2, 0]), np.array([1.0, 2.0]))],
+                                [0.5])]
         net = network.ReluNetwork(2, layers)
         assert (net.size, net.depth) == (4, 2)
 
@@ -412,6 +421,129 @@ def reindex_reference(layer, colmap, twin=None):
     return rows
 
 
+def parallelize_reference(nets, coefficients):
+    """parallelize row by row: each member row is remapped and sorted
+    on its own (reindex_reference), carry rows are written one at a
+    time, and each output row joins its per-member pieces ordered by
+    first column."""
+    lam = [float(c) for c in coefficients]
+    d0, p0 = nets[0].input_dim, nets[0].out_dim
+    depth = max(n.depth for n in nets)
+    n_hidden = depth - 1
+    hidden = [([], []) for _ in range(n_hidden)]
+    widths = [[0] * len(nets) for _ in range(n_hidden)]
+    for j, net in enumerate(nets):
+        for li, layer in enumerate(net.layers[:-1]):
+            widths[li][j] = layer.width
+        for li in range(net.depth - 1, n_hidden):
+            widths[li][j] = 2 * p0
+    base = d0
+    offsets = [[0] * len(nets) for _ in range(n_hidden)]
+    for li in range(n_hidden):
+        for j in range(len(nets)):
+            offsets[li][j] = base
+            base += widths[li][j]
+
+    def pm_rows(rows, bias, block):
+        for (c, w), b in zip(rows, bias):
+            block[0].extend([(c, w), (c, -w)])
+            block[1].extend([b, -b])
+
+    outputs = [[] for _ in range(p0)]
+    out_bias = [0.0] * p0
+    for j, net in enumerate(nets):
+        colmap = np.concatenate(
+            [np.arange(d0)] + [offsets[li][j] + np.arange(layer.width)
+                               for li, layer in enumerate(net.layers[:-1])])
+        for li, layer in enumerate(net.layers[:-1]):
+            hidden[li][0].extend(reindex_reference(layer, colmap))
+            hidden[li][1].extend(layer.bias.tolist())
+        final = reindex_reference(net.layers[-1], colmap)
+        final_bias = net.layers[-1].bias.tolist()
+        if net.depth == depth:
+            for r, ((c, w), b) in enumerate(zip(final, final_bias)):
+                outputs[r].append((c, w * lam[j]))
+                out_bias[r] += lam[j] * b
+            continue
+        li = net.depth - 1
+        pm_rows(final, final_bias, hidden[li])
+        carry = [(offsets[li][j] + 2 * r, offsets[li][j] + 2 * r + 1)
+                 for r in range(p0)]
+        for li in range(net.depth, n_hidden):
+            for cp, cm in carry:
+                cols = np.array([cp, cm], dtype=np.int64)
+                hidden[li][0].extend([(cols, np.array([1.0, -1.0])),
+                                      (cols, np.array([-1.0, 1.0]))])
+                hidden[li][1].extend([0.0, 0.0])
+            carry = [(offsets[li][j] + 2 * r, offsets[li][j] + 2 * r + 1)
+                     for r in range(p0)]
+        for r, (cp, cm) in enumerate(carry):
+            outputs[r].append((np.array([cp, cm], dtype=np.int64),
+                               np.array([lam[j], -lam[j]])))
+
+    out_rows = []
+    for r in range(p0):
+        pieces = sorted(outputs[r],
+                        key=lambda piece: piece[0][0] if len(piece[0]) else -1)
+        cols = np.concatenate([np.empty(0, dtype=np.int64)]
+                              + [p[0] for p in pieces])
+        wts = np.concatenate([np.empty(0)] + [p[1] for p in pieces])
+        keep = wts != 0.0
+        out_rows.append((cols[keep], wts[keep]))
+    hidden.append((out_rows, out_bias))
+    meta = {"kind": "parallelize", "raw_W": sum(n.size for n in nets)}
+    return network.ReluNetwork(d0, [layer_of_rows(*b) for b in hidden], meta)
+
+
+_WEIGHTS = st.sampled_from([1.0, -1.0, 0.5, -2.25, 0.0, -0.0, 3e-310, 7.0])
+
+
+@st.composite
+def _networks(draw, input_dim, out_dim):
+    """A network with random rows: columns in any order, repeated
+    columns, zero and -0.0 weights and biases, empty rows."""
+    widths = draw(st.lists(st.integers(1, 3), max_size=3)) + [out_dim]
+    layers, cols = [], input_dim
+    for width in widths:
+        rows = []
+        for _ in range(width):
+            entries = draw(st.lists(st.tuples(st.integers(0, cols - 1),
+                                               _WEIGHTS), max_size=4))
+            rows.append((np.array([c for c, _ in entries], dtype=np.int64),
+                         np.array([w for _, w in entries], dtype=float)))
+        layers.append(layer_of_rows(rows, draw(st.lists(
+            _WEIGHTS, min_size=width, max_size=width))))
+        cols += width
+    return network.ReluNetwork(input_dim, layers)
+
+
+@st.composite
+def _members(draw):
+    d0, p0 = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    nets = draw(st.lists(_networks(d0, p0), min_size=1, max_size=4))
+    lam = draw(st.lists(st.sampled_from([1.0, -0.5, 0.0, 2.0, 1e-300]),
+                        min_size=len(nets), max_size=len(nets)))
+    if draw(st.booleans()):
+        # the same member twice with cancelling coefficients
+        nets.append(nets[0])
+        lam.append(-lam[0])
+    return nets, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(_members())
+def test_parallelize_matches_row_reference(members):
+    nets, lam = members
+    got = parallelize(nets, lam)
+    want = parallelize_reference(nets, lam)
+    assert got.meta == want.meta
+    assert (got.input_dim, got.widths) == (want.input_dim, want.widths)
+    for a, b in zip(got.layers, want.layers):
+        for name in ("counts", "cols", "wts", "bias"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 class TestReindex:
     @pytest.mark.parametrize("use_twin", [False, True])
     def test_matches_per_entry_reference(self, use_twin):
@@ -420,18 +552,20 @@ class TestReindex:
                 (np.empty(0, dtype=np.int64), np.empty(0)),
                 (np.array([0, 2, 0]), np.array([3.0, -1.0, 0.25])),
                 (np.array([3, 2, 1, 0]), np.array([1.0, 2.0, 3.0, 4.0]))]
-        layer = network._Layer(rows, [0.0] * len(rows))
+        layer = layer_of_rows(rows, [0.0] * len(rows))
         colmap = np.array([9, 3, 20, 4, 11], dtype=np.int64)
         twin = np.array([10, -1, 21, -1, -1], dtype=np.int64)
         twin = twin if use_twin else None
-        got = network._reindex(layer, colmap, twin)
+        got, = network._sorted_layers(
+            *network._reindex([layer], colmap, twin), [layer.width])
         want = reindex_reference(layer, colmap, twin)
-        assert len(got) == len(want)
-        for (gc, gw), (wc, ww) in zip(got, want):
-            assert gc.dtype == np.int64 and gw.dtype == np.float64
+        assert got.cols.dtype == np.int64 and got.wts.dtype == np.float64
+        # the new layer owns its arrays: no view into the old layer's
+        assert got.cols.base is None and got.wts.base is None
+        assert got.width == len(want)
+        for (gc, gw), (wc, ww) in zip(got.rows, want):
             assert gc.tobytes() == wc.tobytes()
             assert gw.tobytes() == ww.tobytes()
-            assert gc.base is None and gw.base is None
 
 
 class TestPhiTriple:
@@ -606,11 +740,11 @@ class TestSerialization:
 
         empty = (np.empty(0, dtype=np.int64), np.empty(0))
         with_empty = network.ReluNetwork(2, [
-            network._Layer([(np.array([0, 1]), np.array([1.0, -0.5])), empty,
-                            (np.array([1]), np.array([-0.0]))],
-                           [0.0, -0.0, 1.5]),
-            network._Layer([(np.array([4, 2, 0]), np.array([1.0, 2.0, 3.0])),
-                            empty], [0.25, 0.0])], {"kind": "test"})
+            layer_of_rows([(np.array([0, 1]), np.array([1.0, -0.5])), empty,
+                           (np.array([1]), np.array([-0.0]))],
+                          [0.0, -0.0, 1.5]),
+            layer_of_rows([(np.array([4, 2, 0]), np.array([1.0, 2.0, 3.0])),
+                           empty], [0.25, 0.0])], {"kind": "test"})
         merged = assemble_phi_triple(
             MultiIndex(((1, 1), (2, 1))), (1, -1), None, 2.0, 1e-5)
         plan = _small_plan()
@@ -699,6 +833,24 @@ class TestBundlePool:
 def _small_plan():
     model = WeightModel(q=2.0 / 3.0, rho=[1.5, 2.5, 4.0], tail=(2.0, 2.0))
     return build_plan(6.0, model)
+
+
+@pytest.mark.parametrize("delta, digest", [
+    (1e-5, "02896e75844538c6b9e54da459a11183b4700d314e0db67f4aecbde338e82c79"),
+    ("auto",
+     "6a6d5c3fee28f231c027dab05f8673a07defc6bdaa752f9729e09f0edb2b09f5")],
+    ids=["fixed_delta", "auto_delta"])
+def test_bundle_json_is_unchanged(delta, digest):
+    """SHA-256 of the bundle JSON text, written as the CLI writes it,
+    recorded while layers still held one pair of arrays per row: the
+    flat CSR layers change no byte of the artifact."""
+    plan = _small_plan()
+    if delta == "auto":
+        delta = compute_delta(plan, 2.0)
+    bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta, 2.0)
+    text = json.dumps(bundle_to_dict(bundle), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSurrogate:
@@ -882,6 +1034,9 @@ class TestSurrogate:
         for net, spec in zip(back.networks, d["networks"]):
             for layer, i in zip(net.layers, spec["layers"]):
                 assert owner.setdefault(i, layer) is layer
+                # no view into a decoded block's buffer
+                assert layer.cols.base is None and layer.wts.base is None
+        assert {"weights", "entries"} <= {k for spec in pool for k in spec}
         assert len({id(layer) for net in back.networks
                     for layer in net.layers}) == len(pool)
         for a, b in zip(bundle.networks, back.networks):
