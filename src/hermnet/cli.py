@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import sys
 import time
 import warnings
@@ -58,6 +59,9 @@ CSV_COLUMNS = ("xi", "n_solvers", "n_unique_points", "W", "L",
 
 _NUMERIC_ERRORS = (ArithmeticError, ValueError, RuntimeError,
                    np.linalg.LinAlgError)
+
+# points per `net eval` block: bounds its working memory, not its output
+_NET_EVAL_BLOCK = 256
 
 
 class ConfigError(ValueError):
@@ -608,6 +612,13 @@ def cmd_sweep(cfg, out_dir, args):
 
 
 def cmd_net_eval(args):
+    """Evaluate a bundle artifact at every point of a CSV file.
+
+    The points run in blocks of _NET_EVAL_BLOCK, each written before the
+    next is evaluated, so memory does not grow with the point count.  The
+    rows go to a temporary file beside --out that replaces it after the
+    last block; on a failure an existing --out is left as it was.
+    """
     art = _read_artifact(args.bundle, "bundle", None)
     with _parsing(args.bundle):
         bundle = bundle_from_dict(art["bundle"])
@@ -617,6 +628,7 @@ def cmd_net_eval(args):
             samples = samples[:, None]
         samples = samples[np.asarray(art["point_ref"], dtype=int)]
         dim = int(art["input_dim"])
+    del art
 
     try:
         with warnings.catch_warnings():  # a file without data: below
@@ -635,9 +647,26 @@ def cmd_net_eval(args):
     if bad.size:
         raise ConfigError(f"row {bad[0] + 1} of points file {args.points} "
                           "has a non-finite coordinate (nan or inf)")
-    out = surrogate_eval(bundle, signs, samples, pts[:, :dim])
-    lines = [",".join(map(repr, row.tolist())) for row in out]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = Path(args.out)
+    if out.is_dir():
+        raise ConfigError(f"output file {out} is a directory")
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out} ({exc})") from exc
+    try:
+        with fh:
+            for start in range(0, pts.shape[0], _NET_EVAL_BLOCK):
+                block = surrogate_eval(
+                    bundle, signs, samples,
+                    pts[start:start + _NET_EVAL_BLOCK, :dim])
+                fh.write("".join([",".join(map(repr, row)) + "\n"
+                                  for row in block.tolist()]))
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     print(f"net eval: {pts.shape[0]} points -> {args.out}")
     return EXIT_OK
 

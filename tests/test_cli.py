@@ -18,7 +18,11 @@ from hermnet.cli import (
 )
 from hermnet.hermite import NodeFamily
 from hermnet.indices import build_plan
-from hermnet.network import assemble_surrogate, recount_size
+from hermnet.network import (
+    assemble_surrogate,
+    recount_size,
+    surrogate_eval,
+)
 
 CSV_COLUMNS = ("xi", "n_solvers", "n_unique_points", "W", "L",
                "l2_error", "l2_stderr", "sup_error",
@@ -252,15 +256,18 @@ def _bundle_not_object(path):
     path.write_text(json.dumps(art))
 
 
+def _write_points(path, pts):
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                            for row in pts))
+    return path
+
+
 class TestNetEval:
     def test_matches_in_memory_evaluator_bitwise(self, cfg_file, tmp_path):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0
         pts = np.array([[0.3, -0.5], [1.2, 0.1], [-2.0, 2.5], [0.0, 0.0]])
-        pts_file = tmp_path / "pts.csv"
-        pts_file.write_text(
-            "\n".join(",".join(repr(float(v)) for v in row)
-                      for row in pts) + "\n")
+        pts_file = _write_points(tmp_path / "pts.csv", pts)
         out_file = tmp_path / "vals.csv"
         assert run("net", "eval", "--bundle",
                    tmp_path / "out" / "bundle_02.json",
@@ -339,6 +346,82 @@ class TestNetEval:
         assert "points file" in err and str(pts_file) in err and why in err
         assert "regenerate the artifact" not in err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_many_blocks_match_one_shot_bytes(self, cfg_file, tmp_path,
+                                              monkeypatch):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        block = cli._NET_EVAL_BLOCK
+        pts = np.random.default_rng(3).standard_normal((2 * block + 3, 2))
+        pts_file = _write_points(tmp_path / "pts.csv", pts)
+        rows = []
+
+        def recording(bundle, signs, samples, block_pts):
+            rows.append(block_pts.shape[0])
+            return surrogate_eval(bundle, signs, samples, block_pts)
+
+        monkeypatch.setattr(cli, "surrogate_eval", recording)
+        out_file = tmp_path / "vals.csv"
+        assert run("net", "eval", "--bundle",
+                   tmp_path / "out" / "bundle_02.json",
+                   "--points", pts_file, "--out", out_file) == 0
+        assert max(rows) <= block and sum(rows) == pts.shape[0]
+
+        cfg = load_config(cfg_file)
+        plan = build_plan(6.0, build_model(cfg))
+        art = json.loads(
+            (tmp_path / "out" / "samples_02.json").read_text())
+        _, net = assemble_surrogate(plan, np.asarray(art["values"]),
+                                    1e-4, 2.0)
+        direct = net(pts[:, :max(plan.m_active, 1)])
+        want = "".join(",".join(map(repr, row)) + "\n"
+                       for row in direct.tolist())
+        assert out_file.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("target", ["missing/vals.csv", "out"],
+                             ids=["missing_dir", "directory"])
+    def test_unwritable_out_exits_2_before_eval(self, cfg_file, tmp_path,
+                                                capsys, monkeypatch, target):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        pts_file = _write_points(tmp_path / "pts.csv", np.zeros((3, 2)))
+        calls = []
+        monkeypatch.setattr(cli, "surrogate_eval",
+                            lambda *a: calls.append(a))
+        capsys.readouterr()
+        out = tmp_path / target
+        code = run("net", "eval", "--bundle",
+                   tmp_path / "out" / "bundle_02.json",
+                   "--points", pts_file, "--out", out)
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+        assert not calls
+
+    def test_failed_block_leaves_existing_out(self, cfg_file, tmp_path,
+                                              monkeypatch):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        pts = np.zeros((2 * cli._NET_EVAL_BLOCK, 2))
+        pts_file = _write_points(tmp_path / "pts.csv", pts)
+        out_file = tmp_path / "vals.csv"
+        out_file.write_text("0.5\n")
+        before = sorted(tmp_path.iterdir())
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("evaluation failed")
+            return surrogate_eval(*args)
+
+        monkeypatch.setattr(cli, "surrogate_eval", failing)
+        code = run("net", "eval", "--bundle",
+                   tmp_path / "out" / "bundle_02.json",
+                   "--points", pts_file, "--out", out_file)
+        assert code == 3
+        assert len(calls) == 2
+        assert out_file.read_bytes() == b"0.5\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_rejects_json_array(self, tmp_path, capsys):
         bundle = tmp_path / "b.json"
