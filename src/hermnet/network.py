@@ -22,27 +22,27 @@ member output is unchanged to the bit.
 
 A compile fills that shared network's unit table (_UnitTable) directly
 instead of building per-triple networks.  Each monomial gadget product
-is built once per compile, and each distinct (s-e, k) keeps a recipe:
-its monomial networks, their coefficients lambda_j and its depth.  On
+is built once per compile, and each distinct (s-e, k) keeps a recipe
+(_Recipe): its monomial networks, their coefficients lambda_j and its
+depth; an empty s-e is the one-monomial recipe of a plateau gadget.  On
 first use a recipe hash-conses its monomials' hidden rows and carry
 units into the table and gives its output row over the table and its
-W, as parallelize would build them, without building them.  The
-per-triple networks are lazy projections: `NetworkBundle.networks`
-builds them from the recipes through parallelize on first access, and
-W and L remain those of the per-triple networks.  The bundle artifact
-(format 2) stores each distinct layer block of those networks once in a
-pool and each member as a list of pool indices; a reload builds every
-pooled block into one layer that all members using it share, and the
-same table routine hash-conses the reloaded members.  A layer is one
-CSR array triple (entries per row, columns, weights) and its biases;
-network algebra, serialization and the unit table move whole arrays
-(parallelize: one column gather per member net, one stable sort).
+W, as parallelize would build them, without building them.  W and L
+remain those of the per-triple networks, which `NetworkBundle.networks`
+builds through parallelize only when read.  The bundle artifact
+(format 3) stores each distinct layer of the monomial networks once in
+a pool, each monomial network as a list of pool indices and each member
+as its recipe; a reload rebuilds the recipes over one unit table.  A
+layer is one CSR array triple (entries per row, columns, weights) and
+its biases; network algebra, serialization and the unit table move
+whole arrays (parallelize: one column gather per member net, one
+stable sort).
 
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
 identity with piecewise-linear refinement chains, network algebra
 (parallelize / concatenate) with explicit size and depth accounting,
-the compiler turning Lagrange monomial tables into per-triple networks,
+the compiler turning Lagrange monomial tables into per-triple recipes,
 and the accuracy parameter delta derived from a collocation plan.
 """
 
@@ -58,16 +58,13 @@ from .hermite import NodeFamily
 from .indices import p_weight
 from .lagrange import lagrange_coeffs
 
-# Width*cols threshold below which a layer serializes as a dense
-# row-major block; larger layers use the sparse entries form.
-_DENSE_CELL_LIMIT = 4096
-
 # Cells (network columns x points) of the activation buffer one
 # eval_batch chunk may use: 32 MiB of float64.
 _EVAL_CELL_LIMIT = 1 << 22
 
-# Layout of bundle_to_dict's output: 2 is the layer pool.
-BUNDLE_FORMAT = 2
+# Layout of bundle_to_dict's output: 3 stores each member as its recipe
+# over pooled monomial networks.
+BUNDLE_FORMAT = 3
 
 # Pointwise certificates below float64 evaluation noise are unverifiable;
 # delta is floored here and both values are reported.
@@ -743,8 +740,8 @@ class _UnitTable:
     def intern(self, net):
         """Canonical column of each input and hidden column of net, its
         hidden rows interned.  A network whose hidden layers are objects
-        already interned (a repeated triple, or members sharing pooled
-        layers after bundle_from_dict) reuses their columns."""
+        already interned (a monomial shared by several recipes, or by
+        several members after bundle_from_dict) reuses their columns."""
         hidden = tuple(net.layers[:-1])
         canon = self._canon.get(hidden)
         if canon is None:
@@ -759,12 +756,6 @@ class _UnitTable:
                     col += 1
             self._canon[hidden] = canon
         return canon
-
-    def output_row(self, net):
-        """A scalar network's output row over canonical columns, as
-        (columns, weights, bias)."""
-        (cols, wts), = net.layers[-1].rows
-        return self.intern(net)[cols], wts, net.layers[-1].bias[0]
 
     def carried(self, ids, wts, bias, levels):
         """Canonical columns of the sigma(v), sigma(-v) pair for the row
@@ -811,7 +802,7 @@ class _Recipe:
     `depth` is the deepest monomial's.  `row` and `size` place the
     network in the _UnitTable `table` on first use, without building it:
     its output row over canonical columns and its size W.  `network`
-    builds it through parallelize.
+    builds it through parallelize; nothing else does.
     """
 
     __slots__ = ("input_dim", "monos", "lams", "meta", "depth", "table",
@@ -833,14 +824,12 @@ class _Recipe:
         return self._place()[1]
 
     def network(self, label):
-        """The network parallelize builds, once.  Under another label
-        than the recipe's (a repeated triple) it is a new network over
-        the same layers."""
+        """The network parallelize builds, labelled `label`.  It is
+        built once; each call gives a new network over its layers, so a
+        repeated triple shares them."""
         if self._net is None:
             self._net = parallelize(self.monos, self.lams)
             self._net.meta.update(self.meta)
-        if label is self.meta["label"]:
-            return self._net
         return ReluNetwork(self.input_dim, self._net.layers,
                            dict(self._net.meta, label=label))
 
@@ -905,18 +894,17 @@ def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
     the certificate weight of this triple: the network is within
     delta * coeff_abs_sum of its polynomial on the plateau box.
     """
-    member = _compile_triple(s_minus_e, k, _coeff_source(coeffs), omega,
-                             delta, input_dim, gate_coord, label, {}, None)
-    return member.network(label) if isinstance(member, _Recipe) else member
+    return _compile_triple(s_minus_e, k, _coeff_source(coeffs), omega, delta,
+                           input_dim, gate_coord, {}, None).network(label)
 
 
 def _compile_triple(s_minus_e, k, source, omega, delta, input_dim,
-                    gate_coord, label, monomials, table):
-    """assemble_phi_triple's network, or its _Recipe over the unit table
-    `table` when s-e is not empty.  Each monomial network comes from
-    `monomials` (factor tuple -> network) when there and is added when
-    not.  The networks also depend on omega, delta and the input
-    dimension, so one dict serves one compile."""
+                    gate_coord, monomials, table):
+    """The _Recipe of assemble_phi_triple's network over the unit table
+    `table`.  Each monomial network comes from `monomials` (factor tuple
+    -> network) when there and is added when not.  The networks also
+    depend on omega, delta and the input dimension, so one dict serves
+    one compile."""
     if omega < 1:
         raise ValueError("omega must be >= 1")
     if not 0.0 < delta < 1.0:
@@ -930,59 +918,51 @@ def _compile_triple(s_minus_e, k, source, omega, delta, input_dim,
     dim = max([input_dim or 0, max(coords, default=0), gate_coord])
     dim = max(dim, 1)
 
-    if not pairs:
-        b = _NetBuilder(dim)
-        expr = _phi0_expr(b, gate_coord - 1, inv, base=1)
-        net = b.finalize([(expr, 0.0)], meta={
-            "kind": "phi_triple", "label": label, "delta": delta,
-            "omega": omega, "coeff_abs_sum": 1.0})
-        return net
-
     tables = [np.asarray(source(m).coeffs(kk), dtype=float)
               for (_, m), kk in zip(pairs, k)]
-    monos, lams = [], []
+    terms = []  # (gadget factors, lambda) per monomial
     for exps in itertools.product(*(range(m + 1) for _, m in pairs)):
         b_l = 1.0
         for tab, e in zip(tables, exps):
             b_l *= tab[e]
         if b_l == 0.0:
             continue
-        monos.append(exps)
-        lams.append(b_l * scale ** sum(exps))
-
-    nets = []
-    for exps in monos:
         factors = []
         for (j, _), e in zip(pairs, exps):
             if e == 0:
                 factors.append((j - 1, "phi0"))
             else:
                 factors.extend([(j - 1, "phi1")] * e)
-        key = tuple(factors)
+        terms.append((tuple(factors), b_l * scale ** sum(exps)))
+    if not pairs:  # s-e = 0: one plateau gadget on the gate coordinate
+        terms = [(((gate_coord - 1, "phi0"),), 1.0)]
+
+    nets = []
+    for key, _ in terms:
         if key not in monomials:
             b = _NetBuilder(dim)
-            expr = _gadget_product_expr(b, factors, inv, delta)
+            expr = _gadget_product_expr(b, key, inv, delta)
             monomials[key] = b.finalize([(expr, 0.0)])
         nets.append(monomials[key])
+    lams = [lam for _, lam in terms]
     return _Recipe(nets, lams, {
-        "kind": "phi_triple", "label": label, "delta": delta,
-        "omega": omega, "coeff_abs_sum": float(np.sum(np.abs(lams)))},
-        table)
+        "kind": "phi_triple", "delta": delta, "omega": omega,
+        "coeff_abs_sum": float(np.sum(np.abs(lams)))}, table)
 
 
 class NetworkBundle:
     """Per-triple scalar networks sharing one input dimension.
 
-    `members` holds each triple's ReluNetwork, or, from a compile
-    until `networks` is read, its _Recipe (a repeated triple's recipe
-    is the same object), with `unit_table` the _UnitTable the recipes
-    are placed in.  W is the sum and L the maximum of the members'
-    sizes and depths, and the labels list is parallel to the members.
-    The members are merged only for evaluation, in `shared`, which W
-    and L do not count.
+    `members` holds each triple's _Recipe (a repeated triple's recipe is
+    the same object), all placed in one _UnitTable.  W is the sum and L
+    the maximum of the members' sizes and depths, and the labels list is
+    parallel to the members.  The members are merged only for
+    evaluation, in `shared`, which W and L do not count.
     """
 
-    def __init__(self, members, labels, meta=None, unit_table=None):
+    def __init__(self, members, labels, meta=None):
+        if not members:
+            raise ValueError("a bundle needs at least one member")
         if len(members) != len(labels):
             raise ValueError("labels must be parallel to networks")
         dims = {m.input_dim for m in members}
@@ -990,9 +970,8 @@ class NetworkBundle:
             raise ValueError("member networks disagree on input dimension")
         self.members = list(members)
         self.labels = list(labels)
-        self.input_dim = dims.pop() if dims else 0
+        self.input_dim = dims.pop()
         self.meta = dict(meta or {})
-        self._table = unit_table
 
     def __len__(self):
         return len(self.members)
@@ -1007,29 +986,21 @@ class NetworkBundle:
 
     @functools.cached_property
     def networks(self):
-        """The member networks.  A compiled bundle builds them from its
-        recipes on first access and then holds them alone: recipes and
-        unit table are released, so the two forms never coexist, and a
-        `shared` not yet built interns the networks instead (the same
-        network, bit for bit)."""
-        self.members = [m.network(label) if isinstance(m, _Recipe) else m
-                        for m, label in zip(self.members, self.labels)]
-        self._table = None
-        return list(self.members)
+        """The member networks as parallelize builds them, each under
+        its label: a view for inspection, built on first access.  It
+        never changes `members`, and evaluation does not read it."""
+        return [m.network(label)
+                for m, label in zip(self.members, self.labels)]
 
     @functools.cached_property
     def shared(self):
         """One network whose output t is member t's output, bit for bit.
 
         Each distinct hidden unit is held once (see _UnitTable), and the
-        final layer holds each member's output row in its stored order.
-        A recipe's row is placed in the compile's unit table; a member
-        network has its hidden rows interned into it here.
+        final layer holds each member's output row, placed in the unit
+        table of the recipes.
         """
-        table = self._table or _UnitTable(self.input_dim)
-        return table.network([m.row if isinstance(m, _Recipe)
-                              else table.output_row(m)
-                              for m in self.members])
+        return self.members[0].table.network([m.row for m in self.members])
 
 
 def surrogate_eval(bundle, signs, samples, pts):
@@ -1070,8 +1041,7 @@ def assemble_surrogate(plan, samples, delta, omega):
                          f"(got {samples.shape[0]} for {plan.n_triples})")
     dim = max(plan.m_active, 1)
     source = _coeff_source(None)
-    # each distinct triple and monomial is compiled once; a repeated
-    # plateau triple shares its layers, a repeated recipe is reused
+    # each distinct triple and monomial is compiled once
     built, monomials = {}, {}
     table = _UnitTable(dim)
     members, labels, signs = [], [], []
@@ -1082,21 +1052,16 @@ def assemble_surrogate(plan, samples, delta, omega):
         label = {"s": [list(p) for p in s.pairs],
                  "e": list(t.e_mask), "k": list(t.k)}
         key = (sme.pairs, tuple(t.k), None if sme.pairs else gate)
-        member = built.get(key)
-        if member is None:
-            member = built[key] = _compile_triple(
-                sme, t.k, source, omega, delta, dim, gate, label, monomials,
-                table)
-        elif not isinstance(member, _Recipe):
-            member = ReluNetwork(dim, member.layers,
-                                 dict(member.meta, label=label))
-        members.append(member)
+        if key not in built:
+            built[key] = _compile_triple(sme, t.k, source, omega, delta, dim,
+                                         gate, monomials, table)
+        members.append(built[key])
         labels.append(label)
         signs.append(float(t.sign))
     signs = np.asarray(signs)
     bundle = NetworkBundle(members, labels, meta={
         "xi": plan.xi, "delta": delta, "omega": omega,
-        "n_triples": plan.n_triples}, unit_table=table)
+        "n_triples": plan.n_triples})
 
     def evaluator(y):
         y_arr = np.asarray(y, dtype=float)
@@ -1198,25 +1163,10 @@ def compute_delta(plan, omega, w=None, K=None, *, return_info=False):
 # serialization
 
 def _layer_to_dict(layer, cols):
-    """JSON-ready block of one layer over `cols` earlier columns.
-
-    Small blocks are dense row-major; large ones use sparse
-    [row, col, weight] entries (ascending), which round-trips the exact
-    row order either way.
-    """
-    rows, c, w = layer.width, layer.cols, layer.wts
-    r = np.repeat(np.arange(rows), layer.counts)
-    # dense form loses entry order, so it is only safe when every
-    # row is strictly ascending (the sparse form keeps stored order)
-    ascending = bool(np.all(np.diff(c)[r[1:] == r[:-1]] > 0))
-    if rows * cols <= _DENSE_CELL_LIMIT and ascending:
-        block = np.zeros((rows, cols))
-        block[r, c] = w
-        return {"rows": rows, "cols": cols,
-                "weights": block.ravel().tolist(),
-                "bias": layer.bias.tolist()}
-    entries = list(map(list, zip(r.tolist(), c.tolist(), w.tolist())))
-    return {"rows": rows, "cols": cols, "entries": entries,
+    """JSON-ready block of one layer over `cols` earlier columns: its
+    CSR arrays, each row's entries in stored order."""
+    return {"cols": cols, "counts": layer.counts.tolist(),
+            "columns": layer.cols.tolist(), "weights": layer.wts.tolist(),
             "bias": layer.bias.tolist()}
 
 
@@ -1224,138 +1174,110 @@ def _layer_from_dict(spec):
     """The (_Layer, cols) a block written by _layer_to_dict encodes.
 
     The layer's arrays are its own, not views into the decoded block.
+    Raises ValueError for a negative count or column, counts that do not
+    sum to the number of columns and of weights, or not one bias per row.
     """
-    rows_n, cols_n = int(spec["rows"]), int(spec["cols"])
-    if "weights" in spec:
-        block = np.asarray(spec["weights"], dtype=float)
-        if block.size != rows_n * cols_n:
-            raise ValueError("dense block has wrong cell count")
-        block = block.reshape(rows_n, cols_n)
-        r, c = np.nonzero(block)
-        cols, wts = c.astype(np.int64), block[r, c]
-    else:
-        # entry order within a row is the stored accumulation order;
-        # a stable grouping by row keeps it (merged rows are
-        # deliberately not globally sorted)
-        ent = np.asarray(spec["entries"], dtype=float).reshape(-1, 3)
-        r = ent[:, 0].astype(np.int64)
-        if len(r) and (r.min() < 0 or r.max() >= rows_n):
-            raise ValueError("sparse entry names a row out of range")
-        order = np.argsort(r, kind="stable")
-        cols, wts = ent[order, 1].astype(np.int64), ent[order, 2]
-    if len(spec["bias"]) != rows_n:
-        raise ValueError(f"block of {rows_n} rows has {len(spec['bias'])} "
+    counts = np.array(spec["counts"], dtype=np.int64)
+    cols = np.array(spec["columns"], dtype=np.int64)
+    wts = np.array(spec["weights"], dtype=float)
+    bias = np.array(spec["bias"], dtype=float)
+    if np.any(counts < 0) or np.any(cols < 0):
+        raise ValueError("block has a negative count or column")
+    if not counts.sum() == len(cols) == len(wts):
+        raise ValueError(f"block counts sum to {counts.sum()} for "
+                         f"{len(cols)} columns and {len(wts)} weights")
+    if len(bias) != len(counts):
+        raise ValueError(f"block of {len(counts)} rows has {len(bias)} "
                          "biases")
-    return _Layer(np.bincount(r, minlength=rows_n), cols, wts,
-                  [float(v) for v in spec["bias"]]), cols_n
+    return _Layer(counts, cols, wts, bias), int(spec["cols"])
 
 
-def _json_meta(meta):
-    return {k: v for k, v in meta.items() if _json_safe(v)}
-
-
-def _json_safe(v):
-    if isinstance(v, (str, int, float, bool, type(None))):
-        return True
-    if isinstance(v, (list, tuple)):
-        return all(_json_safe(x) for x in v)
-    if isinstance(v, dict):
-        return all(isinstance(k, str) and _json_safe(x) for k, x in v.items())
-    return False
-
-
-def _network_from_blocks(input_dim, blocks, meta):
-    """Network over decoded (layer, cols) blocks.
-
-    Each block's cols must be the running column count where it sits,
-    and a stored W or L in `meta` must equal the recount.
-    """
+def _network_from_blocks(input_dim, blocks):
+    """Network over decoded (layer, cols) blocks; each block's cols must
+    be the running column count where it sits."""
     cols = input_dim
     for li, (layer, block_cols) in enumerate(blocks):
         if block_cols != cols:
             raise ValueError(f"layer {li} block has {block_cols} columns "
                              f"but sits over {cols}")
         cols += layer.width
-    net = ReluNetwork(input_dim, [layer for layer, _ in blocks], meta)
-    # the constructor recounted W and L from the rows into net.meta
-    for key in ("W", "L"):
-        if key in meta and meta[key] != net.meta[key]:
-            raise ValueError(
-                f"stored {key} {meta[key]} != recount {net.meta[key]}")
-    return net
+    return ReluNetwork(input_dim, [layer for layer, _ in blocks])
 
 
-def network_to_dict(net):
-    """JSON-ready form: per-layer blocks over all earlier columns."""
-    layers = []
-    col_base = net.input_dim
-    for layer in net.layers:
-        layers.append(_layer_to_dict(layer, col_base))
-        col_base += layer.width
-    return {"input_dim": net.input_dim, "layers": layers,
-            "meta": _json_meta(net.meta)}
-
-
-def network_from_dict(data):
-    """Rebuild a network; validates the recorded size and depth."""
-    return _network_from_blocks(
-        int(data["input_dim"]),
-        [_layer_from_dict(spec) for spec in data["layers"]],
-        data.get("meta", {}))
+def _pick(items, refs, what):
+    """items[i] for each index in refs; ValueError for an empty list or
+    an index outside items."""
+    bad = [i for i in refs if not 0 <= i < len(items)]
+    if bad or not refs:
+        raise ValueError(f"{what} list {refs!r} names no entry or one "
+                         f"outside the {len(items)} stored")
+    return [items[i] for i in refs]
 
 
 def bundle_to_dict(bundle):
-    """JSON-ready bundle in the layer-pool layout (BUNDLE_FORMAT).
+    """JSON-ready bundle in the layout BUNDLE_FORMAT names.
 
-    `layers` holds each distinct layer block once, in first-use order;
-    two layers are one block when their cols and the bytes of their
-    stored arrays agree.  Each member lists its blocks by pool index and
-    keeps its own meta.
+    `layers` holds each distinct layer of the monomial networks once, in
+    first-use order; two layers are one block when their cols and the
+    bytes of their arrays agree.  `monomials` lists each monomial
+    network's blocks by pool index, and each member of `networks` its
+    recipe: its monomials by index, their lambdas and its meta.
     """
-    pool, index_of, networks = [], {}, []
-    for net in bundle.networks:
-        refs, cols = [], net.input_dim
-        for layer in net.layers:
-            key = (cols, layer.counts.tobytes(), layer.cols.tobytes(),
-                   layer.wts.tobytes(), layer.bias.tobytes())
-            i = index_of.get(key)
-            if i is None:
-                i = index_of[key] = len(pool)
-                pool.append(_layer_to_dict(layer, cols))
-            refs.append(i)
-            cols += layer.width
-        networks.append({"input_dim": net.input_dim, "layers": refs,
-                         "meta": _json_meta(net.meta)})
+    pool, block_of, monomials, mono_of, networks = [], {}, [], {}, []
+    for member in bundle.members:
+        for net in member.monos:
+            if id(net) in mono_of:
+                continue
+            refs, cols = [], net.input_dim
+            for layer in net.layers:
+                key = (cols, layer.counts.tobytes(), layer.cols.tobytes(),
+                       layer.wts.tobytes(), layer.bias.tobytes())
+                if key not in block_of:
+                    block_of[key] = len(pool)
+                    pool.append(_layer_to_dict(layer, cols))
+                refs.append(block_of[key])
+                cols += layer.width
+            mono_of[id(net)] = len(monomials)
+            monomials.append(refs)
+        networks.append({"monomials": [mono_of[id(n)] for n in member.monos],
+                         "lambdas": member.lams, "meta": member.meta})
     return {"format": BUNDLE_FORMAT, "meta": dict(bundle.meta),
             "input_dim": bundle.input_dim, "W": bundle.W, "L": bundle.L,
-            "layers": pool, "networks": networks, "labels": bundle.labels}
+            "layers": pool, "monomials": monomials, "networks": networks,
+            "labels": bundle.labels}
 
 
 def bundle_from_dict(data):
     """Rebuild a bundle written by bundle_to_dict.
 
-    Each pool block becomes one _Layer that every member referencing it
-    shares.  Raises ValueError for another format, a missing field, a
-    pool index out of range, a block whose cols is not the running
-    column count where a member uses it, or a stored W or L (member or
-    bundle) that differs from the recount.
+    Each pool block becomes one _Layer that every monomial network
+    referencing it shares, and the members' recipes are placed in one
+    new _UnitTable.  Raises ValueError for another format, a missing
+    field, a malformed block (see _layer_from_dict), an index outside
+    the pool or the monomials, a member without monomials or with a
+    lambda count other than its monomial count, a block whose cols is
+    not the running column count where it is used, or a stored W or L
+    that differs from the recount.
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
         raise ValueError(f"bundle format {fmt!r} is not {BUNDLE_FORMAT}")
     try:
+        dim = int(data["input_dim"])
         pool = [_layer_from_dict(spec) for spec in data["layers"]]
-        nets = []
-        for t, spec in enumerate(data["networks"]):
-            refs = spec["layers"]
-            bad = [i for i in refs if not 0 <= i < len(pool)]
-            if bad:
-                raise ValueError(f"network {t} names layer {bad[0]} outside "
-                                 f"the pool of {len(pool)}")
-            nets.append(_network_from_blocks(
-                int(spec["input_dim"]), [pool[i] for i in refs],
-                spec["meta"]))
-        bundle = NetworkBundle(nets, data["labels"], meta=data.get("meta"))
+        monos = [_network_from_blocks(dim, _pick(pool, refs, "monomial layer"))
+                 for refs in data["monomials"]]
+        table = _UnitTable(dim)
+        members = []
+        for spec in data["networks"]:
+            nets = _pick(monos, spec["monomials"], "member monomial")
+            if len(spec["lambdas"]) != len(nets):
+                raise ValueError(f"member {len(members)} has "
+                                 f"{len(spec['lambdas'])} lambdas for "
+                                 f"{len(nets)} monomials")
+            members.append(_Recipe(nets, spec["lambdas"], spec["meta"],
+                                   table))
+        bundle = NetworkBundle(members, data["labels"], meta=data.get("meta"))
         stored = (data["W"], data["L"])
     except KeyError as exc:
         raise ValueError(f"bundle lacks field {exc.args[0]!r}") from None

@@ -229,25 +229,23 @@ class TestCompileCmd:
         assert (tmp_path / "out" / "bundle_00.json").read_bytes() == first
 
 
-def _old_layout(path):
-    """Rewrite a bundle artifact in the layout before the layer pool."""
-    art = json.loads(path.read_text())
-    pool = art["bundle"].pop("layers")
-    del art["bundle"]["format"]
-    for spec in art["bundle"]["networks"]:
-        spec["layers"] = [pool[i] for i in spec["layers"]]
-    path.write_text(json.dumps(art))
+def _edit_bundle(edit):
+    """Damage that applies edit to a bundle artifact's bundle dict."""
+    def damage(path):
+        art = json.loads(path.read_text())
+        edit(art["bundle"])
+        path.write_text(json.dumps(art))
+    return damage
+
+
+def _negative_column(bundle):
+    block = next(b for b in bundle["layers"] if b["columns"])
+    block["columns"][0] = -1
 
 
 def _truncate(path):
     text = path.read_bytes()
     path.write_bytes(text[: len(text) // 2])
-
-
-def _drop_member_layers(path):
-    art = json.loads(path.read_text())
-    del art["bundle"]["networks"][0]["layers"]
-    path.write_text(json.dumps(art))
 
 
 def _bundle_not_object(path):
@@ -304,11 +302,12 @@ class TestNetEval:
         assert code == 2
         assert "coordinates" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", [_old_layout, _truncate,
-                                        _drop_member_layers,
-                                        _bundle_not_object],
-                             ids=["old_layout", "truncated",
-                                  "member_lacks_layers", "not_an_object"])
+    @pytest.mark.parametrize("damage", [
+        _edit_bundle(lambda b: b.update(format=2)), _truncate,
+        _edit_bundle(lambda b: b["networks"][0].pop("monomials")),
+        _edit_bundle(_negative_column), _bundle_not_object],
+        ids=["old_layout", "truncated", "member_lacks_monomials",
+             "column_negative", "not_an_object"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0

@@ -30,8 +30,6 @@ from hermnet.network import (
     fit_delta_K,
     identity_net,
     net_eval,
-    network_from_dict,
-    network_to_dict,
     parallelize,
     phi0_net,
     phi1_net,
@@ -678,65 +676,67 @@ class TestComputeDelta:
             compute_delta(plan, 0.25)
 
 
+def _gadget_bundle():
+    """The phi0 and phi1 gadgets as one-monomial members of a bundle."""
+    table = network._UnitTable(1)
+    return NetworkBundle(
+        [network._Recipe([net], [1.0], {"coeff_abs_sum": 1.0}, table)
+         for net in (phi0_net(), phi1_net())], ["phi0", "phi1"])
+
+
+def _pool_bundle():
+    """Members over one unit table: a triple's recipe, the same triple
+    compiled anew (equal blocks, other objects), and the first recipe
+    again (a repeated triple)."""
+    table = network._UnitTable(2)
+
+    def triple():
+        return network._compile_triple(
+            MultiIndex(((1, 1), (2, 1))), (1, -1),
+            network._coeff_source(None), 2.0, 1e-5, None, 1, {}, table)
+    first = triple()
+    return NetworkBundle([first, triple(), first], ["a", "b", "c"])
+
+
+def _roundtrip(bundle):
+    return bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
+
+
 class TestSerialization:
-    def test_gadget_roundtrip_dense(self):
-        net = phi1_net()
-        d = network_to_dict(net)
-        assert all("weights" in spec for spec in d["layers"])
-        back = network_from_dict(d)
+    def test_gadget_roundtrip(self):
+        bundle = _gadget_bundle()
+        back = _roundtrip(bundle)
         x = np.linspace(-3, 3, 301)[:, None]
-        assert np.array_equal(back.eval_batch(x), net.eval_batch(x))
-        assert back.size == net.size and back.depth == net.depth
+        for a, b in zip(bundle.members, back.members):
+            (na,), (nb,) = a.monos, b.monos
+            assert np.array_equal(nb.eval_batch(x), na.eval_batch(x))
+            assert (nb.size, nb.depth) == (na.size, na.depth)
+        assert back.shared.eval_batch(x).tobytes() == \
+            bundle.shared.eval_batch(x).tobytes()
+        assert (back.W, back.L) == (bundle.W, bundle.L)
 
-    def test_merged_net_roundtrip_sparse(self):
-        # parallelized outputs keep per-member entry order, which the
-        # dense form cannot represent; the sparse form must preserve it
-        omega, delta = 2.0, 1e-5
-        net = assemble_phi_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1), None, omega, delta)
-        d = network_to_dict(net)
-        assert any("entries" in spec for spec in d["layers"])
-        back = network_from_dict(d)
+    def test_merged_triple_roundtrip(self):
+        # parallelized outputs keep per-member entry order; the reloaded
+        # recipes must rebuild them bit for bit
+        bundle = _pool_bundle()
+        back = _roundtrip(bundle)
         rng = np.random.default_rng(42)
-        Y = rng.uniform(-6, 6, size=(150, net.input_dim))
-        assert np.array_equal(back.eval_batch(Y), net.eval_batch(Y))
-
-    @pytest.mark.parametrize("row", [-1, 2])
-    def test_sparse_entry_row_out_of_range_rejected(self, row):
-        d = {"input_dim": 1, "meta": {},
-             "layers": [{"rows": 2, "cols": 1, "bias": [0.0, 0.0],
-                         "entries": [[0, 0, 1.0], [row, 0, 1.0]]},
-                        {"rows": 1, "cols": 3, "bias": [0.0],
-                         "entries": [[0, 1, 1.0]]}]}
-        with pytest.raises(ValueError):
-            network_from_dict(d)
+        Y = rng.uniform(-6, 6, size=(150, bundle.input_dim))
+        for a, b in zip(bundle.networks, back.networks):
+            assert b.eval_batch(Y).tobytes() == a.eval_batch(Y).tobytes()
+        assert back.shared.eval_batch(Y).tobytes() == \
+            bundle.shared.eval_batch(Y).tobytes()
 
     def test_to_dict_matches_per_row_reference(self):
-        def reference(net):
-            layers = []
-            col_base = net.input_dim
-            for layer in net.layers:
-                rows, cols = layer.width, col_base
-                ascending = all(len(c) < 2 or bool(np.all(np.diff(c) > 0))
-                                for c, _ in layer.rows)
-                bias = [float(v) for v in layer.bias]
-                if rows * cols <= network._DENSE_CELL_LIMIT and ascending:
-                    block = np.zeros((rows, cols))
-                    for r, (c, w) in enumerate(layer.rows):
-                        block[r, c] = w
-                    layers.append({"rows": rows, "cols": cols, "bias": bias,
-                                   "weights": [float(v)
-                                               for v in block.ravel()]})
-                else:
-                    entries = []
-                    for r, (c, w) in enumerate(layer.rows):
-                        entries.extend([[int(r), int(cc), float(ww)]
-                                        for cc, ww in zip(c, w)])
-                    layers.append({"rows": rows, "cols": cols, "bias": bias,
-                                   "entries": entries})
-                col_base += rows
-            return {"input_dim": net.input_dim, "layers": layers,
-                    "meta": dict(net.meta)}
+        def reference(layer, cols):
+            counts, columns, weights = [], [], []
+            for c, w in layer.rows:
+                counts.append(len(c))
+                columns.extend(int(v) for v in c)
+                weights.extend(float(v) for v in w)
+            return {"cols": cols, "counts": counts, "columns": columns,
+                    "weights": weights,
+                    "bias": [float(v) for v in layer.bias]}
 
         empty = (np.empty(0, dtype=np.int64), np.empty(0))
         with_empty = network.ReluNetwork(2, [
@@ -750,48 +750,44 @@ class TestSerialization:
         plan = _small_plan()
         bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples),
                                        compute_delta(plan, 2.0), 2.0)
-        nets = [phi1_net(), product_net(3, 1e-3), with_empty, merged,
-                bundle.networks[-1]]
-        kinds = set()
-        for net in nets:
-            got, want = network_to_dict(net), reference(net)
-            assert got == want
-            assert json.dumps(got, sort_keys=True) == \
-                json.dumps(want, sort_keys=True)
-            kinds.update("weights" if "weights" in spec else "entries"
-                         for spec in got["layers"])
-        assert kinds == {"weights", "entries"}
-        # the small non-ascending output layer takes the sparse form
-        assert "entries" in network_to_dict(with_empty)["layers"][1]
-        assert "weights" in network_to_dict(with_empty)["layers"][0]
+        for net in [phi1_net(), product_net(3, 1e-3), with_empty, merged,
+                    bundle.networks[-1]]:
+            cols = net.input_dim
+            for layer in net.layers:
+                got, want = network._layer_to_dict(layer, cols), \
+                    reference(layer, cols)
+                assert got == want
+                text = json.dumps(got, sort_keys=True)
+                assert text == json.dumps(want, sort_keys=True)
+                # stored entry order (non-ascending rows, -0.0) survives
+                back, back_cols = network._layer_from_dict(json.loads(text))
+                assert back_cols == cols
+                for name in ("counts", "cols", "wts", "bias"):
+                    assert getattr(back, name).tobytes() == \
+                        getattr(layer, name).tobytes()
+                cols += layer.width
 
     def test_corrupt_meta_rejected(self):
-        d = network_to_dict(phi0_net())
-        d["meta"]["W"] = 7
-        with pytest.raises(ValueError):
-            network_from_dict(d)
+        d = bundle_to_dict(_gadget_bundle())
+        d["W"] = 7
+        with pytest.raises(ValueError, match="recount"):
+            bundle_from_dict(d)
 
 
-def _pool_bundle():
-    """Members with sparse blocks: a triple network, an equal network
-    built anew (equal blocks, other objects), and one reusing the
-    first's layers."""
-    def triple():
-        return assemble_phi_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1), None, 2.0, 1e-5)
-    first = triple()
-    nets = [first, triple(),
-            network.ReluNetwork(first.input_dim, first.layers, first.meta)]
-    return NetworkBundle(nets, ["a", "b", "c"])
+def _block(d):
+    """The first pool block holding a column."""
+    return next(b for b in d["layers"] if b["columns"])
 
 
-def _set_ref(d, index):
-    d["networks"][-1]["layers"][0] = index
+def _entry_past_rows(d):
+    """An entry that no row's count covers."""
+    block = _block(d)
+    block["columns"].append(0)
+    block["weights"].append(1.0)
 
 
 def _shift_cols(d, by):
-    block = next(b for b in d["layers"] if "entries" in b)
-    block["cols"] += by
+    d["layers"][1]["cols"] += by
 
 
 class TestBundlePool:
@@ -799,29 +795,52 @@ class TestBundlePool:
         bundle = _pool_bundle()
         d = bundle_to_dict(bundle)
         assert d["format"] == network.BUNDLE_FORMAT
-        refs = [spec["layers"] for spec in d["networks"]]
+        refs = [[d["monomials"][i] for i in spec["monomials"]]
+                for spec in d["networks"]]
         assert refs[0] == refs[1] == refs[2]
-        assert refs[0] == list(range(len(d["layers"])))
+        assert d["networks"][0]["monomials"] == \
+            d["networks"][2]["monomials"]
+        first_use = []
+        for blocks in refs[0]:
+            first_use += [i for i in blocks if i not in first_use]
+        assert first_use == list(range(len(d["layers"])))
         back = bundle_from_dict(json.loads(json.dumps(d)))
-        assert all(a is b for a, b in zip(back.networks[0].layers,
-                                          back.networks[1].layers))
+        for a, b in zip(back.members[0].monos, back.members[1].monos):
+            assert all(la is lb for la, lb in zip(a.layers, b.layers))
         assert (back.W, back.L) == (bundle.W, bundle.L)
 
     @pytest.mark.parametrize("damage, match", [
-        (lambda d: _set_ref(d, -1), "outside the pool"),
-        (lambda d: _set_ref(d, len(d["layers"])), "outside the pool"),
+        (lambda d: d["monomials"][-1].__setitem__(0, -1), "outside"),
+        (lambda d: d["monomials"][-1].__setitem__(0, len(d["layers"])),
+         "outside"),
+        (lambda d: d["networks"][-1]["monomials"].__setitem__(0, -1),
+         "outside"),
+        (lambda d: d["networks"][-1]["monomials"].__setitem__(
+            0, len(d["monomials"])), "outside"),
+        (lambda d: d["networks"][0].update(monomials=[]), "no entry"),
+        (lambda d: d["networks"][0]["lambdas"].append(1.0), "lambdas"),
         (lambda d: _shift_cols(d, 1), "sits over"),
         (lambda d: _shift_cols(d, -1), "sits over"),
+        (lambda d: _block(d)["columns"].__setitem__(0, -1), "negative"),
+        (lambda d: _block(d)["counts"].__setitem__(0, -1), "negative"),
+        (lambda d: _block(d)["counts"].append(1), "sum"),
+        (_entry_past_rows, "sum"),
+        (lambda d: _block(d)["weights"].pop(), "sum"),
         (lambda d: d["layers"][0]["bias"].pop(), "biases"),
         (lambda d: d.update(W=d["W"] + 1), "recount"),
         (lambda d: d.update(L=d["L"] - 1), "recount"),
         (lambda d: d.update(format=1), "format"),
+        (lambda d: d.update(format=2), "format"),
         (lambda d: d.pop("format"), "format"),
-        (lambda d: d["networks"][0].pop("layers"), "layers"),
+        (lambda d: d["networks"][0].pop("monomials"), "monomials"),
         (lambda d: d.pop("labels"), "labels"),
-    ], ids=["index_-1", "index_past_pool", "cols_plus_1", "cols_minus_1",
-            "bias_short", "W_plus_1", "L_minus_1", "old_format", "no_format",
-            "member_lacks_layers", "no_labels"])
+    ], ids=["index_-1", "index_past_pool", "monomial_index_-1",
+            "monomial_index_past_end", "member_no_monomials",
+            "lambda_count", "cols_plus_1", "cols_minus_1", "column_negative",
+            "count_negative", "counts_over_columns", "entry_past_rows",
+            "weights_short", "bias_short", "W_plus_1", "L_minus_1",
+            "old_format", "format_2", "no_format", "member_lacks_monomials",
+            "no_labels"])
     def test_bad_bundle_rejected(self, damage, match):
         d = bundle_to_dict(_pool_bundle())
         bundle_from_dict(d)
@@ -836,14 +855,14 @@ def _small_plan():
 
 
 @pytest.mark.parametrize("delta, digest", [
-    (1e-5, "02896e75844538c6b9e54da459a11183b4700d314e0db67f4aecbde338e82c79"),
+    (1e-5, "ea334ce47c94199fc78c5a23079f2439ed586fea46465e589909636df71d241f"),
     ("auto",
-     "6a6d5c3fee28f231c027dab05f8673a07defc6bdaa752f9729e09f0edb2b09f5")],
+     "3cca3c6f57df4e147339bd80418bd1aa27b5f1766d8a1740be59e627ab35a11b")],
     ids=["fixed_delta", "auto_delta"])
 def test_bundle_json_is_unchanged(delta, digest):
     """SHA-256 of the bundle JSON text, written as the CLI writes it,
-    recorded while layers still held one pair of arrays per row: the
-    flat CSR layers change no byte of the artifact."""
+    recorded when bundle format 3 (members as recipes) was introduced:
+    any change to the artifact bytes must be deliberate."""
     plan = _small_plan()
     if delta == "auto":
         delta = compute_delta(plan, 2.0)
@@ -1008,7 +1027,7 @@ class TestSurrogate:
         assert len(shared_layers) == sum(net.depth for net in first.values())
 
     def test_pool_factoring_is_lossless(self):
-        # auto delta: members of depths 3, 17 and 34 sharing layers
+        # auto delta: members of depths 3, 17 and 34 sharing monomials
         plan = _small_plan()
         omega = 2.0
         delta = compute_delta(plan, omega)
@@ -1017,37 +1036,36 @@ class TestSurrogate:
         assert len({net.depth for net in bundle.networks}) > 1
         d = bundle_to_dict(bundle)
         pool = d["layers"]
-        for net, spec in zip(bundle.networks, d["networks"]):
-            want = network_to_dict(net)
-            got = [pool[i] for i in spec["layers"]]
-            assert got == want["layers"]
-            assert json.dumps(got, sort_keys=True) == \
-                json.dumps(want["layers"], sort_keys=True)
-            assert spec["meta"] == want["meta"]
-            assert spec["input_dim"] == want["input_dim"]
+        for member, spec in zip(bundle.members, d["networks"]):
+            assert spec["lambdas"] == member.lams
+            assert spec["meta"] == member.meta
+            for net, i in zip(member.monos, spec["monomials"]):
+                cols = np.cumsum([net.input_dim] + net.widths[:-1]).tolist()
+                want = [network._layer_to_dict(layer, c)
+                        for layer, c in zip(net.layers, cols)]
+                assert [pool[j] for j in d["monomials"][i]] == want
         texts = [json.dumps(block, sort_keys=True) for block in pool]
         assert len(set(texts)) == len(texts)
-        assert len(pool) < sum(net.depth for net in bundle.networks)
+        assert len(pool) < sum(len(refs) for refs in d["monomials"])
 
         back = bundle_from_dict(json.loads(json.dumps(d, sort_keys=True)))
-        owner = {}
-        for net, spec in zip(back.networks, d["networks"]):
-            for layer, i in zip(net.layers, spec["layers"]):
-                assert owner.setdefault(i, layer) is layer
+        reloaded, owner = {}, {}
+        for member, spec in zip(back.members, d["networks"]):
+            for net, i in zip(member.monos, spec["monomials"]):
+                assert reloaded.setdefault(i, net) is net
+        for i, net in reloaded.items():
+            for layer, j in zip(net.layers, d["monomials"][i]):
+                assert owner.setdefault(j, layer) is layer
                 # no view into a decoded block's buffer
                 assert layer.cols.base is None and layer.wts.base is None
-        assert {"weights", "entries"} <= {k for spec in pool for k in spec}
-        assert len({id(layer) for net in back.networks
-                    for layer in net.layers}) == len(pool)
+        assert (len(reloaded), len(owner)) == (len(d["monomials"]), len(pool))
         for a, b in zip(bundle.networks, back.networks):
             assert a.meta == b.meta
             assert (a.input_dim, a.depth) == (b.input_dim, b.depth)
             for la, lb in zip(a.layers, b.layers):
-                assert la.bias.tobytes() == lb.bias.tobytes()
-                assert len(la.rows) == len(lb.rows)
-                for (ac, aw), (bc, bw) in zip(la.rows, lb.rows):
-                    assert ac.tobytes() == bc.tobytes()
-                    assert aw.tobytes() == bw.tobytes()
+                for name in ("counts", "cols", "wts", "bias"):
+                    assert getattr(la, name).tobytes() == \
+                        getattr(lb, name).tobytes()
 
         rng = np.random.default_rng(42)
         g = rng.normal(size=(100, plan.m_active))
@@ -1060,12 +1078,14 @@ class TestSurrogate:
         assert back.shared.widths == bundle.shared.widths
 
     def test_row_path_never_parallelizes(self, monkeypatch):
-        # compile, certificate, W/L and evaluation run on recipes and the
-        # unit table; only bundle.networks builds member networks
+        # compile, certificate, W/L, evaluation, serialization, reload and
+        # the reloaded bundle's evaluation run on recipes and the unit
+        # table; only bundle.networks builds member networks
         plan = _small_plan()
         omega = 2.0
         delta = compute_delta(plan, omega)
         samples = np.random.default_rng(42).normal(size=(plan.n_triples, 2))
+        signs = np.array([float(t.sign) for t in plan.triples])
 
         def refuse(*args, **kwargs):
             raise AssertionError("parallelize called")
@@ -1078,6 +1098,12 @@ class TestSurrogate:
         got = ev(Y)
         compiled = bundle.shared.eval_batch(Y)
         sizes = [(m.size, m.depth) for m in bundle.members]
+        members = list(bundle.members)
+        back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
+        assert back.shared.eval_batch(Y).tobytes() == compiled.tobytes()
+        assert surrogate_eval(back, signs, samples, Y).tobytes() == \
+            got.tobytes()
+        assert (back.W, back.L) == (W, L)
         monkeypatch.undo()
 
         nets = bundle.networks
@@ -1085,13 +1111,11 @@ class TestSurrogate:
         assert (sum(recount_size(net) for net in nets),
                 max(net.depth for net in nets)) == (W, L)
         assert sizes == [(recount_size(net), net.depth) for net in nets]
-        # the bundle now holds the networks alone, with unchanged results
-        assert bundle.members == nets
+        # the view leaves the recipes in place, with unchanged results
+        assert bundle.members == members
         assert (bundle.W, bundle.L) == (W, L)
         assert surrogate_bound(bundle, samples) == bound
         assert ev(Y).tobytes() == got.tobytes()
-        assert bundle_from_dict(bundle_to_dict(bundle)).shared.eval_batch(
-            Y).tobytes() == compiled.tobytes()
 
     def test_wrong_sample_count_rejected(self):
         plan = _small_plan()
