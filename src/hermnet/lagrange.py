@@ -15,6 +15,7 @@ Pointwise evaluation of the basis uses the node-product form directly;
 the monomial table exists for the network compiler and its certificates.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,20 +107,25 @@ class LagrangeBasis:
         return out if out.ndim else float(out)
 
 
+@functools.cache
 def lagrange_coeffs(m):
-    """LagrangeBasis of order m with the monomial coefficient table."""
+    """LagrangeBasis of order m with the monomial coefficient table.
+
+    Built once per order and shared by every caller, so the table is
+    read-only.
+    """
     if m < 0:
         raise ValueError("order must be >= 0")
     family = NodeFamily(m)
-    if m == 0:
-        return LagrangeBasis(0, family, np.ones((1, 1)))
-    h_top = hermite_monomial_coeffs(m + 1)
-    sqrt_fact = math.sqrt(math.factorial(m + 1))
-    table = np.zeros((m + 1, m + 1))
-    for i, yk in enumerate(family.nodes):
-        gaps = yk - np.delete(family.nodes, i)
-        lead = sqrt_fact / np.prod(gaps)
-        table[i] = lead * _deflate(h_top, yk)
+    table = np.ones((1, 1))
+    if m > 0:
+        h_top = hermite_monomial_coeffs(m + 1)
+        sqrt_fact = math.sqrt(math.factorial(m + 1))
+        table = np.zeros((m + 1, m + 1))
+        for i, yk in enumerate(family.nodes):
+            gaps = yk - np.delete(family.nodes, i)
+            table[i] = sqrt_fact / np.prod(gaps) * _deflate(h_top, yk)
+    table.setflags(write=False)
     return LagrangeBasis(m, family, table)
 
 
@@ -157,7 +163,6 @@ class SparseInterpolant:
         self.values = vals[:, None] if vals.ndim == 1 else vals
         if self.values.shape[0] != self.plan.n_triples:
             raise ValueError("need exactly one value per plan triple")
-        self._bases = {}
 
     @classmethod
     def from_point_values(cls, plan, point_values):
@@ -174,13 +179,6 @@ class SparseInterpolant:
     def xdim(self):
         return self.values.shape[1]
 
-    def basis(self, order):
-        b = self._bases.get(order)
-        if b is None:
-            b = lagrange_coeffs(order)
-            self._bases[order] = b
-        return b
-
     def _triple_factors(self, pts):
         """Cardinal-product factors for each triple at points (n, d)."""
         plan = self.plan
@@ -190,7 +188,7 @@ class SparseInterpolant:
             key = (order, coord)
             tab = cache.get(key)
             if tab is None:
-                tab = self.basis(order).eval_all(pts[:, coord - 1])
+                tab = lagrange_coeffs(order).eval_all(pts[:, coord - 1])
                 cache[key] = tab
             return tab
 
@@ -199,7 +197,7 @@ class SparseInterpolant:
             s = plan.indices[t.s_ref]
             sme = s.subtract_mask(t.e_mask)
             for (j, d), k in zip(sme.pairs, t.k):
-                fam = self.basis(d).family
+                fam = lagrange_coeffs(d).family
                 factors[t_idx] *= l_table(d, j)[fam.position(k)]
         return factors
 

@@ -22,21 +22,22 @@ member output is unchanged to the bit.
 
 A compile fills that shared network's unit table (_UnitTable) directly
 instead of building per-triple networks.  Each monomial gadget product
-is built once per compile, and each distinct (s-e, k) keeps a recipe
-(_Recipe): its monomial networks, their coefficients lambda_j and its
-depth; an empty s-e is the one-monomial recipe of a plateau gadget.  On
-first use a recipe hash-conses its monomials' hidden rows and carry
-units into the table and gives its output row over the table and its
-W, as parallelize would build them, without building them.  W and L
-remain those of the per-triple networks, which `NetworkBundle.networks`
-builds through parallelize only when read.  The bundle artifact
-(format 3) stores each distinct layer of the monomial networks once in
-a pool, each monomial network as a list of pool indices and each member
-as its recipe; a reload rebuilds the recipes over one unit table.  A
-layer is one CSR array triple (entries per row, columns, weights) and
-its biases; network algebra, serialization and the unit table move
-whole arrays (parallelize: one column gather per member net, one
-stable sort).
+is built once per compile, by _monomial, from its factor list; each
+distinct (s-e, k) keeps a recipe (_Recipe): its monomial networks, their
+coefficients lambda_j and its depth; an empty s-e is the one-monomial
+recipe of a plateau gadget.  On first use a recipe hash-conses its
+monomials' hidden rows and carry units into the table and gives its
+output row over the table and its W, as parallelize would build them,
+without building them.  W and L remain those of the per-triple networks,
+which `NetworkBundle.networks` builds through parallelize only when
+read.  The bundle artifact (format 4) stores no layers: each distinct
+monomial is its factor list, which depends only on the triples, and
+each member is its recipe.  A reload rebuilds the monomials through the
+same _monomial, with the omega and delta of the bundle meta, and places
+each distinct recipe once in one unit table.  A layer is one CSR array
+triple (entries per row, columns, weights) and its biases; _NetBuilder,
+network algebra and the unit table move whole arrays (parallelize: one
+column gather per member net, one stable sort).
 
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
@@ -48,6 +49,7 @@ and the accuracy parameter delta derived from a collocation plan.
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -62,9 +64,9 @@ from .lagrange import lagrange_coeffs
 # eval_batch chunk may use: 32 MiB of float64.
 _EVAL_CELL_LIMIT = 1 << 22
 
-# Layout of bundle_to_dict's output: 3 stores each member as its recipe
-# over pooled monomial networks.
-BUNDLE_FORMAT = 3
+# Layout of bundle_to_dict's output: 4 stores each member as its recipe
+# over monomial networks stored as their gadget factors.
+BUNDLE_FORMAT = 4
 
 # Pointwise certificates below float64 evaluation noise are unverifiable;
 # delta is floored here and both values are reported.
@@ -138,15 +140,16 @@ class ReluNetwork:
             raise ValueError("a network needs at least its affine layer")
         self.input_dim = int(input_dim)
         self.layers = layers
+        self.widths = [layer.width for layer in layers]
         self.meta = dict(meta or {})
         cols = self.input_dim
-        for li, layer in enumerate(self.layers):
+        for li, (layer, width) in enumerate(zip(layers, self.widths)):
             top = layer.extent()[0]
             if top >= cols:
                 raise ValueError(
                     f"layer {li} references column {top} but only "
                     f"{cols} earlier columns exist")
-            cols += layer.width
+            cols += width
         self.meta["W"] = self.size
         self.meta["L"] = self.depth
 
@@ -160,11 +163,7 @@ class ReluNetwork:
 
     @property
     def out_dim(self):
-        return self.layers[-1].width
-
-    @property
-    def widths(self):
-        return [layer.width for layer in self.layers]
+        return self.widths[-1]
 
     def eval_batch(self, pts):
         """Forward pass at a batch of points, shape (n, input_dim).
@@ -203,14 +202,6 @@ class ReluNetwork:
         return self.eval_batch(pts)
 
 
-def net_eval(net, x):
-    """Evaluate one point; returns the output vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
-        raise ValueError(f"expected a vector of length {net.input_dim}")
-    return net.eval_batch(x[None, :])[0]
-
-
 def recount_size(net):
     """Nonzero weights and biases, counted from the stored rows (once
     per layer object; see _Layer.extent)."""
@@ -235,72 +226,66 @@ class _NetBuilder:
     """Collects sigma-units on numbered layers, then emits a network.
 
     Term lists pair a reference (int = 0-based input coordinate, or a
-    _Unit from a strictly earlier layer) with a weight.  At finalize the
-    used layers are renumbered contiguously, units get ascending column
-    indices in (layer, creation) order, and each row's entries are
-    sorted by column — which preserves creation adjacency inside a
-    layer, the property the exact-cancellation arguments rely on.
+    _Unit from a strictly earlier layer) with a weight.  `unit` checks
+    both kinds of reference and records the row flat: its entry count,
+    then each entry's reference (a unit's is input_dim plus its creation
+    ordinal) and weight.  At finalize one stable argsort over the unit
+    layers renumbers the used layers contiguously and gives the units
+    ascending columns in (layer, creation) order, and _sorted_layers
+    sorts each row's entries by column with one stable sort, which
+    preserves creation adjacency inside a layer, the property the
+    exact-cancellation arguments rely on.  Entries are stored as given:
+    the gadget and product constructions never repeat a column within a
+    row and never give a zero weight.
     """
 
     def __init__(self, input_dim):
         self.input_dim = input_dim
-        self.units = []  # (unit, terms, bias)
-        self._count = 0
+        self._layer, self._bias = [], []        # per unit
+        self._count, self._ref, self._wt = [], [], []  # per row, per entry
 
     def unit(self, layer, terms, bias=0.0):
-        u = _Unit(int(layer), self._count)
-        self._count += 1
-        for ref, _ in terms:
-            if isinstance(ref, _Unit) and ref.layer >= u.layer:
-                raise ValueError("units may only read strictly earlier layers")
-        self.units.append((u, list(terms), float(bias)))
+        u = _Unit(int(layer), len(self._layer))
+        self._entries(u.layer, terms)
+        self._layer.append(u.layer)
+        self._bias.append(float(bias))
         return u
+
+    def _entries(self, layer, terms):
+        """Record one row's terms; the row is the next one recorded."""
+        d, refs = self.input_dim, []
+        for ref, _ in terms:
+            if isinstance(ref, _Unit):
+                if ref.layer >= layer:
+                    raise ValueError(
+                        "units may only read strictly earlier layers")
+                refs.append(d + ref.ordinal)
+            elif 0 <= ref < d:
+                refs.append(ref)
+            else:
+                raise ValueError(f"input coordinate {ref} out of range")
+        self._ref += refs
+        self._wt += [float(w) for _, w in terms]
+        self._count.append(len(refs))
 
     def finalize(self, outputs, meta=None):
         """Emit the network; `outputs` is a list of (terms, bias) rows."""
-        layer_ids = sorted({u.layer for u, _, _ in self.units})
-        renumber = {lid: i for i, lid in enumerate(layer_ids)}
-        per_layer = [[] for _ in layer_ids]
-        for u, terms, bias in self.units:
-            per_layer[renumber[u.layer]].append((u, terms, bias))
-        col = {}
-        next_col = self.input_dim
-        for bucket in per_layer:
-            bucket.sort(key=lambda rec: rec[0].ordinal)
-            for u, _, _ in bucket:
-                col[id(u)] = next_col
-                next_col += 1
-
-        def resolve(terms, cols, wts):
-            """Append the row's entries, sorted by column, equal columns
-            merged, zeros dropped, to cols and wts; return their count."""
-            entries = []
-            for ref, w in terms:
-                w = float(w)
-                if w == 0.0:
-                    continue
-                c = ref if not isinstance(ref, _Unit) else col[id(ref)]
-                if not isinstance(ref, _Unit) and not 0 <= ref < self.input_dim:
-                    raise ValueError(f"input coordinate {ref} out of range")
-                entries.append((int(c), w))
-            entries.sort(key=lambda e: e[0])
-            merged = []
-            for c, w in entries:
-                if merged and merged[-1][0] == c:
-                    merged[-1][1] += w
-                else:
-                    merged.append([c, w])
-            merged = [(c, w) for c, w in merged if w != 0.0]
-            cols.extend(c for c, _ in merged)
-            wts.extend(w for _, w in merged)
-            return len(merged)
-
-        layers = []
-        for bucket in per_layer + [[(None, t, b) for t, b in outputs]]:
-            cols, wts = [], []
-            counts = [resolve(terms, cols, wts) for _, terms, _ in bucket]
-            layers.append(_Layer(counts, cols, wts, [b for _, _, b in bucket]))
-        return ReluNetwork(self.input_dim, layers, meta)
+        d, n = self.input_dim, len(self._layer)
+        for terms, _ in outputs:
+            self._entries(math.inf, terms)
+        layer = np.array(self._layer, dtype=np.int64)
+        order = np.argsort(layer, kind="stable")
+        rank = np.arange(n + len(outputs))
+        rank[order] = np.arange(n)
+        col = np.concatenate([np.arange(d), d + rank[:n]])
+        widths = np.unique(layer, return_counts=True)[1].tolist()
+        bias = np.array(self._bias + [float(b) for _, b in outputs])
+        bias[:n] = bias[order]
+        layers = _sorted_layers(
+            np.repeat(rank, self._count),
+            col[np.array(self._ref, dtype=np.int64)],
+            np.array(self._wt, dtype=float), bias, widths + [len(outputs)])
+        return ReluNetwork(d, layers, meta)
 
 
 def _neg(terms):
@@ -342,6 +327,9 @@ def _phi0_expr(b, coord, scale, base=1):
     l1b = b.unit(base, [(coord, -scale)], -1.0)
     p = b.unit(base + 1, [(l1a, -1.0), (l1b, -1.0)], 1.0)
     return [(p, 1.0)]
+
+
+_GADGETS = {"phi0": _phi0_expr, "phi1": _phi1_expr}
 
 
 def phi1_net():
@@ -489,10 +477,8 @@ def _gadget_product_expr(b, factors, scale, delta):
 
     Gadgets occupy layers 1-2; the pairing tree starts at layer 3.
     """
-    leaves = []
-    for coord, kind in factors:
-        make = _phi0_expr if kind == "phi0" else _phi1_expr
-        leaves.append(make(b, coord, scale, base=1))
+    leaves = [_GADGETS[kind](b, coord, scale, base=1)
+              for coord, kind in factors]
     if len(leaves) == 1:
         return leaves[0]
     n = _sawtooth_depth(len(leaves), delta)
@@ -689,21 +675,6 @@ def concatenate(first, second):
 # ---------------------------------------------------------------------------
 # compilation of collocation triples
 
-def _coeff_source(coeffs):
-    if callable(coeffs):
-        return coeffs
-    table = dict(coeffs) if coeffs is not None else {}
-
-    def source(order):
-        basis = table.get(order)
-        if basis is None:
-            basis = lagrange_coeffs(order)
-            table[order] = basis
-        return basis
-
-    return source
-
-
 _PLUS_MINUS = np.array([1.0, -1.0])
 _MINUS_PLUS = np.array([-1.0, 1.0])
 
@@ -728,20 +699,23 @@ class _UnitTable:
 
     def unit(self, ids, wts, bias):
         """Canonical column of sigma(wts . z[ids] + bias), ids canonical."""
-        key = (ids.tobytes(), wts.tobytes(), bias.hex())
+        return self._unit((ids.tobytes(), wts.tobytes(), bias.hex()), ids,
+                          wts, bias)
+
+    def _unit(self, key, ids, wts, bias):
         uid = self._uid.get(key)
         if uid is None:
             uid = self._uid[key] = len(self._layer)
             self._layer.append(1 + max(
-                (self._layer[i] for i in ids.tolist()), default=0))
+                map(self._layer.__getitem__, ids.tolist()), default=0))
             self._rows.append((ids, wts, bias))
         return uid
 
     def intern(self, net):
         """Canonical column of each input and hidden column of net, its
         hidden rows interned.  A network whose hidden layers are objects
-        already interned (a monomial shared by several recipes, or by
-        several members after bundle_from_dict) reuses their columns."""
+        already interned (a monomial shared by several recipes) reuses
+        their columns.  Row keys are cut from each layer's bytes."""
         hidden = tuple(net.layers[:-1])
         canon = self._canon.get(hidden)
         if canon is None:
@@ -749,11 +723,16 @@ class _UnitTable:
                               dtype=np.int64)
             col = self.input_dim
             for layer in hidden:
-                moved = _Layer(layer.counts, canon[layer.cols], layer.wts,
-                               layer.bias)
-                for (ids, wts), b in zip(moved.rows, layer.bias.tolist()):
-                    canon[col] = self.unit(ids, wts, b)
-                    col += 1
+                ids, wts = canon[layer.cols], layer.wts
+                id_bytes, wt_bytes = ids.tobytes(), wts.tobytes()
+                ends = np.cumsum(layer.counts).tolist()
+                uids = [self._unit((id_bytes[8 * a:8 * b],
+                                    wt_bytes[8 * a:8 * b], bias.hex()),
+                                   ids[a:b], wts[a:b], bias)
+                        for a, b, bias in zip([0] + ends[:-1], ends,
+                                              layer.bias.tolist())]
+                canon[col: col + len(uids)] = uids
+                col += len(uids)
             self._canon[hidden] = canon
         return canon
 
@@ -851,9 +830,9 @@ class _Recipe:
         bias, size = 0.0, 0
         for j, (net, lam) in enumerate(zip(self.monos, self.lams)):
             canon = self.table.intern(net)
-            (cols, wts), = net.layers[-1].rows
-            b = net.layers[-1].bias.tolist()[0]
-            size += net.meta["W"] - net.layers[-1].extent()[1]
+            out = net.layers[-1]  # one row
+            cols, wts, b = out.cols, out.wts, out.bias.tolist()[0]
+            size += net.meta["W"] - out.extent()[1]
             if net.depth == self.depth:
                 pieces.append((canon[cols], wts * lam))
                 bias += lam * b
@@ -876,7 +855,7 @@ class _Recipe:
         return self._placed
 
 
-def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
+def assemble_phi_triple(s_minus_e, k, omega, delta, *,
                         input_dim=None, gate_coord=1, label=None):
     """Compile one collocation triple into a scalar network.
 
@@ -894,31 +873,71 @@ def assemble_phi_triple(s_minus_e, k, coeffs, omega, delta, *,
     the certificate weight of this triple: the network is within
     delta * coeff_abs_sum of its polynomial on the plateau box.
     """
-    return _compile_triple(s_minus_e, k, _coeff_source(coeffs), omega, delta,
-                           input_dim, gate_coord, {}, None).network(label)
+    return _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
+                           {}, None).network(label)
 
 
-def _compile_triple(s_minus_e, k, source, omega, delta, input_dim,
-                    gate_coord, monomials, table):
+def _check_omega_delta(omega, delta):
+    """ValueError unless omega is finite and >= 1 and delta in (0, 1)."""
+    if not (omega >= 1 and math.isfinite(omega)):
+        raise ValueError(f"omega must be finite and >= 1, not {omega!r}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), not {delta!r}")
+
+
+def _monomial(factors, omega, delta, dim):
+    """The truncated gadget product over `factors`, a tuple of
+    (0-based coordinate, "phi0" | "phi1") pairs, fed with
+    y / (4 sqrt(omega)), as a network over `dim` inputs.  Its meta keeps
+    the factors, which are all bundle_to_dict stores of it.
+
+    The network is its _template moved into place: template input i
+    becomes the i-th smallest coordinate and the units follow the `dim`
+    inputs.  That map is increasing, so every row keeps its sorted order
+    and the layers are those a direct build gives, to the byte.
+    """
+    coords = sorted({c for c, _ in factors})
+    net = _template(tuple((coords.index(c), kind) for c, kind in factors),
+                    omega, delta)
+    colmap = np.concatenate([coords,
+                             np.arange(dim, dim + sum(net.widths[:-1]))])
+    return ReluNetwork(dim, [_Layer(layer.counts, colmap[layer.cols],
+                                    layer.wts, layer.bias)
+                             for layer in net.layers], {"factors": factors})
+
+
+@functools.lru_cache(maxsize=256)
+def _template(factors, omega, delta):
+    """_monomial's network over only the inputs its factors read.  Every
+    network moved from it shares its counts, weights and biases, so they
+    are read-only."""
+    b = _NetBuilder(1 + max(c for c, _ in factors))
+    expr = _gadget_product_expr(b, factors, 1.0 / (4.0 * math.sqrt(omega)),
+                                delta)
+    net = b.finalize([(expr, 0.0)])
+    for layer in net.layers:
+        for shared in (layer.counts, layer.wts, layer.bias):
+            shared.setflags(write=False)
+    return net
+
+
+def _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
+                    monomials, table):
     """The _Recipe of assemble_phi_triple's network over the unit table
     `table`.  Each monomial network comes from `monomials` (factor tuple
     -> network) when there and is added when not.  The networks also
     depend on omega, delta and the input dimension, so one dict serves
     one compile."""
-    if omega < 1:
-        raise ValueError("omega must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_omega_delta(omega, delta)
     pairs = s_minus_e.pairs
     if len(k) != len(pairs):
         raise ValueError("need one signed node index per support coordinate")
     scale = 4.0 * math.sqrt(omega)
-    inv = 1.0 / scale
     coords = [j for j, _ in pairs]
     dim = max([input_dim or 0, max(coords, default=0), gate_coord])
     dim = max(dim, 1)
 
-    tables = [np.asarray(source(m).coeffs(kk), dtype=float)
+    tables = [lagrange_coeffs(m).coeffs(kk)
               for (_, m), kk in zip(pairs, k)]
     terms = []  # (gadget factors, lambda) per monomial
     for exps in itertools.product(*(range(m + 1) for _, m in pairs)):
@@ -940,9 +959,7 @@ def _compile_triple(s_minus_e, k, source, omega, delta, input_dim,
     nets = []
     for key, _ in terms:
         if key not in monomials:
-            b = _NetBuilder(dim)
-            expr = _gadget_product_expr(b, key, inv, delta)
-            monomials[key] = b.finalize([(expr, 0.0)])
+            monomials[key] = _monomial(key, omega, delta, dim)
         nets.append(monomials[key])
     lams = [lam for _, lam in terms]
     return _Recipe(nets, lams, {
@@ -1040,7 +1057,6 @@ def assemble_surrogate(plan, samples, delta, omega):
         raise ValueError("need one sample per plan triple "
                          f"(got {samples.shape[0]} for {plan.n_triples})")
     dim = max(plan.m_active, 1)
-    source = _coeff_source(None)
     # each distinct triple and monomial is compiled once
     built, monomials = {}, {}
     table = _UnitTable(dim)
@@ -1053,8 +1069,8 @@ def assemble_surrogate(plan, samples, delta, omega):
                  "e": list(t.e_mask), "k": list(t.k)}
         key = (sme.pairs, tuple(t.k), None if sme.pairs else gate)
         if key not in built:
-            built[key] = _compile_triple(sme, t.k, source, omega, delta, dim,
-                                         gate, monomials, table)
+            built[key] = _compile_triple(sme, t.k, omega, delta, dim, gate,
+                                         monomials, table)
         members.append(built[key])
         labels.append(label)
         signs.append(float(t.sign))
@@ -1097,16 +1113,9 @@ def surrogate_bound(bundle, samples, norm=None):
 # ---------------------------------------------------------------------------
 # accuracy parameter
 
-_BMAX_CACHE = {0: 1.0}
-
-
 def _coeff_bmax(m):
     """Largest |monomial coefficient| over the order-m cardinal table."""
-    v = _BMAX_CACHE.get(m)
-    if v is None:
-        v = float(np.abs(lagrange_coeffs(m).coeff_table).max())
-        _BMAX_CACHE[m] = v
-    return v
+    return float(np.abs(lagrange_coeffs(m).coeff_table).max())
 
 
 def fit_delta_K(max_degree):
@@ -1162,52 +1171,31 @@ def compute_delta(plan, omega, w=None, K=None, *, return_info=False):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _layer_to_dict(layer, cols):
-    """JSON-ready block of one layer over `cols` earlier columns: its
-    CSR arrays, each row's entries in stored order."""
-    return {"cols": cols, "counts": layer.counts.tolist(),
-            "columns": layer.cols.tolist(), "weights": layer.wts.tolist(),
-            "bias": layer.bias.tolist()}
-
-
-def _layer_from_dict(spec):
-    """The (_Layer, cols) a block written by _layer_to_dict encodes.
-
-    The layer's arrays are its own, not views into the decoded block.
-    Raises ValueError for a negative count or column, counts that do not
-    sum to the number of columns and of weights, or not one bias per row.
-    """
-    counts = np.array(spec["counts"], dtype=np.int64)
-    cols = np.array(spec["columns"], dtype=np.int64)
-    wts = np.array(spec["weights"], dtype=float)
-    bias = np.array(spec["bias"], dtype=float)
-    if np.any(counts < 0) or np.any(cols < 0):
-        raise ValueError("block has a negative count or column")
-    if not counts.sum() == len(cols) == len(wts):
-        raise ValueError(f"block counts sum to {counts.sum()} for "
-                         f"{len(cols)} columns and {len(wts)} weights")
-    if len(bias) != len(counts):
-        raise ValueError(f"block of {len(counts)} rows has {len(bias)} "
-                         "biases")
-    return _Layer(counts, cols, wts, bias), int(spec["cols"])
-
-
-def _network_from_blocks(input_dim, blocks):
-    """Network over decoded (layer, cols) blocks; each block's cols must
-    be the running column count where it sits."""
-    cols = input_dim
-    for li, (layer, block_cols) in enumerate(blocks):
-        if block_cols != cols:
-            raise ValueError(f"layer {li} block has {block_cols} columns "
-                             f"but sits over {cols}")
-        cols += layer.width
-    return ReluNetwork(input_dim, [layer for layer, _ in blocks])
+def _factors(spec, dim):
+    """The factor tuple a stored monomial names.  ValueError unless it
+    is a non-empty list of [coordinate, kind] pairs, each coordinate an
+    int in [0, dim) and each kind "phi0" or "phi1"."""
+    if not isinstance(spec, list) or not spec:
+        raise ValueError(f"monomial {spec!r} is not a non-empty factor list")
+    factors = []
+    for factor in spec:
+        if not isinstance(factor, list) or len(factor) != 2:
+            raise ValueError(f"factor {factor!r} is not a [coordinate, kind] "
+                             "pair")
+        coord, kind = factor
+        if type(coord) is not int or not 0 <= coord < dim:
+            raise ValueError(f"factor coordinate {coord!r} is not an int in "
+                             f"[0, {dim})")
+        if kind not in ("phi0", "phi1"):
+            raise ValueError(f"factor kind {kind!r} is not phi0 or phi1")
+        factors.append((coord, kind))
+    return tuple(factors)
 
 
 def _pick(items, refs, what):
     """items[i] for each index in refs; ValueError for an empty list or
-    an index outside items."""
-    bad = [i for i in refs if not 0 <= i < len(items)]
+    an index that is not an int naming an entry of items."""
+    bad = [i for i in refs if type(i) is not int or not 0 <= i < len(items)]
     if bad or not refs:
         raise ValueError(f"{what} list {refs!r} names no entry or one "
                          f"outside the {len(items)} stored")
@@ -1217,67 +1205,68 @@ def _pick(items, refs, what):
 def bundle_to_dict(bundle):
     """JSON-ready bundle in the layout BUNDLE_FORMAT names.
 
-    `layers` holds each distinct layer of the monomial networks once, in
-    first-use order; two layers are one block when their cols and the
-    bytes of their arrays agree.  `monomials` lists each monomial
-    network's blocks by pool index, and each member of `networks` its
-    recipe: its monomials by index, their lambdas and its meta.
+    `monomials` holds each distinct monomial network once, in first-use
+    order, as its factor list [[coordinate, "phi0" | "phi1"], ...]; the
+    networks follow from the factors and the bundle meta's omega and
+    delta.  Each member of `networks` is its recipe: its monomials by
+    index, their lambdas and its meta.
     """
-    pool, block_of, monomials, mono_of, networks = [], {}, [], {}, []
+    monomials, mono_of, networks = [], {}, []
     for member in bundle.members:
+        refs = []
         for net in member.monos:
-            if id(net) in mono_of:
-                continue
-            refs, cols = [], net.input_dim
-            for layer in net.layers:
-                key = (cols, layer.counts.tobytes(), layer.cols.tobytes(),
-                       layer.wts.tobytes(), layer.bias.tobytes())
-                if key not in block_of:
-                    block_of[key] = len(pool)
-                    pool.append(_layer_to_dict(layer, cols))
-                refs.append(block_of[key])
-                cols += layer.width
-            mono_of[id(net)] = len(monomials)
-            monomials.append(refs)
-        networks.append({"monomials": [mono_of[id(n)] for n in member.monos],
-                         "lambdas": member.lams, "meta": member.meta})
+            key = net.meta["factors"]
+            if key not in mono_of:
+                mono_of[key] = len(monomials)
+                monomials.append([list(f) for f in key])
+            refs.append(mono_of[key])
+        networks.append({"monomials": refs, "lambdas": list(member.lams),
+                         "meta": dict(member.meta)})
     return {"format": BUNDLE_FORMAT, "meta": dict(bundle.meta),
             "input_dim": bundle.input_dim, "W": bundle.W, "L": bundle.L,
-            "layers": pool, "monomials": monomials, "networks": networks,
+            "monomials": monomials, "networks": networks,
             "labels": bundle.labels}
 
 
 def bundle_from_dict(data):
     """Rebuild a bundle written by bundle_to_dict.
 
-    Each pool block becomes one _Layer that every monomial network
-    referencing it shares, and the members' recipes are placed in one
+    Each monomial network is rebuilt from its factors (see _monomial)
+    with the omega and delta of the bundle meta, once, and every member
+    naming it shares it.  Members with equal monomials, lambdas and meta
+    share one _Recipe, as at compile, and all recipes are placed in one
     new _UnitTable.  Raises ValueError for another format, a missing
-    field, a malformed block (see _layer_from_dict), an index outside
-    the pool or the monomials, a member without monomials or with a
-    lambda count other than its monomial count, a block whose cols is
-    not the running column count where it is used, or a stored W or L
-    that differs from the recount.
+    field, an omega or delta compile would refuse or that is not finite,
+    a malformed factor list (see _factors), a monomial index that names
+    no stored monomial, a member without monomials or with a lambda
+    count other than its monomial count, or a stored W or L that differs
+    from the recount.
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
         raise ValueError(f"bundle format {fmt!r} is not {BUNDLE_FORMAT}")
     try:
-        dim = int(data["input_dim"])
-        pool = [_layer_from_dict(spec) for spec in data["layers"]]
-        monos = [_network_from_blocks(dim, _pick(pool, refs, "monomial layer"))
-                 for refs in data["monomials"]]
+        dim, meta = data["input_dim"], data["meta"]
+        omega, delta = meta["omega"], meta["delta"]
+        _check_omega_delta(omega, delta)
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"input_dim {dim!r} is not a positive int")
+        monos = [_monomial(_factors(spec, dim), omega, delta, dim)
+                 for spec in data["monomials"]]
         table = _UnitTable(dim)
-        members = []
+        recipes, members = {}, []
         for spec in data["networks"]:
-            nets = _pick(monos, spec["monomials"], "member monomial")
-            if len(spec["lambdas"]) != len(nets):
-                raise ValueError(f"member {len(members)} has "
-                                 f"{len(spec['lambdas'])} lambdas for "
-                                 f"{len(nets)} monomials")
-            members.append(_Recipe(nets, spec["lambdas"], spec["meta"],
-                                   table))
-        bundle = NetworkBundle(members, data["labels"], meta=data.get("meta"))
+            refs, lams = spec["monomials"], spec["lambdas"]
+            nets = _pick(monos, refs, "member monomial")
+            if len(lams) != len(nets):
+                raise ValueError(f"member {len(members)} has {len(lams)} "
+                                 f"lambdas for {len(nets)} monomials")
+            key = (tuple(refs), np.array(lams, dtype=float).tobytes(),
+                   json.dumps(spec["meta"], sort_keys=True))
+            if key not in recipes:
+                recipes[key] = _Recipe(nets, lams, spec["meta"], table)
+            members.append(recipes[key])
+        bundle = NetworkBundle(members, data["labels"], meta=meta)
         stored = (data["W"], data["L"])
     except KeyError as exc:
         raise ValueError(f"bundle lacks field {exc.args[0]!r}") from None

@@ -238,9 +238,10 @@ def _edit_bundle(edit):
     return damage
 
 
-def _negative_column(bundle):
-    block = next(b for b in bundle["layers"] if b["columns"])
-    block["columns"][0] = -1
+def _set_factor(index, value):
+    """Edit that sets entry index of the last monomial's first factor."""
+    return lambda bundle: bundle["monomials"][-1][0].__setitem__(index,
+                                                                 value)
 
 
 def _truncate(path):
@@ -303,11 +304,18 @@ class TestNetEval:
         assert "coordinates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", [
-        _edit_bundle(lambda b: b.update(format=2)), _truncate,
+        _edit_bundle(lambda b: b.update(format=2)),
+        _edit_bundle(lambda b: b.update(format=3)), _truncate,
         _edit_bundle(lambda b: b["networks"][0].pop("monomials")),
-        _edit_bundle(_negative_column), _bundle_not_object],
-        ids=["old_layout", "truncated", "member_lacks_monomials",
-             "column_negative", "not_an_object"])
+        _edit_bundle(_set_factor(0, -1)), _edit_bundle(_set_factor(0, 0.7)),
+        _edit_bundle(_set_factor(1, "phi2")),
+        _edit_bundle(lambda b: b["monomials"].__setitem__(-1, [])),
+        _edit_bundle(lambda b: b.pop("meta")),
+        _edit_bundle(lambda b: b["meta"].update(omega=float("nan"))),
+        _bundle_not_object],
+        ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
+             "coordinate_negative", "coordinate_fraction", "kind_unknown",
+             "factors_empty", "no_meta", "omega_nan", "not_an_object"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0

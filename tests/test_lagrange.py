@@ -78,6 +78,15 @@ class TestLagrangeCoeffs:
         basis = lagrange_coeffs(0)
         np.testing.assert_allclose(basis.coeff_table, [[1.0]])
 
+    def test_tables_are_shared_and_read_only(self):
+        for m, k in ((0, 0), (3, 1)):
+            basis = lagrange_coeffs(m)
+            assert lagrange_coeffs(m) is basis
+            with pytest.raises(ValueError, match="read-only"):
+                basis.coeff_table[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                basis.coeffs(k)[0] = 2.0
+
     def test_order_one_worked_example(self):
         # nodes -1, +1: L_{1;+1} = (y+1)/2, L_{1;-1} = (1-y)/2
         basis = lagrange_coeffs(1)

@@ -29,7 +29,6 @@ from hermnet.network import (
     concatenate,
     fit_delta_K,
     identity_net,
-    net_eval,
     parallelize,
     phi0_net,
     phi1_net,
@@ -83,13 +82,13 @@ class TestGadgets:
         for x, want in [(0.5, 0.5), (3.0, 0.0), (-0.25, -0.25), (1.5, 0.5),
                         (-1.5, -0.5), (2.0, 0.0), (-2.0, 0.0), (1.0, 1.0),
                         (0.0, 0.0)]:
-            assert net_eval(net, np.array([x]))[0] == want
+            assert net.eval_batch([[x]])[0, 0] == want
 
     def test_phi0_frozen_values(self):
         net = phi0_net()
         for x, want in [(0.9, 1.0), (-2.5, 0.0), (1.5, 0.5), (0.0, 1.0),
                         (2.0, 0.0), (-2.0, 0.0), (1.0, 1.0), (-1.0, 1.0)]:
-            assert net_eval(net, np.array([x]))[0] == want
+            assert net.eval_batch([[x]])[0, 0] == want
 
     def test_size_and_depth(self):
         p1, p0 = phi1_net(), phi0_net()
@@ -114,8 +113,8 @@ class TestGadgets:
     @settings(max_examples=60, deadline=None)
     def test_support_zero_at_bit_level(self, x):
         for net in (phi0_net(), phi1_net()):
-            assert net_eval(net, np.array([x]))[0] == 0.0
-            assert net_eval(net, np.array([-x]))[0] == 0.0
+            assert net.eval_batch([[x]])[0, 0] == 0.0
+            assert net.eval_batch([[-x]])[0, 0] == 0.0
 
     def test_ramp_region(self):
         p0, p1 = phi0_net(), phi1_net()
@@ -133,12 +132,12 @@ class TestEvaluator:
         net = identity_net(3)
         assert (net.size, net.depth) == (3, 1)
         x = np.array([0.3, -1.2, 7.0])
-        assert np.array_equal(net_eval(net, x), x)
+        assert np.array_equal(net.eval_batch(x[None, :])[0], x)
 
     def test_dimension_mismatch_raises(self):
         net = phi1_net()
         with pytest.raises(ValueError):
-            net_eval(net, np.array([1.0, 2.0]))
+            net.eval_batch(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             net.eval_batch(np.zeros((4, 2)))
 
@@ -148,7 +147,7 @@ class TestEvaluator:
         X = rng.uniform(-1, 1, size=(17, 3))
         batch = net.eval_batch(X)
         for i in range(17):
-            assert np.array_equal(net_eval(net, X[i]), batch[i])
+            assert np.array_equal(net.eval_batch(X[i:i + 1])[0], batch[i])
 
     def test_matches_dense_reference(self):
         # the bucketed sequential engine against plain matmul; agreement
@@ -165,7 +164,7 @@ class TestEvaluator:
         # a cell budget below one point's columns still runs one point
         # per chunk; 10 points at 3 per chunk leave a short last chunk
         net = assemble_phi_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1), None, 2.0, 1e-5)
+            MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5)
         total = net.input_dim + sum(net.widths[:-1])
         monkeypatch.setattr(network, "_EVAL_CELL_LIMIT",
                             max(1, points_per_chunk * total))
@@ -205,6 +204,19 @@ class TestEvaluator:
         net = network.ReluNetwork(2, layers)
         assert (net.size, net.depth) == (4, 2)
 
+    def test_builder_rejects_bad_references(self):
+        # an input outside [0, input_dim) or a unit of the same or a
+        # later layer fails where the term is recorded
+        b = network._NetBuilder(2)
+        u = b.unit(1, [(0, 1.0)])
+        for layer, ref, match in ((2, 2, "out of range"),
+                                  (2, -1, "out of range"),
+                                  (1, u, "strictly earlier")):
+            with pytest.raises(ValueError, match=match):
+                b.unit(layer, [(ref, 1.0)])
+        net = b.finalize([([(u, 2.0), (1, 1.0)], 0.5)])
+        assert net.eval_batch([[3.0, 4.0]]).tolist() == [[4.0 + 6.0 + 0.5]]
+
 
 class TestProductNet:
     def test_accuracy_within_delta(self):
@@ -228,10 +240,10 @@ class TestProductNet:
 
     def test_all_zero_and_corner(self):
         net = product_net(3, 1e-3)
-        assert net_eval(net, np.zeros(3))[0] == 0.0
-        np.testing.assert_allclose(net_eval(net, np.ones(3))[0], 1.0, atol=1e-3)
+        assert net.eval_batch(np.zeros((1, 3)))[0, 0] == 0.0
+        np.testing.assert_allclose(net.eval_batch(np.ones((1, 3)))[0, 0], 1.0, atol=1e-3)
         np.testing.assert_allclose(
-            net_eval(net, -np.ones(3))[0], -1.0, atol=1e-3)
+            net.eval_batch(-np.ones((1, 3)))[0, 0], -1.0, atol=1e-3)
 
     def test_size_scales_like_d_log(self):
         # W = O(d log(d/delta)): the ratio stays bounded over the grid
@@ -280,7 +292,7 @@ class TestTruncatedProduct:
         X = rng.uniform(-2.2, 2.2, size=(500, 2))
         ref = np.array([phi0_ref(a) * phi1_ref(b) for a, b in X])
         assert np.abs(net.eval_batch(X)[:, 0] - ref).max() <= 1e-2
-        assert net_eval(net, np.array([0.5, 0.5]))[0] == pytest.approx(0.5, abs=1e-2)
+        assert net.eval_batch([[0.5, 0.5]])[0, 0] == pytest.approx(0.5, abs=1e-2)
 
     def test_exact_zero_outside_any_coordinate(self):
         net = truncated_product_net(3, 1e-2, "phi1")
@@ -568,18 +580,18 @@ class TestReindex:
 
 class TestPhiTriple:
     def test_empty_difference_is_plateau(self):
-        net = assemble_phi_triple(MultiIndex(()), (), None, 4.0, 1e-6)
+        net = assemble_phi_triple(MultiIndex(()), (), 4.0, 1e-6)
         assert net.meta["coeff_abs_sum"] == 1.0
         for y in (-3.0, 0.0, 7.9):
-            assert net_eval(net, np.array([y]))[0] == 1.0
+            assert net.eval_batch([[y]])[0, 0] == 1.0
         edge = 8.0 * math.sqrt(4.0) * 1.001
-        assert net_eval(net, np.array([edge]))[0] == 0.0
-        assert net_eval(net, np.array([-edge]))[0] == 0.0
+        assert net.eval_batch([[edge]])[0, 0] == 0.0
+        assert net.eval_batch([[-edge]])[0, 0] == 0.0
 
     def test_order_one_matches_cardinal(self):
         omega, delta = 4.0, 1e-6
         sme = MultiIndex(((1, 1),))
-        net = assemble_phi_triple(sme, (1,), None, omega, delta)
+        net = assemble_phi_triple(sme, (1,), omega, delta)
         bound = delta * net.meta["coeff_abs_sum"]
         f = _cardinal(1, 1)
         ys = np.linspace(-2 * math.sqrt(omega), 2 * math.sqrt(omega), 101)
@@ -590,7 +602,7 @@ class TestPhiTriple:
     def test_two_dim_product_of_cardinals(self):
         omega, delta = 2.0, 1e-5
         sme = MultiIndex(((1, 1), (3, 2)))
-        net = assemble_phi_triple(sme, (1, -1), None, omega, delta)
+        net = assemble_phi_triple(sme, (1, -1), omega, delta)
         bound = delta * net.meta["coeff_abs_sum"]
         f1, f3 = _cardinal(1, 1), _cardinal(2, -1)
         rng = np.random.default_rng(42)
@@ -603,7 +615,7 @@ class TestPhiTriple:
     def test_support_coordinates_are_gated(self):
         omega = 2.0
         sme = MultiIndex(((1, 1), (3, 2)))
-        net = assemble_phi_triple(sme, (1, -1), None, omega, 1e-5)
+        net = assemble_phi_triple(sme, (1, -1), omega, 1e-5)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-1, 1, size=(100, 3))
         edge = 8.0 * math.sqrt(omega) * 1.001
@@ -619,7 +631,7 @@ class TestPhiTriple:
     def test_coeff_abs_sum_matches_tables(self):
         omega, delta = 2.0, 1e-5
         sme = MultiIndex(((2, 2),))
-        net = assemble_phi_triple(sme, (0,), None, omega, delta)
+        net = assemble_phi_triple(sme, (0,), omega, delta)
         tab = lagrange_coeffs(2).coeffs(0)
         scale = 4.0 * math.sqrt(omega)
         want = sum(abs(b) * scale ** l for l, b in enumerate(tab) if b != 0.0)
@@ -628,11 +640,11 @@ class TestPhiTriple:
     def test_invalid_args(self):
         sme = MultiIndex(((1, 1),))
         with pytest.raises(ValueError):
-            assemble_phi_triple(sme, (1,), None, 0.5, 1e-6)
+            assemble_phi_triple(sme, (1,), 0.5, 1e-6)
         with pytest.raises(ValueError):
-            assemble_phi_triple(sme, (1,), None, 2.0, 2.0)
+            assemble_phi_triple(sme, (1,), 2.0, 2.0)
         with pytest.raises(ValueError):
-            assemble_phi_triple(sme, (1, -1), None, 2.0, 1e-6)
+            assemble_phi_triple(sme, (1, -1), 2.0, 1e-6)
 
 
 class TestComputeDelta:
@@ -677,40 +689,62 @@ class TestComputeDelta:
 
 
 def _gadget_bundle():
-    """The phi0 and phi1 gadgets as one-monomial members of a bundle."""
+    """The phi0 and phi1 gadgets as one-factor monomials (omega 1, so
+    the input scale is 1/4), each a one-monomial member of a bundle."""
     table = network._UnitTable(1)
     return NetworkBundle(
-        [network._Recipe([net], [1.0], {"coeff_abs_sum": 1.0}, table)
-         for net in (phi0_net(), phi1_net())], ["phi0", "phi1"])
+        [network._Recipe([network._monomial(((0, kind),), 1.0, 1e-3, 1)],
+                         [1.0], {"coeff_abs_sum": 1.0}, table)
+         for kind in ("phi0", "phi1")], ["phi0", "phi1"],
+        meta={"omega": 1.0, "delta": 1e-3})
 
 
-def _pool_bundle():
+def _repeat_bundle():
     """Members over one unit table: a triple's recipe, the same triple
-    compiled anew (equal blocks, other objects), and the first recipe
+    compiled anew (equal monomials, other objects), and the first recipe
     again (a repeated triple)."""
     table = network._UnitTable(2)
 
     def triple():
         return network._compile_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1),
-            network._coeff_source(None), 2.0, 1e-5, None, 1, {}, table)
+            MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5, None, 1, {},
+            table)
     first = triple()
-    return NetworkBundle([first, triple(), first], ["a", "b", "c"])
+    return NetworkBundle([first, triple(), first], ["a", "b", "c"],
+                         meta={"omega": 2.0, "delta": 1e-5})
 
 
 def _roundtrip(bundle):
     return bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
 
 
+def _sharing(members):
+    """For each member, the index of the first member that is the same
+    object."""
+    first = {}
+    return [first.setdefault(id(m), i) for i, m in enumerate(members)]
+
+
+def _layer_bytes(net):
+    return [[getattr(layer, name).tobytes()
+             for name in ("counts", "cols", "wts", "bias")]
+            for layer in net.layers]
+
+
 class TestSerialization:
     def test_gadget_roundtrip(self):
         bundle = _gadget_bundle()
         back = _roundtrip(bundle)
-        x = np.linspace(-3, 3, 301)[:, None]
-        for a, b in zip(bundle.members, back.members):
+        x = np.linspace(-9, 9, 301)[:, None]
+        for a, b, gadget in zip(bundle.members, back.members,
+                                (phi0_net(), phi1_net())):
             (na,), (nb,) = a.monos, b.monos
-            assert np.array_equal(nb.eval_batch(x), na.eval_batch(x))
-            assert (nb.size, nb.depth) == (na.size, na.depth)
+            # at omega 1 the monomial is the gadget at y / 4, to the bit
+            assert nb.eval_batch(x).tobytes() == na.eval_batch(x).tobytes() \
+                == gadget.eval_batch(x / 4).tobytes()
+            assert (nb.size, nb.depth) == (na.size, na.depth) == \
+                (gadget.size, gadget.depth)
+            assert _layer_bytes(nb) == _layer_bytes(na)
         assert back.shared.eval_batch(x).tobytes() == \
             bundle.shared.eval_batch(x).tobytes()
         assert (back.W, back.L) == (bundle.W, bundle.L)
@@ -718,7 +752,7 @@ class TestSerialization:
     def test_merged_triple_roundtrip(self):
         # parallelized outputs keep per-member entry order; the reloaded
         # recipes must rebuild them bit for bit
-        bundle = _pool_bundle()
+        bundle = _repeat_bundle()
         back = _roundtrip(bundle)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-6, 6, size=(150, bundle.input_dim))
@@ -727,46 +761,6 @@ class TestSerialization:
         assert back.shared.eval_batch(Y).tobytes() == \
             bundle.shared.eval_batch(Y).tobytes()
 
-    def test_to_dict_matches_per_row_reference(self):
-        def reference(layer, cols):
-            counts, columns, weights = [], [], []
-            for c, w in layer.rows:
-                counts.append(len(c))
-                columns.extend(int(v) for v in c)
-                weights.extend(float(v) for v in w)
-            return {"cols": cols, "counts": counts, "columns": columns,
-                    "weights": weights,
-                    "bias": [float(v) for v in layer.bias]}
-
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        with_empty = network.ReluNetwork(2, [
-            layer_of_rows([(np.array([0, 1]), np.array([1.0, -0.5])), empty,
-                           (np.array([1]), np.array([-0.0]))],
-                          [0.0, -0.0, 1.5]),
-            layer_of_rows([(np.array([4, 2, 0]), np.array([1.0, 2.0, 3.0])),
-                           empty], [0.25, 0.0])], {"kind": "test"})
-        merged = assemble_phi_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1), None, 2.0, 1e-5)
-        plan = _small_plan()
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples),
-                                       compute_delta(plan, 2.0), 2.0)
-        for net in [phi1_net(), product_net(3, 1e-3), with_empty, merged,
-                    bundle.networks[-1]]:
-            cols = net.input_dim
-            for layer in net.layers:
-                got, want = network._layer_to_dict(layer, cols), \
-                    reference(layer, cols)
-                assert got == want
-                text = json.dumps(got, sort_keys=True)
-                assert text == json.dumps(want, sort_keys=True)
-                # stored entry order (non-ascending rows, -0.0) survives
-                back, back_cols = network._layer_from_dict(json.loads(text))
-                assert back_cols == cols
-                for name in ("counts", "cols", "wts", "bias"):
-                    assert getattr(back, name).tobytes() == \
-                        getattr(layer, name).tobytes()
-                cols += layer.width
-
     def test_corrupt_meta_rejected(self):
         d = bundle_to_dict(_gadget_bundle())
         d["W"] = 7
@@ -774,75 +768,82 @@ class TestSerialization:
             bundle_from_dict(d)
 
 
-def _block(d):
-    """The first pool block holding a column."""
-    return next(b for b in d["layers"] if b["columns"])
-
-
-def _entry_past_rows(d):
-    """An entry that no row's count covers."""
-    block = _block(d)
-    block["columns"].append(0)
-    block["weights"].append(1.0)
-
-
-def _shift_cols(d, by):
-    d["layers"][1]["cols"] += by
+def _factor(d):
+    """The first factor of the last stored monomial."""
+    return d["monomials"][-1][0]
 
 
 class TestBundlePool:
-    def test_equal_layers_share_one_block(self):
-        bundle = _pool_bundle()
+    def test_equal_monomials_share_one_entry(self):
+        bundle = _repeat_bundle()
         d = bundle_to_dict(bundle)
-        assert d["format"] == network.BUNDLE_FORMAT
-        refs = [[d["monomials"][i] for i in spec["monomials"]]
-                for spec in d["networks"]]
-        assert refs[0] == refs[1] == refs[2]
-        assert d["networks"][0]["monomials"] == \
-            d["networks"][2]["monomials"]
-        first_use = []
-        for blocks in refs[0]:
-            first_use += [i for i in blocks if i not in first_use]
-        assert first_use == list(range(len(d["layers"])))
+        assert d["format"] == network.BUNDLE_FORMAT == 4
+        # no layers and no weight arrays: monomials are factor lists
+        assert set(d) == {"format", "meta", "input_dim", "W", "L",
+                          "monomials", "networks", "labels"}
+        assert set(d["networks"][0]) == {"monomials", "lambdas", "meta"}
+        # the triple compiled anew has other monomial objects with the
+        # same factors, so all three members name the same entries
+        assert [spec["monomials"] for spec in d["networks"]] == \
+            [list(range(len(d["monomials"])))] * 3
+        assert d["monomials"] == [[list(f) for f in net.meta["factors"]]
+                                  for net in bundle.members[0].monos]
         back = bundle_from_dict(json.loads(json.dumps(d)))
-        for a, b in zip(back.members[0].monos, back.members[1].monos):
-            assert all(la is lb for la, lb in zip(a.layers, b.layers))
+        # equal monomials, lambdas and meta: one recipe
+        assert _sharing(back.members) == [0, 0, 0]
         assert (back.W, back.L) == (bundle.W, bundle.L)
+        # the dict holds copies: editing it leaves the bundle as it was
+        lams, meta = list(bundle.members[0].lams), dict(bundle.members[0].meta)
+        d["networks"][0]["lambdas"].append(1.0)
+        d["networks"][0]["meta"]["omega"] = 99.0
+        assert (bundle.members[0].lams, bundle.members[0].meta) == (lams, meta)
 
     @pytest.mark.parametrize("damage, match", [
-        (lambda d: d["monomials"][-1].__setitem__(0, -1), "outside"),
-        (lambda d: d["monomials"][-1].__setitem__(0, len(d["layers"])),
-         "outside"),
         (lambda d: d["networks"][-1]["monomials"].__setitem__(0, -1),
          "outside"),
         (lambda d: d["networks"][-1]["monomials"].__setitem__(
             0, len(d["monomials"])), "outside"),
+        (lambda d: d["networks"][-1]["monomials"].__setitem__(0, 0.0),
+         "outside"),
         (lambda d: d["networks"][0].update(monomials=[]), "no entry"),
         (lambda d: d["networks"][0]["lambdas"].append(1.0), "lambdas"),
-        (lambda d: _shift_cols(d, 1), "sits over"),
-        (lambda d: _shift_cols(d, -1), "sits over"),
-        (lambda d: _block(d)["columns"].__setitem__(0, -1), "negative"),
-        (lambda d: _block(d)["counts"].__setitem__(0, -1), "negative"),
-        (lambda d: _block(d)["counts"].append(1), "sum"),
-        (_entry_past_rows, "sum"),
-        (lambda d: _block(d)["weights"].pop(), "sum"),
-        (lambda d: d["layers"][0]["bias"].pop(), "biases"),
+        (lambda d: _factor(d).__setitem__(0, 0.7), "coordinate"),
+        (lambda d: _factor(d).__setitem__(0, True), "coordinate"),
+        (lambda d: _factor(d).__setitem__(0, "1"), "coordinate"),
+        (lambda d: _factor(d).__setitem__(0, -1), "coordinate"),
+        (lambda d: _factor(d).__setitem__(0, d["input_dim"]), "coordinate"),
+        (lambda d: _factor(d).__setitem__(1, "phi2"), "kind"),
+        (lambda d: _factor(d).append("phi0"), "pair"),
+        (lambda d: d["monomials"].__setitem__(-1, []), "factor list"),
+        (lambda d: d.update(input_dim=2.5), "input_dim"),
+        (lambda d: d.pop("meta"), "meta"),
+        (lambda d: d["meta"].pop("omega"), "omega"),
+        (lambda d: d["meta"].update(omega=0.5), "omega"),
+        (lambda d: d["meta"].update(omega=math.nan), "omega"),
+        (lambda d: d["meta"].update(omega=math.inf), "omega"),
+        (lambda d: d["meta"].update(delta=0.0), "delta"),
+        (lambda d: d["meta"].update(delta=1.0), "delta"),
+        (lambda d: d["meta"].update(delta=math.nan), "delta"),
         (lambda d: d.update(W=d["W"] + 1), "recount"),
         (lambda d: d.update(L=d["L"] - 1), "recount"),
         (lambda d: d.update(format=1), "format"),
         (lambda d: d.update(format=2), "format"),
+        (lambda d: d.update(format=3), "format"),
         (lambda d: d.pop("format"), "format"),
         (lambda d: d["networks"][0].pop("monomials"), "monomials"),
         (lambda d: d.pop("labels"), "labels"),
-    ], ids=["index_-1", "index_past_pool", "monomial_index_-1",
-            "monomial_index_past_end", "member_no_monomials",
-            "lambda_count", "cols_plus_1", "cols_minus_1", "column_negative",
-            "count_negative", "counts_over_columns", "entry_past_rows",
-            "weights_short", "bias_short", "W_plus_1", "L_minus_1",
-            "old_format", "format_2", "no_format", "member_lacks_monomials",
+    ], ids=["monomial_index_-1", "monomial_index_past_end",
+            "monomial_index_float", "member_no_monomials", "lambda_count",
+            "coordinate_fraction", "coordinate_bool", "coordinate_string",
+            "coordinate_negative", "coordinate_past_input", "kind_unknown",
+            "factor_not_pair", "factors_empty", "input_dim_fraction",
+            "no_meta", "no_omega",
+            "omega_below_1", "omega_nan", "omega_inf", "delta_zero",
+            "delta_one", "delta_nan", "W_plus_1", "L_minus_1", "old_format",
+            "format_2", "format_3", "no_format", "member_lacks_monomials",
             "no_labels"])
     def test_bad_bundle_rejected(self, damage, match):
-        d = bundle_to_dict(_pool_bundle())
+        d = bundle_to_dict(_repeat_bundle())
         bundle_from_dict(d)
         damage(d)
         with pytest.raises(ValueError, match=match):
@@ -854,22 +855,62 @@ def _small_plan():
     return build_plan(6.0, model)
 
 
-@pytest.mark.parametrize("delta, digest", [
-    (1e-5, "ea334ce47c94199fc78c5a23079f2439ed586fea46465e589909636df71d241f"),
-    ("auto",
-     "3cca3c6f57df4e147339bd80418bd1aa27b5f1766d8a1740be59e627ab35a11b")],
-    ids=["fixed_delta", "auto_delta"])
-def test_bundle_json_is_unchanged(delta, digest):
-    """SHA-256 of the bundle JSON text, written as the CLI writes it,
-    recorded when bundle format 3 (members as recipes) was introduced:
-    any change to the artifact bytes must be deliberate."""
+def _small_bundle(delta):
     plan = _small_plan()
     if delta == "auto":
         delta = compute_delta(plan, 2.0)
-    bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta, 2.0)
-    text = json.dumps(bundle_to_dict(bundle), sort_keys=True,
+    return assemble_surrogate(plan, np.ones(plan.n_triples), delta, 2.0)[0]
+
+
+@pytest.mark.parametrize("delta, digest", [
+    (1e-5, "33c718f0135e13f038dcde881c59fd8330e3fe5966ebfdda19b443ac10204641"),
+    ("auto",
+     "b3f1e8134dd203c7a18b025a991ba10e6e99a3b98376bb4793fdc805e881e52e")],
+    ids=["fixed_delta", "auto_delta"])
+def test_bundle_json_is_unchanged(delta, digest):
+    """SHA-256 of the bundle JSON text, written as the CLI writes it,
+    recorded when bundle format 4 (monomials as factor lists) was
+    introduced: any change to the artifact bytes must be deliberate."""
+    text = json.dumps(bundle_to_dict(_small_bundle(delta)), sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _network_digests(bundle):
+    """SHA-256 over the layer arrays (counts, cols, wts, bias) of each
+    distinct monomial network in first-use order, and over those of
+    bundle.shared."""
+    monos = {}
+    for member in bundle.members:
+        for net in member.monos:
+            monos.setdefault(id(net), net)
+    digests = []
+    for nets in (monos.values(), [bundle.shared]):
+        h = hashlib.sha256()
+        for net in nets:
+            for arrays in _layer_bytes(net):
+                for data in arrays:
+                    h.update(data)
+        digests.append(h.hexdigest())
+    return digests
+
+
+@pytest.mark.parametrize("delta, digests", [
+    (1e-7, ["8851fcbf2db1d7883226cc52976261da342796ff45afa742bab26a21486a4897",
+            "be3d655a192f58cf306c94f824d0002df0454c08d3e85d0542b304626661bd93"]),
+    ("auto",
+     ["5bb6af7aa9c3ebe4a408060b46f0d196fa0a2fee39815868e3f9e43c89429eb3",
+      "798cc4493fcce8a8edcf55336670910784d5f382ca0e6ecbcd0e6ee7cd2f7018"])],
+    ids=["fixed_delta", "auto_delta"])
+def test_network_bytes_are_unchanged(delta, digests):
+    """The monomial networks and the shared evaluation network, byte for
+    byte, after compile and after a reload.  The digests were recorded
+    with bundle format 3, which stored the monomial layers themselves;
+    format 4 rebuilds them from their factors and must give the same
+    bytes."""
+    bundle = _small_bundle(delta)
+    assert _network_digests(bundle) == digests
+    assert _network_digests(_roundtrip(bundle)) == digests
 
 
 class TestSurrogate:
@@ -999,7 +1040,7 @@ class TestSurrogate:
             s = plan.indices[t.s_ref]
             sme = s.subtract_mask(t.e_mask)
             gate = min(s.support) if s.pairs else 1
-            fresh = assemble_phi_triple(sme, t.k, None, omega, delta,
+            fresh = assemble_phi_triple(sme, t.k, omega, delta,
                                         input_dim=dim, gate_coord=gate,
                                         label=label)
             assert net.meta == fresh.meta
@@ -1028,6 +1069,7 @@ class TestSurrogate:
 
     def test_pool_factoring_is_lossless(self):
         # auto delta: members of depths 3, 17 and 34 sharing monomials
+        # and repeated triples
         plan = _small_plan()
         omega = 2.0
         delta = compute_delta(plan, omega)
@@ -1035,37 +1077,31 @@ class TestSurrogate:
                                        omega)
         assert len({net.depth for net in bundle.networks}) > 1
         d = bundle_to_dict(bundle)
-        pool = d["layers"]
+        compiled = {}
         for member, spec in zip(bundle.members, d["networks"]):
             assert spec["lambdas"] == member.lams
             assert spec["meta"] == member.meta
             for net, i in zip(member.monos, spec["monomials"]):
-                cols = np.cumsum([net.input_dim] + net.widths[:-1]).tolist()
-                want = [network._layer_to_dict(layer, c)
-                        for layer, c in zip(net.layers, cols)]
-                assert [pool[j] for j in d["monomials"][i]] == want
-        texts = [json.dumps(block, sort_keys=True) for block in pool]
-        assert len(set(texts)) == len(texts)
-        assert len(pool) < sum(len(refs) for refs in d["monomials"])
+                assert compiled.setdefault(i, net) is net
+                assert d["monomials"][i] == [list(f)
+                                             for f in net.meta["factors"]]
+        assert len(compiled) == len(d["monomials"])
+        assert len(compiled) < sum(len(m.monos) for m in bundle.members)
 
         back = bundle_from_dict(json.loads(json.dumps(d, sort_keys=True)))
-        reloaded, owner = {}, {}
+        # one recipe object exactly where compile made one
+        assert _sharing(back.members) == _sharing(bundle.members)
+        assert len(set(_sharing(back.members))) < len(back.members)
+        reloaded = {}
         for member, spec in zip(back.members, d["networks"]):
             for net, i in zip(member.monos, spec["monomials"]):
                 assert reloaded.setdefault(i, net) is net
         for i, net in reloaded.items():
-            for layer, j in zip(net.layers, d["monomials"][i]):
-                assert owner.setdefault(j, layer) is layer
-                # no view into a decoded block's buffer
-                assert layer.cols.base is None and layer.wts.base is None
-        assert (len(reloaded), len(owner)) == (len(d["monomials"]), len(pool))
+            assert _layer_bytes(net) == _layer_bytes(compiled[i])
         for a, b in zip(bundle.networks, back.networks):
             assert a.meta == b.meta
             assert (a.input_dim, a.depth) == (b.input_dim, b.depth)
-            for la, lb in zip(a.layers, b.layers):
-                for name in ("counts", "cols", "wts", "bias"):
-                    assert getattr(la, name).tobytes() == \
-                        getattr(lb, name).tobytes()
+            assert _layer_bytes(a) == _layer_bytes(b)
 
         rng = np.random.default_rng(42)
         g = rng.normal(size=(100, plan.m_active))
@@ -1076,6 +1112,7 @@ class TestSurrogate:
         assert before.tobytes() == after.tobytes()
         assert np.all(before[100:] == 0.0)
         assert back.shared.widths == bundle.shared.widths
+        assert _layer_bytes(back.shared) == _layer_bytes(bundle.shared)
 
     def test_row_path_never_parallelizes(self, monkeypatch):
         # compile, certificate, W/L, evaluation, serialization, reload and
@@ -1159,9 +1196,9 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
                                    bundle.labels, sizes):
         s = plan.indices[t.s_ref]
         gate = min(s.support) if s.pairs else 1
-        fresh = assemble_phi_triple(s.subtract_mask(t.e_mask), t.k, None,
-                                    omega, delta, input_dim=dim,
-                                    gate_coord=gate, label=label)
+        fresh = assemble_phi_triple(s.subtract_mask(t.e_mask), t.k, omega,
+                                    delta, input_dim=dim, gate_coord=gate,
+                                    label=label)
         assert net.meta == fresh.meta
         assert size == (recount_size(fresh), fresh.depth)
         assert (net.input_dim, net.depth) == (fresh.input_dim, fresh.depth)
