@@ -22,6 +22,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import sys
 import time
 import warnings
@@ -611,13 +612,38 @@ def cmd_sweep(cfg, out_dir, args):
     return EXIT_NUMERIC if failures else EXIT_OK
 
 
+def _usable_cpus():
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _net_eval_share(bundle, signs, samples, pts, path):
+    """Write the CSV rows of the surrogate at pts to path, evaluated in
+    blocks of _NET_EVAL_BLOCK points, each written before the next runs."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, pts.shape[0], _NET_EVAL_BLOCK):
+            block = surrogate_eval(bundle, signs, samples,
+                                   pts[start:start + _NET_EVAL_BLOCK])
+            fh.write("".join([",".join(map(repr, row)) + "\n"
+                              for row in block.tolist()]))
+
+
 def cmd_net_eval(args):
     """Evaluate a bundle artifact at every point of a CSV file.
 
-    The points run in blocks of _NET_EVAL_BLOCK, each written before the
-    next is evaluated, so memory does not grow with the point count.  The
-    rows go to a temporary file beside --out that replaces it after the
-    last block; on a failure an existing --out is left as it was.
+    The points are split into one contiguous share of whole
+    _NET_EVAL_BLOCK blocks per usable CPU (no more shares than blocks).
+    This process evaluates the first share into a temporary file beside
+    --out, and a forked child evaluates each other share into a part
+    file beside it; the parts are appended in order and the result
+    replaces --out.  Memory per process does not grow with the point
+    count, and the bytes do not depend on the number of shares: every
+    block is evaluated on its own.  On any failure the children are
+    killed and reaped, the temporary and part files are removed, and an
+    existing --out is left as it was.
     """
     art = _read_artifact(args.bundle, "bundle", None)
     with _parsing(args.bundle):
@@ -652,21 +678,53 @@ def cmd_net_eval(args):
         raise ConfigError(f"output file {out} is a directory")
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, "w", encoding="utf-8")
+        open(tmp, "w", encoding="utf-8").close()
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out} ({exc})") from exc
+
+    pts = pts[:, :dim]
+    blocks = -(-pts.shape[0] // _NET_EVAL_BLOCK)
+    n = min(_usable_cpus(), blocks)
+    cuts = [_NET_EVAL_BLOCK * (blocks * k // n) for k in range(n + 1)]
+    parts = [tmp] + [tmp.with_name(f"{tmp.name}.part{k}")
+                     for k in range(1, n)]
+    children = []
     try:
-        with fh:
-            for start in range(0, pts.shape[0], _NET_EVAL_BLOCK):
-                block = surrogate_eval(
-                    bundle, signs, samples,
-                    pts[start:start + _NET_EVAL_BLOCK, :dim])
-                fh.write("".join([",".join(map(repr, row)) + "\n"
-                                  for row in block.tolist()]))
+        bundle.shared  # built once here, not once in every child
+        sys.stdout.flush()  # or each child flushes the buffered output
+        sys.stderr.flush()
+        for k in range(1, n):
+            child = multiprocessing.get_context("fork").Process(
+                target=_net_eval_share,
+                args=(bundle, signs, samples, pts[cuts[k]:cuts[k + 1]],
+                      parts[k]))
+            try:
+                child.start()
+            except OSError as exc:
+                raise RuntimeError(
+                    f"cannot start a net eval worker ({exc})") from exc
+            children.append(child)
+        _net_eval_share(bundle, signs, samples, pts[:cuts[1]], tmp)
+        for k, child in enumerate(children, 1):
+            child.join()
+            if child.exitcode:
+                raise RuntimeError(
+                    f"net eval of points {cuts[k] + 1}.."
+                    f"{min(cuts[k + 1], pts.shape[0])} failed in a worker "
+                    f"(exit code {child.exitcode})")
+        with open(tmp, "ab") as fh:
+            for part in parts[1:]:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
         os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out} ({exc})") from exc
+    finally:
+        for child in children:
+            child.kill()
+            child.join()
+        for part in parts:
+            part.unlink(missing_ok=True)
     print(f"net eval: {pts.shape[0]} points -> {args.out}")
     return EXIT_OK
 

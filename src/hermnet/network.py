@@ -499,6 +499,17 @@ def _colmap(net, offsets):
     return colmap
 
 
+def _moved_column(net, offsets, col):
+    """_colmap(net, offsets)[col], without building the whole map."""
+    start = net.input_dim
+    if col < start:
+        return col
+    for width, offset in zip(net.widths, offsets.tolist()):
+        if col < start + width:
+            return offset + col - start
+        start += width
+
+
 def _reindex(layers, colmap, twin=None):
     """The entries of `layers`, their rows numbered on from 0 across the
     layers, as (row, column, weight, bias) arrays in stored order with
@@ -836,7 +847,8 @@ class _Recipe:
             if net.depth == self.depth:
                 pieces.append((canon[cols], wts * lam))
                 bias += lam * b
-                firsts.append(int(_colmap(net, offsets[:, j])[cols[0]])
+                firsts.append(_moved_column(net, offsets[:, j],
+                                            int(cols[0]))
                               if len(cols) else -1)
             else:
                 levels = top - net.depth

@@ -2,6 +2,10 @@
 
 import json
 import math
+import multiprocessing
+import os
+import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +265,11 @@ def _write_points(path, pts):
     return path
 
 
+def _use_cpus(monkeypatch, n):
+    """Make net eval see n usable CPUs, so it splits into n shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestNetEval:
     def test_matches_in_memory_evaluator_bitwise(self, cfg_file, tmp_path):
         for cmd in ("plan", "solve", "compile"):
@@ -368,6 +377,7 @@ class TestNetEval:
             return surrogate_eval(bundle, signs, samples, block_pts)
 
         monkeypatch.setattr(cli, "surrogate_eval", recording)
+        _use_cpus(monkeypatch, 1)  # counted here, so no forked share
         out_file = tmp_path / "vals.csv"
         assert run("net", "eval", "--bundle",
                    tmp_path / "out" / "bundle_02.json",
@@ -422,11 +432,143 @@ class TestNetEval:
             return surrogate_eval(*args)
 
         monkeypatch.setattr(cli, "surrogate_eval", failing)
+        _use_cpus(monkeypatch, 1)  # counted here, so no forked share
         code = run("net", "eval", "--bundle",
                    tmp_path / "out" / "bundle_02.json",
                    "--points", pts_file, "--out", out_file)
         assert code == 3
         assert len(calls) == 2
+        assert out_file.read_bytes() == b"0.5\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("count", [1, 256, 257, 2 * 256 + 3])
+    def test_bytes_do_not_depend_on_share_count(self, cfg_file, tmp_path,
+                                                monkeypatch, count):
+        assert cli._NET_EVAL_BLOCK == 256
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        pts = np.random.default_rng(count).standard_normal((count, 2))
+        pts_file = _write_points(tmp_path / "pts.csv", pts)
+        log = tmp_path / "pids.log"
+        log.write_text("")
+
+        def logging_pid(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return surrogate_eval(*args)
+
+        monkeypatch.setattr(cli, "surrogate_eval", logging_pid)
+        blocks = -(-count // 256)
+        outputs = []
+        for cpus in (1, 2, 3, None):
+            if cpus is None:  # no affinity: every CPU counts
+                monkeypatch.delattr(os, "sched_getaffinity")
+                monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            else:
+                _use_cpus(monkeypatch, cpus)
+            log.write_text("")
+            out_file = tmp_path / f"vals{cpus}.csv"
+            before = set(tmp_path.iterdir())
+            assert run("net", "eval", "--bundle",
+                       tmp_path / "out" / "bundle_02.json",
+                       "--points", pts_file, "--out", out_file) == 0
+            assert set(tmp_path.iterdir()) == before | {out_file}
+            assert not multiprocessing.active_children()
+            pids = log.read_text().split()
+            assert len(pids) == blocks
+            assert len(set(pids)) == min(cpus or 2, blocks)
+            outputs.append(out_file.read_bytes())
+        assert outputs[0].count(b"\n") == count
+        assert all(o == outputs[0] for o in outputs)
+
+    @pytest.mark.parametrize("owner, name", [(os, "replace"),
+                                             (shutil, "copyfileobj")],
+                             ids=["replace", "append"])
+    def test_write_failure_exits_2(self, cfg_file, tmp_path, capsys,
+                                   monkeypatch, owner, name):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        pts_file = _write_points(tmp_path / "pts.csv",
+                                 np.zeros((2 * cli._NET_EVAL_BLOCK, 2)))
+        out_file = tmp_path / "vals.csv"
+        out_file.write_text("0.5\n")
+        before = sorted(tmp_path.iterdir())
+
+        def failing(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(owner, name, failing)
+        _use_cpus(monkeypatch, 2)
+        capsys.readouterr()
+        code = run("net", "eval", "--bundle",
+                   tmp_path / "out" / "bundle_02.json",
+                   "--points", pts_file, "--out", out_file)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write output file" in err and str(out_file) in err
+        assert out_file.read_bytes() == b"0.5\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert not multiprocessing.active_children()
+
+    def test_failed_worker_exits_3(self, cfg_file, tmp_path, capsys,
+                                   monkeypatch):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        pts_file = _write_points(tmp_path / "pts.csv",
+                                 np.zeros((3 * cli._NET_EVAL_BLOCK, 2)))
+        out_file = tmp_path / "vals.csv"
+        out_file.write_text("0.5\n")
+        before = sorted(tmp_path.iterdir())
+        parent = os.getpid()
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("evaluation failed")
+            return surrogate_eval(*args)
+
+        monkeypatch.setattr(cli, "surrogate_eval", failing_in_child)
+        _use_cpus(monkeypatch, 3)
+        capsys.readouterr()
+        code = run("net", "eval", "--bundle",
+                   tmp_path / "out" / "bundle_02.json",
+                   "--points", pts_file, "--out", out_file)
+        assert code == 3
+        assert "failed in a worker" in capsys.readouterr().err
+        assert out_file.read_bytes() == b"0.5\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_failure_kills_workers(self, cfg_file, tmp_path,
+                                          monkeypatch, error):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        pts_file = _write_points(tmp_path / "pts.csv",
+                                 np.zeros((2 * cli._NET_EVAL_BLOCK, 2)))
+        out_file = tmp_path / "vals.csv"
+        out_file.write_text("0.5\n")
+        before = sorted(tmp_path.iterdir())
+        parent = os.getpid()
+
+        def failing_in_parent(*args):
+            if os.getpid() == parent:
+                raise error("evaluation failed")
+            time.sleep(60)  # a worker still busy when the parent fails
+
+        monkeypatch.setattr(cli, "surrogate_eval", failing_in_parent)
+        _use_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run("net", "eval", "--bundle",
+                    tmp_path / "out" / "bundle_02.json",
+                    "--points", pts_file, "--out", out_file)
+        else:
+            assert run("net", "eval", "--bundle",
+                       tmp_path / "out" / "bundle_02.json",
+                       "--points", pts_file, "--out", out_file) == 3
+        assert time.monotonic() - start < 30
+        assert not multiprocessing.active_children()
         assert out_file.read_bytes() == b"0.5\n"
         assert sorted(tmp_path.iterdir()) == before
 

@@ -913,6 +913,21 @@ def test_network_bytes_are_unchanged(delta, digests):
     assert _network_digests(_roundtrip(bundle)) == digests
 
 
+def test_moved_column_matches_colmap():
+    """_Recipe._place moves one column; the whole map is the reference."""
+    bundle = _small_bundle(1e-7)
+    checked = 0
+    for recipe in {id(m): m for m in bundle.members}.values():
+        offsets = network._layout(recipe.monos)[1]
+        for j, net in enumerate(recipe.monos):
+            if net.depth == recipe.depth:
+                colmap = network._colmap(net, offsets[:, j])
+                assert [network._moved_column(net, offsets[:, j], c)
+                        for c in range(len(colmap))] == colmap.tolist()
+                checked += len(colmap)
+    assert checked > 1000
+
+
 class TestSurrogate:
     def test_agrees_with_truncated_interpolant(self):
         plan = _small_plan()
