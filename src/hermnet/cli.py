@@ -634,6 +634,9 @@ def _net_eval_share(bundle, signs, samples, pts, path):
 def cmd_net_eval(args):
     """Evaluate a bundle artifact at every point of a CSV file.
 
+    The artifact's signs (finite, one per member), samples (a finite
+    table), point_ref (one row index into the samples per member) and
+    input_dim (the bundle's) are checked before any file is written.
     The points are split into one contiguous share of whole
     _NET_EVAL_BLOCK blocks per usable CPU (no more shares than blocks).
     This process evaluates the first share into a temporary file beside
@@ -648,12 +651,25 @@ def cmd_net_eval(args):
     art = _read_artifact(args.bundle, "bundle", None)
     with _parsing(args.bundle):
         bundle = bundle_from_dict(art["bundle"])
+        dim, members = bundle.input_dim, len(bundle)
         signs = np.asarray(art["signs"], dtype=float)
         samples = np.asarray(art["samples"], dtype=float)
         if samples.ndim == 1:
             samples = samples[:, None]
-        samples = samples[np.asarray(art["point_ref"], dtype=int)]
-        dim = int(art["input_dim"])
+        refs = art["point_ref"]
+        if art["input_dim"] != dim:
+            raise ValueError(f"input_dim {art['input_dim']!r} is not the "
+                             f"bundle's {dim}")
+        if signs.shape != (members,) or not np.isfinite(signs).all():
+            raise ValueError(f"signs are not {members} finite numbers")
+        if samples.ndim != 2 or not np.isfinite(samples).all():
+            raise ValueError("samples are not a finite table")
+        if len(refs) != members or any(
+                type(i) is not int or not 0 <= i < len(samples)
+                for i in refs):
+            raise ValueError(f"point_ref is not {members} ints in "
+                             f"[0, {len(samples)})")
+        samples = samples[refs]
     del art
 
     try:

@@ -20,21 +20,22 @@ evaluated through one shared network that holds each distinct unit once;
 identical rows over identical inputs give identical floats, so every
 member output is unchanged to the bit.
 
-A compile fills that shared network's unit table (_UnitTable) directly
-instead of building per-triple networks.  Each monomial gadget product
+A compile builds no per-triple network.  Each monomial gadget product
 is built once per compile, by _monomial, from its factor list; each
 distinct (s-e, k) keeps a recipe (_Recipe): its monomial networks, their
 coefficients lambda_j and its depth; an empty s-e is the one-monomial
-recipe of a plateau gadget.  On first use a recipe hash-conses its
-monomials' hidden rows and carry units into the table and gives its
-output row over the table and its W, as parallelize would build them,
-without building them.  W and L remain those of the per-triple networks,
-which `NetworkBundle.networks` builds through parallelize only when
-read.  The bundle artifact (format 4) stores no layers: each distinct
-monomial is its factor list, which depends only on the triples, and
-each member is its recipe.  A reload rebuilds the monomials through the
-same _monomial, with the omega and delta of the bundle meta, and places
-each distinct recipe once in one unit table.  A layer is one CSR array
+recipe of a plateau gadget.  A recipe counts its W when it is made, from
+its monomials' sizes and output rows, so W and L come from the recipes
+alone and are those of the per-triple networks, which
+`NetworkBundle.networks` builds through parallelize only when read.
+The unit table (_UnitTable) of the shared network is built only when a
+bundle is evaluated: `NetworkBundle.shared` hash-conses each distinct
+recipe's hidden rows and carry units into it once and takes the
+recipe's output row over it, as parallelize would build them.  The
+bundle artifact (format 4) stores no layers: each distinct monomial is
+its factor list, which depends only on the triples, and each member is
+its recipe.  A reload rebuilds the monomials through the same _monomial,
+with the omega and delta of the bundle meta.  A layer is one CSR array
 triple (entries per row, columns, weights) and its biases; _NetBuilder,
 network algebra and the unit table move whole arrays (parallelize: one
 column gather per member net, one stable sort).
@@ -47,6 +48,7 @@ the compiler turning Lagrange monomial tables into per-triple recipes,
 and the accuracy parameter delta derived from a collocation plan.
 """
 
+import bisect
 import functools
 import itertools
 import json
@@ -159,7 +161,9 @@ class ReluNetwork:
 
     @property
     def size(self):
-        return recount_size(self)
+        """Nonzero weights and biases, counted from the stored rows (once
+        per layer object; see _Layer.extent)."""
+        return sum(layer.extent()[1] for layer in self.layers)
 
     @property
     def out_dim(self):
@@ -200,12 +204,6 @@ class ReluNetwork:
 
     def __call__(self, pts):
         return self.eval_batch(pts)
-
-
-def recount_size(net):
-    """Nonzero weights and biases, counted from the stored rows (once
-    per layer object; see _Layer.extent)."""
-    return sum(layer.extent()[1] for layer in net.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -438,40 +436,6 @@ def product_net(d, delta):
                             "pair_depth": n})
 
 
-def _normalize_which(which, d):
-    table = {"phi0": "phi0", "phi1": "phi1", 0: "phi0", 1: "phi1"}
-    if isinstance(which, (str, int)):
-        seq = [which] * d
-    else:
-        seq = list(which)
-        if len(seq) != d:
-            raise ValueError("need one gadget selector per coordinate")
-    try:
-        return [table[w] for w in seq]
-    except KeyError as exc:
-        raise ValueError(f"unknown gadget selector {exc.args[0]!r}") from None
-
-
-def truncated_product_net(d, delta, which):
-    """Network approximating prod_j phi(x_j) within delta on [-2,2]^d.
-
-    `which` selects the gadget ("phi0" plateau or "phi1" identity) for
-    all coordinates, or per coordinate when given as a sequence.  The
-    output is exactly zero as soon as any |x_j| >= 2, and for d = 1 the
-    network is the gadget itself (error 0).
-    """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    kinds = _normalize_which(which, d)
-    b = _NetBuilder(d)
-    expr = _gadget_product_expr(b, list(enumerate(kinds)), 1.0, delta)
-    return b.finalize([(expr, 0.0)],
-                      meta={"kind": "truncated_product", "d": d,
-                            "delta": delta, "which": kinds})
-
-
 def _gadget_product_expr(b, factors, scale, delta):
     """Expression for prod over (coord, kind) gadget factors.
 
@@ -497,17 +461,6 @@ def _colmap(net, offsets):
         np.asarray(offsets, dtype=np.int64)
         - (net.input_dim + np.cumsum(widths) - widths), widths)
     return colmap
-
-
-def _moved_column(net, offsets, col):
-    """_colmap(net, offsets)[col], without building the whole map."""
-    start = net.input_dim
-    if col < start:
-        return col
-    for width, offset in zip(net.widths, offsets.tolist()):
-        if col < start + width:
-            return offset + col - start
-        start += width
 
 
 def _reindex(layers, colmap, twin=None):
@@ -565,19 +518,6 @@ def _pm(row, cols, wts, bias):
             np.stack([bias, -bias], axis=1).ravel())
 
 
-def _layout(nets):
-    """Hidden layer widths of parallelize(nets), and the first column of
-    each net's block (its carry pairs, if shorter), shape (layers, nets).
-    """
-    depth, p0 = max(net.depth for net in nets), nets[0].out_dim
-    widths = np.array([net.widths[:-1] + [2 * p0] * (depth - net.depth)
-                       for net in nets], dtype=np.int64).reshape(
-                           len(nets), depth - 1).T
-    flat = widths.ravel()
-    return widths.sum(axis=1), (nets[0].input_dim + np.cumsum(flat)
-                                - flat).reshape(widths.shape)
-
-
 def parallelize(nets, coefficients):
     """Weighted sum of networks sharing an input dimension.
 
@@ -604,7 +544,14 @@ def parallelize(nets, coefficients):
     if any(n.out_dim != p0 for n in nets):
         raise ValueError("output dimensions differ")
     depth = max(n.depth for n in nets)
-    widths, offsets = _layout(nets)
+    # each net's block per hidden layer (its carry pairs, if shorter),
+    # layer by layer and net by net: offsets[l, j] is its first column
+    widths = np.array([net.widths[:-1] + [2 * p0] * (depth - net.depth)
+                       for net in nets], dtype=np.int64).reshape(
+                           len(nets), depth - 1).T
+    flat = widths.ravel()
+    offsets = (d0 + np.cumsum(flat) - flat).reshape(widths.shape)
+    widths = widths.sum(axis=1)
 
     # hidden entries by hidden row of the sum (column - d0), all layers
     parts, bias = [], np.zeros(int(widths.sum()))
@@ -698,6 +645,9 @@ class _UnitTable:
     equal keys over equal inputs compute equal floats.  A unit sits one
     layer above its deepest input.  Canonical columns number the inputs
     first, then the units in the order they were first seen.
+
+    Only evaluation needs one: `NetworkBundle.shared` builds it, and
+    sizes never read it (see _Recipe).
     """
 
     def __init__(self, input_dim):
@@ -789,29 +739,37 @@ class _Recipe:
     """A distinct triple's network before it is built: its monomial
     networks, their coefficients lambda_j and the meta the network gets.
 
-    `depth` is the deepest monomial's.  `row` and `size` place the
-    network in the _UnitTable `table` on first use, without building it:
-    its output row over canonical columns and its size W.  `network`
-    builds it through parallelize; nothing else does.
+    `depth` is the deepest monomial's and `size` the W parallelize gives
+    the network, both counted here from the monomials alone: each
+    monomial's hidden weights; a full-depth monomial's output row scaled
+    by lambda_j (a product can underflow to zero); for a shorter one its
+    sigma pair, the 4 carry weights per layer it is carried up and the
+    pair (lambda_j, -lambda_j); and the output bias.  `row` places the
+    network in a _UnitTable without building it; `network` builds it
+    through parallelize, and nothing else does.
     """
 
-    __slots__ = ("input_dim", "monos", "lams", "meta", "depth", "table",
-                 "_placed", "_net")
+    __slots__ = ("input_dim", "monos", "lams", "meta", "depth", "size",
+                 "_net")
 
-    def __init__(self, monos, lams, meta, table):
+    def __init__(self, monos, lams, meta):
         self.input_dim = monos[0].input_dim
-        self.monos, self.meta, self.table = monos, meta, table
+        self.monos, self.meta = monos, meta
         self.lams = [float(c) for c in lams]
         self.depth = max(net.depth for net in monos)
-        self._placed = self._net = None
-
-    @property
-    def row(self):
-        return self._place()[0]
-
-    @property
-    def size(self):
-        return self._place()[1]
+        self._net = None
+        size, bias = 0, 0.0
+        for net, lam in zip(monos, self.lams):
+            out = net.layers[-1]  # one row
+            wts, b = out.wts, out.bias.tolist()[0]
+            size += net.meta["W"] - out.extent()[1]
+            if net.depth == self.depth:
+                size += int(np.count_nonzero(wts * lam))
+                bias += lam * b
+            else:
+                size += (2 * int(np.count_nonzero(wts)) + 2 * (b != 0.0)
+                         + 4 * (self.depth - 1 - net.depth) + 2 * (lam != 0.0))
+        self.size = size + (bias != 0.0)
 
     def network(self, label):
         """The network parallelize builds, labelled `label`.  It is
@@ -823,48 +781,40 @@ class _Recipe:
         return ReluNetwork(self.input_dim, self._net.layers,
                            dict(self._net.meta, label=label))
 
-    def _place(self):
-        """(row, size) as parallelize's member would have them, once.
+    def row(self, table):
+        """The output row parallelize gives the network, as (columns,
+        weights, bias) over `table`, with the monomials' hidden rows and
+        carry units placed in it.
 
-        The output row takes (c, w * lambda_j) from each full-depth
-        monomial and the carried sigma pair (lambda_j, -lambda_j) from
-        each shorter one, ordered by their first column in parallelize's
-        layout (per hidden layer, each monomial's block in turn), with
-        zero weights dropped.  W counts the monomials' hidden weights,
-        the carry units and the output row.
+        It takes (c, w * lambda_j) from each full-depth monomial and the
+        carried sigma pair (lambda_j, -lambda_j) from each shorter one,
+        without zero weights, ordered as parallelize's columns order
+        them: by the hidden layer that holds the piece's first column
+        (a carried pair sits in the last one), then by monomial.  A
+        monomial's output row reads only hidden units, sorted by column.
         """
-        if self._placed is not None:
-            return self._placed
         top = self.depth - 1
-        offsets = _layout(self.monos)[1]
-        firsts, pieces = [], []
-        bias, size = 0.0, 0
-        for j, (net, lam) in enumerate(zip(self.monos, self.lams)):
-            canon = self.table.intern(net)
-            out = net.layers[-1]  # one row
+        layers, pieces, bias = [], [], 0.0
+        for net, lam in zip(self.monos, self.lams):
+            canon = table.intern(net)
+            out = net.layers[-1]
             cols, wts, b = out.cols, out.wts, out.bias.tolist()[0]
-            size += net.meta["W"] - out.extent()[1]
             if net.depth == self.depth:
                 pieces.append((canon[cols], wts * lam))
                 bias += lam * b
-                firsts.append(_moved_column(net, offsets[:, j],
-                                            int(cols[0]))
-                              if len(cols) else -1)
+                starts = itertools.accumulate(net.widths[:-1],
+                                              initial=net.input_dim)
+                layers.append(bisect.bisect_right(list(starts), cols[0]))
             else:
-                levels = top - net.depth
-                pair = self.table.carried(canon[cols], wts, b, levels)
+                pair = table.carried(canon[cols], wts, b, top - net.depth)
                 pieces.append((np.array(pair, dtype=np.int64),
                                np.array([lam, -lam])))
-                firsts.append(int(offsets[top - 1, j]))
-                size += (2 * int(np.count_nonzero(wts)) + 2 * (b != 0.0)
-                         + 4 * levels)
-        order = sorted(range(len(pieces)), key=firsts.__getitem__)
+                layers.append(top)
+        order = sorted(range(len(pieces)), key=layers.__getitem__)
         cols = np.concatenate([pieces[i][0] for i in order])
         wts = np.concatenate([pieces[i][1] for i in order])
         keep = wts != 0.0
-        self._placed = ((cols[keep], wts[keep], bias),
-                        size + int(np.count_nonzero(keep)) + (bias != 0.0))
-        return self._placed
+        return cols[keep], wts[keep], bias
 
 
 def assemble_phi_triple(s_minus_e, k, omega, delta, *,
@@ -886,7 +836,7 @@ def assemble_phi_triple(s_minus_e, k, omega, delta, *,
     delta * coeff_abs_sum of its polynomial on the plateau box.
     """
     return _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
-                           {}, None).network(label)
+                           {}).network(label)
 
 
 def _check_omega_delta(omega, delta):
@@ -934,10 +884,10 @@ def _template(factors, omega, delta):
 
 
 def _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
-                    monomials, table):
-    """The _Recipe of assemble_phi_triple's network over the unit table
-    `table`.  Each monomial network comes from `monomials` (factor tuple
-    -> network) when there and is added when not.  The networks also
+                    monomials):
+    """The _Recipe of assemble_phi_triple's network.  Each monomial
+    network comes from `monomials` (factor tuple -> network) when there
+    and is added when not.  The networks also
     depend on omega, delta and the input dimension, so one dict serves
     one compile."""
     _check_omega_delta(omega, delta)
@@ -976,17 +926,17 @@ def _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
     lams = [lam for _, lam in terms]
     return _Recipe(nets, lams, {
         "kind": "phi_triple", "delta": delta, "omega": omega,
-        "coeff_abs_sum": float(np.sum(np.abs(lams)))}, table)
+        "coeff_abs_sum": float(np.sum(np.abs(lams)))})
 
 
 class NetworkBundle:
     """Per-triple scalar networks sharing one input dimension.
 
     `members` holds each triple's _Recipe (a repeated triple's recipe is
-    the same object), all placed in one _UnitTable.  W is the sum and L
-    the maximum of the members' sizes and depths, and the labels list is
-    parallel to the members.  The members are merged only for
-    evaluation, in `shared`, which W and L do not count.
+    the same object).  W is the sum and L the maximum of the recipes'
+    sizes and depths, and the labels list is parallel to the members.
+    The members are merged only for evaluation, in `shared`, which W and
+    L do not count and which alone builds a _UnitTable.
     """
 
     def __init__(self, members, labels, meta=None):
@@ -1026,10 +976,15 @@ class NetworkBundle:
         """One network whose output t is member t's output, bit for bit.
 
         Each distinct hidden unit is held once (see _UnitTable), and the
-        final layer holds each member's output row, placed in the unit
-        table of the recipes.
+        final layer holds each member's output row.  Each distinct recipe
+        is placed in the one table once, in member order, which fixes the
+        canonical numbering.
         """
-        return self.members[0].table.network([m.row for m in self.members])
+        table, rows = _UnitTable(self.input_dim), {}
+        for m in self.members:
+            if id(m) not in rows:
+                rows[id(m)] = m.row(table)
+        return table.network([rows[id(m)] for m in self.members])
 
 
 def surrogate_eval(bundle, signs, samples, pts):
@@ -1071,7 +1026,6 @@ def assemble_surrogate(plan, samples, delta, omega):
     dim = max(plan.m_active, 1)
     # each distinct triple and monomial is compiled once
     built, monomials = {}, {}
-    table = _UnitTable(dim)
     members, labels, signs = [], [], []
     for t in plan.triples:
         s = plan.indices[t.s_ref]
@@ -1082,7 +1036,7 @@ def assemble_surrogate(plan, samples, delta, omega):
         key = (sme.pairs, tuple(t.k), None if sme.pairs else gate)
         if key not in built:
             built[key] = _compile_triple(sme, t.k, omega, delta, dim, gate,
-                                         monomials, table)
+                                         monomials)
         members.append(built[key])
         labels.append(label)
         signs.append(float(t.sign))
@@ -1246,13 +1200,12 @@ def bundle_from_dict(data):
     Each monomial network is rebuilt from its factors (see _monomial)
     with the omega and delta of the bundle meta, once, and every member
     naming it shares it.  Members with equal monomials, lambdas and meta
-    share one _Recipe, as at compile, and all recipes are placed in one
-    new _UnitTable.  Raises ValueError for another format, a missing
-    field, an omega or delta compile would refuse or that is not finite,
-    a malformed factor list (see _factors), a monomial index that names
-    no stored monomial, a member without monomials or with a lambda
-    count other than its monomial count, or a stored W or L that differs
-    from the recount.
+    share one _Recipe, as at compile.  Raises ValueError for another
+    format, a missing field, an omega or delta compile would refuse or
+    that is not finite, a malformed factor list (see _factors), a
+    monomial index that names no stored monomial, a member without
+    monomials or with a lambda count other than its monomial count, or a
+    stored W or L that differs from the recount.
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
@@ -1265,7 +1218,6 @@ def bundle_from_dict(data):
             raise ValueError(f"input_dim {dim!r} is not a positive int")
         monos = [_monomial(_factors(spec, dim), omega, delta, dim)
                  for spec in data["monomials"]]
-        table = _UnitTable(dim)
         recipes, members = {}, []
         for spec in data["networks"]:
             refs, lams = spec["monomials"], spec["lambdas"]
@@ -1276,7 +1228,7 @@ def bundle_from_dict(data):
             key = (tuple(refs), np.array(lams, dtype=float).tobytes(),
                    json.dumps(spec["meta"], sort_keys=True))
             if key not in recipes:
-                recipes[key] = _Recipe(nets, lams, spec["meta"], table)
+                recipes[key] = _Recipe(nets, lams, spec["meta"])
             members.append(recipes[key])
         bundle = NetworkBundle(members, data["labels"], meta=meta)
         stored = (data["W"], data["L"])

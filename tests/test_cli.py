@@ -24,7 +24,6 @@ from hermnet.hermite import NodeFamily
 from hermnet.indices import build_plan
 from hermnet.network import (
     assemble_surrogate,
-    recount_size,
     surrogate_eval,
 )
 
@@ -220,7 +219,7 @@ class TestCompileCmd:
             (tmp_path / "out" / "bundle_01.json").read_text())
         from hermnet.network import bundle_from_dict
         bundle = bundle_from_dict(art["bundle"])
-        assert bundle.W == sum(recount_size(n) for n in bundle.networks)
+        assert bundle.W == sum(n.size for n in bundle.networks)
         assert bundle.L == max(n.depth for n in bundle.networks)
         assert art["omega"] == 2.0 and art["delta"] == 1e-4
         assert len(art["signs"]) == len(art["point_ref"])
@@ -233,13 +232,18 @@ class TestCompileCmd:
         assert (tmp_path / "out" / "bundle_00.json").read_bytes() == first
 
 
-def _edit_bundle(edit):
-    """Damage that applies edit to a bundle artifact's bundle dict."""
+def _edit_artifact(edit):
+    """Damage that applies edit to a bundle artifact's outer dict."""
     def damage(path):
         art = json.loads(path.read_text())
-        edit(art["bundle"])
+        edit(art)
         path.write_text(json.dumps(art))
     return damage
+
+
+def _edit_bundle(edit):
+    """Damage that applies edit to a bundle artifact's bundle dict."""
+    return _edit_artifact(lambda art: edit(art["bundle"]))
 
 
 def _set_factor(index, value):
@@ -321,10 +325,23 @@ class TestNetEval:
         _edit_bundle(lambda b: b["monomials"].__setitem__(-1, [])),
         _edit_bundle(lambda b: b.pop("meta")),
         _edit_bundle(lambda b: b["meta"].update(omega=float("nan"))),
-        _bundle_not_object],
+        _bundle_not_object,
+        _edit_artifact(lambda a: a["point_ref"].__setitem__(0, -1)),
+        _edit_artifact(lambda a: a["point_ref"].__setitem__(0, 0.7)),
+        _edit_artifact(lambda a: a["point_ref"].__setitem__(
+            0, len(a["samples"]))),
+        _edit_artifact(lambda a: a["point_ref"].pop()),
+        _edit_artifact(lambda a: a["signs"].__setitem__(0, math.nan)),
+        _edit_artifact(lambda a: a["signs"].pop()),
+        _edit_artifact(lambda a: a["samples"][0].__setitem__(0, math.inf)),
+        _edit_artifact(lambda a: a["samples"][0].pop()),
+        _edit_artifact(lambda a: a.update(input_dim=a["input_dim"] + 1))],
         ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
              "coordinate_negative", "coordinate_fraction", "kind_unknown",
-             "factors_empty", "no_meta", "omega_nan", "not_an_object"])
+             "factors_empty", "no_meta", "omega_nan", "not_an_object",
+             "point_ref_negative", "point_ref_fraction", "point_ref_past_end",
+             "point_ref_short", "signs_nan", "signs_short", "samples_inf",
+             "samples_ragged", "input_dim_other"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0

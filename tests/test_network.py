@@ -33,10 +33,8 @@ from hermnet.network import (
     phi0_net,
     phi1_net,
     product_net,
-    recount_size,
     surrogate_bound,
     surrogate_eval,
-    truncated_product_net,
     DELTA_FLOOR,
 )
 
@@ -58,6 +56,20 @@ def layer_of_rows(rows, bias):
         [len(c) for c, _ in rows],
         np.concatenate([np.empty(0, dtype=np.int64)] + [c for c, _ in rows]),
         np.concatenate([np.empty(0)] + [w for _, w in rows]), bias)
+
+
+def nnz(net):
+    """Nonzero weights and biases over the layer arrays."""
+    return sum(int(np.count_nonzero(layer.wts))
+               + int(np.count_nonzero(layer.bias)) for layer in net.layers)
+
+
+def gadget_product(kinds, delta):
+    """prod_j phi(x_j), gadget kinds[j] on coordinate j, as compile
+    builds it (_monomial) at omega 1: it reads its inputs at y / 4, so
+    it is evaluated at 4 x."""
+    return network._monomial(tuple(enumerate(kinds)), 1.0, delta,
+                             len(kinds))
 
 
 def dense_forward(net, pts):
@@ -94,8 +106,8 @@ class TestGadgets:
         p1, p0 = phi1_net(), phi0_net()
         assert (p1.size, p1.depth) == (10, 3)
         assert (p0.size, p0.depth) == (8, 3)
-        assert recount_size(p1) == 10
-        assert recount_size(p0) == 8
+        assert nnz(p1) == 10
+        assert nnz(p0) == 8
 
     def test_identity_on_plateau_is_exact(self):
         net = phi1_net()
@@ -153,9 +165,9 @@ class TestEvaluator:
         # the bucketed sequential engine against plain matmul; agreement
         # is to rounding, not bits (BLAS sums in a different order)
         rng = np.random.default_rng(42)
-        for net in (phi1_net(), product_net(4, 1e-3),
-                    truncated_product_net(3, 1e-2, "phi1")):
-            X = rng.uniform(-2, 2, size=(50, net.input_dim))
+        for net, scale in ((phi1_net(), 1.0), (product_net(4, 1e-3), 1.0),
+                           (gadget_product(3 * ["phi1"], 1e-2), 4.0)):
+            X = scale * rng.uniform(-2, 2, size=(50, net.input_dim))
             np.testing.assert_allclose(
                 net.eval_batch(X), dense_forward(net, X), rtol=0, atol=1e-12)
 
@@ -273,48 +285,45 @@ class TestProductNet:
 class TestTruncatedProduct:
     def test_d1_is_the_gadget(self):
         x = np.linspace(-2.5, 2.5, 501)[:, None]
-        net1 = truncated_product_net(1, 1e-3, "phi1")
-        assert np.array_equal(net1.eval_batch(x), phi1_net().eval_batch(x))
-        net0 = truncated_product_net(1, 1e-3, "phi0")
-        assert np.array_equal(net0.eval_batch(x), phi0_net().eval_batch(x))
+        net1 = gadget_product(["phi1"], 1e-3)
+        assert np.array_equal(net1.eval_batch(4 * x),
+                              phi1_net().eval_batch(x))
+        net0 = gadget_product(["phi0"], 1e-3)
+        assert np.array_equal(net0.eval_batch(4 * x),
+                              phi0_net().eval_batch(x))
 
     def test_d3_accuracy(self):
-        net = truncated_product_net(3, 1e-2, "phi1")
+        net = gadget_product(3 * ["phi1"], 1e-2)
         g = np.linspace(-2.2, 2.2, 21)
         X = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
         ref = np.prod([[phi1_ref(v) for v in X[:, j]] for j in range(3)], axis=0)
-        err = np.abs(net.eval_batch(X)[:, 0] - ref).max()
+        err = np.abs(net.eval_batch(4 * X)[:, 0] - ref).max()
         assert err <= 1e-2
 
     def test_mixed_gadgets(self):
-        net = truncated_product_net(2, 1e-2, ["phi0", "phi1"])
+        net = gadget_product(["phi0", "phi1"], 1e-2)
         rng = np.random.default_rng(42)
         X = rng.uniform(-2.2, 2.2, size=(500, 2))
         ref = np.array([phi0_ref(a) * phi1_ref(b) for a, b in X])
-        assert np.abs(net.eval_batch(X)[:, 0] - ref).max() <= 1e-2
-        assert net.eval_batch([[0.5, 0.5]])[0, 0] == pytest.approx(0.5, abs=1e-2)
+        assert np.abs(net.eval_batch(4 * X)[:, 0] - ref).max() <= 1e-2
+        assert net.eval_batch([[2.0, 2.0]])[0, 0] == pytest.approx(0.5, abs=1e-2)
 
     def test_exact_zero_outside_any_coordinate(self):
-        net = truncated_product_net(3, 1e-2, "phi1")
+        net = gadget_product(3 * ["phi1"], 1e-2)
         rng = np.random.default_rng(42)
         X = rng.uniform(-1.5, 1.5, size=(150, 3))
         for j in range(3):
             for edge in (2.0, -2.0, 3.7, -151.0):
                 Xz = X.copy()
                 Xz[:, j] = edge
-                assert np.all(net.eval_batch(Xz)[:, 0] == 0.0), (j, edge)
+                assert np.all(net.eval_batch(4 * Xz)[:, 0] == 0.0), (j, edge)
 
     def test_plateau_product_is_one(self):
-        net = truncated_product_net(2, 1e-3, "phi0")
+        net = gadget_product(2 * ["phi0"], 1e-3)
         rng = np.random.default_rng(42)
         X = rng.uniform(-1, 1, size=(300, 2))
-        np.testing.assert_allclose(net.eval_batch(X)[:, 0], 1.0, atol=1e-3)
-
-    def test_invalid_selector(self):
-        with pytest.raises(ValueError):
-            truncated_product_net(2, 1e-2, "phi7")
-        with pytest.raises(ValueError):
-            truncated_product_net(3, 1e-2, ["phi0", "phi1"])
+        np.testing.assert_allclose(net.eval_batch(4 * X)[:, 0], 1.0,
+                                   atol=1e-3)
 
 
 class TestParallelize:
@@ -355,7 +364,7 @@ class TestParallelize:
         # four-weight carry pair per missing layer
         pad_layers = b.depth - a.depth
         assert s.size <= 3 * a.size + b.size + 4 * pad_layers
-        assert s.size == recount_size(s)
+        assert s.size == nnz(s)
         assert s.depth == max(a.depth, b.depth)
         rng = np.random.default_rng(42)
         X = rng.uniform(-1, 1, size=(200, 2))
@@ -398,7 +407,7 @@ class TestConcatenate:
         c = concatenate(a, b)
         assert c.depth == a.depth + b.depth
         assert c.size <= 2 * a.size + 2 * b.size
-        assert c.size == recount_size(c)
+        assert c.size == nnz(c)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -691,24 +700,21 @@ class TestComputeDelta:
 def _gadget_bundle():
     """The phi0 and phi1 gadgets as one-factor monomials (omega 1, so
     the input scale is 1/4), each a one-monomial member of a bundle."""
-    table = network._UnitTable(1)
     return NetworkBundle(
-        [network._Recipe([network._monomial(((0, kind),), 1.0, 1e-3, 1)],
-                         [1.0], {"coeff_abs_sum": 1.0}, table)
+        [network._Recipe([gadget_product([kind], 1e-3)], [1.0],
+                         {"coeff_abs_sum": 1.0})
          for kind in ("phi0", "phi1")], ["phi0", "phi1"],
         meta={"omega": 1.0, "delta": 1e-3})
 
 
 def _repeat_bundle():
-    """Members over one unit table: a triple's recipe, the same triple
-    compiled anew (equal monomials, other objects), and the first recipe
-    again (a repeated triple)."""
-    table = network._UnitTable(2)
+    """Members: a triple's recipe, the same triple compiled anew (equal
+    monomials, other objects), and the first recipe again (a repeated
+    triple)."""
 
     def triple():
         return network._compile_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5, None, 1, {},
-            table)
+            MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5, None, 1, {})
     first = triple()
     return NetworkBundle([first, triple(), first], ["a", "b", "c"],
                          meta={"omega": 2.0, "delta": 1e-5})
@@ -911,21 +917,6 @@ def test_network_bytes_are_unchanged(delta, digests):
     bundle = _small_bundle(delta)
     assert _network_digests(bundle) == digests
     assert _network_digests(_roundtrip(bundle)) == digests
-
-
-def test_moved_column_matches_colmap():
-    """_Recipe._place moves one column; the whole map is the reference."""
-    bundle = _small_bundle(1e-7)
-    checked = 0
-    for recipe in {id(m): m for m in bundle.members}.values():
-        offsets = network._layout(recipe.monos)[1]
-        for j, net in enumerate(recipe.monos):
-            if net.depth == recipe.depth:
-                colmap = network._colmap(net, offsets[:, j])
-                assert [network._moved_column(net, offsets[:, j], c)
-                        for c in range(len(colmap))] == colmap.tolist()
-                checked += len(colmap)
-    assert checked > 1000
 
 
 class TestSurrogate:
@@ -1160,14 +1151,36 @@ class TestSurrogate:
 
         nets = bundle.networks
         assert len({net.depth for net in nets}) > 1
-        assert (sum(recount_size(net) for net in nets),
+        assert (sum(net.size for net in nets),
                 max(net.depth for net in nets)) == (W, L)
-        assert sizes == [(recount_size(net), net.depth) for net in nets]
+        assert sizes == [(net.size, net.depth) for net in nets]
         # the view leaves the recipes in place, with unchanged results
         assert bundle.members == members
         assert (bundle.W, bundle.L) == (W, L)
         assert surrogate_bound(bundle, samples) == bound
         assert ev(Y).tobytes() == got.tobytes()
+
+    def test_sizes_never_build_a_unit_table(self, monkeypatch):
+        # W and L come from the recipes: compile, W, serialization,
+        # reload and W again place nothing; only bundle.shared does
+        plan = _small_plan()
+        delta = compute_delta(plan, 2.0)
+
+        def refuse(self, input_dim):
+            raise AssertionError("unit table built")
+
+        monkeypatch.setattr(network._UnitTable, "__init__", refuse)
+        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta,
+                                       2.0)
+        W, L = bundle.W, bundle.L
+        back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
+        assert (back.W, back.L) == (W, L)
+        with pytest.raises(AssertionError, match="unit table built"):
+            back.shared
+        monkeypatch.undo()
+        assert back.shared.widths == bundle.shared.widths
+        assert (W, L) == (sum(net.size for net in bundle.networks),
+                          max(net.depth for net in bundle.networks))
 
     def test_wrong_sample_count_rejected(self):
         plan = _small_plan()
@@ -1215,7 +1228,7 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
                                     delta, input_dim=dim, gate_coord=gate,
                                     label=label)
         assert net.meta == fresh.meta
-        assert size == (recount_size(fresh), fresh.depth)
+        assert size == (fresh.size, fresh.depth)
         assert (net.input_dim, net.depth) == (fresh.input_dim, fresh.depth)
         for a, b in zip(net.layers, fresh.layers):
             assert a.bias.tobytes() == b.bias.tobytes()
@@ -1231,3 +1244,40 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
     assert back.shared.widths == bundle.shared.widths
     if plan.m_active:
         assert np.all(compiled[-64:] == 0.0)
+
+
+_FACTORS = st.lists(st.tuples(st.integers(0, 1),
+                              st.sampled_from(["phi0", "phi1"])),
+                    min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(_FACTORS, min_size=1, max_size=4),
+       lams=st.lists(st.sampled_from([1.0, -0.5, 0.0, -0.0, 5e-324, 3.0]),
+                     min_size=5, max_size=5),
+       delta=st.sampled_from([1e-1, 1e-3]), repeat=st.booleans())
+def test_recipe_matches_parallelize(factors, lams, delta, repeat):
+    """A recipe's size, counted without a unit table, and its output row
+    over one, against the network parallelize builds from its monomials.
+    One factor gives a shallower monomial than a product, so members of
+    mixed depths are carried; a lambda of 5e-324 scales most output
+    weights to zero, -0.0 and 0.0 drop whole pieces."""
+    monos = [network._monomial(f, 1.0, delta, 2) for f in factors]
+    lams = lams[:len(monos)]
+    if repeat:  # the same monomial object twice, cancelling
+        monos.append(monos[0])
+        lams.append(-lams[0])
+    recipe = network._Recipe(monos, lams, {})
+    net = parallelize(monos, lams)
+    assert (recipe.size, recipe.depth) == (net.size, net.depth) == \
+        (nnz(net), net.depth)
+
+    table = network._UnitTable(2)
+    cols, wts, bias = recipe.row(table)
+    out = net.layers[-1]
+    assert wts.tobytes() == out.wts.tobytes()
+    assert np.array([bias]).tobytes() == out.bias.tobytes()
+    g = np.random.default_rng(5).uniform(-9, 9, size=(64, 2))
+    Y = np.vstack([g, np.round(g), np.zeros((1, 2))])
+    assert table.network([(cols, wts, bias)]).eval_batch(Y).tobytes() == \
+        net.eval_batch(Y).tobytes()
