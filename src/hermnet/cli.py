@@ -47,6 +47,7 @@ from .network import (
     bundle_to_dict,
     compute_delta,
     fit_delta_K,
+    json_floats,
     surrogate_eval,
 )
 
@@ -174,7 +175,7 @@ def validate_config(raw):
     mc = _expect(raw, "mc", "", dict)
     n_samples = _expect(mc, "n_samples", "mc", int,
                         lambda v: v >= 16, "must be >= 16")
-    seed = _expect(mc, "seed", "mc", int)
+    seed = _expect(mc, "seed", "mc", int, lambda v: v >= 0, "must be >= 0")
     tail_dims = mc.get("tail_dims", 8)
     if isinstance(tail_dims, bool) or not isinstance(tail_dims, int) \
             or tail_dims < 0:
@@ -402,6 +403,8 @@ def _eval_setup(cfg, model, args):
     caches on those dims; the norm, sample count and seed of the error
     estimates; and the omega and delta schedules.
     """
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, not {args.seed}")
     largest = build_plan(cfg["xi_sweep"][-1], model)
     dims = max(largest.m_active, 1) + cfg["mc"]["tail_dims"]
     problem = build_problem(cfg, dims)
@@ -511,7 +514,7 @@ def _load_samples(cfg, out_dir, index, plan):
     path = out_dir / f"samples_{index:02d}.json"
     art = _read_artifact(path, "samples", cfg)
     with _parsing(path):
-        values = np.asarray(art["values"], dtype=float)
+        values = json_floats(art["values"], "values")
     want = (plan.n_points, cfg["problem"]["mesh_n"] + 2)
     if values.shape != want:
         raise ConfigError(f"samples_{index:02d}.json holds values of shape "
@@ -634,9 +637,9 @@ def _net_eval_share(bundle, signs, samples, pts, path):
 def cmd_net_eval(args):
     """Evaluate a bundle artifact at every point of a CSV file.
 
-    The artifact's signs (finite, one per member), samples (a finite
-    table), point_ref (one row index into the samples per member) and
-    input_dim (the bundle's) are checked before any file is written.
+    The artifact's signs (finite JSON numbers, one per member), samples
+    (a finite table of JSON numbers), point_ref (a samples row index per
+    member) and input_dim (the bundle's) are checked before any write.
     The points are split into one contiguous share of whole
     _NET_EVAL_BLOCK blocks per usable CPU (no more shares than blocks).
     This process evaluates the first share into a temporary file beside
@@ -652,8 +655,8 @@ def cmd_net_eval(args):
     with _parsing(args.bundle):
         bundle = bundle_from_dict(art["bundle"])
         dim, members = bundle.input_dim, len(bundle)
-        signs = np.asarray(art["signs"], dtype=float)
-        samples = np.asarray(art["samples"], dtype=float)
+        signs = json_floats(art["signs"], "signs")
+        samples = json_floats(art["samples"], "samples")
         if samples.ndim == 1:
             samples = samples[:, None]
         refs = art["point_ref"]

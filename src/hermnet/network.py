@@ -30,11 +30,14 @@ alone and are those of the per-triple networks, which
 `NetworkBundle.networks` builds through parallelize only when read.
 The unit table (_UnitTable) of the shared network is built only when a
 bundle is evaluated: `NetworkBundle.shared` hash-conses each distinct
-recipe's hidden rows and carry units into it once and takes the
-recipe's output row over it, as parallelize would build them.  The
-bundle artifact (format 4) stores no layers: each distinct monomial is
-its factor list, which depends only on the triples, and each member is
-its recipe.  A reload rebuilds the monomials through the same _monomial,
+recipe's hidden rows into it once and takes the recipe's output row
+over it, as parallelize would build it but without identity carries: a
+unit may read any earlier unit, so a shorter monomial's sigma pair is
+read where it is made (a carried unit computes the same float).  W and
+L still count the carries, as the paper's size does.  The bundle
+artifact (format 4) stores no layers: each distinct monomial is its
+factor list, which depends only on the triples, and each member is its
+recipe.  A reload rebuilds the monomials through the same _monomial,
 with the omega and delta of the bundle meta.  A layer is one CSR array
 triple (entries per row, columns, weights) and its biases; _NetBuilder,
 network algebra and the unit table move whole arrays (parallelize: one
@@ -201,9 +204,6 @@ class ReluNetwork:
             pre += self.layers[-1].bias[:, None]
             out[start:stop] = pre.T
         return out
-
-    def __call__(self, pts):
-        return self.eval_batch(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +633,6 @@ def concatenate(first, second):
 # ---------------------------------------------------------------------------
 # compilation of collocation triples
 
-_PLUS_MINUS = np.array([1.0, -1.0])
-_MINUS_PLUS = np.array([-1.0, 1.0])
-
-
 class _UnitTable:
     """Each distinct hidden unit once, over `input_dim` inputs.
 
@@ -656,7 +652,6 @@ class _UnitTable:
         self._layer = [0] * input_dim  # layer of each canonical column
         self._rows = []                # by canonical column - input_dim
         self._canon = {}               # hidden layers -> canonical columns
-        self._chains = {}              # sigma pair -> its carried pairs
 
     def unit(self, ids, wts, bias):
         """Canonical column of sigma(wts . z[ids] + bias), ids canonical."""
@@ -696,18 +691,6 @@ class _UnitTable:
                 col += len(uids)
             self._canon[hidden] = canon
         return canon
-
-    def carried(self, ids, wts, bias, levels):
-        """Canonical columns of the sigma(v), sigma(-v) pair for the row
-        v = (ids, wts, bias), carried up `levels` layers by identity
-        pairs, as parallelize pads a shorter member."""
-        pair = self.unit(ids, wts, bias), self.unit(ids, -wts, -bias)
-        chain = self._chains.setdefault(pair, [pair])
-        while len(chain) <= levels:
-            ids = np.array(chain[-1], dtype=np.int64)
-            chain.append((self.unit(ids, _PLUS_MINUS, 0.0),
-                          self.unit(ids, _MINUS_PLUS, 0.0)))
-        return chain[levels]
 
     def network(self, out_rows):
         """The units as hidden layers, grouped by layer in first-seen
@@ -783,15 +766,18 @@ class _Recipe:
 
     def row(self, table):
         """The output row parallelize gives the network, as (columns,
-        weights, bias) over `table`, with the monomials' hidden rows and
-        carry units placed in it.
+        weights, bias) over `table`, with the monomials' hidden rows
+        placed in it.
 
-        It takes (c, w * lambda_j) from each full-depth monomial and the
-        carried sigma pair (lambda_j, -lambda_j) from each shorter one,
-        without zero weights, ordered as parallelize's columns order
-        them: by the hidden layer that holds the piece's first column
-        (a carried pair sits in the last one), then by monomial.  A
-        monomial's output row reads only hidden units, sorted by column.
+        It takes (c, w * lambda_j) from each full-depth monomial and
+        (lambda_j, -lambda_j) on the sigma(v), sigma(-v) pair of each
+        shorter one's output row v, without zero weights, ordered as
+        parallelize's columns order them: by the hidden layer that holds
+        the piece's first column (parallelize carries a shorter pair to
+        the last one), then by monomial.  The pair is read uncarried,
+        since a carried unit sigma(sigma(v) - sigma(-v)) is sigma(v) to
+        the bit.  A monomial's output row reads only hidden units, sorted
+        by column.
         """
         top = self.depth - 1
         layers, pieces, bias = [], [], 0.0
@@ -806,8 +792,9 @@ class _Recipe:
                                               initial=net.input_dim)
                 layers.append(bisect.bisect_right(list(starts), cols[0]))
             else:
-                pair = table.carried(canon[cols], wts, b, top - net.depth)
-                pieces.append((np.array(pair, dtype=np.int64),
+                ids = canon[cols]
+                pieces.append((np.array([table.unit(ids, wts, b),
+                                         table.unit(ids, -wts, -b)]),
                                np.array([lam, -lam])))
                 layers.append(top)
         order = sorted(range(len(pieces)), key=layers.__getitem__)
@@ -815,28 +802,6 @@ class _Recipe:
         wts = np.concatenate([pieces[i][1] for i in order])
         keep = wts != 0.0
         return cols[keep], wts[keep], bias
-
-
-def assemble_phi_triple(s_minus_e, k, omega, delta, *,
-                        input_dim=None, gate_coord=1, label=None):
-    """Compile one collocation triple into a scalar network.
-
-    The target is the product of univariate cardinal polynomials of
-    order (s-e)_j at signed node k_j.  Each monomial term l <= s-e
-    becomes a truncated gadget product over the support of s-e (phi1
-    repeated l_j times for l_j >= 1, one phi0 plateau factor for
-    l_j = 0), fed with y/(4*sqrt(omega)) and rescaled by
-    b_l * (4*sqrt(omega))^{|l|_1}; the terms are parallelized.  Every
-    support coordinate is gated, so the network is exactly zero as soon
-    as any |y_j| > 8*sqrt(omega).  When s-e = 0 the network is a single
-    plateau gadget on `gate_coord` with unit coefficient.
-
-    meta["coeff_abs_sum"] records sum_l |b_l| (4*sqrt(omega))^{|l|_1},
-    the certificate weight of this triple: the network is within
-    delta * coeff_abs_sum of its polynomial on the plateau box.
-    """
-    return _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
-                           {}).network(label)
 
 
 def _check_omega_delta(omega, delta):
@@ -885,9 +850,24 @@ def _template(factors, omega, delta):
 
 def _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
                     monomials):
-    """The _Recipe of assemble_phi_triple's network.  Each monomial
-    network comes from `monomials` (factor tuple -> network) when there
-    and is added when not.  The networks also
+    """The _Recipe of one collocation triple's scalar network.
+
+    The target is the product of univariate cardinal polynomials of
+    order (s-e)_j at signed node k_j.  Each monomial term l <= s-e
+    becomes a truncated gadget product over the support of s-e (phi1
+    repeated l_j times for l_j >= 1, one phi0 plateau factor for
+    l_j = 0), fed with y/(4*sqrt(omega)) and rescaled by
+    b_l * (4*sqrt(omega))^{|l|_1}; the terms are parallelized.  Every
+    support coordinate is gated, so the network is exactly zero as soon
+    as any |y_j| > 8*sqrt(omega).  When s-e = 0 the network is a single
+    plateau gadget on `gate_coord` (1-based) with unit coefficient.
+
+    meta["coeff_abs_sum"] records sum_l |b_l| (4*sqrt(omega))^{|l|_1},
+    the certificate weight of this triple: the network is within
+    delta * coeff_abs_sum of its polynomial on the plateau box.
+
+    Each monomial network comes from `monomials` (factor tuple ->
+    network) when there and is added when not.  The networks also
     depend on omega, delta and the input dimension, so one dict serves
     one compile."""
     _check_omega_delta(omega, delta)
@@ -978,7 +958,8 @@ class NetworkBundle:
         Each distinct hidden unit is held once (see _UnitTable), and the
         final layer holds each member's output row.  Each distinct recipe
         is placed in the one table once, in member order, which fixes the
-        canonical numbering.
+        canonical numbering.  No unit is an identity carry (see
+        _Recipe.row); W and L count the carries all the same.
         """
         table, rows = _UnitTable(self.input_dim), {}
         for m in self.members:
@@ -1100,7 +1081,7 @@ def fit_delta_K(max_degree):
     return best
 
 
-def compute_delta(plan, omega, w=None, K=None, *, return_info=False):
+def compute_delta(plan, omega, K=None, *, return_info=False):
     """Accuracy parameter for compiling `plan` at box parameter omega.
 
     1/delta = xi^(1/q - 1/2) * sum_s exp(K|s|) p_s(2) (4 sqrt(omega))^|s| B_s
@@ -1112,7 +1093,6 @@ def compute_delta(plan, omega, w=None, K=None, *, return_info=False):
     """
     if omega < 1:
         raise ValueError("omega must be >= 1")
-    model = w if w is not None else plan.model
     if K is None:
         K = fit_delta_K(plan.m1)
     log_scale = math.log(4.0 * math.sqrt(omega))
@@ -1122,9 +1102,9 @@ def compute_delta(plan, omega, w=None, K=None, *, return_info=False):
         log_b = 0.0
         for _, sj in s.pairs:
             log_b += math.log(max(_coeff_bmax(sj), _coeff_bmax(sj - 1)))
-        terms.append(K * tot + math.log(p_weight(s, 2.0, model.lam))
+        terms.append(K * tot + math.log(p_weight(s, 2.0, plan.model.lam))
                      + tot * log_scale + log_b)
-    log_inv = ((1.0 / model.q - 0.5) * math.log(plan.xi)
+    log_inv = ((1.0 / plan.model.q - 0.5) * math.log(plan.xi)
                + float(logsumexp(terms)))
     requested = math.exp(-log_inv) if log_inv < 700 else 0.0
     delta = min(0.5, max(requested, DELTA_FLOOR))
@@ -1136,6 +1116,18 @@ def compute_delta(plan, omega, w=None, K=None, *, return_info=False):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+def json_floats(raw, what):
+    """raw, a JSON number or nested lists of them, as a float array.
+
+    ValueError for any other value, such as a string, a bool or null:
+    numpy would read "1.0" and true as 1.0.
+    """
+    arr = np.asarray(raw, dtype=object)
+    if not set(map(type, arr.ravel())) <= {int, float}:
+        raise ValueError(f"{what} are not all JSON numbers")
+    return arr.astype(float)
+
 
 def _factors(spec, dim):
     """The factor tuple a stored monomial names.  ValueError unless it
@@ -1204,8 +1196,9 @@ def bundle_from_dict(data):
     format, a missing field, an omega or delta compile would refuse or
     that is not finite, a malformed factor list (see _factors), a
     monomial index that names no stored monomial, a member without
-    monomials or with a lambda count other than its monomial count, or a
-    stored W or L that differs from the recount.
+    monomials, lambdas that are not JSON numbers (see json_floats) or
+    not one per monomial, or a stored W or L that differs from the
+    recount.
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
@@ -1220,15 +1213,17 @@ def bundle_from_dict(data):
                  for spec in data["monomials"]]
         recipes, members = {}, []
         for spec in data["networks"]:
-            refs, lams = spec["monomials"], spec["lambdas"]
+            refs = spec["monomials"]
             nets = _pick(monos, refs, "member monomial")
-            if len(lams) != len(nets):
-                raise ValueError(f"member {len(members)} has {len(lams)} "
+            lams = json_floats(spec["lambdas"],
+                               f"member {len(members)} lambdas")
+            if lams.shape != (len(nets),):
+                raise ValueError(f"member {len(members)} has {lams.shape} "
                                  f"lambdas for {len(nets)} monomials")
-            key = (tuple(refs), np.array(lams, dtype=float).tobytes(),
+            key = (tuple(refs), lams.tobytes(),
                    json.dumps(spec["meta"], sort_keys=True))
             if key not in recipes:
-                recipes[key] = _Recipe(nets, lams, spec["meta"])
+                recipes[key] = _Recipe(nets, lams.tolist(), spec["meta"])
             members.append(recipes[key])
         bundle = NetworkBundle(members, data["labels"], meta=meta)
         stored = (data["W"], data["L"])

@@ -108,6 +108,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="weights"):
             validate_config(raw)
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        raw = base_config(tmp_path)
+        raw["mc"]["seed"] = -5
+        with pytest.raises(ConfigError, match="mc.seed"):
+            validate_config(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert run("sweep", "--config", path) == 2
+        assert "mc.seed" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_fixed_delta_range(self, tmp_path):
         raw = base_config(tmp_path)
         raw["delta_mode"] = 1.5
@@ -246,6 +257,11 @@ def _edit_bundle(edit):
     return _edit_artifact(lambda art: edit(art["bundle"]))
 
 
+def _as_strings(value):
+    """value with every JSON number in it replaced by its text."""
+    return json.loads(json.dumps(value), parse_int=str, parse_float=str)
+
+
 def _set_factor(index, value):
     """Edit that sets entry index of the last monomial's first factor."""
     return lambda bundle: bundle["monomials"][-1][0].__setitem__(index,
@@ -335,13 +351,21 @@ class TestNetEval:
         _edit_artifact(lambda a: a["signs"].pop()),
         _edit_artifact(lambda a: a["samples"][0].__setitem__(0, math.inf)),
         _edit_artifact(lambda a: a["samples"][0].pop()),
-        _edit_artifact(lambda a: a.update(input_dim=a["input_dim"] + 1))],
+        _edit_artifact(lambda a: a.update(input_dim=a["input_dim"] + 1)),
+        _edit_artifact(lambda a: a.update(signs=_as_strings(a["signs"]))),
+        _edit_artifact(lambda a: a.update(
+            samples=_as_strings(a["samples"]))),
+        _edit_bundle(lambda b: b["networks"][0].update(
+            lambdas=_as_strings(b["networks"][0]["lambdas"]))),
+        _edit_artifact(lambda a: a["signs"].__setitem__(
+            a["signs"].index(1.0), True))],
         ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
              "coordinate_negative", "coordinate_fraction", "kind_unknown",
              "factors_empty", "no_meta", "omega_nan", "not_an_object",
              "point_ref_negative", "point_ref_fraction", "point_ref_past_end",
              "point_ref_short", "signs_nan", "signs_short", "samples_inf",
-             "samples_ragged", "input_dim_other"])
+             "samples_ragged", "input_dim_other", "signs_string",
+             "samples_string", "lambdas_string", "signs_bool"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0
@@ -620,6 +644,12 @@ def _ragged_values(path):
     path.write_text(json.dumps(art))
 
 
+def _string_values(path):
+    art = json.loads(path.read_text())
+    art["values"] = _as_strings(art["values"])
+    path.write_text(json.dumps(art))
+
+
 def _narrow_values(path):
     art = json.loads(path.read_text())
     art["values"] = [row[:-1] for row in art["values"]]
@@ -634,11 +664,12 @@ class TestStageArtifacts:
          ("samples_00.json", "compile", _drop("values")),
          ("samples_00.json", "compile", _ragged_values),
          ("samples_00.json", "compile", _narrow_values),
+         ("samples_00.json", "compile", _string_values),
          ("plan_00.json", "solve", _drop("xi")),
          ("plan_00.json", "solve", _replace_with("plan"))],
         ids=["samples_truncated", "samples_array", "samples_no_values",
-             "samples_ragged", "samples_narrow", "plan_no_xi",
-             "plan_string"])
+             "samples_ragged", "samples_narrow", "samples_string",
+             "plan_no_xi", "plan_string"])
     def test_bad_artifact_exits_2(self, cfg_file, tmp_path, capsys, name,
                                   command, damage):
         for cmd in ("plan", "solve"):
@@ -697,6 +728,17 @@ class TestEvaluateCmd:
                    "--seed", 1234) == 0
         second = (tmp_path / "out" / "report_00_network.csv").read_text()
         assert mask_wall(first) != mask_wall(second)
+
+    def test_negative_seed_override_exits_2(self, cfg_file, tmp_path,
+                                            capsys):
+        for cmd in ("plan", "solve"):
+            assert run(cmd, "--config", cfg_file) == 0
+        capsys.readouterr()
+        for cmd in (("evaluate", "--mode", "network"), ("sweep",)):
+            assert run(*cmd, "--config", cfg_file, "--seed", -5) == 2
+            assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report_00_network.csv").exists()
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_index_out_of_range(self, cfg_file, capsys):
         assert run("plan", "--config", cfg_file) == 0

@@ -21,7 +21,6 @@ from hermnet.indices import MultiIndex, WeightModel, build_plan
 from hermnet.lagrange import lagrange_coeffs, sparse_interpolate, truncate_interpolant
 from hermnet.network import (
     NetworkBundle,
-    assemble_phi_triple,
     assemble_surrogate,
     bundle_from_dict,
     bundle_to_dict,
@@ -70,6 +69,14 @@ def gadget_product(kinds, delta):
     it is evaluated at 4 x."""
     return network._monomial(tuple(enumerate(kinds)), 1.0, delta,
                              len(kinds))
+
+
+def phi_triple(s_minus_e, k, omega, delta, input_dim=None, gate_coord=1,
+               label=None):
+    """One collocation triple's network as compile builds it, through
+    parallelize, labelled `label`."""
+    return network._compile_triple(s_minus_e, k, omega, delta, input_dim,
+                                   gate_coord, {}).network(label)
 
 
 def dense_forward(net, pts):
@@ -175,8 +182,7 @@ class TestEvaluator:
     def test_chunked_batch_matches_rows(self, monkeypatch, points_per_chunk):
         # a cell budget below one point's columns still runs one point
         # per chunk; 10 points at 3 per chunk leave a short last chunk
-        net = assemble_phi_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5)
+        net = phi_triple(MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5)
         total = net.input_dim + sum(net.widths[:-1])
         monkeypatch.setattr(network, "_EVAL_CELL_LIMIT",
                             max(1, points_per_chunk * total))
@@ -589,7 +595,7 @@ class TestReindex:
 
 class TestPhiTriple:
     def test_empty_difference_is_plateau(self):
-        net = assemble_phi_triple(MultiIndex(()), (), 4.0, 1e-6)
+        net = phi_triple(MultiIndex(()), (), 4.0, 1e-6)
         assert net.meta["coeff_abs_sum"] == 1.0
         for y in (-3.0, 0.0, 7.9):
             assert net.eval_batch([[y]])[0, 0] == 1.0
@@ -600,7 +606,7 @@ class TestPhiTriple:
     def test_order_one_matches_cardinal(self):
         omega, delta = 4.0, 1e-6
         sme = MultiIndex(((1, 1),))
-        net = assemble_phi_triple(sme, (1,), omega, delta)
+        net = phi_triple(sme, (1,), omega, delta)
         bound = delta * net.meta["coeff_abs_sum"]
         f = _cardinal(1, 1)
         ys = np.linspace(-2 * math.sqrt(omega), 2 * math.sqrt(omega), 101)
@@ -611,7 +617,7 @@ class TestPhiTriple:
     def test_two_dim_product_of_cardinals(self):
         omega, delta = 2.0, 1e-5
         sme = MultiIndex(((1, 1), (3, 2)))
-        net = assemble_phi_triple(sme, (1, -1), omega, delta)
+        net = phi_triple(sme, (1, -1), omega, delta)
         bound = delta * net.meta["coeff_abs_sum"]
         f1, f3 = _cardinal(1, 1), _cardinal(2, -1)
         rng = np.random.default_rng(42)
@@ -624,7 +630,7 @@ class TestPhiTriple:
     def test_support_coordinates_are_gated(self):
         omega = 2.0
         sme = MultiIndex(((1, 1), (3, 2)))
-        net = assemble_phi_triple(sme, (1, -1), omega, 1e-5)
+        net = phi_triple(sme, (1, -1), omega, 1e-5)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-1, 1, size=(100, 3))
         edge = 8.0 * math.sqrt(omega) * 1.001
@@ -640,7 +646,7 @@ class TestPhiTriple:
     def test_coeff_abs_sum_matches_tables(self):
         omega, delta = 2.0, 1e-5
         sme = MultiIndex(((2, 2),))
-        net = assemble_phi_triple(sme, (0,), omega, delta)
+        net = phi_triple(sme, (0,), omega, delta)
         tab = lagrange_coeffs(2).coeffs(0)
         scale = 4.0 * math.sqrt(omega)
         want = sum(abs(b) * scale ** l for l, b in enumerate(tab) if b != 0.0)
@@ -649,11 +655,11 @@ class TestPhiTriple:
     def test_invalid_args(self):
         sme = MultiIndex(((1, 1),))
         with pytest.raises(ValueError):
-            assemble_phi_triple(sme, (1,), 0.5, 1e-6)
+            phi_triple(sme, (1,), 0.5, 1e-6)
         with pytest.raises(ValueError):
-            assemble_phi_triple(sme, (1,), 2.0, 2.0)
+            phi_triple(sme, (1,), 2.0, 2.0)
         with pytest.raises(ValueError):
-            assemble_phi_triple(sme, (1, -1), 2.0, 1e-6)
+            phi_triple(sme, (1, -1), 2.0, 1e-6)
 
 
 class TestComputeDelta:
@@ -729,6 +735,33 @@ def _sharing(members):
     object."""
     first = {}
     return [first.setdefault(id(m), i) for i, m in enumerate(members)]
+
+
+def _extreme_points(dim):
+    """An all-zero point and points at +-1e300 (all +, all -, and both
+    alternating sign patterns), shape (5, dim)."""
+    alt = (-1.0) ** np.arange(dim)
+    return np.vstack([np.zeros(dim)] + [1e300 * s * np.ones(dim)
+                                        for s in (1.0, -1.0, alt, -alt)])
+
+
+def _identity_carries(net):
+    """The hidden units of net that are identity carries: a two-entry
+    row sigma(z_a - z_b) or sigma(z_b - z_a) with bias 0, where the
+    hidden rows a and b are negations of each other."""
+    d, rows = net.input_dim, []
+    for layer in net.layers[:-1]:
+        rows += [(c, w, b) for (c, w), b in zip(layer.rows,
+                                                layer.bias.tolist())]
+
+    def negations(a, b):
+        (ca, wa, ba), (cb, wb, bb) = rows[a - d], rows[b - d]
+        return (ca.tobytes() == cb.tobytes()
+                and (-wa).tobytes() == wb.tobytes() and ba == -bb)
+
+    return [r for r, (cols, wts, bias) in enumerate(rows)
+            if len(cols) == 2 and bias == 0.0 and cols.min() >= d
+            and sorted(wts.tolist()) == [-1.0, 1.0] and negations(*cols)]
 
 
 def _layer_bytes(net):
@@ -813,6 +846,10 @@ class TestBundlePool:
          "outside"),
         (lambda d: d["networks"][0].update(monomials=[]), "no entry"),
         (lambda d: d["networks"][0]["lambdas"].append(1.0), "lambdas"),
+        (lambda d: d["networks"][0]["lambdas"].__setitem__(0, "1.0"),
+         "lambdas"),
+        (lambda d: d["networks"][0]["lambdas"].__setitem__(0, True),
+         "lambdas"),
         (lambda d: _factor(d).__setitem__(0, 0.7), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, True), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, "1"), "coordinate"),
@@ -840,6 +877,7 @@ class TestBundlePool:
         (lambda d: d.pop("labels"), "labels"),
     ], ids=["monomial_index_-1", "monomial_index_past_end",
             "monomial_index_float", "member_no_monomials", "lambda_count",
+            "lambda_string", "lambda_bool",
             "coordinate_fraction", "coordinate_bool", "coordinate_string",
             "coordinate_negative", "coordinate_past_input", "kind_unknown",
             "factor_not_pair", "factors_empty", "input_dim_fraction",
@@ -903,17 +941,19 @@ def _network_digests(bundle):
 
 @pytest.mark.parametrize("delta, digests", [
     (1e-7, ["8851fcbf2db1d7883226cc52976261da342796ff45afa742bab26a21486a4897",
-            "be3d655a192f58cf306c94f824d0002df0454c08d3e85d0542b304626661bd93"]),
+            "e58bb29bb8e2de57e4595895419d02288dc399f448df3549a775ab5c9f864bdf"]),
     ("auto",
      ["5bb6af7aa9c3ebe4a408060b46f0d196fa0a2fee39815868e3f9e43c89429eb3",
-      "798cc4493fcce8a8edcf55336670910784d5f382ca0e6ecbcd0e6ee7cd2f7018"])],
+      "4755ee426cdd6ea7ba16fb4a3401d45d6ae9d33c9d29e9f1dabd5edfd40139a5"])],
     ids=["fixed_delta", "auto_delta"])
 def test_network_bytes_are_unchanged(delta, digests):
     """The monomial networks and the shared evaluation network, byte for
-    byte, after compile and after a reload.  The digests were recorded
-    with bundle format 3, which stored the monomial layers themselves;
-    format 4 rebuilds them from their factors and must give the same
-    bytes."""
+    byte, after compile and after a reload.  The monomial digests were
+    recorded with bundle format 3, which stored the monomial layers
+    themselves; format 4 rebuilds them from their factors and must give
+    the same bytes.  The shared digests were recorded when shared
+    stopped placing identity carries, which changed its layers but not
+    its outputs."""
     bundle = _small_bundle(delta)
     assert _network_digests(bundle) == digests
     assert _network_digests(_roundtrip(bundle)) == digests
@@ -1007,7 +1047,8 @@ class TestSurrogate:
         g = rng.normal(size=(200, plan.m_active))
         edge = 8.0 * math.sqrt(omega) * 1.001
         outside = np.where(g < 0, -edge, edge) + g
-        Y = np.vstack([g, 3.0 * g, outside])
+        Y = np.vstack([g, 3.0 * g, _extreme_points(plan.m_active),
+                       outside])
 
         def member_sum(pts):
             out = np.zeros((pts.shape[0], samples.shape[1]))
@@ -1030,6 +1071,15 @@ class TestSurrogate:
                                    for net in bundle.networks)
         assert (bundle.W, bundle.L) == (W, L)
 
+    def test_shared_places_no_identity_carries(self):
+        # auto delta: members of depths 3, 17 and 34, so parallelize
+        # pads the shorter monomials with carries; shared reads each
+        # sigma pair where it is made, after compile and after a reload
+        bundle = _small_bundle("auto")
+        assert any(_identity_carries(net) for net in bundle.networks)
+        assert _identity_carries(bundle.shared) == []
+        assert _identity_carries(_roundtrip(bundle).shared) == []
+
     def test_members_match_fresh_compile_bitwise(self):
         # auto delta: members of depths 3, 17 and 34, and repeated
         # (s-e, k) keys, which compile reuses
@@ -1046,9 +1096,8 @@ class TestSurrogate:
             s = plan.indices[t.s_ref]
             sme = s.subtract_mask(t.e_mask)
             gate = min(s.support) if s.pairs else 1
-            fresh = assemble_phi_triple(sme, t.k, omega, delta,
-                                        input_dim=dim, gate_coord=gate,
-                                        label=label)
+            fresh = phi_triple(sme, t.k, omega, delta, input_dim=dim,
+                               gate_coord=gate, label=label)
             assert net.meta == fresh.meta
             assert net.meta["label"] is label
             assert (net.input_dim, net.depth) == (fresh.input_dim,
@@ -1201,7 +1250,7 @@ class TestSurrogate:
        delta=st.sampled_from([1e-3, 1e-5, 1e-7, "auto"]))
 def test_recipes_match_parallelize_members(rho, xi, omega, delta):
     """Compile's recipes against the networks parallelize builds: each
-    materialized member equals a fresh assemble_phi_triple bit for bit,
+    materialized member equals a fresh phi_triple bit for bit,
     the recipe W and L equal the recount, and the shared network placed
     at compile equals the one hash-consed from the reloaded members."""
     plan = build_plan(xi, WeightModel(q=2.0 / 3.0, rho=sorted(rho),
@@ -1224,9 +1273,8 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
                                    bundle.labels, sizes):
         s = plan.indices[t.s_ref]
         gate = min(s.support) if s.pairs else 1
-        fresh = assemble_phi_triple(s.subtract_mask(t.e_mask), t.k, omega,
-                                    delta, input_dim=dim, gate_coord=gate,
-                                    label=label)
+        fresh = phi_triple(s.subtract_mask(t.e_mask), t.k, omega, delta,
+                           input_dim=dim, gate_coord=gate, label=label)
         assert net.meta == fresh.meta
         assert size == (fresh.size, fresh.depth)
         assert (net.input_dim, net.depth) == (fresh.input_dim, fresh.depth)
@@ -1278,6 +1326,6 @@ def test_recipe_matches_parallelize(factors, lams, delta, repeat):
     assert wts.tobytes() == out.wts.tobytes()
     assert np.array([bias]).tobytes() == out.bias.tobytes()
     g = np.random.default_rng(5).uniform(-9, 9, size=(64, 2))
-    Y = np.vstack([g, np.round(g), np.zeros((1, 2))])
+    Y = np.vstack([g, np.round(g), _extreme_points(2)])
     assert table.network([(cols, wts, bias)]).eval_batch(Y).tobytes() == \
         net.eval_batch(Y).tobytes()
