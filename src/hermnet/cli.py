@@ -363,7 +363,10 @@ def solve_at_points(problem, pts, parallel, cfg):
 
 
 class _SolutionCache:
-    """Memoized point -> nodal-values map for a fixed problem."""
+    """Memoized point -> nodal-values map for a fixed problem.
+
+    Each entry is a copy of the restricted values, so it does not keep
+    the whole solution (or the whole solved block) alive."""
 
     def __init__(self, problem, restrict=1):
         self.problem = problem
@@ -375,7 +378,7 @@ class _SolutionCache:
         key = y.tobytes()
         got = self._store.get(key)
         if got is None:
-            got = fem_solve(self.problem, y).values[::self.restrict]
+            got = fem_solve(self.problem, y).values[::self.restrict].copy()
             self._store[key] = got
         return got
 
@@ -387,7 +390,7 @@ class _SolutionCache:
             solved = solve_at_points(self.problem, np.stack(fresh), parallel,
                                      cfg)
             for r, v in zip(fresh, solved):
-                self._store[r.tobytes()] = v[::self.restrict]
+                self._store[r.tobytes()] = v[::self.restrict].copy()
         return np.stack([self._store[r.tobytes()] for r in pts])
 
 

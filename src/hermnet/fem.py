@@ -4,17 +4,21 @@ The coefficient is lognormal in the parameters, a(y, x) =
 exp(sum_j y_j psi_j(x)), evaluated once per element at its midpoint
 (second-order quadrature); the load uses the trapezoidal rule, which for
 interior hat functions reduces to h*f(x_i).  The resulting symmetric
-positive-definite tridiagonal system is solved with a banded Cholesky
-factorization.  Solves at distinct parameter points are independent:
-the problem object is immutable and every solve allocates its own
-workspace, so caller-side parallel maps are safe.
+positive-definite tridiagonal system is solved by LAPACK's ptsv (an
+L*D*L^T factorization), called directly: it is the routine
+scipy.linalg.solveh_banded dispatches to for this band, whose per-call
+wrapper costs more than the solve at these mesh sizes.  Solves at
+distinct parameter points are independent: the problem object is
+immutable and every solve allocates its own workspace, so caller-side
+parallel maps are safe.
 """
 
 import math
 import warnings
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dptsv
 
 
 def sine_family(c, alpha, dims):
@@ -125,10 +129,9 @@ def assemble_coefficient(problem, y_point):
     y = _dense_point(y_point, len(psi))
     if not np.all(np.isfinite(y)):
         raise ValueError("parameter point has non-finite entries")
-    b = np.zeros(problem.mesh_n + 1)
-    for j in range(len(y)):
-        if y[j] != 0.0:
-            b += y[j] * psi[j]
+    # adds the terms in coordinate order; a zero coordinate adds +-0.0,
+    # which can only turn a +0.0 sum into -0.0, and exp maps both to 1.0
+    b = np.add.reduce(y[:, None] * psi[:len(y)], axis=0)
     with np.errstate(over="ignore"):
         a = np.exp(b)
     clipped = np.clip(a, 1e-300, 1e300)
@@ -156,14 +159,20 @@ def fem_solve(problem, y_point):
     Stiffness entries from midpoint quadrature: the diagonal couples the
     two elements around a node, (a_i + a_{i+1})/h, off-diagonal
     -a_{i+1}/h; the system is SPD tridiagonal for any positive a.
+    ValueError when the system or the load is not finite, LinAlgError
+    when the factorization finds a non-positive pivot.
     """
     a = assemble_coefficient(problem, y_point)
-    n = problem.mesh_n
-    ab = np.zeros((2, n))
-    ab[1] = (a[:-1] + a[1:]) / problem.h
-    ab[0, 1:] = -a[1:-1] / problem.h
-    u = solveh_banded(ab, problem.load_vector(), lower=False)
-    full = np.zeros(n + 2)
+    diag = (a[:-1] + a[1:]) / problem.h
+    off = -a[1:-1] / problem.h
+    load = problem.load_vector()
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()
+            and np.isfinite(load).all()):
+        raise ValueError("stiffness matrix or load is not finite")
+    _, _, u, info = dptsv(diag, off, load, overwrite_d=1, overwrite_e=1)
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+    full = np.zeros(problem.mesh_n + 2)
     full[1:-1] = u
     return FemSolution(full, problem.h)
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .hermite import NodeFamily
 
@@ -176,6 +176,23 @@ class WeightModel:
         return self.rho[-1]
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) for a 1-D float array, with the arithmetic of
+    scipy.special.logsumexp (scipy 1.17) and so its bits, without its
+    per-call array-API dispatch.  The m entries equal to the maximum are
+    taken out of the sum (Blanchard, Higham & Higham, IMA J. Numer.
+    Anal. 41(4), 2021): log1p(s/m) + log(m) + max, where s sums the
+    exponentials of the other entries shifted by the maximum.  Finite
+    entries only: scipy's fallback for an infinite result is not here.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max)) / m
+    return np.log1p(s) + np.log(m) + a_max
+
+
 def _log_factor(rho_j, s_j, eta):
     """log of sum_{t<=min(s_j,eta)} C(s_j,t) rho_j^{2t}, stable for large rho."""
     if s_j == 0:
@@ -184,7 +201,7 @@ def _log_factor(rho_j, s_j, eta):
     t = np.arange(tmax + 1)
     terms = (gammaln(s_j + 1) - gammaln(t + 1) - gammaln(s_j - t + 1)
              + 2.0 * t * math.log(rho_j))
-    return float(logsumexp(terms))
+    return float(_logsumexp(terms))
 
 
 def sigma_of(s, model):

@@ -59,10 +59,9 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.special import logsumexp
 
 from .hermite import NodeFamily
-from .indices import p_weight
+from .indices import _logsumexp, p_weight
 from .lagrange import lagrange_coeffs
 
 # Cells (network columns x points) of the activation buffer one
@@ -1105,7 +1104,7 @@ def compute_delta(plan, omega, K=None, *, return_info=False):
         terms.append(K * tot + math.log(p_weight(s, 2.0, plan.model.lam))
                      + tot * log_scale + log_b)
     log_inv = ((1.0 / plan.model.q - 0.5) * math.log(plan.xi)
-               + float(logsumexp(terms)))
+               + float(_logsumexp(terms)))
     requested = math.exp(-log_inv) if log_inv < 700 else 0.0
     delta = min(0.5, max(requested, DELTA_FLOOR))
     if return_info:
@@ -1193,7 +1192,8 @@ def bundle_from_dict(data):
     with the omega and delta of the bundle meta, once, and every member
     naming it shares it.  Members with equal monomials, lambdas and meta
     share one _Recipe, as at compile.  Raises ValueError for another
-    format, a missing field, an omega or delta compile would refuse or
+    format, a missing field, an omega or delta that is not a JSON number
+    (int or float; true would read as 1), that compile would refuse or
     that is not finite, a malformed factor list (see _factors), a
     monomial index that names no stored monomial, a member without
     monomials, lambdas that are not JSON numbers (see json_floats) or
@@ -1206,6 +1206,9 @@ def bundle_from_dict(data):
     try:
         dim, meta = data["input_dim"], data["meta"]
         omega, delta = meta["omega"], meta["delta"]
+        for key, value in (("omega", omega), ("delta", delta)):
+            if type(value) not in (int, float):
+                raise ValueError(f"meta {key} {value!r} is not a JSON number")
         _check_omega_delta(omega, delta)
         if type(dim) is not int or dim < 1:
             raise ValueError(f"input_dim {dim!r} is not a positive int")

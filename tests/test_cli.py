@@ -7,6 +7,7 @@ import os
 import shutil
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hermnet.cli import (
     main,
     validate_config,
 )
+from hermnet.fem import fem_solve
 from hermnet.hermite import NodeFamily
 from hermnet.indices import build_plan
 from hermnet.network import (
@@ -221,6 +223,25 @@ class TestSolveCmd:
         assert run("solve", "--config", other) == 2
         assert "hash" in capsys.readouterr().err
 
+    def test_cached_rows_own_their_data(self, cfg_file):
+        # a strided view would keep the whole truth solution alive
+        cfg = load_config(cfg_file)
+        ev = cli._eval_setup(cfg, build_model(cfg), SimpleNamespace(seed=None))
+        rng = np.random.default_rng(3)
+        for cache in (ev.coarse, ev.truth):
+            pts = rng.normal(size=(3, ev.dims))
+            block = cache.at_points(pts, 1, cfg)
+            one = cache(rng.normal(size=ev.dims))
+            stored = list(cache._store.values())
+            assert len(stored) == 4
+            for row in stored:
+                assert row.base is None and row.flags.owndata
+                assert row.shape == (cfg["problem"]["mesh_n"] + 2,)
+            want = [fem_solve(cache.problem, p).values[::cache.restrict]
+                    for p in pts]
+            np.testing.assert_array_equal(block, want)
+            np.testing.assert_array_equal(one, stored[-1])
+
 
 class TestCompileCmd:
     def test_bundle_meta_matches_recount(self, cfg_file, tmp_path):
@@ -341,6 +362,7 @@ class TestNetEval:
         _edit_bundle(lambda b: b["monomials"].__setitem__(-1, [])),
         _edit_bundle(lambda b: b.pop("meta")),
         _edit_bundle(lambda b: b["meta"].update(omega=float("nan"))),
+        _edit_bundle(lambda b: b["meta"].update(omega=True)),
         _bundle_not_object,
         _edit_artifact(lambda a: a["point_ref"].__setitem__(0, -1)),
         _edit_artifact(lambda a: a["point_ref"].__setitem__(0, 0.7)),
@@ -361,7 +383,8 @@ class TestNetEval:
             a["signs"].index(1.0), True))],
         ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
              "coordinate_negative", "coordinate_fraction", "kind_unknown",
-             "factors_empty", "no_meta", "omega_nan", "not_an_object",
+             "factors_empty", "no_meta", "omega_nan", "omega_bool",
+             "not_an_object",
              "point_ref_negative", "point_ref_fraction", "point_ref_past_end",
              "point_ref_short", "signs_nan", "signs_short", "samples_inf",
              "samples_ragged", "input_dim_other", "signs_string",

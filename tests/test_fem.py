@@ -1,20 +1,27 @@
 """Tests for the 1D lognormal FEM solver.
 
-The packaged banded solver is cross-checked against a dense-matrix
-implementation assembled straight from the weak form, and against the
+The packaged tridiagonal solver is cross-checked against a dense-matrix
+implementation assembled straight from the weak form, against the
 analytic solution x(1-x)/2 of the constant-coefficient problem (for
-which midpoint/trapezoid quadrature makes the scheme nodally exact).
+which midpoint/trapezoid quadrature makes the scheme nodally exact),
+and bit for bit against the per-coordinate loop and scipy's
+solveh_banded it replaced.
 """
 
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
 from hermnet.fem import (
     FemSolution,
     LognormalProblem,
+    _dense_point,
     assemble_coefficient,
     fem_solve,
     sine_family,
@@ -30,6 +37,44 @@ def dense_fem(a_mid, f_nodes, h):
         if i + 1 < n:
             A[i, i + 1] = A[i + 1, i] = -a_mid[i + 1] / h
     return np.linalg.solve(A, h * f_nodes)
+
+
+def reference_solve(problem, y_point):
+    """fem_solve as it was: a loop over the nonzero coordinates, then
+    solveh_banded on the upper band."""
+    psi = problem.psi_matrix()
+    y = _dense_point(y_point, len(psi))
+    b = np.zeros(problem.mesh_n + 1)
+    for j in range(len(y)):
+        if y[j] != 0.0:
+            b += y[j] * psi[j]
+    a = np.clip(np.exp(b), 1e-300, 1e300)
+    n = problem.mesh_n
+    ab = np.zeros((2, n))
+    ab[1] = (a[:-1] + a[1:]) / problem.h
+    ab[0, 1:] = -a[1:-1] / problem.h
+    full = np.zeros(n + 2)
+    full[1:-1] = solveh_banded(ab, problem.load_vector(), lower=False)
+    return full
+
+
+def acceptance_problem(mesh_n):
+    return LognormalProblem(mesh_n, f="one", psi=sine_family(0.4, 2.0, 12))
+
+
+def pinned_points():
+    rng = np.random.default_rng(2021)
+    dense = [rng.normal(size=12) for _ in range(4)]
+    return dense + [
+        rng.normal(size=3),
+        np.zeros(12),
+        np.array([-0.0, 0.7, -0.0, -0.0, -1.1, 0.0,
+                  -0.0, 0.0, -0.0, 0.0, 0.0, -0.0]),
+        np.full(12, -0.0),
+        ((2, 1.3), (9, -0.4)),
+        {1: 0.5, 12: -1.2, 40: 3.0},
+        (),
+    ]
 
 
 class TestProblemSetup:
@@ -197,6 +242,49 @@ class TestFemSolve:
             sizes.append(mesh_n + 1)
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert slope <= -1.8
+
+    @pytest.mark.parametrize("f", [
+        lambda x: np.full_like(x, np.nan),
+        lambda x: np.where(x > 0.5, np.inf, 1.0),
+        lambda x: np.where(x < 0.5, -np.inf, 1.0)],
+        ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_load_rejected(self, f):
+        p = LognormalProblem(9, f=f, psi=sine_family(0.4, 2.0, 2))
+        with pytest.raises(ValueError):
+            fem_solve(p, np.array([0.3, -0.2]))
+
+
+class TestReferenceBits:
+    # SHA-256 of the nodal values of every pinned point, in order, on the
+    # acceptance problem (f = 1, psi_j = 0.4 j^-2 sin(j pi x), 12 terms)
+    # at its grid mesh and at its truth mesh (truth_factor 8), recorded
+    # with the loop and solveh_banded of reference_solve.
+    @pytest.mark.parametrize("mesh_n, digest", [
+        (255, "faddd566c6a4b65e212761cdd88d2f1e"
+              "be579ae8e6aa0fb21475b9f4a82136b4"),
+        (2047, "ae29ee79de6d42e85603ce0ff95f9844"
+               "f22e19f49b2d174a6690478bcd0f0dfd")])
+    def test_values_are_unchanged(self, mesh_n, digest):
+        p = acceptance_problem(mesh_n)
+        h = hashlib.sha256()
+        for y in pinned_points():
+            h.update(fem_solve(p, y).values.tobytes())
+        assert h.hexdigest() == digest
+
+    @given(st.one_of(
+        st.lists(st.floats(min_value=-4.0, max_value=4.0),
+                 min_size=0, max_size=14),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                 min_size=0, max_size=14),
+        st.dictionaries(st.integers(min_value=1, max_value=20),
+                        st.floats(min_value=-4.0, max_value=4.0),
+                        max_size=5)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_bitwise(self, y):
+        p = acceptance_problem(255)
+        point = y if isinstance(y, dict) else np.array(y, dtype=float)
+        got = fem_solve(p, point).values
+        assert got.tobytes() == reference_solve(p, point).tobytes()
 
 
 class TestSolutionNorm:

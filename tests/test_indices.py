@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from hermnet.indices import (
     CapacityError,
     MultiIndex,
     WeightModel,
+    _logsumexp,
     build_lambda,
     build_plan,
     p_weight,
@@ -136,6 +138,31 @@ class TestSigma:
         s = MultiIndex(tuple((j + 1, d) for j, d in enumerate(dense) if d))
         np.testing.assert_allclose(
             sigma_of(s, w) ** 2, brute_sigma_sq(dense, rho, eta), rtol=1e-10)
+
+
+class TestLogSumExp:
+    # scipy.special.logsumexp is the reference: the helper must give its
+    # bits, so plans and deltas do not move.  Repeated draws from a small
+    # pool make ties between the maximal entries (and elsewhere) common.
+    @given(st.one_of(
+        st.lists(st.floats(min_value=-700.0, max_value=700.0),
+                 min_size=1, max_size=40),
+        st.lists(st.sampled_from([-700.0, -3.5, -0.0, 0.0, 1.0, 2.5, 699.9,
+                                  700.0]), min_size=1, max_size=40),
+        st.lists(st.floats(min_value=-1e-3, max_value=1e-3),
+                 min_size=1, max_size=40)))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scipy_bitwise(self, values):
+        a = np.array(values)
+        want = float(logsumexp(a))
+        got = float(_logsumexp(a))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_one_element_and_all_tied(self):
+        assert _logsumexp(np.array([3.25])) == 3.25
+        for n in (2, 3, 7):
+            a = np.full(n, -1.5)
+            assert float(_logsumexp(a)) == float(logsumexp(a))
 
 
 class TestPWeight:

@@ -864,9 +864,11 @@ class TestBundlePool:
         (lambda d: d["meta"].update(omega=0.5), "omega"),
         (lambda d: d["meta"].update(omega=math.nan), "omega"),
         (lambda d: d["meta"].update(omega=math.inf), "omega"),
+        (lambda d: d["meta"].update(omega=True), "omega"),
         (lambda d: d["meta"].update(delta=0.0), "delta"),
         (lambda d: d["meta"].update(delta=1.0), "delta"),
         (lambda d: d["meta"].update(delta=math.nan), "delta"),
+        (lambda d: d["meta"].update(delta=str(d["meta"]["delta"])), "delta"),
         (lambda d: d.update(W=d["W"] + 1), "recount"),
         (lambda d: d.update(L=d["L"] - 1), "recount"),
         (lambda d: d.update(format=1), "format"),
@@ -882,10 +884,10 @@ class TestBundlePool:
             "coordinate_negative", "coordinate_past_input", "kind_unknown",
             "factor_not_pair", "factors_empty", "input_dim_fraction",
             "no_meta", "no_omega",
-            "omega_below_1", "omega_nan", "omega_inf", "delta_zero",
-            "delta_one", "delta_nan", "W_plus_1", "L_minus_1", "old_format",
-            "format_2", "format_3", "no_format", "member_lacks_monomials",
-            "no_labels"])
+            "omega_below_1", "omega_nan", "omega_inf", "omega_bool",
+            "delta_zero", "delta_one", "delta_nan", "delta_string",
+            "W_plus_1", "L_minus_1", "old_format", "format_2", "format_3",
+            "no_format", "member_lacks_monomials", "no_labels"])
     def test_bad_bundle_rejected(self, damage, match):
         d = bundle_to_dict(_repeat_bundle())
         bundle_from_dict(d)
