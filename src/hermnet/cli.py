@@ -4,8 +4,10 @@ Artifacts are JSON/CSV (UTF-8, LF, shortest round-trip floats) written
 into the configured output directory, one per sweep entry.  Every
 artifact records a hash of the configuration that produced it, and
 later stages refuse inputs whose hash does not match.  Reruns are
-byte-identical apart from the wall_ms timing column, and --parallel N
-changes wall time only, never output bytes.
+byte-identical apart from the wall_ms timing column.  --parallel N
+(N >= 1) solves the FEM points in up to N forked workers, never more
+than points or usable CPUs, which inherit the problem; it changes wall
+time only, never output bytes.
 
 Every stage that reads an artifact goes through one reader, and every
 report row, from `evaluate` or `sweep`, is measured by one row
@@ -74,15 +76,39 @@ class ConfigError(ValueError):
 # configuration
 
 
-def _expect(mapping, key, path, kinds, predicate=None, why=""):
-    if key not in mapping:
-        raise ConfigError(f"missing field {path}.{key}")
-    value = mapping[key]
+_REQUIRED = object()
+
+
+def _expect(mapping, key, path, kinds, predicate=None, why="",
+            default=_REQUIRED):
+    """mapping[key] after checks, or `default` when the key is missing
+    (null too, where the default is None).  ConfigError names the field
+    unless the value is one of `kinds` (never a bool), finite if a
+    number, and passes `predicate`."""
+    name = f"{path}.{key}" if path else key
+    value = mapping.get(key)
+    if value is None and (key not in mapping or default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing field {name}")
+        return default
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{path}.{key} has the wrong type")
+        raise ConfigError(f"{name} has the wrong type")
+    try:
+        finite = not isinstance(value, (int, float)) or math.isfinite(value)
+    except OverflowError:  # an int beyond the double range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite")
     if predicate is not None and not predicate(value):
-        raise ConfigError(f"{path}.{key} {why}")
+        raise ConfigError(f"{name} {why}")
     return value
+
+
+def _numbers(values, path, predicate=None, why=""):
+    """The list `values` as floats, each entry checked by _expect."""
+    items = dict(enumerate(values))
+    return [float(_expect(items, i, path, (int, float), predicate, why))
+            for i in items]
 
 
 def validate_config(raw):
@@ -94,9 +120,8 @@ def validate_config(raw):
     problem = _expect(raw, "problem", "", dict)
     mesh_n = _expect(problem, "mesh_n", "problem", int,
                      lambda v: v >= 3, "must be >= 3")
-    f = problem.get("f", "one")
-    if f != "one":
-        raise ConfigError('problem.f only supports the preset "one"')
+    _expect(problem, "f", "problem", str, lambda v: v == "one",
+            'only supports the preset "one"', default="one")
     psi = _expect(problem, "psi", "problem", dict)
     family = _expect(psi, "family", "problem.psi", str,
                      lambda v: v == "sine", 'must be "sine"')
@@ -104,15 +129,10 @@ def validate_config(raw):
                     lambda v: v > 0, "must be positive")
     psi_alpha = _expect(psi, "alpha", "problem.psi", (int, float),
                         lambda v: v > 1, "must exceed 1")
-    psi_dims = psi.get("dims")
-    if psi_dims is not None and (isinstance(psi_dims, bool)
-                                 or not isinstance(psi_dims, int)
-                                 or psi_dims < 1):
-        raise ConfigError("problem.psi.dims must be a positive integer")
-    truth_factor = problem.get("truth_factor", 8)
-    if isinstance(truth_factor, bool) or not isinstance(truth_factor, int) \
-            or truth_factor < 2:
-        raise ConfigError("problem.truth_factor must be an integer >= 2")
+    psi_dims = _expect(psi, "dims", "problem.psi", int, lambda v: v >= 1,
+                       "must be >= 1", default=None)
+    truth_factor = _expect(problem, "truth_factor", "problem", int,
+                           lambda v: v >= 2, "must be >= 2", default=8)
     cfg["problem"] = {"mesh_n": mesh_n, "f": "one",
                       "psi": {"family": family, "c": float(psi_c),
                               "alpha": float(psi_alpha), "dims": psi_dims},
@@ -121,65 +141,46 @@ def validate_config(raw):
     weights = _expect(raw, "weights", "", dict)
     q = _expect(weights, "q", "weights", (int, float),
                 lambda v: 0 < v < 2, "must lie in (0, 2)")
-    rho = weights.get("rho", [])
-    if not isinstance(rho, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in rho):
-        raise ConfigError("weights.rho must be a list of numbers")
-    tail = weights.get("tail")
+    rho = _numbers(_expect(weights, "rho", "weights", list, default=[]),
+                   "weights.rho")
+    tail = _expect(weights, "tail", "weights", list, lambda v: len(v) == 2,
+                   "must be [c, r]", default=None)
     if tail is not None:
-        if (not isinstance(tail, list) or len(tail) != 2 or any(
-                isinstance(v, bool) or not isinstance(v, (int, float))
-                for v in tail)):
-            raise ConfigError("weights.tail must be [c, r]")
-        tail = [float(tail[0]), float(tail[1])]
+        tail = _numbers(tail, "weights.tail")
     extra = {}
-    for key in ("theta", "lam"):
-        if weights.get(key) is not None:
-            extra[key] = _expect(weights, key, "weights", (int, float),
-                                 lambda v: v > 0, "must be positive")
-    if weights.get("eta") is not None:
-        extra["eta"] = _expect(weights, "eta", "weights", int,
-                               lambda v: v >= 1, "must be >= 1")
-    cfg["weights"] = {"q": float(q), "rho": [float(v) for v in rho],
-                      "tail": tail, **extra}
+    for key, kinds in (("theta", (int, float)), ("lam", (int, float)),
+                       ("eta", int)):
+        value = _expect(weights, key, "weights", kinds, lambda v: v > 0,
+                        "must be positive", default=None)
+        if value is not None:
+            extra[key] = value
+    cfg["weights"] = {"q": float(q), "rho": rho, "tail": tail, **extra}
     try:
         build_model(cfg)
     except ValueError as exc:
         raise ConfigError(f"weights: {exc}") from exc
 
-    sweep = _expect(raw, "xi_sweep", "", list)
-    if not sweep or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                        for v in sweep):
-        raise ConfigError("xi_sweep must be a non-empty list of numbers")
-    xis = [float(v) for v in sweep]
-    if any(v <= 1.0 for v in xis):
-        raise ConfigError("xi_sweep entries must all exceed 1")
+    xis = _numbers(_expect(raw, "xi_sweep", "", list, bool,
+                           "must be a non-empty list"),
+                   "xi_sweep", lambda v: v > 1, "must exceed 1")
     if any(b <= a for a, b in zip(xis, xis[1:])):
         raise ConfigError("xi_sweep must be strictly increasing")
     cfg["xi_sweep"] = xis
 
-    for key, low in (("delta_mode", None), ("omega_mode", None)):
-        mode = raw.get(key, "auto")
-        if mode == "auto":
-            cfg[key] = "auto"
-        elif isinstance(mode, (int, float)) and not isinstance(mode, bool):
-            cfg[key] = float(mode)
-        else:
-            raise ConfigError(f'{key} must be "auto" or a number')
-    if cfg["delta_mode"] != "auto" and not 0 < cfg["delta_mode"] < 1:
-        raise ConfigError("delta_mode must lie in (0, 1) when fixed")
-    if cfg["omega_mode"] != "auto" and cfg["omega_mode"] < 1:
-        raise ConfigError("omega_mode must be >= 1 when fixed")
+    for key, fixed, why in (("delta_mode", lambda v: 0 < v < 1, "in (0, 1)"),
+                            ("omega_mode", lambda v: v >= 1, ">= 1")):
+        mode = _expect(raw, key, "", (str, int, float),
+                       lambda v: v == "auto" if isinstance(v, str)
+                       else fixed(v),
+                       f'must be "auto" or a number {why}', default="auto")
+        cfg[key] = mode if mode == "auto" else float(mode)
 
     mc = _expect(raw, "mc", "", dict)
     n_samples = _expect(mc, "n_samples", "mc", int,
                         lambda v: v >= 16, "must be >= 16")
     seed = _expect(mc, "seed", "mc", int, lambda v: v >= 0, "must be >= 0")
-    tail_dims = mc.get("tail_dims", 8)
-    if isinstance(tail_dims, bool) or not isinstance(tail_dims, int) \
-            or tail_dims < 0:
-        raise ConfigError("mc.tail_dims must be an integer >= 0")
+    tail_dims = _expect(mc, "tail_dims", "mc", int, lambda v: v >= 0,
+                        "must be >= 0", default=8)
     cfg["mc"] = {"n_samples": n_samples, "seed": seed,
                  "tail_dims": tail_dims}
 
@@ -284,7 +285,7 @@ def _parsing(path):
         yield
     except ConfigError:
         raise
-    except (AttributeError, IndexError, KeyError, TypeError,
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise ConfigError(f"cannot parse {path} ({exc!r}); regenerate the "
                           "artifact") from exc
@@ -333,29 +334,36 @@ def _write_csv(path, rows):
 # ---------------------------------------------------------------------------
 # FEM solves (optionally parallel)
 
-_WORKER_PROBLEM = None
+
+def _usable_cpus():
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
-def _solve_worker_init(mesh_n, c, alpha, n_terms):
-    global _WORKER_PROBLEM
-    _WORKER_PROBLEM = LognormalProblem(
-        mesh_n, f="one", psi=sine_family(c, alpha, n_terms))
+_WORKER_PROBLEM = None  # what the forked workers of solve_at_points solve
 
 
 def _solve_worker(row):
     return fem_solve(_WORKER_PROBLEM, row).values
 
 
-def solve_at_points(problem, pts, parallel, cfg):
-    """Full nodal solution vectors at each row of pts, in row order."""
+def solve_at_points(problem, pts, parallel):
+    """Full nodal solution vectors at each row of pts, in row order.
+
+    With parallel > 1 the rows are solved by a pool of
+    min(parallel, rows, usable CPUs) forked workers, which inherit the
+    problem; one worker means a serial loop in this process."""
+    global _WORKER_PROBLEM
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if parallel > 1 and pts.shape[0] > 1:
-        psi = cfg["problem"]["psi"]
-        init_args = (problem.mesh_n, psi["c"], psi["alpha"], len(problem.psi))
-        with multiprocessing.Pool(parallel, initializer=_solve_worker_init,
-                                  initargs=init_args) as pool:
+    workers = min(parallel, pts.shape[0], _usable_cpus())
+    if workers > 1:
+        _WORKER_PROBLEM = problem
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(_solve_worker, list(pts))
     else:
         rows = [fem_solve(problem, row).values for row in pts]
@@ -382,13 +390,12 @@ class _SolutionCache:
             self._store[key] = got
         return got
 
-    def at_points(self, pts, parallel, cfg):
+    def at_points(self, pts, parallel):
         """Values at each row of pts; the rows not yet cached are solved
         together through solve_at_points."""
         fresh = [r for r in pts if r.tobytes() not in self._store]
         if fresh:
-            solved = solve_at_points(self.problem, np.stack(fresh), parallel,
-                                     cfg)
+            solved = solve_at_points(self.problem, np.stack(fresh), parallel)
             for r, v in zip(fresh, solved):
                 self._store[r.tobytes()] = v[::self.restrict].copy()
         return np.stack([self._store[r.tobytes()] for r in pts])
@@ -495,7 +502,7 @@ def cmd_solve(cfg, out_dir, args):
         gdims = max(plan.m_active, 1)
         problem = build_problem(cfg, gdims)
         pts = plan.point_array(gdims)
-        values = solve_at_points(problem, pts, args.parallel, cfg)
+        values = solve_at_points(problem, pts, args.parallel)
         art = {"kind": "samples", "config_hash": h, "index": i,
                "xi": float(plan.xi), "mesh_n": problem.mesh_n,
                "n_points": plan.n_points, "values": values.tolist()}
@@ -582,7 +589,7 @@ def cmd_sweep(cfg, out_dir, args):
             row.update({"n_solvers": plan.n_triples,
                         "n_unique_points": plan.n_points})
             point_values = ev.coarse.at_points(plan.point_array(ev.dims),
-                                               args.parallel, cfg)
+                                               args.parallel)
             row = _evaluate_plan_row(plan, point_values, "network", ev)
             print(f"sweep {i:02d}: xi={xi:g} |G|={plan.n_points} "
                   f"W={row['W']} l2={row['l2_error']:.6g}")
@@ -616,14 +623,6 @@ def cmd_sweep(cfg, out_dir, args):
         else:
             print(f"{key}: not fitted ({fits[key]['error']})")
     return EXIT_NUMERIC if failures else EXIT_OK
-
-
-def _usable_cpus():
-    """CPUs this process may run on (all CPUs where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _net_eval_share(bundle, signs, samples, pts, path):
@@ -666,10 +665,10 @@ def cmd_net_eval(args):
         if art["input_dim"] != dim:
             raise ValueError(f"input_dim {art['input_dim']!r} is not the "
                              f"bundle's {dim}")
-        if signs.shape != (members,) or not np.isfinite(signs).all():
-            raise ValueError(f"signs are not {members} finite numbers")
-        if samples.ndim != 2 or not np.isfinite(samples).all():
-            raise ValueError("samples are not a finite table")
+        if signs.shape != (members,):
+            raise ValueError(f"signs are not {members} numbers")
+        if samples.ndim != 2:
+            raise ValueError("samples are not a table")
         if len(refs) != members or any(
                 type(i) is not int or not 0 <= i < len(samples)
                 for i in refs):
@@ -803,6 +802,8 @@ def main(argv=None):
     try:
         if args.command == "net":
             return cmd_net_eval(args)
+        if args.parallel < 1:
+            raise ConfigError(f"--parallel must be >= 1, not {args.parallel}")
         cfg = load_config(args.config)
         out_dir = _out_dir(cfg, args.out)
         handler = {"plan": cmd_plan, "solve": cmd_solve,

@@ -217,10 +217,6 @@ class ErrorDecomposition:
         return (self.term1, self.term2, self.term3, self.term4)
 
     @property
-    def stderrs(self):
-        return (self.stderr1, self.stderr2, self.stderr3, self.stderr4)
-
-    @property
     def total(self):
         return self.term1 + self.term2 + self.term3 + self.term4
 

@@ -40,37 +40,13 @@ def hermite_eval(k, y):
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, k):
             h_prev, h = h, (y * h - np.sqrt(n) * h_prev) / np.sqrt(n + 1)
-    h = _mend_overflow(h, y, k)
-    return h if h.ndim else float(h)
-
-
-def hermite_eval_all(max_k, y):
-    """Evaluate H_0..H_max_k at y in one recurrence sweep.
-
-    Returns an array of shape (max_k+1,) + y.shape; overflowed values
-    are infinite with the sign of y**k, as in hermite_eval.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty((max_k + 1,) + y.shape)
-    out[0] = 1.0
-    if max_k >= 1:
-        out[1] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, max_k):
-            out[n + 1] = ((y * out[n] - np.sqrt(n) * out[n - 1])
-                          / np.sqrt(n + 1))
-    degrees = np.arange(max_k + 1).reshape((-1,) + (1,) * y.ndim)
-    return _mend_overflow(out, y, degrees)
-
-
-def _mend_overflow(h, y, k):
-    """h, with each value the recurrence lost to overflow (inf, or NaN
-    from inf - inf) replaced by the infinity of sign y**k.  Once a value
-    leaves the double range it never returns, so every finite value is
-    the recurrence's own; NaN inputs stay NaN."""
+    # a value the recurrence lost to overflow (inf, or NaN from inf - inf)
+    # becomes the infinity of sign y**k: once a value leaves the double
+    # range it never returns, so every finite value is the recurrence's
+    # own; NaN inputs stay NaN
     lost = ~np.isfinite(h) & ~np.isnan(y)
-    return np.where(lost, np.where((y < 0) & (k % 2 == 1), -np.inf, np.inf),
-                    h)
+    h = np.where(lost, np.where((y < 0) & (k % 2 == 1), -np.inf, np.inf), h)
+    return h if h.ndim else float(h)
 
 
 def gaussian_density(y):

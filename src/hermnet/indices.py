@@ -204,11 +204,6 @@ def _log_factor(rho_j, s_j, eta):
     return float(_logsumexp(terms))
 
 
-def sigma_of(s, model):
-    """The coordinatewise weight sigma_s (not raised to q)."""
-    return math.exp(log_sigma(s, model))
-
-
 def log_sigma(s, model):
     total = 0.0
     for j, s_j in s.pairs:

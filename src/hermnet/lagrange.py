@@ -96,17 +96,6 @@ class LagrangeBasis:
                     out[i] *= (y - nodes[j]) / (nodes[i] - nodes[j])
         return out
 
-    def eval(self, k, y):
-        i = self.family.position(k)
-        y = np.asarray(y, dtype=float)
-        nodes = self.family.nodes
-        out = np.ones_like(y, dtype=float)
-        for j in range(len(nodes)):
-            if j != i:
-                out = out * (y - nodes[j]) / (nodes[i] - nodes[j])
-        return out if out.ndim else float(out)
-
-
 @functools.cache
 def lagrange_coeffs(m):
     """LagrangeBasis of order m with the monomial coefficient table.
@@ -175,10 +164,6 @@ class SparseInterpolant:
         rows = np.array([t.point_ref for t in plan.triples], dtype=int)
         return cls(plan, point_values[rows])
 
-    @property
-    def xdim(self):
-        return self.values.shape[1]
-
     def _triple_factors(self, pts):
         """Cardinal-product factors for each triple at points (n, d)."""
         plan = self.plan
@@ -242,31 +227,3 @@ def evaluate_interpolant(interp, y):
     if interp.values.shape[1] == 1:
         out = out[:, 0]
     return out[0] if single else out
-
-
-def truncate_interpolant(interp, omega):
-    """Evaluator equal to the interpolant on the closed box
-    [-2*sqrt(omega), 2*sqrt(omega)]^{m_active} and exactly zero outside.
-
-    The box test looks only at the plan's active coordinates.
-    """
-    if omega < 1:
-        raise ValueError("omega must be >= 1")
-    half = 2.0 * math.sqrt(omega)
-    m = interp.plan.m_active
-
-    def evaluator(y):
-        y_arr = np.asarray(y, dtype=float)
-        single = y_arr.ndim == 1
-        pts = y_arr[None, :] if single else y_arr
-        inside = (np.abs(pts[:, :m]) <= half).all(axis=1) if m else \
-            np.ones(pts.shape[0], dtype=bool)
-        vals = np.atleast_2d(np.zeros((pts.shape[0], interp.xdim)))
-        if inside.any():
-            got = evaluate_interpolant(interp, pts[inside])
-            vals[inside] = np.atleast_2d(got if got.ndim > 1 else got[:, None])
-        if interp.xdim == 1:
-            vals = vals[:, 0]
-        return vals[0] if single else vals
-
-    return evaluator

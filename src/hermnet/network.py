@@ -523,8 +523,7 @@ def parallelize(nets, coefficients):
     Output = sum_j coefficients[j] * net_j(x).  Depth is the maximum
     member depth; shorter members are padded with identity-carry pairs
     (sigma(t), sigma(-t) per output scalar per missing layer), whose
-    cost is counted in W.  meta["raw_W"] records the plain sum of member
-    sizes without padding.
+    cost is counted in W.
 
     Every moved row is sorted by its new columns.  Output row r joins
     each net's row r, scaled, in order of first column (ties in net
@@ -597,8 +596,7 @@ def parallelize(nets, coefficients):
     order = order[wts[order] != 0.0]
     layers.append(_Layer(np.bincount(row[order], minlength=p0),
                          cols[order], wts[order], out_bias))
-    meta = {"kind": "parallelize", "raw_W": sum(n.size for n in nets)}
-    return ReluNetwork(d0, layers, meta)
+    return ReluNetwork(d0, layers, {"kind": "parallelize"})
 
 
 def concatenate(first, second):
@@ -1117,15 +1115,19 @@ def compute_delta(plan, omega, K=None, *, return_info=False):
 # serialization
 
 def json_floats(raw, what):
-    """raw, a JSON number or nested lists of them, as a float array.
+    """raw, a finite JSON number or nested lists of them, as a float array.
 
-    ValueError for any other value, such as a string, a bool or null:
-    numpy would read "1.0" and true as 1.0.
+    ValueError for any other value, such as a string, a bool or null
+    (numpy would read "1.0" and true as 1.0), or NaN or an infinity,
+    which Python's json reads although RFC 8259 numbers are finite.
     """
     arr = np.asarray(raw, dtype=object)
     if not set(map(type, arr.ravel())) <= {int, float}:
         raise ValueError(f"{what} are not all JSON numbers")
-    return arr.astype(float)
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} are not all finite")
+    return arr
 
 
 def _factors(spec, dim):
@@ -1196,9 +1198,9 @@ def bundle_from_dict(data):
     (int or float; true would read as 1), that compile would refuse or
     that is not finite, a malformed factor list (see _factors), a
     monomial index that names no stored monomial, a member without
-    monomials, lambdas that are not JSON numbers (see json_floats) or
-    not one per monomial, or a stored W or L that differs from the
-    recount.
+    monomials, lambdas that are not finite JSON numbers (see
+    json_floats) or not one per monomial, or a stored W or L that
+    differs from the recount.
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:

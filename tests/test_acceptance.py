@@ -44,7 +44,7 @@ from hermnet.errors import (
     rng_stream,
 )
 from hermnet.fem import LognormalProblem, fem_solve, sine_family, solution_norm
-from hermnet.hermite import gauss_hermite_nodes, hermite_eval_all, hermite_tensor_eval
+from hermnet.hermite import gauss_hermite_nodes, hermite_eval, hermite_tensor_eval
 from hermnet.indices import (
     MultiIndex,
     WeightModel,
@@ -301,7 +301,8 @@ def test_criterion_7_structural_invariants():
     # (2*pi)**(-1/4), attained by H_0 at the origin
     y = np.linspace(-14.0, 14.0, 14001)
     sqrt_g = np.exp(-0.25 * y ** 2) / (2.0 * np.pi) ** 0.25
-    weighted = np.abs(hermite_eval_all(60, y)) * sqrt_g
+    table = np.stack([hermite_eval(k, y) for k in range(61)])
+    weighted = np.abs(table) * sqrt_g
     assert weighted.max() <= SQRT_DENSITY_PEAK * (1.0 + 1e-12)
     np.testing.assert_allclose(weighted[0].max(), SQRT_DENSITY_PEAK,
                                rtol=1e-12)

@@ -1,9 +1,12 @@
 """Tests for hermnet.cli: config validation, artifacts, determinism."""
 
+import contextlib
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import time
 from pathlib import Path
@@ -21,7 +24,7 @@ from hermnet.cli import (
     main,
     validate_config,
 )
-from hermnet.fem import fem_solve
+from hermnet.fem import LognormalProblem, fem_solve, sine_family
 from hermnet.hermite import NodeFamily
 from hermnet.indices import build_plan
 from hermnet.network import (
@@ -45,6 +48,44 @@ def base_config(out):
         "mc": {"n_samples": 16, "seed": 7, "tail_dims": 2},
         "output": str(out),
     }
+
+
+def _full_config(out):
+    """Every optional field set, with ints where floats are allowed."""
+    return {
+        "problem": {"mesh_n": 9, "f": "one", "truth_factor": 3,
+                    "psi": {"family": "sine", "c": 1, "alpha": 3, "dims": 4}},
+        "weights": {"q": 1, "rho": [2, 2.5, 4], "tail": [2, 2], "theta": 3,
+                    "lam": 2, "eta": 5},
+        "xi_sweep": [2, 3.5],
+        "delta_mode": "auto",
+        "omega_mode": 1,
+        "mc": {"n_samples": 16, "seed": 0, "tail_dims": 0},
+        "output": str(out),
+    }
+
+
+def _null_config(out):
+    """The optional fields that may be null set to null."""
+    return {
+        "problem": {"mesh_n": 9,
+                    "psi": {"family": "sine", "c": 0.5, "alpha": 2.5,
+                            "dims": None}},
+        "weights": {"q": 0.5, "rho": [3], "tail": None, "theta": None,
+                    "lam": None, "eta": None},
+        "xi_sweep": [2],
+        "mc": {"n_samples": 16, "seed": 0},
+        "output": str(out),
+    }
+
+
+def _benchmark_config(xi_sweep, delta_mode, out):
+    """The benchmark's acceptance config at seed 0."""
+    path = Path(__file__).parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.acceptance_config(0, xi_sweep, delta_mode, out)
 
 
 @pytest.fixture
@@ -145,6 +186,64 @@ class TestConfigValidation:
         assert run("plan", "--config", path) == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda r: r["problem"]["psi"].update(c=math.inf), "problem.psi.c"),
+        (lambda r: r["problem"]["psi"].update(c=10 ** 400), "problem.psi.c"),
+        (lambda r: r["problem"]["psi"].update(alpha=math.nan),
+         "problem.psi.alpha"),
+        (lambda r: r["problem"]["psi"].update(dims=0), "problem.psi.dims"),
+        (lambda r: r["problem"]["psi"].update(dims=True), "problem.psi.dims"),
+        (lambda r: r["problem"].update(truth_factor=None),
+         "problem.truth_factor"),
+        (lambda r: r["problem"].update(f="two"), "problem.f"),
+        (lambda r: r.update(xi_sweep=[16, math.inf]), "xi_sweep.1"),
+        (lambda r: r.update(xi_sweep=[]), "xi_sweep"),
+        (lambda r: r.update(xi_sweep=[2.0, True]), "xi_sweep.1"),
+        (lambda r: r.update(omega_mode=math.inf), "omega_mode"),
+        (lambda r: r.update(omega_mode=0.5), "omega_mode"),
+        (lambda r: r.update(delta_mode=math.nan), "delta_mode"),
+        (lambda r: r.update(delta_mode="fixed"), "delta_mode"),
+        (lambda r: r["weights"].update(rho=[math.nan]), "weights.rho.0"),
+        (lambda r: r["weights"].update(rho=[3.0, math.inf]),
+         "weights.rho.1"),
+        (lambda r: r["weights"].update(rho=[True]), "weights.rho.0"),
+        (lambda r: r["weights"].update(rho=None), "weights.rho"),
+        (lambda r: r["weights"].update(tail=[math.inf, 2.0]),
+         "weights.tail.0"),
+        (lambda r: r["weights"].update(tail=[2.0]), "weights.tail"),
+        (lambda r: r["weights"].update(theta=math.inf), "weights.theta"),
+        (lambda r: r["weights"].update(lam=math.nan), "weights.lam"),
+        (lambda r: r["weights"].update(eta=True), "weights.eta"),
+        (lambda r: r["mc"].update(tail_dims=-1), "mc.tail_dims")],
+        ids=["psi_c_inf", "psi_c_huge_int", "psi_alpha_nan", "dims_zero",
+             "dims_bool", "truth_factor_null", "f_other", "xi_inf",
+             "xi_empty", "xi_bool", "omega_inf", "omega_below_1",
+             "delta_nan", "delta_string", "rho_nan", "rho_inf", "rho_bool",
+             "rho_null", "tail_inf", "tail_short", "theta_inf", "lam_nan",
+             "eta_bool", "tail_dims_negative"])
+    def test_bad_field_is_named(self, tmp_path, edit, field):
+        raw = base_config(tmp_path)
+        edit(raw)
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)} "):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("make, digest", [
+        (base_config, "5db95c748a8ff2e7"),
+        (_full_config, "f1f7aab2f1df3bd6"),
+        (_null_config, "75b8b993ff997abf"),
+        (lambda out: _benchmark_config([16, 24, 32], 1e-7, out),
+         "5f8fc5b1adfc4c88"),
+        (lambda out: _benchmark_config([16, 32], 1e-7, out),
+         "38a737d9a3498456"),
+        (lambda out: _benchmark_config([16, 32], "auto", out),
+         "c782431fe639903b")],
+        ids=["base", "every_field", "nulls", "bench_sweep", "bench_build",
+             "bench_query"])
+    def test_config_hash_is_unchanged(self, tmp_path, make, digest):
+        """Hashes recorded before the field checks went through _expect:
+        valid configs normalize as they did."""
+        assert config_hash(validate_config(make(tmp_path))) == digest
+
 
 class TestPlanCmd:
     def test_artifacts_and_recount(self, cfg_file, tmp_path):
@@ -230,7 +329,7 @@ class TestSolveCmd:
         rng = np.random.default_rng(3)
         for cache in (ev.coarse, ev.truth):
             pts = rng.normal(size=(3, ev.dims))
-            block = cache.at_points(pts, 1, cfg)
+            block = cache.at_points(pts, 1)
             one = cache(rng.normal(size=ev.dims))
             stored = list(cache._store.values())
             assert len(stored) == 4
@@ -241,6 +340,62 @@ class TestSolveCmd:
                     for p in pts]
             np.testing.assert_array_equal(block, want)
             np.testing.assert_array_equal(one, stored[-1])
+
+
+def _small_problem(c):
+    return LognormalProblem(15, f="one", psi=sine_family(c, 2.0, 3))
+
+
+class _RecordingPool:
+    """A stand-in pool that records its context and size and maps in
+    this process, so no worker is started."""
+
+    def __init__(self, kinds, sizes):
+        self.kinds, self.sizes = kinds, sizes
+
+    def get_context(self, kind):
+        self.kinds.append(kind)
+        return SimpleNamespace(Pool=self._pool)
+
+    def _pool(self, size):
+        self.sizes.append(size)
+        return contextlib.nullcontext(SimpleNamespace(
+            map=lambda fn, items: [fn(i) for i in items]))
+
+
+class TestParallelSolves:
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_parallel_below_one_exits_2(self, cfg_file, tmp_path, capsys,
+                                        value):
+        assert run("plan", "--config", cfg_file, "--parallel", value) == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("parallel, rows, cpus, size", [
+        (64, 39, 8, 8), (64, 5, 8, 5), (3, 39, 8, 3), (64, 39, 1, None),
+        (4, 1, 8, None), (1, 39, 8, None)])
+    def test_pool_size(self, monkeypatch, parallel, rows, cpus, size):
+        kinds, sizes = [], []
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "multiprocessing",
+                            _RecordingPool(kinds, sizes))
+        problem = _small_problem(0.4)
+        pts = np.random.default_rng(1).normal(size=(rows, 3))
+        got = cli.solve_at_points(problem, pts, parallel)
+        assert sizes == ([] if size is None else [size])
+        assert kinds == ([] if size is None else ["fork"])
+        want = np.stack([fem_solve(problem, p).values for p in pts])
+        assert got.tobytes() == want.tobytes()
+
+    def test_workers_solve_the_given_problem(self, monkeypatch):
+        # a psi amplitude no config here names: workers that rebuilt the
+        # problem from config scalars would solve another one
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        problem = _small_problem(0.9)
+        pts = np.random.default_rng(2).normal(size=(5, 3))
+        serial = cli.solve_at_points(problem, pts, 1)
+        assert cli.solve_at_points(problem, pts, 2).tobytes() == \
+            serial.tobytes()
 
 
 class TestCompileCmd:
@@ -379,6 +534,11 @@ class TestNetEval:
             samples=_as_strings(a["samples"]))),
         _edit_bundle(lambda b: b["networks"][0].update(
             lambdas=_as_strings(b["networks"][0]["lambdas"]))),
+        _edit_bundle(lambda b: b["networks"][0]["lambdas"].__setitem__(
+            0, math.nan)),
+        _edit_bundle(lambda b: b["networks"][0]["lambdas"].__setitem__(
+            0, math.inf)),
+        _edit_artifact(lambda a: a["samples"][0].__setitem__(0, 10 ** 400)),
         _edit_artifact(lambda a: a["signs"].__setitem__(
             a["signs"].index(1.0), True))],
         ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
@@ -388,7 +548,8 @@ class TestNetEval:
              "point_ref_negative", "point_ref_fraction", "point_ref_past_end",
              "point_ref_short", "signs_nan", "signs_short", "samples_inf",
              "samples_ragged", "input_dim_other", "signs_string",
-             "samples_string", "lambdas_string", "signs_bool"])
+             "samples_string", "lambdas_string", "lambda_nan", "lambda_inf",
+             "samples_huge_int", "signs_bool"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0
@@ -679,6 +840,12 @@ def _narrow_values(path):
     path.write_text(json.dumps(art))
 
 
+def _nan_value(path):
+    art = json.loads(path.read_text())
+    art["values"][0][0] = math.nan
+    path.write_text(json.dumps(art))
+
+
 class TestStageArtifacts:
     @pytest.mark.parametrize(
         "name, command, damage",
@@ -688,10 +855,11 @@ class TestStageArtifacts:
          ("samples_00.json", "compile", _ragged_values),
          ("samples_00.json", "compile", _narrow_values),
          ("samples_00.json", "compile", _string_values),
+         ("samples_00.json", "compile", _nan_value),
          ("plan_00.json", "solve", _drop("xi")),
          ("plan_00.json", "solve", _replace_with("plan"))],
         ids=["samples_truncated", "samples_array", "samples_no_values",
-             "samples_ragged", "samples_narrow", "samples_string",
+             "samples_ragged", "samples_narrow", "samples_string", "values_nan",
              "plan_no_xi", "plan_string"])
     def test_bad_artifact_exits_2(self, cfg_file, tmp_path, capsys, name,
                                   command, damage):

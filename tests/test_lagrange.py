@@ -20,7 +20,6 @@ from hermnet.lagrange import (
     hermite_monomial_coeffs,
     lagrange_coeffs,
     sparse_interpolate,
-    truncate_interpolant,
     _deflate,
 )
 
@@ -278,7 +277,7 @@ class TestSparseInterpolate:
                 weight = 1.0
                 for j, k in combo.items():
                     pt[j - 1] = fams[j].node(k)
-                    weight *= bases[j].eval(k, y[j - 1])
+                    weight *= bases[j].eval_all(y[j - 1])[fams[j].position(k), 0]
                 total += v(pt) * weight
             return total
 
@@ -342,37 +341,6 @@ class TestSparseInterpolate:
         np.testing.assert_allclose(
             evaluate_interpolant(interp, wide),
             evaluate_interpolant(interp, pts), rtol=1e-13)
-
-
-class TestTruncateInterpolant:
-    def test_inside_equals_untruncated(self):
-        plan = two_dim_plan()
-        interp = sparse_interpolate(plan, lambda y: y[0] + y[1] ** 2)
-        trunc = truncate_interpolant(interp, 1)
-        pts = np.random.default_rng(42).uniform(-2, 2, size=(30, 2))
-        np.testing.assert_array_equal(trunc(pts), evaluate_interpolant(interp, pts))
-
-    def test_outside_exact_zero(self):
-        plan = two_dim_plan()
-        interp = sparse_interpolate(plan, lambda y: 1.0 + y[0])
-        trunc = truncate_interpolant(interp, 1)
-        y = np.array([2.1, 0.0])
-        assert trunc(y) == 0.0
-        y2 = np.array([0.0, -2.0 - 1e-12])
-        assert trunc(y2) == 0.0
-
-    def test_closed_boundary(self):
-        plan = two_dim_plan()
-        interp = sparse_interpolate(plan, lambda y: 1.0 + y[0])
-        trunc = truncate_interpolant(interp, 1)
-        y = np.array([2.0, 2.0])
-        np.testing.assert_allclose(trunc(y), evaluate_interpolant(interp, y))
-
-    def test_invalid_omega(self):
-        plan = two_dim_plan()
-        interp = sparse_interpolate(plan, lambda y: 1.0)
-        with pytest.raises(ValueError):
-            truncate_interpolant(interp, 0)
 
 
 class TestLagrangeNormGrowth:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from hermnet import network
 from hermnet.indices import MultiIndex, WeightModel, build_plan
-from hermnet.lagrange import lagrange_coeffs, sparse_interpolate, truncate_interpolant
+from hermnet.lagrange import evaluate_interpolant, lagrange_coeffs, sparse_interpolate
 from hermnet.network import (
     NetworkBundle,
     assemble_surrogate,
@@ -365,7 +365,6 @@ class TestParallelize:
     def test_size_accounting(self):
         a, b = product_net(2, 1e-1), product_net(2, 1e-8)
         s = parallelize([a, b], [1.0, 1.0])
-        assert s.meta["raw_W"] == a.size + b.size
         # padding costs one materialized pair (at most 2*W(a)) plus a
         # four-weight carry pair per missing layer
         pad_layers = b.depth - a.depth
@@ -424,7 +423,7 @@ def _cardinal(order, k):
     basis = lagrange_coeffs(order)
 
     def f(y):
-        return basis.eval(k, y)
+        return basis.eval_all(y)[basis.family.position(k)]
 
     return f
 
@@ -516,8 +515,8 @@ def parallelize_reference(nets, coefficients):
         keep = wts != 0.0
         out_rows.append((cols[keep], wts[keep]))
     hidden.append((out_rows, out_bias))
-    meta = {"kind": "parallelize", "raw_W": sum(n.size for n in nets)}
-    return network.ReluNetwork(d0, [layer_of_rows(*b) for b in hidden], meta)
+    return network.ReluNetwork(d0, [layer_of_rows(*b) for b in hidden],
+                               {"kind": "parallelize"})
 
 
 _WEIGHTS = st.sampled_from([1.0, -1.0, 0.5, -2.25, 0.0, -0.0, 3e-310, 7.0])
@@ -611,7 +610,7 @@ class TestPhiTriple:
         f = _cardinal(1, 1)
         ys = np.linspace(-2 * math.sqrt(omega), 2 * math.sqrt(omega), 101)
         got = net.eval_batch(ys[:, None])[:, 0]
-        want = np.array([f(y) for y in ys])
+        want = f(ys)
         assert np.abs(got - want).max() <= bound
 
     def test_two_dim_product_of_cardinals(self):
@@ -623,7 +622,7 @@ class TestPhiTriple:
         rng = np.random.default_rng(42)
         Y = rng.uniform(-2 * math.sqrt(omega), 2 * math.sqrt(omega),
                         size=(400, 3))
-        want = np.array([f1(y[0]) * f3(y[2]) for y in Y])
+        want = f1(Y[:, 0]) * f3(Y[:, 2])
         got = net.eval_batch(Y)[:, 0]
         assert np.abs(got - want).max() <= bound
 
@@ -850,6 +849,10 @@ class TestBundlePool:
          "lambdas"),
         (lambda d: d["networks"][0]["lambdas"].__setitem__(0, True),
          "lambdas"),
+        (lambda d: d["networks"][0]["lambdas"].__setitem__(0, math.nan),
+         "lambdas"),
+        (lambda d: d["networks"][0]["lambdas"].__setitem__(0, -math.inf),
+         "lambdas"),
         (lambda d: _factor(d).__setitem__(0, 0.7), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, True), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, "1"), "coordinate"),
@@ -879,7 +882,7 @@ class TestBundlePool:
         (lambda d: d.pop("labels"), "labels"),
     ], ids=["monomial_index_-1", "monomial_index_past_end",
             "monomial_index_float", "member_no_monomials", "lambda_count",
-            "lambda_string", "lambda_bool",
+            "lambda_string", "lambda_bool", "lambda_nan", "lambda_inf",
             "coordinate_fraction", "coordinate_bool", "coordinate_string",
             "coordinate_negative", "coordinate_past_input", "kind_unknown",
             "factor_not_pair", "factors_empty", "input_dim_fraction",
@@ -967,13 +970,12 @@ class TestSurrogate:
         omega = 2.0
         delta = compute_delta(plan, omega)
         interp = sparse_interpolate(plan, lambda y: math.exp(0.3 * y[0]))
-        trunc = truncate_interpolant(interp, omega)
         bundle, ev = assemble_surrogate(plan, interp.values, delta, omega)
         bound = surrogate_bound(bundle, interp.values)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-2 * math.sqrt(omega), 2 * math.sqrt(omega),
                         size=(300, plan.m_active))
-        gap = np.abs(ev(Y) - trunc(Y)).max()
+        gap = np.abs(ev(Y) - evaluate_interpolant(interp, Y)).max()
         assert gap <= bound
 
     def test_bundle_shape(self):
