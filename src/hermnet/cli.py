@@ -766,7 +766,8 @@ def build_parser():
     common.add_argument("--out", default=None,
                         help="override the output directory")
     common.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="parallel FEM solves (default 1)")
+                        help="FEM solve workers, >= 1; no more than points "
+                             "or usable CPUs are started (default 1)")
     common.add_argument("--seed", type=int, default=None,
                         help="override mc.seed")
 

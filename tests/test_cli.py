@@ -240,8 +240,8 @@ class TestConfigValidation:
         ids=["base", "every_field", "nulls", "bench_sweep", "bench_build",
              "bench_query"])
     def test_config_hash_is_unchanged(self, tmp_path, make, digest):
-        """Hashes recorded before the field checks went through _expect:
-        valid configs normalize as they did."""
+        """Valid configs keep their hash: a change in how a config is
+        normalized would make every existing artifact stale."""
         assert config_hash(validate_config(make(tmp_path))) == digest
 
 
@@ -534,9 +534,9 @@ class TestNetEval:
             samples=_as_strings(a["samples"]))),
         _edit_bundle(lambda b: b["networks"][0].update(
             lambdas=_as_strings(b["networks"][0]["lambdas"]))),
-        _edit_bundle(lambda b: b["networks"][0]["lambdas"].__setitem__(
+        _edit_bundle(lambda b: b["networks"][-1]["lambdas"].__setitem__(
             0, math.nan)),
-        _edit_bundle(lambda b: b["networks"][0]["lambdas"].__setitem__(
+        _edit_bundle(lambda b: b["networks"][-1]["lambdas"].__setitem__(
             0, math.inf)),
         _edit_artifact(lambda a: a["samples"][0].__setitem__(0, 10 ** 400)),
         _edit_artifact(lambda a: a["signs"].__setitem__(

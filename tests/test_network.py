@@ -849,9 +849,9 @@ class TestBundlePool:
          "lambdas"),
         (lambda d: d["networks"][0]["lambdas"].__setitem__(0, True),
          "lambdas"),
-        (lambda d: d["networks"][0]["lambdas"].__setitem__(0, math.nan),
+        (lambda d: d["networks"][-1]["lambdas"].__setitem__(0, math.nan),
          "lambdas"),
-        (lambda d: d["networks"][0]["lambdas"].__setitem__(0, -math.inf),
+        (lambda d: d["networks"][-1]["lambdas"].__setitem__(0, -math.inf),
          "lambdas"),
         (lambda d: _factor(d).__setitem__(0, 0.7), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, True), "coordinate"),
