@@ -26,10 +26,10 @@ def main():
     print("plan:", plan_stats(plan))
 
     m = plan.m_active
-    problem = LognormalProblem(63, f="one", psi=sine_family(0.4, 2.0, m))
+    problem = LognormalProblem(63, psi=sine_family(0.4, 2.0, m))
     norm = lambda v: solution_norm(v, problem.h)
     grid = plan.point_array(m)
-    point_values = np.stack([fem_solve(problem, y).values for y in grid])
+    point_values = np.stack([fem_solve(problem, y) for y in grid])
     print(f"solved {len(grid)} unique grid points on a "
           f"{problem.mesh_n}-node mesh")
 
@@ -41,7 +41,7 @@ def main():
 
     # the certificate bounds |interpolant - network| on the sampling box
     dec = error_decomposition(
-        lambda y: fem_solve(problem, y).values, plan, omega, delta,
+        lambda y: fem_solve(problem, y), plan, omega, delta,
         dims=m, n_samples=128, seed=7,
         norm=norm, point_values=point_values, surrogate=(bundle, net))
     print(f"inside-box gap (term3) = {dec.term3:.3e}  <=  "
@@ -52,7 +52,7 @@ def main():
     y = rng_stream(7, "demo/points").standard_normal((5, m))
     iv = evaluate_interpolant(interp, y)
     nv = net(y)
-    truth = np.stack([fem_solve(problem, pt).values for pt in y])
+    truth = np.stack([fem_solve(problem, pt) for pt in y])
     print("pointwise X-norm errors at 5 Gaussian samples:")
     for k in range(len(y)):
         print(f"  |y|={np.linalg.norm(y[k]):.2f}  "

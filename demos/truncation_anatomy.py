@@ -25,8 +25,8 @@ def main():
     plan = build_plan(8.0, model)
     m = plan.m_active
     dims = m + 4
-    problem = LognormalProblem(63, f="one", psi=sine_family(0.4, 2.0, dims))
-    u_ref = lambda y: fem_solve(problem, y).values
+    problem = LognormalProblem(63, psi=sine_family(0.4, 2.0, dims))
+    u_ref = lambda y: fem_solve(problem, y)
     norm = lambda v: solution_norm(v, problem.h)
 
     padded = np.zeros((plan.n_points, dims))

@@ -18,7 +18,6 @@ everything else is imported from its submodule.
 from .hermite import (
     NodeFamily,
     gauss_hermite_nodes,
-    gaussian_density,
     hermite_eval,
     hermite_tensor_eval,
 )
@@ -26,7 +25,6 @@ from .hermite import (
 __all__ = [
     "NodeFamily",
     "gauss_hermite_nodes",
-    "gaussian_density",
     "hermite_eval",
     "hermite_tensor_eval",
 ]

@@ -221,7 +221,7 @@ def build_problem(cfg, dims, factor=1):
     n_terms = p["psi"]["dims"] if p["psi"]["dims"] is not None else dims
     mesh_n = factor * (p["mesh_n"] + 1) - 1 if factor > 1 else p["mesh_n"]
     psi = sine_family(p["psi"]["c"], p["psi"]["alpha"], n_terms)
-    return LognormalProblem(mesh_n, f="one", psi=psi)
+    return LognormalProblem(mesh_n, psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +347,24 @@ _WORKER_PROBLEM = None  # what the forked workers of solve_at_points solve
 
 
 def _solve_worker(row):
-    return fem_solve(_WORKER_PROBLEM, row).values
+    return fem_solve(_WORKER_PROBLEM, row)
 
 
 def solve_at_points(problem, pts, parallel):
-    """Full nodal solution vectors at each row of pts, in row order.
+    """Full nodal solution vectors at each row of the 2-D array pts, in
+    row order.
 
     With parallel > 1 the rows are solved by a pool of
     min(parallel, rows, usable CPUs) forked workers, which inherit the
     problem; one worker means a serial loop in this process."""
     global _WORKER_PROBLEM
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     workers = min(parallel, pts.shape[0], _usable_cpus())
     if workers > 1:
         _WORKER_PROBLEM = problem
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(_solve_worker, list(pts))
     else:
-        rows = [fem_solve(problem, row).values for row in pts]
+        rows = [fem_solve(problem, row) for row in pts]
     return np.stack(rows)
 
 
@@ -386,7 +384,7 @@ class _SolutionCache:
         key = y.tobytes()
         got = self._store.get(key)
         if got is None:
-            got = fem_solve(self.problem, y).values[::self.restrict].copy()
+            got = fem_solve(self.problem, y)[::self.restrict].copy()
             self._store[key] = got
         return got
 
@@ -659,8 +657,6 @@ def cmd_net_eval(args):
         dim, members = bundle.input_dim, len(bundle)
         signs = json_floats(art["signs"], "signs")
         samples = json_floats(art["samples"], "samples")
-        if samples.ndim == 1:
-            samples = samples[:, None]
         refs = art["point_ref"]
         if art["input_dim"] != dim:
             raise ValueError(f"input_dim {art['input_dim']!r} is not the "

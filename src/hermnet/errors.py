@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erfc, ndtri
 
 from .lagrange import SparseInterpolant
-from .network import assemble_surrogate, surrogate_bound
+from .network import surrogate_bound
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -222,17 +222,16 @@ class ErrorDecomposition:
 
 
 def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
-                        norm=None, point_values=None, surrogate=None):
+                        point_values, surrogate, norm=None):
     """Measure the four-term error split for a plan at (omega, delta).
 
     `u_ref` maps a single parameter point (length `dims`, the plan's
-    active coordinates first) to a solution scalar or vector.  The
-    interpolant and the network surrogate are both built from its
-    values at the plan's unique grid points; pass `point_values`
-    (n_points rows) and/or `surrogate` (the (bundle, evaluator) pair
-    from assemble_surrogate) to reuse precomputed pieces.  term3's
-    certificate, delta * sum_t ||sample_t|| * coeff_sum_t, is reported
-    as `bound3`.
+    active coordinates first) to a solution scalar or vector.
+    `point_values` holds its values at the plan's unique grid points
+    (n_points rows), from which the interpolant is built, and
+    `surrogate` is the (bundle, evaluator) pair assemble_surrogate
+    compiled from them.  term3's certificate,
+    delta * sum_t ||sample_t|| * coeff_sum_t, is reported as `bound3`.
     """
     m = plan.m_active
     if dims < max(m, 1):
@@ -242,28 +241,15 @@ def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
     if omega < 1:
         raise ValueError("omega must be >= 1")
 
-    if point_values is None:
-        gdims = max(m, 1)
-        gpts = plan.point_array(gdims)
-        vals = []
-        for i in range(gpts.shape[0]):
-            z = np.zeros(dims)
-            z[:gdims] = gpts[i]
-            vals.append(np.atleast_1d(np.asarray(u_ref(z), dtype=float)))
-        point_values = np.stack(vals)
-    else:
-        point_values = np.asarray(point_values, dtype=float)
-        if point_values.ndim == 1:
-            point_values = point_values[:, None]
-        if point_values.shape[0] != plan.n_points:
-            raise ValueError("point_values must have one row per unique "
-                             f"grid point ({plan.n_points})")
+    point_values = np.asarray(point_values, dtype=float)
+    if point_values.ndim == 1:
+        point_values = point_values[:, None]
+    if point_values.shape[0] != plan.n_points:
+        raise ValueError("point_values must have one row per unique "
+                         f"grid point ({plan.n_points})")
 
     interp = SparseInterpolant.from_point_values(plan, point_values)
-    if surrogate is None:
-        bundle, net = assemble_surrogate(plan, point_values, delta, omega)
-    else:
-        bundle, net = surrogate
+    bundle, net = surrogate
     rows = np.array([t.point_ref for t in plan.triples], dtype=int)
     bound3 = surrogate_bound(bundle, point_values[rows], norm=norm)
 

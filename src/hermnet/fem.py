@@ -1,16 +1,18 @@
-"""Piecewise-linear FEM for -(a u')' = f on (0,1) with zero boundary.
+"""Piecewise-linear FEM for -(a u')' = 1 on (0,1) with zero boundary.
 
 The coefficient is lognormal in the parameters, a(y, x) =
 exp(sum_j y_j psi_j(x)), evaluated once per element at its midpoint
-(second-order quadrature); the load uses the trapezoidal rule, which for
-interior hat functions reduces to h*f(x_i).  The resulting symmetric
-positive-definite tridiagonal system is solved by LAPACK's ptsv (an
-L*D*L^T factorization), called directly: it is the routine
+(second-order quadrature); the unit load uses the trapezoidal rule,
+which for interior hat functions gives h at every interior node.  A
+parameter point is a dense vector y_1, y_2, ...  The resulting
+symmetric positive-definite tridiagonal system is solved by LAPACK's
+ptsv (an L*D*L^T factorization), called directly: it is the routine
 scipy.linalg.solveh_banded dispatches to for this band, whose per-call
-wrapper costs more than the solve at these mesh sizes.  Solves at
-distinct parameter points are independent: the problem object is
-immutable and every solve allocates its own workspace, so caller-side
-parallel maps are safe.
+wrapper costs more than the solve at these mesh sizes.  A solve returns
+the full nodal vector, boundary included.  Solves at distinct parameter
+points are independent: the problem object is immutable and every
+solve allocates its own workspace, so caller-side parallel maps are
+safe.
 """
 
 import math
@@ -44,26 +46,26 @@ def sine_family(c, alpha, dims):
 
 
 class LognormalProblem:
-    """Immutable problem description: mesh, right-hand side, basis.
+    """Immutable problem description: mesh, unit load, basis.
 
     mesh_n interior nodes on (0,1), so h = 1/(mesh_n+1) and mesh_n+1
-    elements.  `f` is a callable or the preset "one"; `psi` is the list
-    of callables psi_1..psi_J on [0,1], and a parameter point's
-    coordinates beyond J are ignored.
+    elements.  `psi` is the list of callables psi_1..psi_J on [0,1], and
+    a parameter point's coordinates beyond J are ignored.  Built once
+    here: `psi_matrix`, the (J, n_elements) values of psi_j at the
+    element midpoints, and `load`, the trapezoidal load h * f(x_i) = h
+    at the interior nodes, which every solve reads and none writes.
     """
 
-    def __init__(self, mesh_n, f="one", psi=()):
+    def __init__(self, mesh_n, psi=()):
         if mesh_n < 3:
             raise ValueError("mesh_n must be >= 3")
         self.mesh_n = int(mesh_n)
         self.h = 1.0 / (self.mesh_n + 1)
-        if f == "one":
-            self.f = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        elif callable(f):
-            self.f = f
-        else:
-            raise ValueError(f"unknown right-hand side preset {f!r}")
         self.psi = list(psi)
+        rows = [np.asarray(p(self.midpoints), dtype=float) for p in self.psi]
+        self.psi_matrix = (np.stack(rows) if rows
+                           else np.zeros((0, self.mesh_n + 1)))
+        self.load = np.full(self.mesh_n, self.h)
 
     @property
     def nodes(self):
@@ -71,50 +73,9 @@ class LognormalProblem:
         return np.linspace(0.0, 1.0, self.mesh_n + 2)
 
     @property
-    def interior(self):
-        return self.nodes[1:-1]
-
-    @property
     def midpoints(self):
         """Element midpoints, length mesh_n+1."""
         return (np.arange(self.mesh_n + 1) + 0.5) * self.h
-
-    def psi_matrix(self):
-        """(J, n_elements) values of psi_j at the midpoints."""
-        if not hasattr(self, "_psi_cache"):
-            xm = self.midpoints
-            rows = [np.asarray(p(xm), dtype=float) for p in self.psi]
-            cache = (np.stack(rows) if rows
-                     else np.zeros((0, self.mesh_n + 1)))
-            object.__setattr__(self, "_psi_cache", cache)
-        return self._psi_cache
-
-    def load_vector(self):
-        """Trapezoidal load: F_i = h * f(x_i) at the interior nodes."""
-        if not hasattr(self, "_load_cache"):
-            object.__setattr__(
-                self, "_load_cache",
-                self.h * np.asarray(self.f(self.interior), dtype=float))
-        return self._load_cache
-
-
-def _dense_point(y_point, dims):
-    """Accept a dense vector or sparse ((coord, value), ...) pairs."""
-    if isinstance(y_point, dict):
-        items = y_point.items()
-    else:
-        seq = list(y_point) if not isinstance(y_point, np.ndarray) else y_point
-        if len(seq) and np.ndim(seq[0]) > 0:
-            items = [(int(j), float(v)) for j, v in seq]
-        else:
-            return np.asarray(seq, dtype=float)[:dims]
-    out = np.zeros(dims)
-    for j, v in items:
-        if j < 1:
-            raise ValueError("coordinates are 1-based")
-        if j <= dims:
-            out[j - 1] = float(v)
-    return out
 
 
 def assemble_coefficient(problem, y_point):
@@ -125,8 +86,8 @@ def assemble_coefficient(problem, y_point):
     singular, and under the Gaussian measure at the scales used here the
     clamp never activates.
     """
-    psi = problem.psi_matrix()
-    y = _dense_point(y_point, len(psi))
+    psi = problem.psi_matrix
+    y = np.asarray(y_point, dtype=float)[:len(psi)]
     if not np.all(np.isfinite(y)):
         raise ValueError("parameter point has non-finite entries")
     # adds the terms in coordinate order; a zero coordinate adds +-0.0,
@@ -141,53 +102,33 @@ def assemble_coefficient(problem, y_point):
     return clipped
 
 
-class FemSolution:
-    """Nodal values over the full mesh; boundary entries exactly 0."""
-
-    def __init__(self, values, h):
-        self.values = np.asarray(values, dtype=float)
-        self.h = float(h)
-
-    @property
-    def interior(self):
-        return self.values[1:-1]
-
-
 def fem_solve(problem, y_point):
-    """Galerkin solution at one parameter point.
+    """Galerkin solution at one parameter point: the nodal values over
+    the full mesh, length mesh_n+2, with exact zeros at the boundary.
 
     Stiffness entries from midpoint quadrature: the diagonal couples the
     two elements around a node, (a_i + a_{i+1})/h, off-diagonal
     -a_{i+1}/h; the system is SPD tridiagonal for any positive a.
-    ValueError when the system or the load is not finite, LinAlgError
+    ValueError when the stiffness matrix is not finite, LinAlgError
     when the factorization finds a non-positive pivot.
     """
     a = assemble_coefficient(problem, y_point)
     diag = (a[:-1] + a[1:]) / problem.h
     off = -a[1:-1] / problem.h
-    load = problem.load_vector()
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()
-            and np.isfinite(load).all()):
-        raise ValueError("stiffness matrix or load is not finite")
-    _, _, u, info = dptsv(diag, off, load, overwrite_d=1, overwrite_e=1)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("stiffness matrix is not finite")
+    # the shared load is the right-hand side, so it must not be overwritten
+    _, _, u, info = dptsv(diag, off, problem.load, overwrite_d=1,
+                          overwrite_e=1)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
     full = np.zeros(problem.mesh_n + 2)
     full[1:-1] = u
-    return FemSolution(full, problem.h)
+    return full
 
 
-def solution_norm(u, h=None):
-    """Discrete H^1_0 seminorm sqrt(sum_e (du/h)^2 h) = sqrt(sum du^2/h).
-
-    `u` is a FemSolution, or a full nodal vector (boundary included)
-    with the mesh width passed as `h`.
-    """
-    if isinstance(u, FemSolution):
-        values, h = u.values, u.h
-    else:
-        if h is None:
-            raise ValueError("pass h when giving raw nodal values")
-        values = np.asarray(u, dtype=float)
-    d = np.diff(values)
+def solution_norm(values, h):
+    """Discrete H^1_0 seminorm sqrt(sum_e (du/h)^2 h) = sqrt(sum du^2/h)
+    of a full nodal vector (boundary included) on a mesh of width h."""
+    d = np.diff(np.asarray(values, dtype=float))
     return math.sqrt(float(d @ d) / h)

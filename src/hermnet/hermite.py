@@ -49,20 +49,6 @@ def hermite_eval(k, y):
     return h if h.ndim else float(h)
 
 
-def gaussian_density(y):
-    """Standard Gaussian density; product across the last axis for vectors.
-
-    gaussian_density(1.0) is the univariate density at 1; for an array of
-    shape (..., d) the result has shape (...) and equals the product of the
-    univariate densities along the last axis.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 0:
-        return float(np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi))
-    dens = np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi)
-    return dens.prod(axis=-1)
-
-
 def signed_indices(m):
     """Signed node index set for order m, in ascending node order.
 

@@ -56,6 +56,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -803,7 +804,9 @@ class _Recipe:
 
 def _check_omega_delta(omega, delta):
     """ValueError unless omega is finite and >= 1 and delta in (0, 1)."""
-    if not (omega >= 1 and math.isfinite(omega)):
+    # compared, not passed to math.isfinite, so an int beyond the double
+    # range is rejected without an OverflowError
+    if not 1 <= omega <= sys.float_info.max:
         raise ValueError(f"omega must be finite and >= 1, not {omega!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), not {delta!r}")
@@ -986,21 +989,21 @@ def surrogate_eval(bundle, signs, samples, pts):
 def assemble_surrogate(plan, samples, delta, omega):
     """Compile a plan into (bundle, evaluator).
 
-    `samples` holds one solution vector per plan triple (or one per
-    unique grid point, which is expanded through the triple table).  The
-    networks depend only on the triples, never on the samples; the
-    evaluator computes  sum_t sign_t * samples[t] * net_t(y)  at a batch
-    of points, slicing extra trailing coordinates off y.
+    `samples` holds one solution vector (or scalar) per unique grid
+    point of the plan, in the plan's point order; triple t reads the row
+    of its point, t.point_ref.  The networks depend only on the triples,
+    never on the samples; the evaluator computes
+    sum_t sign_t * samples[t.point_ref] * net_t(y)  at a batch of
+    points, slicing extra trailing coordinates off y.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
-    if samples.shape[0] == plan.n_points and plan.n_points != plan.n_triples:
-        rows = np.array([t.point_ref for t in plan.triples], dtype=int)
-        samples = samples[rows]
-    if samples.shape[0] != plan.n_triples:
-        raise ValueError("need one sample per plan triple "
-                         f"(got {samples.shape[0]} for {plan.n_triples})")
+    if samples.shape[0] != plan.n_points:
+        raise ValueError(f"need one sample per unique grid point, n_points "
+                         f"= {plan.n_points} (got {samples.shape[0]})")
+    samples = samples[np.array([t.point_ref for t in plan.triples],
+                               dtype=int)]
     dim = max(plan.m_active, 1)
     # each distinct triple and monomial is compiled once
     built, monomials = {}, {}
@@ -1118,13 +1121,17 @@ def json_floats(raw, what):
     """raw, a finite JSON number or nested lists of them, as a float array.
 
     ValueError for any other value, such as a string, a bool or null
-    (numpy would read "1.0" and true as 1.0), or NaN or an infinity,
-    which Python's json reads although RFC 8259 numbers are finite.
+    (numpy would read "1.0" and true as 1.0), NaN or an infinity,
+    which Python's json reads although RFC 8259 numbers are finite, or
+    an int beyond the double range.
     """
     arr = np.asarray(raw, dtype=object)
     if not set(map(type, arr.ravel())) <= {int, float}:
         raise ValueError(f"{what} are not all JSON numbers")
-    arr = arr.astype(float)
+    try:
+        arr = arr.astype(float)
+    except OverflowError:  # an int beyond the double range
+        raise ValueError(f"{what} are not all finite") from None
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} are not all finite")
     return arr

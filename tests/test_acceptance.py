@@ -192,8 +192,8 @@ def test_criterion_3_surrogate_certificate():
         m = plan.m_active
         assert m >= 1
         omega = max(1.0, math.floor(xi / 2.0))
-        problem = LognormalProblem(63, f="one", psi=sine_family(0.4, 2.0, m))
-        u_ref = lambda pt: fem_solve(problem, pt).values
+        problem = LognormalProblem(63, psi=sine_family(0.4, 2.0, m))
+        u_ref = lambda pt: fem_solve(problem, pt)
         norm = lambda v: solution_norm(v, problem.h)
         point_values = np.stack([u_ref(r) for r in plan.point_array(m)])
         bundle, net = assemble_surrogate(plan, point_values, delta, omega)
@@ -261,8 +261,8 @@ def test_criterion_6_truncation_decay():
     plan = build_plan(8.0, model)
     m = plan.m_active
     dims = m + 4
-    problem = LognormalProblem(63, f="one", psi=sine_family(0.4, 2.0, dims))
-    u_ref = lambda pt: fem_solve(problem, pt).values
+    problem = LognormalProblem(63, psi=sine_family(0.4, 2.0, dims))
+    u_ref = lambda pt: fem_solve(problem, pt)
     norm = lambda v: solution_norm(v, problem.h)
     padded = np.zeros((plan.n_points, dims))
     padded[:, :m] = plan.point_array(m)

@@ -336,14 +336,14 @@ class TestSolveCmd:
             for row in stored:
                 assert row.base is None and row.flags.owndata
                 assert row.shape == (cfg["problem"]["mesh_n"] + 2,)
-            want = [fem_solve(cache.problem, p).values[::cache.restrict]
+            want = [fem_solve(cache.problem, p)[::cache.restrict]
                     for p in pts]
             np.testing.assert_array_equal(block, want)
             np.testing.assert_array_equal(one, stored[-1])
 
 
 def _small_problem(c):
-    return LognormalProblem(15, f="one", psi=sine_family(c, 2.0, 3))
+    return LognormalProblem(15, psi=sine_family(c, 2.0, 3))
 
 
 class _RecordingPool:
@@ -384,7 +384,7 @@ class TestParallelSolves:
         got = cli.solve_at_points(problem, pts, parallel)
         assert sizes == ([] if size is None else [size])
         assert kinds == ([] if size is None else ["fork"])
-        want = np.stack([fem_solve(problem, p).values for p in pts])
+        want = np.stack([fem_solve(problem, p) for p in pts])
         assert got.tobytes() == want.tobytes()
 
     def test_workers_solve_the_given_problem(self, monkeypatch):
@@ -540,7 +540,9 @@ class TestNetEval:
             0, math.inf)),
         _edit_artifact(lambda a: a["samples"][0].__setitem__(0, 10 ** 400)),
         _edit_artifact(lambda a: a["signs"].__setitem__(
-            a["signs"].index(1.0), True))],
+            a["signs"].index(1.0), True)),
+        _edit_artifact(lambda a: a.update(
+            samples=[row[0] for row in a["samples"]]))],
         ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
              "coordinate_negative", "coordinate_fraction", "kind_unknown",
              "factors_empty", "no_meta", "omega_nan", "omega_bool",
@@ -549,7 +551,7 @@ class TestNetEval:
              "point_ref_short", "signs_nan", "signs_short", "samples_inf",
              "samples_ragged", "input_dim_other", "signs_string",
              "samples_string", "lambdas_string", "lambda_nan", "lambda_inf",
-             "samples_huge_int", "signs_bool"])
+             "samples_huge_int", "signs_bool", "samples_flat"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0

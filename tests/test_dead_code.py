@@ -3,8 +3,9 @@ the tests.
 
 A name counts as used when src/, demos/ or benchmarks/ name it anywhere
 but at its own definition: as a name, an attribute, an import, or a
-string (the benchmark's tracer wraps functions by name).  Dunder
-methods are called by Python itself and are not checked.
+string (the benchmark's tracer wraps functions by name).  A package
+__init__.py does not count: re-exporting a name does not call it.
+Dunder methods are called by Python itself and are not checked.
 """
 
 import ast
@@ -24,6 +25,7 @@ ALLOWED = {
     "delta_op": "checks the production coefficient tables (test_telescoping)",
     "sparse_interpolate": "builds the interpolants of criterion 1",
     "log_sigma": "the paper's weight sigma_s; criterion 7 checks its growth",
+    "hermite_tensor_eval": "criterion 1's exact target",
 }
 
 
@@ -44,6 +46,8 @@ def _uses():
     names = set()
     for folder in ("src", "demos", "benchmarks"):
         for path in (ROOT / folder).rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)

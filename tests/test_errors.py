@@ -35,6 +35,19 @@ def small_plan():
     return build_plan(6.0, model)
 
 
+def decompose(u, plan, omega, delta, dims, n_samples, seed, **kwargs):
+    """error_decomposition with u solved at the plan's grid points,
+    padded with zeros to dims, and the surrogate assembled from those
+    values."""
+    grid = np.zeros((plan.n_points, dims))
+    grid[:, :max(plan.m_active, 1)] = plan.point_array(max(plan.m_active, 1))
+    vals = np.stack([np.atleast_1d(np.asarray(u(p), dtype=float))
+                     for p in grid])
+    return error_decomposition(
+        u, plan, omega, delta, dims, n_samples, seed, point_values=vals,
+        surrogate=assemble_surrogate(plan, vals, delta, omega), **kwargs)
+
+
 class TestRngStream:
     def test_same_label_same_draws(self):
         a = rng_stream(42, "alpha").standard_normal(8)
@@ -246,35 +259,35 @@ class TestErrorDecomposition:
     def test_polynomial_in_span_has_tiny_term1(self):
         plan = small_plan()
         u = lambda y: y[0]  # degree-1 in an active coordinate
-        dec = error_decomposition(u, plan, omega=2.0, delta=1e-4, dims=4,
-                                  n_samples=100, seed=6)
+        dec = decompose(u, plan, omega=2.0, delta=1e-4, dims=4,
+                        n_samples=100, seed=6)
         assert dec.term1 <= max(3 * dec.stderr1, 1e-10)
 
     def test_term3_below_certificate(self):
         plan = small_plan()
         u = lambda y: np.exp(0.3 * y[0] - 0.2 * y[1])
         for seed in (1, 2, 3):
-            dec = error_decomposition(u, plan, omega=2.0, delta=1e-6, dims=5,
-                                      n_samples=150, seed=seed)
+            dec = decompose(u, plan, omega=2.0, delta=1e-6, dims=5,
+                            n_samples=150, seed=seed)
             assert dec.term3 <= dec.bound3
 
     def test_outside_terms_shrink_with_omega(self):
         plan = small_plan()
         u = lambda y: np.exp(0.3 * y[0] - 0.2 * y[1])
-        d1 = error_decomposition(u, plan, omega=1.0, delta=1e-6, dims=5,
-                                 n_samples=200, seed=11)
-        d4 = error_decomposition(u, plan, omega=4.0, delta=1e-6, dims=5,
-                                 n_samples=200, seed=11)
+        d1 = decompose(u, plan, omega=1.0, delta=1e-6, dims=5,
+                       n_samples=200, seed=11)
+        d4 = decompose(u, plan, omega=4.0, delta=1e-6, dims=5,
+                       n_samples=200, seed=11)
         assert d4.term2 < 0.25 * d1.term2
         assert d4.term4 < 0.25 * d1.term4
 
     def test_deterministic_and_total(self):
         plan = small_plan()
         u = lambda y: np.exp(0.3 * y[0])
-        a = error_decomposition(u, plan, omega=2.0, delta=1e-5, dims=3,
-                                n_samples=120, seed=13)
-        b = error_decomposition(u, plan, omega=2.0, delta=1e-5, dims=3,
-                                n_samples=120, seed=13)
+        a = decompose(u, plan, omega=2.0, delta=1e-5, dims=3,
+                      n_samples=120, seed=13)
+        b = decompose(u, plan, omega=2.0, delta=1e-5, dims=3,
+                      n_samples=120, seed=13)
         assert a == b
         assert a.total == a.term1 + a.term2 + a.term3 + a.term4
         assert a.terms == (a.term1, a.term2, a.term3, a.term4)
@@ -282,8 +295,8 @@ class TestErrorDecomposition:
     def test_precomputed_pieces_give_same_answer(self):
         plan = small_plan()
         u = lambda y: np.exp(0.3 * y[0] - 0.2 * y[1])
-        base = error_decomposition(u, plan, omega=2.0, delta=1e-6, dims=3,
-                                   n_samples=80, seed=21)
+        base = decompose(u, plan, omega=2.0, delta=1e-6, dims=3,
+                         n_samples=80, seed=21)
         gpts = plan.point_array(3)
         vals = np.stack([np.atleast_1d(u(p)) for p in gpts])
         surro = assemble_surrogate(plan, vals, 1e-6, 2.0)
@@ -296,9 +309,9 @@ class TestErrorDecomposition:
         plan = small_plan()
         u = lambda y: np.array([math.exp(0.2 * y[0]), math.sin(y[1])])
         h = 0.1
-        dec = error_decomposition(u, plan, omega=2.0, delta=1e-5, dims=3,
-                                  n_samples=60, seed=4,
-                                  norm=lambda v: math.sqrt(v @ v / h))
+        dec = decompose(u, plan, omega=2.0, delta=1e-5, dims=3,
+                        n_samples=60, seed=4,
+                        norm=lambda v: math.sqrt(v @ v / h))
         assert dec.term3 <= dec.bound3
         assert all(t >= 0 for t in dec.terms)
 
@@ -307,25 +320,44 @@ class TestErrorDecomposition:
         plan = build_plan(1.0, model)
         assert plan.m_active == 0
         u = lambda y: 2.5
-        dec = error_decomposition(u, plan, omega=4.0, delta=1e-3, dims=1,
-                                  n_samples=50, seed=1)
+        dec = decompose(u, plan, omega=4.0, delta=1e-3, dims=1,
+                        n_samples=50, seed=1)
         assert dec.term2 == 0.0 and dec.term4 == 0.0
         assert dec.p_outside == 0.0
         assert dec.term3 <= dec.bound3
 
+    def test_precomputed_pieces_are_required(self):
+        # the caller has solved the grid and compiled the surrogate;
+        # the decomposition never builds either itself
+        plan = small_plan()
+        u = lambda y: y[0]
+        vals = np.ones(plan.n_points)
+        with pytest.raises(TypeError, match="surrogate"):
+            error_decomposition(u, plan, 2.0, 1e-4, 3, 50, 0,
+                                point_values=vals)
+        with pytest.raises(TypeError, match="point_values"):
+            error_decomposition(u, plan, 2.0, 1e-4, 3, 50, 0,
+                                surrogate=assemble_surrogate(plan, vals,
+                                                             1e-4, 2.0))
+
     def test_bad_arguments(self):
         plan = small_plan()
         u = lambda y: y[0]
+        vals = np.ones(plan.n_points)
+        surro = assemble_surrogate(plan, vals, 1e-4, 2.0)
         with pytest.raises(ValueError, match="dims"):
             error_decomposition(u, plan, omega=2.0, delta=1e-4, dims=1,
-                                n_samples=50, seed=0)
+                                n_samples=50, seed=0, point_values=vals,
+                                surrogate=surro)
         with pytest.raises(ValueError, match="omega"):
             error_decomposition(u, plan, omega=0.5, delta=1e-4, dims=3,
-                                n_samples=50, seed=0)
+                                n_samples=50, seed=0, point_values=vals,
+                                surrogate=surro)
         with pytest.raises(ValueError, match="point_values"):
             error_decomposition(u, plan, omega=2.0, delta=1e-4, dims=3,
                                 n_samples=50, seed=0,
-                                point_values=np.ones(plan.n_points + 1))
+                                point_values=np.ones(plan.n_points + 1),
+                                surrogate=surro)
 
 
 class TestRateFit:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hermnet.hermite import (
     NodeFamily,
     gauss_hermite_nodes,
-    gaussian_density,
     hermite_eval,
     hermite_tensor_eval,
     signed_indices,
@@ -82,20 +81,6 @@ class TestHermiteEval:
         left = hermite_eval(k, -y)
         right = (-1.0) ** k * hermite_eval(k, y)
         np.testing.assert_allclose(left, right, rtol=1e-10, atol=1e-12)
-
-
-class TestGaussianDensity:
-    def test_frozen_values(self):
-        np.testing.assert_allclose(gaussian_density(0.0), 0.3989422804014327, rtol=1e-15)
-        np.testing.assert_allclose(gaussian_density(1.0), 0.24197072451914334, rtol=1e-14)
-        np.testing.assert_allclose(
-            gaussian_density(np.array([1.0, -1.0])), 0.05854983152431916, rtol=1e-14)
-
-    def test_product_structure(self):
-        rng = np.random.default_rng(42)
-        pts = rng.normal(size=(20, 3))
-        per_coord = np.array([[gaussian_density(v) for v in row] for row in pts])
-        np.testing.assert_allclose(gaussian_density(pts), per_coord.prod(axis=1), rtol=1e-13)
 
 
 class TestGaussHermiteNodes:

@@ -853,6 +853,8 @@ class TestBundlePool:
          "lambdas"),
         (lambda d: d["networks"][-1]["lambdas"].__setitem__(0, -math.inf),
          "lambdas"),
+        (lambda d: d["networks"][-1]["lambdas"].__setitem__(0, 10 ** 400),
+         "lambdas"),
         (lambda d: _factor(d).__setitem__(0, 0.7), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, True), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, "1"), "coordinate"),
@@ -868,9 +870,11 @@ class TestBundlePool:
         (lambda d: d["meta"].update(omega=math.nan), "omega"),
         (lambda d: d["meta"].update(omega=math.inf), "omega"),
         (lambda d: d["meta"].update(omega=True), "omega"),
+        (lambda d: d["meta"].update(omega=10 ** 400), "omega"),
         (lambda d: d["meta"].update(delta=0.0), "delta"),
         (lambda d: d["meta"].update(delta=1.0), "delta"),
         (lambda d: d["meta"].update(delta=math.nan), "delta"),
+        (lambda d: d["meta"].update(delta=10 ** 400), "delta"),
         (lambda d: d["meta"].update(delta=str(d["meta"]["delta"])), "delta"),
         (lambda d: d.update(W=d["W"] + 1), "recount"),
         (lambda d: d.update(L=d["L"] - 1), "recount"),
@@ -883,12 +887,15 @@ class TestBundlePool:
     ], ids=["monomial_index_-1", "monomial_index_past_end",
             "monomial_index_float", "member_no_monomials", "lambda_count",
             "lambda_string", "lambda_bool", "lambda_nan", "lambda_inf",
+            "lambda_huge_int",
             "coordinate_fraction", "coordinate_bool", "coordinate_string",
             "coordinate_negative", "coordinate_past_input", "kind_unknown",
             "factor_not_pair", "factors_empty", "input_dim_fraction",
             "no_meta", "no_omega",
             "omega_below_1", "omega_nan", "omega_inf", "omega_bool",
-            "delta_zero", "delta_one", "delta_nan", "delta_string",
+            "omega_huge_int",
+            "delta_zero", "delta_one", "delta_nan", "delta_huge_int",
+            "delta_string",
             "W_plus_1", "L_minus_1", "old_format", "format_2", "format_3",
             "no_format", "member_lacks_monomials", "no_labels"])
     def test_bad_bundle_rejected(self, damage, match):
@@ -908,7 +915,7 @@ def _small_bundle(delta):
     plan = _small_plan()
     if delta == "auto":
         delta = compute_delta(plan, 2.0)
-    return assemble_surrogate(plan, np.ones(plan.n_triples), delta, 2.0)[0]
+    return assemble_surrogate(plan, np.ones(plan.n_points), delta, 2.0)[0]
 
 
 @pytest.mark.parametrize("delta, digest", [
@@ -970,7 +977,9 @@ class TestSurrogate:
         omega = 2.0
         delta = compute_delta(plan, omega)
         interp = sparse_interpolate(plan, lambda y: math.exp(0.3 * y[0]))
-        bundle, ev = assemble_surrogate(plan, interp.values, delta, omega)
+        by_point = np.empty((plan.n_points, 1))
+        by_point[[t.point_ref for t in plan.triples]] = interp.values
+        bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
         bound = surrogate_bound(bundle, interp.values)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-2 * math.sqrt(omega), 2 * math.sqrt(omega),
@@ -981,7 +990,7 @@ class TestSurrogate:
     def test_bundle_shape(self):
         plan = _small_plan()
         delta = compute_delta(plan, 2.0)
-        samples = np.ones((plan.n_triples, 1))
+        samples = np.ones((plan.n_points, 1))
         bundle, _ = assemble_surrogate(plan, samples, delta, 2.0)
         assert len(bundle) == plan.n_triples
         assert bundle.W == sum(n.size for n in bundle.networks)
@@ -989,22 +998,10 @@ class TestSurrogate:
         assert len(bundle.labels) == len(bundle.networks)
         assert all(n.input_dim == plan.m_active for n in bundle.networks)
 
-    def test_point_keyed_samples_expand(self):
-        plan = _small_plan()
-        assert plan.n_points != plan.n_triples
-        delta = compute_delta(plan, 2.0)
-        rng = np.random.default_rng(42)
-        by_point = rng.normal(size=(plan.n_points, 2))
-        by_triple = by_point[[t.point_ref for t in plan.triples]]
-        _, ev_a = assemble_surrogate(plan, by_point, delta, 2.0)
-        _, ev_b = assemble_surrogate(plan, by_triple, delta, 2.0)
-        Y = rng.normal(size=(20, plan.m_active))
-        assert np.array_equal(ev_a(Y), ev_b(Y))
-
     def test_single_point_and_extra_dims(self):
         plan = _small_plan()
         delta = compute_delta(plan, 2.0)
-        samples = np.arange(float(plan.n_triples))
+        samples = np.arange(float(plan.n_points))
         _, ev = assemble_surrogate(plan, samples, delta, 2.0)
         rng = np.random.default_rng(42)
         y = rng.normal(size=plan.m_active + 5)
@@ -1017,15 +1014,15 @@ class TestSurrogate:
     def test_networks_ignore_samples(self):
         plan = _small_plan()
         delta = compute_delta(plan, 2.0)
-        b1, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta, 2.0)
+        b1, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta, 2.0)
         b2, _ = assemble_surrogate(
-            plan, 13.7 * np.ones(plan.n_triples), delta, 2.0)
+            plan, 13.7 * np.ones(plan.n_points), delta, 2.0)
         assert b1.W == b2.W and b1.L == b2.L
 
     def test_bundle_roundtrip(self):
         plan = _small_plan()
         delta = compute_delta(plan, 2.0)
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta, 2.0)
+        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta, 2.0)
         back = bundle_from_dict(bundle_to_dict(bundle))
         assert back.W == bundle.W and back.L == bundle.L
         assert back.labels == bundle.labels
@@ -1042,9 +1039,10 @@ class TestSurrogate:
         omega = 2.0
         delta = compute_delta(plan, omega)
         rng = np.random.default_rng(42)
-        samples = rng.normal(size=(plan.n_triples, 3))
+        by_point = rng.normal(size=(plan.n_points, 3))
+        samples = by_point[[t.point_ref for t in plan.triples]]
         signs = np.array([float(t.sign) for t in plan.triples])
-        bundle, ev = assemble_surrogate(plan, samples, delta, omega)
+        bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
         assert len({net.depth for net in bundle.networks}) > 1
         W, L = bundle.W, bundle.L
 
@@ -1090,7 +1088,7 @@ class TestSurrogate:
         plan = _small_plan()
         omega = 2.0
         delta = compute_delta(plan, omega)
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta,
+        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta,
                                        omega)
         assert len({net.depth for net in bundle.networks}) > 1
         dim = max(plan.m_active, 1)
@@ -1132,7 +1130,7 @@ class TestSurrogate:
         plan = _small_plan()
         omega = 2.0
         delta = compute_delta(plan, omega)
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta,
+        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta,
                                        omega)
         assert len({net.depth for net in bundle.networks}) > 1
         d = bundle_to_dict(bundle)
@@ -1180,14 +1178,15 @@ class TestSurrogate:
         plan = _small_plan()
         omega = 2.0
         delta = compute_delta(plan, omega)
-        samples = np.random.default_rng(42).normal(size=(plan.n_triples, 2))
+        by_point = np.random.default_rng(42).normal(size=(plan.n_points, 2))
+        samples = by_point[[t.point_ref for t in plan.triples]]
         signs = np.array([float(t.sign) for t in plan.triples])
 
         def refuse(*args, **kwargs):
             raise AssertionError("parallelize called")
 
         monkeypatch.setattr(network, "parallelize", refuse)
-        bundle, ev = assemble_surrogate(plan, samples, delta, omega)
+        bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
         bound = surrogate_bound(bundle, samples)
         W, L = bundle.W, bundle.L
         Y = np.random.default_rng(7).normal(size=(50, plan.m_active))
@@ -1223,7 +1222,7 @@ class TestSurrogate:
             raise AssertionError("unit table built")
 
         monkeypatch.setattr(network._UnitTable, "__init__", refuse)
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta,
+        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta,
                                        2.0)
         W, L = bundle.W, bundle.L
         back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
@@ -1239,6 +1238,13 @@ class TestSurrogate:
         plan = _small_plan()
         with pytest.raises(ValueError):
             assemble_surrogate(plan, np.ones(plan.n_triples + 3), 1e-6, 2.0)
+
+    def test_samples_per_triple_rejected(self):
+        # samples are read per unique grid point, never per triple
+        plan = _small_plan()
+        assert plan.n_triples != plan.n_points
+        with pytest.raises(ValueError, match=f"n_points = {plan.n_points}"):
+            assemble_surrogate(plan, np.ones(plan.n_triples), 1e-6, 2.0)
 
     def test_mismatched_bundle_members_rejected(self):
         with pytest.raises(ValueError):
@@ -1262,7 +1268,7 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
     assume(plan.n_triples <= 150)
     if delta == "auto":
         delta = compute_delta(plan, omega)
-    bundle, _ = assemble_surrogate(plan, np.ones(plan.n_triples), delta,
+    bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta,
                                    omega)
     sizes = [(m.size, m.depth) for m in bundle.members]
     W, L = bundle.W, bundle.L
