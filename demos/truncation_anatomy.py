@@ -26,12 +26,12 @@ def main():
     m = plan.m_active
     dims = m + 4
     problem = LognormalProblem(63, psi=sine_family(0.4, 2.0, dims))
-    u_ref = lambda y: fem_solve(problem, y)
+    u_ref = lambda pts: np.stack([fem_solve(problem, y) for y in pts])
     norm = lambda v: solution_norm(v, problem.h)
 
     padded = np.zeros((plan.n_points, dims))
     padded[:, :m] = plan.point_array(m)
-    point_values = np.stack([u_ref(y) for y in padded])
+    point_values = u_ref(padded)
 
     delta = 1e-7
     print(f"plan xi={plan.xi:g}: {plan.n_points} points, "

@@ -1,5 +1,5 @@
 """Sparse-grid Hermite collocation for lognormal elliptic PDEs, compiled
-into ReLU networks with certified pointwise error.
+into ReLU networks whose error is certified at every point.
 
 Submodules
 ----------

@@ -5,9 +5,10 @@ into the configured output directory, one per sweep entry.  Every
 artifact records a hash of the configuration that produced it, and
 later stages refuse inputs whose hash does not match.  Reruns are
 byte-identical apart from the wall_ms timing column.  --parallel N
-(N >= 1) solves the FEM points in up to N forked workers, never more
-than points or usable CPUs, which inherit the problem; it changes wall
-time only, never output bytes.
+(N >= 1) spreads every FEM solve of a command, at the grid points and
+at the reference and truth sample points alike, over up to N forked
+workers, never more than points or usable CPUs, which inherit the
+problem; it changes wall time only, never output bytes.
 
 Every stage that reads an artifact goes through one reader, and every
 report row, from `evaluate` or `sweep`, is measured by one row
@@ -36,7 +37,6 @@ import numpy as np
 from .errors import (
     error_decomposition,
     mc_l2_error,
-    pointwise,
     rate_fit,
     weighted_sup_error,
 )
@@ -343,59 +343,54 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-_WORKER_PROBLEM = None  # what the forked workers of solve_at_points solve
+_WORKER_TASK = None  # (problem, restrict) the forked workers solve
 
 
 def _solve_worker(row):
-    return fem_solve(_WORKER_PROBLEM, row)
+    problem, restrict = _WORKER_TASK
+    return fem_solve(problem, row)[::restrict].copy()
 
 
-def solve_at_points(problem, pts, parallel):
-    """Full nodal solution vectors at each row of the 2-D array pts, in
-    row order.
+def solve_at_points(problem, pts, parallel, restrict=1):
+    """Every `restrict`-th node of the nodal solution vector at each row
+    of the 2-D array pts, one row each, in row order.  Each full
+    solution is dropped once restricted.
 
     With parallel > 1 the rows are solved by a pool of
     min(parallel, rows, usable CPUs) forked workers, which inherit the
     problem; one worker means a serial loop in this process."""
-    global _WORKER_PROBLEM
+    global _WORKER_TASK
     workers = min(parallel, pts.shape[0], _usable_cpus())
     if workers > 1:
-        _WORKER_PROBLEM = problem
+        _WORKER_TASK = problem, restrict
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(_solve_worker, list(pts))
     else:
-        rows = [fem_solve(problem, row) for row in pts]
+        rows = [fem_solve(problem, row)[::restrict].copy() for row in pts]
     return np.stack(rows)
 
 
 class _SolutionCache:
-    """Memoized point -> nodal-values map for a fixed problem.
+    """Memoized batch map of a fixed problem: points (n, d) -> the
+    table of their nodal values, every `restrict`-th node.
 
-    Each entry is a copy of the restricted values, so it does not keep
-    the whole solution (or the whole solved block) alive."""
+    The rows not yet cached are solved together through solve_at_points
+    with `parallel` workers.  Each entry is a copy, so it does not keep
+    the whole solved block alive."""
 
-    def __init__(self, problem, restrict=1):
+    def __init__(self, problem, parallel, restrict=1):
         self.problem = problem
+        self.parallel = parallel
         self.restrict = restrict
         self._store = {}
 
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        key = y.tobytes()
-        got = self._store.get(key)
-        if got is None:
-            got = fem_solve(self.problem, y)[::self.restrict].copy()
-            self._store[key] = got
-        return got
-
-    def at_points(self, pts, parallel):
-        """Values at each row of pts; the rows not yet cached are solved
-        together through solve_at_points."""
+    def __call__(self, pts):
         fresh = [r for r in pts if r.tobytes() not in self._store]
         if fresh:
-            solved = solve_at_points(self.problem, np.stack(fresh), parallel)
+            solved = solve_at_points(self.problem, np.stack(fresh),
+                                     self.parallel, self.restrict)
             for r, v in zip(fresh, solved):
-                self._store[r.tobytes()] = v[::self.restrict].copy()
+                self._store[r.tobytes()] = v.copy()
         return np.stack([self._store[r.tobytes()] for r in pts])
 
 
@@ -419,9 +414,10 @@ def _eval_setup(cfg, model, args):
     factor = cfg["problem"]["truth_factor"]
     omega_of, delta_of = make_schedules(cfg, model)
     return SimpleNamespace(
-        largest=largest, dims=dims, coarse=_SolutionCache(problem),
+        largest=largest, dims=dims,
+        coarse=_SolutionCache(problem, args.parallel),
         truth=_SolutionCache(build_problem(cfg, dims, factor=factor),
-                             restrict=factor),
+                             args.parallel, restrict=factor),
         norm=lambda v: solution_norm(v, problem.h),
         n=cfg["mc"]["n_samples"],
         seed=args.seed if args.seed is not None else cfg["mc"]["seed"],
@@ -450,11 +446,11 @@ def _evaluate_plan_row(plan, point_values, mode, ev):
                     "term4": dec.term4})
     else:
         surrogate = SparseInterpolant.from_point_values(plan, point_values)
-    truth = pointwise(ev.truth)
     row["l2_error"], row["l2_stderr"] = mc_l2_error(
-        truth, surrogate, ev.dims, ev.n, ev.seed, norm=ev.norm)
+        ev.truth, surrogate, ev.dims, ev.n, ev.seed, norm=ev.norm)
     row["sup_error"] = weighted_sup_error(
-        truth, surrogate, ev.dims, ev.n, ev.seed, omega=omega, norm=ev.norm)
+        ev.truth, surrogate, ev.dims, ev.n, ev.seed, omega=omega,
+        norm=ev.norm)
     return row
 
 
@@ -586,8 +582,7 @@ def cmd_sweep(cfg, out_dir, args):
                     else build_plan(xi, model))
             row.update({"n_solvers": plan.n_triples,
                         "n_unique_points": plan.n_points})
-            point_values = ev.coarse.at_points(plan.point_array(ev.dims),
-                                               args.parallel)
+            point_values = ev.coarse(plan.point_array(ev.dims))
             row = _evaluate_plan_row(plan, point_values, "network", ev)
             print(f"sweep {i:02d}: xi={xi:g} |G|={plan.n_points} "
                   f"W={row['W']} l2={row['l2_error']:.6g}")
@@ -762,8 +757,9 @@ def build_parser():
     common.add_argument("--out", default=None,
                         help="override the output directory")
     common.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="FEM solve workers, >= 1; no more than points "
-                             "or usable CPUs are started (default 1)")
+                        help="workers for every FEM solve of the command, "
+                             ">= 1; no more than points or usable CPUs are "
+                             "started (default 1)")
     common.add_argument("--seed", type=int, default=None,
                         help="override mc.seed")
 

@@ -36,18 +36,8 @@ def rng_stream(seed, label):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def pointwise(fn):
-    """Lift a one-point function (1-D y -> scalar or vector) to a batch map."""
-
-    def batch(pts):
-        return np.stack([np.atleast_1d(np.asarray(fn(p), dtype=float))
-                         for p in np.asarray(pts, dtype=float)])
-
-    return batch
-
-
 def _eval(fn, pts, name):
-    """Evaluate a batch map and normalize the output to (n, xdim)."""
+    """fn(pts) as an (n, k) table for the n points; ValueError otherwise."""
     try:
         out = np.asarray(fn(pts), dtype=float)
     except Exception as exc:
@@ -58,20 +48,13 @@ def _eval(fn, pts, name):
                 raise RuntimeError(
                     f"{name} evaluator failed at sample {i}") from exc
         raise
-    if out.ndim == 0:
-        raise ValueError(f"{name} evaluator returned a scalar for a batch; "
-                         "wrap one-point functions with pointwise()")
-    if out.ndim == 1:
-        out = out[:, None]
-    if out.shape[0] != pts.shape[0]:
-        raise ValueError(f"{name} evaluator returned {out.shape[0]} rows "
-                         f"for {pts.shape[0]} points")
+    if out.ndim != 2 or out.shape[0] != pts.shape[0]:
+        raise ValueError(f"{name} evaluator returned shape {out.shape} for "
+                         f"{pts.shape[0]} points, not ({pts.shape[0]}, k)")
     return out
 
 
 def _row_norms(diff, norm):
-    if norm is None:
-        return np.sqrt(np.sum(diff * diff, axis=1))
     return np.array([float(norm(row)) for row in diff])
 
 
@@ -87,14 +70,13 @@ def _sqrt_mean(sq, scale=1.0):
     return err, se_scaled_mean / (2.0 * err)
 
 
-def mc_l2_error(truth, approx, dims, n_samples, seed, norm=None):
-    """L2(gamma) distance between two batch evaluators, with its
-    standard error.
+def mc_l2_error(truth, approx, dims, n_samples, seed, *, norm):
+    """L2(gamma) distance between two batch evaluators, each mapping
+    points (n, dims) to an (n, k) table, with its standard error.
 
     Draws `n_samples` iid standard Gaussian points in `dims`
-    coordinates, forms ||truth(y) - approx(y)|| per point (Euclidean
-    unless `norm` maps a difference row to a value), and returns the
-    root mean square together with the delta-method standard error
+    coordinates, forms norm(truth(y) - approx(y)) per point, and returns
+    the root mean square together with the delta-method standard error
     se(mean)/(2 sqrt(mean)).  Identical evaluators give exactly (0, 0).
     """
     if dims < 1:
@@ -107,9 +89,10 @@ def mc_l2_error(truth, approx, dims, n_samples, seed, norm=None):
     return _sqrt_mean(sq)
 
 
-def weighted_sup_error(truth, approx, dims, n_samples, seed, omega=1.0,
-                       norm=None):
-    """Sampled lower bound for the sup of ||truth - approx|| * sqrt(g).
+def weighted_sup_error(truth, approx, dims, n_samples, seed, *, omega,
+                       norm):
+    """Sampled lower bound for the sup of norm(truth - approx) * sqrt(g),
+    for batch evaluators that map points (n, dims) to (n, k) tables.
 
     g is the dims-dimensional standard Gaussian density.  Half the
     probe points are Gaussian, half uniform over the box
@@ -222,16 +205,16 @@ class ErrorDecomposition:
 
 
 def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
-                        point_values, surrogate, norm=None):
+                        point_values, surrogate, norm):
     """Measure the four-term error split for a plan at (omega, delta).
 
-    `u_ref` maps a single parameter point (length `dims`, the plan's
-    active coordinates first) to a solution scalar or vector.
-    `point_values` holds its values at the plan's unique grid points
-    (n_points rows), from which the interpolant is built, and
-    `surrogate` is the (bundle, evaluator) pair assemble_surrogate
-    compiled from them.  term3's certificate,
-    delta * sum_t ||sample_t|| * coeff_sum_t, is reported as `bound3`.
+    `u_ref` maps points (n, dims), the plan's active coordinates first,
+    to an (n, k) table of solution rows.  `point_values` is the
+    (n_points, k) table of its values at the plan's unique grid points,
+    from which the interpolant is built, and `surrogate` is the
+    (bundle, evaluator) pair assemble_surrogate compiled from them.
+    term3's certificate, delta * sum_t norm(sample_t) * coeff_sum_t, is
+    reported as `bound3`.
     """
     m = plan.m_active
     if dims < max(m, 1):
@@ -241,21 +224,13 @@ def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
     if omega < 1:
         raise ValueError("omega must be >= 1")
 
-    point_values = np.asarray(point_values, dtype=float)
-    if point_values.ndim == 1:
-        point_values = point_values[:, None]
-    if point_values.shape[0] != plan.n_points:
-        raise ValueError("point_values must have one row per unique "
-                         f"grid point ({plan.n_points})")
-
     interp = SparseInterpolant.from_point_values(plan, point_values)
     bundle, net = surrogate
-    rows = np.array([t.point_ref for t in plan.triples], dtype=int)
-    bound3 = surrogate_bound(bundle, point_values[rows], norm=norm)
+    bound3 = surrogate_bound(bundle, interp.values, norm=norm)
 
     gamma_pts = rng_stream(seed, "decomp/gamma").standard_normal(
         (n_samples, dims))
-    diff1 = _eval(pointwise(u_ref), gamma_pts, "u_ref") \
+    diff1 = _eval(u_ref, gamma_pts, "u_ref") \
         - _eval(interp, gamma_pts, "interpolant")
     term1, stderr1 = _sqrt_mean(_row_norms(diff1, norm) ** 2)
 

@@ -140,27 +140,30 @@ def delta_op(m, samples):
     return coeffs if coeffs.shape[1] > 1 else coeffs[:, 0]
 
 
+def as_table(values, n_rows, rows):
+    """`values` as a float (n_rows, k) table, k = 1 for a scalar
+    quantity; otherwise ValueError naming the shape, rows as `rows`."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != n_rows:
+        raise ValueError(f"expected an ({rows}, k) table with {rows} = "
+                         f"{n_rows}, got shape {values.shape}")
+    return values
+
+
 @dataclass
 class SparseInterpolant:
-    """Collocation interpolant: one sampled value per plan triple."""
+    """Collocation interpolant: one sampled value row per plan triple."""
 
     plan: CollocationPlan
-    values: np.ndarray  # (n_triples, xdim)
+    values: np.ndarray  # (n_triples, k)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        self.values = vals[:, None] if vals.ndim == 1 else vals
-        if self.values.shape[0] != self.plan.n_triples:
-            raise ValueError("need exactly one value per plan triple")
+        self.values = as_table(self.values, self.plan.n_triples, "n_triples")
 
     @classmethod
     def from_point_values(cls, plan, point_values):
-        """Build from values indexed by the plan's unique points."""
-        point_values = np.asarray(point_values, dtype=float)
-        if point_values.ndim == 1:
-            point_values = point_values[:, None]
-        if point_values.shape[0] != plan.n_points:
-            raise ValueError("need one value per unique grid point")
+        """Build from an (n_points, k) table in the plan's point order."""
+        point_values = as_table(point_values, plan.n_points, "n_points")
         rows = np.array([t.point_ref for t in plan.triples], dtype=int)
         return cls(plan, point_values[rows])
 
@@ -209,21 +212,16 @@ def sparse_interpolate(plan, sampler):
 
 
 def evaluate_interpolant(interp, y):
-    """Evaluate at one point (d,) or a batch (n, d).
+    """Values at a batch of points y, shape (n, d), as an (n, k) table.
 
     Points need at least m_active coordinates; extra coordinates are
     ignored (the interpolant is constant in them).
     """
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = y[None, :] if single else y
-    if pts.shape[1] < interp.plan.m_active:
-        raise ValueError(
-            f"points have {pts.shape[1]} coordinates; plan needs >= "
-            f"{interp.plan.m_active}")
+    pts = np.asarray(y, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < interp.plan.m_active:
+        raise ValueError(f"expected points of shape (n, d) with d >= "
+                         f"{interp.plan.m_active} coordinates, got shape "
+                         f"{pts.shape}")
     factors = interp._triple_factors(pts)
     signs = np.array([t.sign for t in interp.plan.triples], dtype=float)
-    out = (signs[:, None] * factors).T @ interp.values  # (n, xdim)
-    if interp.values.shape[1] == 1:
-        out = out[:, 0]
-    return out[0] if single else out
+    return (signs[:, None] * factors).T @ interp.values

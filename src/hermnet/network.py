@@ -63,7 +63,7 @@ from scipy.sparse import csr_matrix
 
 from .hermite import NodeFamily
 from .indices import _logsumexp, p_weight
-from .lagrange import lagrange_coeffs
+from .lagrange import as_table, lagrange_coeffs
 
 # Cells (network columns x points) of the activation buffer one
 # eval_batch chunk may use: 32 MiB of float64.
@@ -989,21 +989,16 @@ def surrogate_eval(bundle, signs, samples, pts):
 def assemble_surrogate(plan, samples, delta, omega):
     """Compile a plan into (bundle, evaluator).
 
-    `samples` holds one solution vector (or scalar) per unique grid
-    point of the plan, in the plan's point order; triple t reads the row
-    of its point, t.point_ref.  The networks depend only on the triples,
-    never on the samples; the evaluator computes
-    sum_t sign_t * samples[t.point_ref] * net_t(y)  at a batch of
-    points, slicing extra trailing coordinates off y.
+    `samples` is an (n_points, k) table: one solution row per unique
+    grid point of the plan, in the plan's point order, k = 1 for a
+    scalar quantity; triple t reads the row of its point, t.point_ref.
+    The networks depend only on the triples, never on the samples; the
+    evaluator maps points of shape (n, d), d >= max(m_active, 1), to the
+    (n, k) table  sum_t sign_t * samples[t.point_ref] * net_t(y),
+    slicing extra trailing coordinates off y.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    if samples.shape[0] != plan.n_points:
-        raise ValueError(f"need one sample per unique grid point, n_points "
-                         f"= {plan.n_points} (got {samples.shape[0]})")
-    samples = samples[np.array([t.point_ref for t in plan.triples],
-                               dtype=int)]
+    samples = as_table(samples, plan.n_points, "n_points")[
+        np.array([t.point_ref for t in plan.triples], dtype=int)]
     dim = max(plan.m_active, 1)
     # each distinct triple and monomial is compiled once
     built, monomials = {}, {}
@@ -1027,29 +1022,21 @@ def assemble_surrogate(plan, samples, delta, omega):
         "n_triples": plan.n_triples})
 
     def evaluator(y):
-        y_arr = np.asarray(y, dtype=float)
-        single = y_arr.ndim == 1
-        pts = y_arr[None, :] if single else y_arr
-        if pts.shape[1] < dim:
-            raise ValueError(
-                f"points have {pts.shape[1]} coordinates; plan needs {dim}")
-        out = surrogate_eval(bundle, signs, samples, pts[:, :dim])
-        if samples.shape[1] == 1:
-            out = out[:, 0]
-        return out[0] if single else out
+        pts = np.asarray(y, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] < dim:
+            raise ValueError(f"expected points of shape (n, d) with d >= "
+                             f"{dim} coordinates, got shape {pts.shape}")
+        return surrogate_eval(bundle, signs, samples, pts[:, :dim])
 
     return bundle, evaluator
 
 
-def surrogate_bound(bundle, samples, norm=None):
+def surrogate_bound(bundle, samples, *, norm):
     """Certificate for the surrogate-vs-interpolant gap on the box:
-    delta * sum_t ||sample_t|| * coeff_abs_sum_t.
+    delta * sum_t norm(samples[t]) * coeff_abs_sum_t, with `samples` an
+    (n_triples, k) table holding member t's sample in row t.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    if norm is None:
-        norm = lambda v: float(np.linalg.norm(v))
+    samples = as_table(samples, len(bundle), "n_triples")
     delta = bundle.meta.get("delta")
     total = 0.0
     for t, member in enumerate(bundle.members):
@@ -1081,20 +1068,18 @@ def fit_delta_K(max_degree):
     return best
 
 
-def compute_delta(plan, omega, K=None, *, return_info=False):
+def compute_delta(plan, omega, K, *, return_info=False):
     """Accuracy parameter for compiling `plan` at box parameter omega.
 
     1/delta = xi^(1/q - 1/2) * sum_s exp(K|s|) p_s(2) (4 sqrt(omega))^|s| B_s
-    with B_s the product over support coordinates of the largest cardinal
-    monomial coefficient at order s_j or s_j - 1.  Evaluated in log
-    space, clamped into (0, 1/2], and floored at DELTA_FLOOR (a float64
-    evaluation cannot certify below that); both values are reported when
-    return_info is set.
+    with K from fit_delta_K(plan.m1) and B_s the product over support
+    coordinates of the largest cardinal monomial coefficient at order
+    s_j or s_j - 1.  Evaluated in log space, clamped into (0, 1/2], and
+    floored at DELTA_FLOOR (a float64 evaluation cannot certify below
+    that); both values are reported when return_info is set.
     """
     if omega < 1:
         raise ValueError("omega must be >= 1")
-    if K is None:
-        K = fit_delta_K(plan.m1)
     log_scale = math.log(4.0 * math.sqrt(omega))
     terms = []
     for s in plan.indices:
@@ -1203,10 +1188,11 @@ def bundle_from_dict(data):
     share one _Recipe, as at compile.  Raises ValueError for another
     format, a missing field, an omega or delta that is not a JSON number
     (int or float; true would read as 1), that compile would refuse or
-    that is not finite, a malformed factor list (see _factors), a
-    monomial index that names no stored monomial, a member without
-    monomials, lambdas that are not finite JSON numbers (see
-    json_floats) or not one per monomial, or a stored W or L that
+    that is not finite, a malformed factor list (see _factors), an
+    input_dim other than 1 + the largest stored factor coordinate (what
+    compile writes), a monomial index that names no stored monomial, a
+    member without monomials, lambdas that are not finite JSON numbers
+    (see json_floats) or not one per monomial, or a stored W or L that
     differs from the recount.
     """
     fmt = data.get("format")
@@ -1219,10 +1205,13 @@ def bundle_from_dict(data):
             if type(value) not in (int, float):
                 raise ValueError(f"meta {key} {value!r} is not a JSON number")
         _check_omega_delta(omega, delta)
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"input_dim {dim!r} is not a positive int")
-        monos = [_monomial(_factors(spec, dim), omega, delta, dim)
-                 for spec in data["monomials"]]
+        if type(dim) is not int:
+            raise ValueError(f"input_dim {dim!r} is not an int")
+        factors = [_factors(spec, dim) for spec in data["monomials"]]
+        if dim != 1 + max((c for f in factors for c, _ in f), default=0):
+            raise ValueError(f"input_dim {dim} is not 1 + the largest "
+                             "stored factor coordinate")
+        monos = [_monomial(f, omega, delta, dim) for f in factors]
         recipes, members = {}, []
         for spec in data["networks"]:
             refs = spec["monomials"]

@@ -325,12 +325,13 @@ class TestSolveCmd:
     def test_cached_rows_own_their_data(self, cfg_file):
         # a strided view would keep the whole truth solution alive
         cfg = load_config(cfg_file)
-        ev = cli._eval_setup(cfg, build_model(cfg), SimpleNamespace(seed=None))
+        ev = cli._eval_setup(cfg, build_model(cfg),
+                             SimpleNamespace(seed=None, parallel=1))
         rng = np.random.default_rng(3)
         for cache in (ev.coarse, ev.truth):
             pts = rng.normal(size=(3, ev.dims))
-            block = cache.at_points(pts, 1)
-            one = cache(rng.normal(size=ev.dims))
+            block = cache(pts)
+            (one,) = cache(rng.normal(size=(1, ev.dims)))
             stored = list(cache._store.values())
             assert len(stored) == 4
             for row in stored:
@@ -396,6 +397,27 @@ class TestParallelSolves:
         serial = cli.solve_at_points(problem, pts, 1)
         assert cli.solve_at_points(problem, pts, 2).tobytes() == \
             serial.tobytes()
+
+
+    @pytest.mark.parametrize("mode, batches", [("interpolant", 2),
+                                               ("network", 3)])
+    def test_evaluate_solves_through_the_pool(self, cfg_file, tmp_path,
+                                              monkeypatch, mode, batches):
+        # the truth solves of both estimates, and in network mode the
+        # reference solves of the decomposition, each go to the pool
+        for cmd in ("plan", "solve"):
+            assert run(cmd, "--config", cfg_file) == 0
+        assert run("evaluate", "--config", cfg_file, "--mode", mode) == 0
+        report = tmp_path / "out" / f"report_00_{mode}.csv"
+        serial = report.read_text()
+        kinds, sizes = [], []
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "multiprocessing",
+                            _RecordingPool(kinds, sizes))
+        assert run("evaluate", "--config", cfg_file, "--mode", mode,
+                   "--parallel", 2) == 0
+        assert sizes == [2] * batches
+        assert mask_wall(report.read_text()) == mask_wall(serial)
 
 
 class TestCompileCmd:

@@ -15,7 +15,6 @@ from hermnet.errors import (
     box_probability,
     error_decomposition,
     mc_l2_error,
-    pointwise,
     rate_fit,
     rng_stream,
     weighted_sup_error,
@@ -35,17 +34,17 @@ def small_plan():
     return build_plan(6.0, model)
 
 
-def decompose(u, plan, omega, delta, dims, n_samples, seed, **kwargs):
-    """error_decomposition with u solved at the plan's grid points,
-    padded with zeros to dims, and the surrogate assembled from those
-    values."""
+def decompose(u, plan, omega, delta, dims, n_samples, seed,
+              norm=np.linalg.norm):
+    """error_decomposition with the batch map u evaluated at the plan's
+    grid points, padded with zeros to dims, and the surrogate assembled
+    from those values."""
     grid = np.zeros((plan.n_points, dims))
     grid[:, :max(plan.m_active, 1)] = plan.point_array(max(plan.m_active, 1))
-    vals = np.stack([np.atleast_1d(np.asarray(u(p), dtype=float))
-                     for p in grid])
+    vals = u(grid)
     return error_decomposition(
         u, plan, omega, delta, dims, n_samples, seed, point_values=vals,
-        surrogate=assemble_surrogate(plan, vals, delta, omega), **kwargs)
+        surrogate=assemble_surrogate(plan, vals, delta, omega), norm=norm)
 
 
 class TestRngStream:
@@ -71,29 +70,19 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
 
-class TestPointwise:
-    def test_matches_direct_batch(self):
-        fn = lambda y: np.array([y[0] + 1.0, y[1] * 2.0])
-        pts = np.arange(12.0).reshape(4, 3)
-        got = pointwise(fn)(pts)
-        assert_array_equal(got, np.stack([fn(p) for p in pts]))
-
-    def test_scalar_outputs_become_columns(self):
-        got = pointwise(lambda y: float(y.sum()))(np.ones((3, 2)))
-        assert got.shape == (3, 1)
-
-
 class TestMcL2Error:
     def test_truncated_h1_frozen_value(self):
-        truth = lambda p: p[:, 0]
-        cut = lambda p: np.where(np.abs(p[:, 0]) <= 1.0, p[:, 0], 0.0)
-        err, se = mc_l2_error(truth, cut, dims=1, n_samples=4096, seed=42)
+        truth = lambda p: p[:, :1]
+        cut = lambda p: np.where(np.abs(p[:, :1]) <= 1.0, p[:, :1], 0.0)
+        err, se = mc_l2_error(truth, cut, dims=1, n_samples=4096, seed=42,
+                              norm=np.linalg.norm)
         assert 0 < se < 0.02
         assert abs(err - TRUNC_H1_DISTANCE) <= 3 * se
 
     def test_identical_evaluators_give_exact_zero(self):
-        fn = lambda p: np.exp(p[:, 0]) - p[:, 1] ** 3
-        err, se = mc_l2_error(fn, fn, dims=2, n_samples=64, seed=1)
+        fn = lambda p: np.exp(p[:, :1]) - p[:, 1:2] ** 3
+        err, se = mc_l2_error(fn, fn, dims=2, n_samples=64, seed=1,
+                              norm=np.linalg.norm)
         assert err == 0.0 and se == 0.0
 
     def test_parseval_for_hermite_combination(self):
@@ -101,98 +90,118 @@ class TestMcL2Error:
         # ||v|| = sqrt(1.5^2 + 0.7^2)
         h2 = lambda t: (t * t - 1.0) / math.sqrt(2.0)
         h3 = lambda t: (t ** 3 - 3.0 * t) / math.sqrt(6.0)
-        v = lambda p: 1.5 * h2(p[:, 0]) * p[:, 1] - 0.7 * h3(p[:, 1])
-        zero = lambda p: np.zeros(len(p))
-        err, se = mc_l2_error(v, zero, dims=2, n_samples=8192, seed=5)
+        v = lambda p: 1.5 * h2(p[:, :1]) * p[:, 1:2] - 0.7 * h3(p[:, 1:2])
+        zero = lambda p: np.zeros((len(p), 1))
+        err, se = mc_l2_error(v, zero, dims=2, n_samples=8192, seed=5,
+                              norm=np.linalg.norm)
         assert abs(err - math.hypot(1.5, 0.7)) <= 3 * se
 
     def test_stderr_halves_when_samples_quadruple(self):
-        truth = lambda p: p[:, 0]
-        cut = lambda p: np.where(np.abs(p[:, 0]) <= 1.0, p[:, 0], 0.0)
-        _, se1 = mc_l2_error(truth, cut, dims=1, n_samples=1024, seed=3)
-        _, se2 = mc_l2_error(truth, cut, dims=1, n_samples=4096, seed=3)
+        truth = lambda p: p[:, :1]
+        cut = lambda p: np.where(np.abs(p[:, :1]) <= 1.0, p[:, :1], 0.0)
+        _, se1 = mc_l2_error(truth, cut, dims=1, n_samples=1024, seed=3,
+                             norm=np.linalg.norm)
+        _, se2 = mc_l2_error(truth, cut, dims=1, n_samples=4096, seed=3,
+                             norm=np.linalg.norm)
         assert 2.0 / 1.5 <= se1 / se2 <= 2.0 * 1.5
 
     def test_same_seed_bitwise_identical(self):
-        fn = lambda p: np.sin(p).sum(axis=1)
-        zero = lambda p: np.zeros(len(p))
-        a = mc_l2_error(fn, zero, dims=3, n_samples=500, seed=9)
-        b = mc_l2_error(fn, zero, dims=3, n_samples=500, seed=9)
+        fn = lambda p: np.sin(p).sum(axis=1, keepdims=True)
+        zero = lambda p: np.zeros((len(p), 1))
+        a = mc_l2_error(fn, zero, dims=3, n_samples=500, seed=9,
+                        norm=np.linalg.norm)
+        b = mc_l2_error(fn, zero, dims=3, n_samples=500, seed=9,
+                        norm=np.linalg.norm)
         assert a == b
 
     def test_custom_norm_rescales(self):
         truth = lambda p: np.stack([p[:, 0], 2 * p[:, 0], p[:, 0] ** 2], axis=1)
         zero = lambda p: np.zeros((len(p), 3))
         h = 0.25
-        plain, _ = mc_l2_error(truth, zero, dims=1, n_samples=256, seed=2)
+        plain, _ = mc_l2_error(truth, zero, dims=1, n_samples=256, seed=2,
+                               norm=np.linalg.norm)
         scaled, _ = mc_l2_error(truth, zero, dims=1, n_samples=256, seed=2,
                                 norm=lambda v: math.sqrt(v @ v / h))
         assert_allclose(scaled, plain / math.sqrt(h), rtol=1e-12)
 
     def test_scalar_evaluator_rejected(self):
-        with pytest.raises(ValueError, match="pointwise"):
-            mc_l2_error(lambda p: 1.0, lambda p: np.zeros(len(p)),
-                        dims=1, n_samples=16, seed=0)
+        with pytest.raises(ValueError, match=r"\(16, k\)"):
+            mc_l2_error(lambda p: 1.0, lambda p: np.zeros((len(p), 1)),
+                        dims=1, n_samples=16, seed=0, norm=np.linalg.norm)
+
+    def test_one_dim_output_rejected(self):
+        # a 1-D output is not lifted to a column
+        with pytest.raises(ValueError, match=r"shape \(16,\)"):
+            mc_l2_error(lambda p: p[:, :1], lambda p: p[:, 0],
+                        dims=1, n_samples=16, seed=0, norm=np.linalg.norm)
 
     def test_failing_evaluator_reports_sample_index(self):
         def bad(p):
             if p.shape[0] > 1 or p[0, 0] > 0:
                 raise RuntimeError("boom")
-            return np.zeros(len(p))
+            return np.zeros((len(p), 1))
 
-        zero = lambda p: np.zeros(len(p))
+        zero = lambda p: np.zeros((len(p), 1))
         with pytest.raises(RuntimeError, match="failed at sample"):
-            mc_l2_error(bad, zero, dims=1, n_samples=32, seed=4)
+            mc_l2_error(bad, zero, dims=1, n_samples=32, seed=4,
+                        norm=np.linalg.norm)
 
     def test_bad_arguments(self):
-        zero = lambda p: np.zeros(len(p))
+        zero = lambda p: np.zeros((len(p), 1))
         with pytest.raises(ValueError):
-            mc_l2_error(zero, zero, dims=0, n_samples=16, seed=0)
+            mc_l2_error(zero, zero, dims=0, n_samples=16, seed=0,
+                        norm=np.linalg.norm)
         with pytest.raises(ValueError):
-            mc_l2_error(zero, zero, dims=1, n_samples=1, seed=0)
+            mc_l2_error(zero, zero, dims=1, n_samples=1, seed=0,
+                        norm=np.linalg.norm)
 
 
 class TestWeightedSupError:
     def test_peak_of_weighted_constant(self):
-        one = lambda p: np.ones(len(p))
-        zero = lambda p: np.zeros(len(p))
-        val = weighted_sup_error(one, zero, dims=1, n_samples=4000, seed=7)
+        one = lambda p: np.ones((len(p), 1))
+        zero = lambda p: np.zeros((len(p), 1))
+        val = weighted_sup_error(one, zero, dims=1, n_samples=4000, seed=7,
+                                 omega=1.0, norm=np.linalg.norm)
         assert val <= SQRT_DENSITY_PEAK + 1e-15
         assert val >= SQRT_DENSITY_PEAK * (1.0 - 1e-6)
 
     def test_two_dims_peak(self):
-        one = lambda p: np.ones(len(p))
-        zero = lambda p: np.zeros(len(p))
-        val = weighted_sup_error(one, zero, dims=2, n_samples=8000, seed=8)
+        one = lambda p: np.ones((len(p), 1))
+        zero = lambda p: np.zeros((len(p), 1))
+        val = weighted_sup_error(one, zero, dims=2, n_samples=8000, seed=8,
+                                 omega=1.0, norm=np.linalg.norm)
         assert val <= SQRT_DENSITY_PEAK ** 2 + 1e-15
         assert val >= SQRT_DENSITY_PEAK ** 2 * 0.98
 
     def test_deterministic(self):
-        fn = lambda p: np.cos(p[:, 0])
-        zero = lambda p: np.zeros(len(p))
-        a = weighted_sup_error(fn, zero, dims=1, n_samples=512, seed=3)
-        b = weighted_sup_error(fn, zero, dims=1, n_samples=512, seed=3)
+        fn = lambda p: np.cos(p[:, :1])
+        zero = lambda p: np.zeros((len(p), 1))
+        a = weighted_sup_error(fn, zero, dims=1, n_samples=512, seed=3,
+                               omega=1.0, norm=np.linalg.norm)
+        b = weighted_sup_error(fn, zero, dims=1, n_samples=512, seed=3,
+                               omega=1.0, norm=np.linalg.norm)
         assert a == b
 
     def test_identical_evaluators_zero(self):
-        fn = lambda p: p[:, 0] ** 2
-        assert weighted_sup_error(fn, fn, dims=1, n_samples=64, seed=1) == 0.0
+        fn = lambda p: p[:, :1] ** 2
+        assert weighted_sup_error(fn, fn, dims=1, n_samples=64, seed=1,
+                                  omega=1.0, norm=np.linalg.norm) == 0.0
 
     def test_omega_controls_probe_box(self):
         # an error hidden at |y|=5 is found once the box reaches it
-        bump = lambda p: np.where(np.abs(p[:, 0]) > 4.5, 100.0, 0.0)
-        zero = lambda p: np.zeros(len(p))
+        bump = lambda p: np.where(np.abs(p[:, :1]) > 4.5, 100.0, 0.0)
+        zero = lambda p: np.zeros((len(p), 1))
         small = weighted_sup_error(bump, zero, dims=1, n_samples=200, seed=2,
-                                   omega=1.0)
+                                   omega=1.0, norm=np.linalg.norm)
         big = weighted_sup_error(bump, zero, dims=1, n_samples=200, seed=2,
-                                 omega=16.0)
+                                 omega=16.0, norm=np.linalg.norm)
         assert big > small
 
     def test_bad_arguments(self):
-        zero = lambda p: np.zeros(len(p))
+        zero = lambda p: np.zeros((len(p), 1))
         with pytest.raises(ValueError):
             weighted_sup_error(zero, zero, dims=1, n_samples=16, seed=0,
-                               omega=0.0)
+                               omega=0.0, norm=np.linalg.norm)
 
 
 class TestBoxProbability:
@@ -258,14 +267,14 @@ class TestBoxSamplers:
 class TestErrorDecomposition:
     def test_polynomial_in_span_has_tiny_term1(self):
         plan = small_plan()
-        u = lambda y: y[0]  # degree-1 in an active coordinate
+        u = lambda p: p[:, :1]  # degree-1 in an active coordinate
         dec = decompose(u, plan, omega=2.0, delta=1e-4, dims=4,
                         n_samples=100, seed=6)
         assert dec.term1 <= max(3 * dec.stderr1, 1e-10)
 
     def test_term3_below_certificate(self):
         plan = small_plan()
-        u = lambda y: np.exp(0.3 * y[0] - 0.2 * y[1])
+        u = lambda p: np.exp(0.3 * p[:, :1] - 0.2 * p[:, 1:2])
         for seed in (1, 2, 3):
             dec = decompose(u, plan, omega=2.0, delta=1e-6, dims=5,
                             n_samples=150, seed=seed)
@@ -273,7 +282,7 @@ class TestErrorDecomposition:
 
     def test_outside_terms_shrink_with_omega(self):
         plan = small_plan()
-        u = lambda y: np.exp(0.3 * y[0] - 0.2 * y[1])
+        u = lambda p: np.exp(0.3 * p[:, :1] - 0.2 * p[:, 1:2])
         d1 = decompose(u, plan, omega=1.0, delta=1e-6, dims=5,
                        n_samples=200, seed=11)
         d4 = decompose(u, plan, omega=4.0, delta=1e-6, dims=5,
@@ -283,7 +292,7 @@ class TestErrorDecomposition:
 
     def test_deterministic_and_total(self):
         plan = small_plan()
-        u = lambda y: np.exp(0.3 * y[0])
+        u = lambda p: np.exp(0.3 * p[:, :1])
         a = decompose(u, plan, omega=2.0, delta=1e-5, dims=3,
                       n_samples=120, seed=13)
         b = decompose(u, plan, omega=2.0, delta=1e-5, dims=3,
@@ -294,20 +303,21 @@ class TestErrorDecomposition:
 
     def test_precomputed_pieces_give_same_answer(self):
         plan = small_plan()
-        u = lambda y: np.exp(0.3 * y[0] - 0.2 * y[1])
+        u = lambda p: np.exp(0.3 * p[:, :1] - 0.2 * p[:, 1:2])
         base = decompose(u, plan, omega=2.0, delta=1e-6, dims=3,
                          n_samples=80, seed=21)
-        gpts = plan.point_array(3)
-        vals = np.stack([np.atleast_1d(u(p)) for p in gpts])
+        vals = u(plan.point_array(3))
         surro = assemble_surrogate(plan, vals, 1e-6, 2.0)
         redo = error_decomposition(u, plan, omega=2.0, delta=1e-6, dims=3,
                                    n_samples=80, seed=21,
-                                   point_values=vals, surrogate=surro)
+                                   point_values=vals, surrogate=surro,
+                                   norm=np.linalg.norm)
         assert base == redo
 
     def test_vector_solutions_with_custom_norm(self):
         plan = small_plan()
-        u = lambda y: np.array([math.exp(0.2 * y[0]), math.sin(y[1])])
+        u = lambda p: np.stack([np.exp(0.2 * p[:, 0]), np.sin(p[:, 1])],
+                               axis=1)
         h = 0.1
         dec = decompose(u, plan, omega=2.0, delta=1e-5, dims=3,
                         n_samples=60, seed=4,
@@ -319,7 +329,7 @@ class TestErrorDecomposition:
         model = WeightModel(q=2 / 3, rho=[1.5, 2.5, 4.0], tail=(2.0, 2.0))
         plan = build_plan(1.0, model)
         assert plan.m_active == 0
-        u = lambda y: 2.5
+        u = lambda p: np.full((len(p), 1), 2.5)
         dec = decompose(u, plan, omega=4.0, delta=1e-3, dims=1,
                         n_samples=50, seed=1)
         assert dec.term2 == 0.0 and dec.term4 == 0.0
@@ -330,34 +340,36 @@ class TestErrorDecomposition:
         # the caller has solved the grid and compiled the surrogate;
         # the decomposition never builds either itself
         plan = small_plan()
-        u = lambda y: y[0]
-        vals = np.ones(plan.n_points)
+        u = lambda p: p[:, :1]
+        vals = np.ones((plan.n_points, 1))
         with pytest.raises(TypeError, match="surrogate"):
             error_decomposition(u, plan, 2.0, 1e-4, 3, 50, 0,
-                                point_values=vals)
+                                point_values=vals, norm=np.linalg.norm)
         with pytest.raises(TypeError, match="point_values"):
             error_decomposition(u, plan, 2.0, 1e-4, 3, 50, 0,
                                 surrogate=assemble_surrogate(plan, vals,
-                                                             1e-4, 2.0))
+                                                             1e-4, 2.0),
+                                norm=np.linalg.norm)
 
     def test_bad_arguments(self):
         plan = small_plan()
-        u = lambda y: y[0]
-        vals = np.ones(plan.n_points)
+        u = lambda p: p[:, :1]
+        vals = np.ones((plan.n_points, 1))
         surro = assemble_surrogate(plan, vals, 1e-4, 2.0)
         with pytest.raises(ValueError, match="dims"):
             error_decomposition(u, plan, omega=2.0, delta=1e-4, dims=1,
                                 n_samples=50, seed=0, point_values=vals,
-                                surrogate=surro)
+                                surrogate=surro, norm=np.linalg.norm)
         with pytest.raises(ValueError, match="omega"):
             error_decomposition(u, plan, omega=0.5, delta=1e-4, dims=3,
                                 n_samples=50, seed=0, point_values=vals,
-                                surrogate=surro)
-        with pytest.raises(ValueError, match="point_values"):
-            error_decomposition(u, plan, omega=2.0, delta=1e-4, dims=3,
-                                n_samples=50, seed=0,
-                                point_values=np.ones(plan.n_points + 1),
-                                surrogate=surro)
+                                surrogate=surro, norm=np.linalg.norm)
+        # a wrong row count, or a 1-D sample set that is not lifted
+        for bad in (np.ones((plan.n_points + 1, 1)), np.ones(plan.n_points)):
+            with pytest.raises(ValueError, match=r"\(n_points, k\)"):
+                error_decomposition(u, plan, omega=2.0, delta=1e-4, dims=3,
+                                    n_samples=50, seed=0, point_values=bad,
+                                    surrogate=surro, norm=np.linalg.norm)
 
 
 class TestRateFit:

@@ -199,14 +199,16 @@ class TestSparseInterpolate:
         w = WeightModel(q=1.0, rho=(5.0,))
         plan = build_plan(1.0, w)
         interp = sparse_interpolate(plan, lambda y: 3.25)
-        assert evaluate_interpolant(interp, np.array([0.7])) == pytest.approx(3.25)
+        got = evaluate_interpolant(interp, np.array([[0.7]]))
+        assert got.shape == (1, 1) and got[0, 0] == pytest.approx(3.25)
 
     def test_constant_reproduction(self):
         plan = two_dim_plan()
         interp = sparse_interpolate(plan, lambda y: -2.5)
         pts = np.random.default_rng(42).normal(size=(50, plan.m_active))
         np.testing.assert_allclose(
-            evaluate_interpolant(interp, pts), -2.5 * np.ones(50), rtol=1e-10)
+            evaluate_interpolant(interp, pts), -2.5 * np.ones((50, 1)),
+            rtol=1e-10)
 
     def test_reproduces_hermite_in_lambda(self):
         # I_Lambda H_s = H_s for every s in Lambda
@@ -221,7 +223,7 @@ class TestSparseInterpolate:
                 return out
 
             interp = sparse_interpolate(plan, v)
-            got = evaluate_interpolant(interp, pts)
+            got = evaluate_interpolant(interp, pts)[:, 0]
             want = np.array([v(p) for p in pts])
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() / scale < 1e-8
@@ -262,7 +264,7 @@ class TestSparseInterpolate:
 
         interp = sparse_interpolate(plan, v)
         pts = rng.normal(size=(20, 2))
-        got = evaluate_interpolant(interp, pts)
+        got = evaluate_interpolant(interp, pts)[:, 0]
 
         def tensor_interp(s, y):
             fams = {j: NodeFamily(d) for j, d in s.pairs}
@@ -331,6 +333,21 @@ class TestSparseInterpolate:
         interp = sparse_interpolate(plan, lambda y: 1.0)
         with pytest.raises(ValueError, match="coordinates"):
             evaluate_interpolant(interp, np.zeros((5, 1)))
+        # one point is a (1, d) batch, not a 1-D array
+        with pytest.raises(ValueError, match="coordinates"):
+            evaluate_interpolant(interp, np.zeros(2))
+
+    @pytest.mark.parametrize("build, rows", [
+        (lambda plan, n: SparseInterpolant.from_point_values(plan, np.ones(n)),
+         "n_points"),
+        (lambda plan, n: SparseInterpolant(plan, np.ones(n)), "n_triples")],
+        ids=["from_point_values", "constructor"])
+    def test_samples_must_be_a_table(self, build, rows):
+        # a 1-D sample set of the right length is not lifted to a column
+        plan = two_dim_plan()
+        n = getattr(plan, rows)
+        with pytest.raises(ValueError, match=rf"\({rows}, k\)"):
+            build(plan, n)
 
     def test_extra_dimensions_ignored(self):
         plan = two_dim_plan()

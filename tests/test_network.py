@@ -667,26 +667,30 @@ class TestComputeDelta:
         model = WeightModel(q=2.0 / 3.0, rho=[1e9], tail=(1e9, 2.0))
         plan = build_plan(4.0, model)
         assert plan.n_indices == 1
-        delta, info = compute_delta(plan, 1.0, return_info=True)
+        delta, info = compute_delta(plan, 1.0, fit_delta_K(plan.m1),
+                                    return_info=True)
         assert delta == 0.25
         assert info["K"] == 0.0
 
     def test_clamped_at_half(self):
         model = WeightModel(q=2.0 / 3.0, rho=[1e9], tail=(1e9, 2.0))
         plan = build_plan(1.0, model)
-        assert compute_delta(plan, 1.0) == 0.5
+        assert compute_delta(plan, 1.0, fit_delta_K(plan.m1)) == 0.5
 
     def test_monotone_in_xi_and_omega(self):
         model = WeightModel(q=2.0 / 3.0, rho=[1.5, 2.5, 4.0], tail=(2.0, 2.0))
-        d = [compute_delta(build_plan(xi, model), 2.0) for xi in (2.0, 8.0, 32.0)]
+        plans = [build_plan(xi, model) for xi in (2.0, 8.0, 32.0)]
+        d = [compute_delta(p, 2.0, fit_delta_K(p.m1)) for p in plans]
         assert d[0] > d[1] > d[2]
         plan = build_plan(8.0, model)
-        assert compute_delta(plan, 1.0) > compute_delta(plan, 16.0)
+        K = fit_delta_K(plan.m1)
+        assert compute_delta(plan, 1.0, K) > compute_delta(plan, 16.0, K)
 
     def test_floor_is_reported(self):
         model = WeightModel(q=2.0 / 3.0, rho=[1.5, 2.5, 4.0], tail=(2.0, 2.0))
         plan = build_plan(40.0, model)
-        delta, info = compute_delta(plan, 1e8, return_info=True)
+        delta, info = compute_delta(plan, 1e8, fit_delta_K(plan.m1),
+                                    return_info=True)
         assert delta == DELTA_FLOOR
         assert info["delta_requested"] < DELTA_FLOOR
 
@@ -699,7 +703,7 @@ class TestComputeDelta:
         model = WeightModel(q=2.0 / 3.0, rho=[1e9], tail=(1e9, 2.0))
         plan = build_plan(4.0, model)
         with pytest.raises(ValueError):
-            compute_delta(plan, 0.25)
+            compute_delta(plan, 0.25, fit_delta_K(plan.m1))
 
 
 def _gadget_bundle():
@@ -864,6 +868,9 @@ class TestBundlePool:
         (lambda d: _factor(d).append("phi0"), "pair"),
         (lambda d: d["monomials"].__setitem__(-1, []), "factor list"),
         (lambda d: d.update(input_dim=2.5), "input_dim"),
+        (lambda d: d.update(input_dim=2 ** 40), "input_dim"),
+        (lambda d: d.update(input_dim=2 ** 63), "input_dim"),
+        (lambda d: d.update(input_dim=10 ** 400), "input_dim"),
         (lambda d: d.pop("meta"), "meta"),
         (lambda d: d["meta"].pop("omega"), "omega"),
         (lambda d: d["meta"].update(omega=0.5), "omega"),
@@ -891,6 +898,7 @@ class TestBundlePool:
             "coordinate_fraction", "coordinate_bool", "coordinate_string",
             "coordinate_negative", "coordinate_past_input", "kind_unknown",
             "factor_not_pair", "factors_empty", "input_dim_fraction",
+            "input_dim_2_40", "input_dim_2_63", "input_dim_huge_int",
             "no_meta", "no_omega",
             "omega_below_1", "omega_nan", "omega_inf", "omega_bool",
             "omega_huge_int",
@@ -914,8 +922,8 @@ def _small_plan():
 def _small_bundle(delta):
     plan = _small_plan()
     if delta == "auto":
-        delta = compute_delta(plan, 2.0)
-    return assemble_surrogate(plan, np.ones(plan.n_points), delta, 2.0)[0]
+        delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
+    return assemble_surrogate(plan, np.ones((plan.n_points, 1)), delta, 2.0)[0]
 
 
 @pytest.mark.parametrize("delta, digest", [
@@ -975,12 +983,12 @@ class TestSurrogate:
     def test_agrees_with_truncated_interpolant(self):
         plan = _small_plan()
         omega = 2.0
-        delta = compute_delta(plan, omega)
+        delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         interp = sparse_interpolate(plan, lambda y: math.exp(0.3 * y[0]))
         by_point = np.empty((plan.n_points, 1))
         by_point[[t.point_ref for t in plan.triples]] = interp.values
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
-        bound = surrogate_bound(bundle, interp.values)
+        bound = surrogate_bound(bundle, interp.values, norm=np.linalg.norm)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-2 * math.sqrt(omega), 2 * math.sqrt(omega),
                         size=(300, plan.m_active))
@@ -989,7 +997,7 @@ class TestSurrogate:
 
     def test_bundle_shape(self):
         plan = _small_plan()
-        delta = compute_delta(plan, 2.0)
+        delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
         samples = np.ones((plan.n_points, 1))
         bundle, _ = assemble_surrogate(plan, samples, delta, 2.0)
         assert len(bundle) == plan.n_triples
@@ -1000,29 +1008,34 @@ class TestSurrogate:
 
     def test_single_point_and_extra_dims(self):
         plan = _small_plan()
-        delta = compute_delta(plan, 2.0)
-        samples = np.arange(float(plan.n_points))
+        delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
+        samples = np.arange(float(plan.n_points))[:, None]
         _, ev = assemble_surrogate(plan, samples, delta, 2.0)
         rng = np.random.default_rng(42)
-        y = rng.normal(size=plan.m_active + 5)
+        y = rng.normal(size=(1, plan.m_active + 5))
         single = ev(y)
-        batch = ev(np.stack([y, y]))
-        assert np.isscalar(single) or single.ndim == 0 or single.shape == ()
-        assert batch.shape == (2,)
-        assert batch[0] == single
+        batch = ev(np.vstack([y, y]))
+        assert single.shape == (1, 1)
+        assert batch.shape == (2, 1)
+        assert batch[0, 0] == single[0, 0]
+        # one point is a (1, d) batch, not a 1-D array
+        with pytest.raises(ValueError, match="coordinates"):
+            ev(y[0])
 
     def test_networks_ignore_samples(self):
         plan = _small_plan()
-        delta = compute_delta(plan, 2.0)
-        b1, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta, 2.0)
+        delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
+        b1, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)), delta,
+                                   2.0)
         b2, _ = assemble_surrogate(
-            plan, 13.7 * np.ones(plan.n_points), delta, 2.0)
+            plan, 13.7 * np.ones((plan.n_points, 1)), delta, 2.0)
         assert b1.W == b2.W and b1.L == b2.L
 
     def test_bundle_roundtrip(self):
         plan = _small_plan()
-        delta = compute_delta(plan, 2.0)
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta, 2.0)
+        delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
+        bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
+                                       delta, 2.0)
         back = bundle_from_dict(bundle_to_dict(bundle))
         assert back.W == bundle.W and back.L == bundle.L
         assert back.labels == bundle.labels
@@ -1037,7 +1050,7 @@ class TestSurrogate:
         # to the sign of zero (np.array_equal would not see it)
         plan = _small_plan()
         omega = 2.0
-        delta = compute_delta(plan, omega)
+        delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         rng = np.random.default_rng(42)
         by_point = rng.normal(size=(plan.n_points, 3))
         samples = by_point[[t.point_ref for t in plan.triples]]
@@ -1066,7 +1079,7 @@ class TestSurrogate:
             want.tobytes()
         assert ev(Y).tobytes() == want.tobytes()
         assert np.all(want[-200:] == 0.0)
-        assert ev(Y[0]).tobytes() == want[0].tobytes()
+        assert ev(Y[:1]).tobytes() == want[:1].tobytes()
 
         shared_hidden = sum(bundle.shared.widths[:-1])
         assert shared_hidden < sum(sum(net.widths[:-1])
@@ -1087,9 +1100,9 @@ class TestSurrogate:
         # (s-e, k) keys, which compile reuses
         plan = _small_plan()
         omega = 2.0
-        delta = compute_delta(plan, omega)
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta,
-                                       omega)
+        delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
+        bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
+                                       delta, omega)
         assert len({net.depth for net in bundle.networks}) > 1
         dim = max(plan.m_active, 1)
         first, repeats = {}, 0
@@ -1129,9 +1142,9 @@ class TestSurrogate:
         # and repeated triples
         plan = _small_plan()
         omega = 2.0
-        delta = compute_delta(plan, omega)
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta,
-                                       omega)
+        delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
+        bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
+                                       delta, omega)
         assert len({net.depth for net in bundle.networks}) > 1
         d = bundle_to_dict(bundle)
         compiled = {}
@@ -1177,7 +1190,7 @@ class TestSurrogate:
         # table; only bundle.networks builds member networks
         plan = _small_plan()
         omega = 2.0
-        delta = compute_delta(plan, omega)
+        delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         by_point = np.random.default_rng(42).normal(size=(plan.n_points, 2))
         samples = by_point[[t.point_ref for t in plan.triples]]
         signs = np.array([float(t.sign) for t in plan.triples])
@@ -1187,7 +1200,7 @@ class TestSurrogate:
 
         monkeypatch.setattr(network, "parallelize", refuse)
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
-        bound = surrogate_bound(bundle, samples)
+        bound = surrogate_bound(bundle, samples, norm=np.linalg.norm)
         W, L = bundle.W, bundle.L
         Y = np.random.default_rng(7).normal(size=(50, plan.m_active))
         got = ev(Y)
@@ -1209,21 +1222,21 @@ class TestSurrogate:
         # the view leaves the recipes in place, with unchanged results
         assert bundle.members == members
         assert (bundle.W, bundle.L) == (W, L)
-        assert surrogate_bound(bundle, samples) == bound
+        assert surrogate_bound(bundle, samples, norm=np.linalg.norm) == bound
         assert ev(Y).tobytes() == got.tobytes()
 
     def test_sizes_never_build_a_unit_table(self, monkeypatch):
         # W and L come from the recipes: compile, W, serialization,
         # reload and W again place nothing; only bundle.shared does
         plan = _small_plan()
-        delta = compute_delta(plan, 2.0)
+        delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
 
         def refuse(self, input_dim):
             raise AssertionError("unit table built")
 
         monkeypatch.setattr(network._UnitTable, "__init__", refuse)
-        bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta,
-                                       2.0)
+        bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
+                                       delta, 2.0)
         W, L = bundle.W, bundle.L
         back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
         assert (back.W, back.L) == (W, L)
@@ -1236,15 +1249,29 @@ class TestSurrogate:
 
     def test_wrong_sample_count_rejected(self):
         plan = _small_plan()
-        with pytest.raises(ValueError):
-            assemble_surrogate(plan, np.ones(plan.n_triples + 3), 1e-6, 2.0)
+        with pytest.raises(ValueError, match=r"\(n_points, k\)"):
+            assemble_surrogate(plan, np.ones((plan.n_triples + 3, 1)), 1e-6,
+                               2.0)
+        # a 1-D sample set of the right length is not lifted to a column
+        with pytest.raises(ValueError, match=r"\(n_points, k\)"):
+            assemble_surrogate(plan, np.ones(plan.n_points), 1e-6, 2.0)
+
+    def test_bound_needs_a_sample_table(self):
+        plan = _small_plan()
+        bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
+                                       1e-6, 2.0)
+        for samples in (np.ones(plan.n_triples),
+                        np.ones((plan.n_triples - 1, 1))):
+            with pytest.raises(ValueError, match=r"\(n_triples, k\)"):
+                surrogate_bound(bundle, samples, norm=np.linalg.norm)
 
     def test_samples_per_triple_rejected(self):
         # samples are read per unique grid point, never per triple
         plan = _small_plan()
         assert plan.n_triples != plan.n_points
         with pytest.raises(ValueError, match=f"n_points = {plan.n_points}"):
-            assemble_surrogate(plan, np.ones(plan.n_triples), 1e-6, 2.0)
+            assemble_surrogate(plan, np.ones((plan.n_triples, 1)), 1e-6,
+                               2.0)
 
     def test_mismatched_bundle_members_rejected(self):
         with pytest.raises(ValueError):
@@ -1267,8 +1294,8 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
                                       tail=(2.0, 2.0)))
     assume(plan.n_triples <= 150)
     if delta == "auto":
-        delta = compute_delta(plan, omega)
-    bundle, _ = assemble_surrogate(plan, np.ones(plan.n_points), delta,
+        delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
+    bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)), delta,
                                    omega)
     sizes = [(m.size, m.depth) for m in bundle.members]
     W, L = bundle.W, bundle.L
