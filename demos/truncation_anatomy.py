@@ -26,8 +26,8 @@ def main():
     m = plan.m_active
     dims = m + 4
     problem = LognormalProblem(63, psi=sine_family(0.4, 2.0, dims))
-    u_ref = lambda pts: np.stack([fem_solve(problem, y) for y in pts])
-    norm = lambda v: solution_norm(v, problem.h)
+    u_ref = lambda pts: fem_solve(problem, pts)
+    norm = lambda table: solution_norm(table, problem.h)
 
     padded = np.zeros((plan.n_points, dims))
     padded[:, :m] = plan.point_array(m)

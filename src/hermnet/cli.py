@@ -6,9 +6,10 @@ artifact records a hash of the configuration that produced it, and
 later stages refuse inputs whose hash does not match.  Reruns are
 byte-identical apart from the wall_ms timing column.  --parallel N
 (N >= 1) spreads every FEM solve of a command, at the grid points and
-at the reference and truth sample points alike, over up to N forked
-workers, never more than points or usable CPUs, which inherit the
-problem; it changes wall time only, never output bytes.
+at the reference and truth sample points alike, in contiguous blocks of
+points over up to N forked workers, never more than points or usable
+CPUs, which inherit the problem; it changes wall time only, never
+output bytes.
 
 Every stage that reads an artifact goes through one reader, and every
 report row, from `evaluate` or `sweep`, is measured by one row
@@ -40,7 +41,13 @@ from .errors import (
     rate_fit,
     weighted_sup_error,
 )
-from .fem import LognormalProblem, fem_solve, sine_family, solution_norm
+from .fem import (
+    LognormalProblem,
+    block_rows,
+    fem_solve,
+    sine_family,
+    solution_norm,
+)
 from .indices import WeightModel, build_plan, plan_stats
 from .lagrange import SparseInterpolant
 from .network import (
@@ -343,31 +350,42 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-_WORKER_TASK = None  # (problem, restrict) the forked workers solve
+_WORKER_TASK = None  # (problem, pts, restrict) the forked workers solve
 
 
-def _solve_worker(row):
-    problem, restrict = _WORKER_TASK
-    return fem_solve(problem, row)[::restrict].copy()
+def _solve_worker(block):
+    problem, pts, restrict = _WORKER_TASK
+    start, stop = block
+    return fem_solve(problem, pts[start:stop])[:, ::restrict]
 
 
 def solve_at_points(problem, pts, parallel, restrict=1):
     """Every `restrict`-th node of the nodal solution vector at each row
-    of the 2-D array pts, one row each, in row order.  Each full
-    solution is dropped once restricted.
+    of the 2-D array pts, one row each, in row order.
 
-    With parallel > 1 the rows are solved by a pool of
-    min(parallel, rows, usable CPUs) forked workers, which inherit the
-    problem; one worker means a serial loop in this process."""
+    The rows are solved in contiguous blocks of at most
+    block_rows(problem) rows, and each block is restricted into the
+    output before the next is solved, so at most one block of full
+    solutions is held.  With parallel > 1 the blocks, at least one per
+    worker, are solved by a pool of min(parallel, rows, usable CPUs)
+    forked workers, which inherit the problem and the points; one worker
+    means a serial loop in this process."""
     global _WORKER_TASK
-    workers = min(parallel, pts.shape[0], _usable_cpus())
+    n = pts.shape[0]
+    workers = max(1, min(parallel, n, _usable_cpus()))
+    step = min(block_rows(problem), max(1, -(-n // workers)))
+    blocks = [(a, min(n, a + step)) for a in range(0, n, step)]
+    out = np.empty((n, len(range(0, problem.mesh_n + 2, restrict))))
     if workers > 1:
-        _WORKER_TASK = problem, restrict
+        _WORKER_TASK = problem, pts, restrict
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = pool.map(_solve_worker, list(pts))
+            solved = pool.map(_solve_worker, blocks)
     else:
-        rows = [fem_solve(problem, row)[::restrict].copy() for row in pts]
-    return np.stack(rows)
+        solved = (fem_solve(problem, pts[a:b])[:, ::restrict]
+                  for a, b in blocks)
+    for (a, b), rows in zip(blocks, solved):
+        out[a:b] = rows
+    return out
 
 
 class _SolutionCache:
@@ -418,7 +436,7 @@ def _eval_setup(cfg, model, args):
         coarse=_SolutionCache(problem, args.parallel),
         truth=_SolutionCache(build_problem(cfg, dims, factor=factor),
                              args.parallel, restrict=factor),
-        norm=lambda v: solution_norm(v, problem.h),
+        norm=lambda table: solution_norm(table, problem.h),
         n=cfg["mc"]["n_samples"],
         seed=args.seed if args.seed is not None else cfg["mc"]["seed"],
         omega_of=omega_of, delta_of=delta_of)

@@ -54,10 +54,6 @@ def _eval(fn, pts, name):
     return out
 
 
-def _row_norms(diff, norm):
-    return np.array([float(norm(row)) for row in diff])
-
-
 def _sqrt_mean(sq, scale=1.0):
     """(sqrt(scale * mean(sq)), delta-method standard error)."""
     n = sq.size
@@ -75,8 +71,9 @@ def mc_l2_error(truth, approx, dims, n_samples, seed, *, norm):
     points (n, dims) to an (n, k) table, with its standard error.
 
     Draws `n_samples` iid standard Gaussian points in `dims`
-    coordinates, forms norm(truth(y) - approx(y)) per point, and returns
-    the root mean square together with the delta-method standard error
+    coordinates and forms the table truth(y) - approx(y); `norm` maps
+    that (n, k) table to its n row norms.  Returns their root mean
+    square together with the delta-method standard error
     se(mean)/(2 sqrt(mean)).  Identical evaluators give exactly (0, 0).
     """
     if dims < 1:
@@ -85,14 +82,14 @@ def mc_l2_error(truth, approx, dims, n_samples, seed, *, norm):
         raise ValueError("need at least 2 samples")
     pts = rng_stream(seed, "l2/gamma").standard_normal((n_samples, dims))
     diff = _eval(truth, pts, "truth") - _eval(approx, pts, "approx")
-    sq = _row_norms(diff, norm) ** 2
-    return _sqrt_mean(sq)
+    return _sqrt_mean(norm(diff) ** 2)
 
 
 def weighted_sup_error(truth, approx, dims, n_samples, seed, *, omega,
                        norm):
     """Sampled lower bound for the sup of norm(truth - approx) * sqrt(g),
-    for batch evaluators that map points (n, dims) to (n, k) tables.
+    for batch evaluators that map points (n, dims) to (n, k) tables;
+    `norm` maps an (n, k) table to its n row norms.
 
     g is the dims-dimensional standard Gaussian density.  Half the
     probe points are Gaussian, half uniform over the box
@@ -113,7 +110,7 @@ def weighted_sup_error(truth, approx, dims, n_samples, seed, *, omega,
     b_pts = rng_stream(seed, "sup/box").uniform(-half, half, (n_box, dims))
     pts = np.vstack([g_pts, b_pts])
     diff = _eval(truth, pts, "truth") - _eval(approx, pts, "approx")
-    vals = _row_norms(diff, norm)
+    vals = norm(diff)
     log_weight = -0.25 * np.sum(pts * pts, axis=1) - 0.25 * dims * _LOG_2PI
     return float(np.max(vals * np.exp(log_weight)))
 
@@ -199,10 +196,6 @@ class ErrorDecomposition:
     def terms(self):
         return (self.term1, self.term2, self.term3, self.term4)
 
-    @property
-    def total(self):
-        return self.term1 + self.term2 + self.term3 + self.term4
-
 
 def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
                         point_values, surrogate, norm):
@@ -213,8 +206,9 @@ def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
     (n_points, k) table of its values at the plan's unique grid points,
     from which the interpolant is built, and `surrogate` is the
     (bundle, evaluator) pair assemble_surrogate compiled from them.
-    term3's certificate, delta * sum_t norm(sample_t) * coeff_sum_t, is
-    reported as `bound3`.
+    `norm` maps an (n, k) table to its n row norms.  term3's
+    certificate, delta * sum_t norm(sample_t) * coeff_sum_t, is reported
+    as `bound3`.
     """
     m = plan.m_active
     if dims < max(m, 1):
@@ -232,13 +226,13 @@ def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
         (n_samples, dims))
     diff1 = _eval(u_ref, gamma_pts, "u_ref") \
         - _eval(interp, gamma_pts, "interpolant")
-    term1, stderr1 = _sqrt_mean(_row_norms(diff1, norm) ** 2)
+    term1, stderr1 = _sqrt_mean(norm(diff1) ** 2)
 
     p_in, p_out = box_probability(omega, m)
     if m == 0:
         zero = np.zeros((1, 1))
         gap = _eval(interp, zero, "interpolant") - _eval(net, zero, "network")
-        term3 = float(_row_norms(gap, norm)[0])
+        term3 = float(norm(gap)[0])
         term2 = term4 = stderr2 = stderr3 = stderr4 = 0.0
     else:
         half = 2.0 * math.sqrt(omega)
@@ -247,14 +241,12 @@ def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
         out_pts = _sample_outside(
             rng_stream(seed, "decomp/outside"), n_samples, m, half)
         interp_out = _eval(interp, out_pts, "interpolant")
-        term2, stderr2 = _sqrt_mean(
-            _row_norms(interp_out, norm) ** 2, scale=p_out)
+        term2, stderr2 = _sqrt_mean(norm(interp_out) ** 2, scale=p_out)
         gap = _eval(interp, in_pts, "interpolant") \
             - _eval(net, in_pts, "network")
-        term3, stderr3 = _sqrt_mean(_row_norms(gap, norm) ** 2, scale=p_in)
+        term3, stderr3 = _sqrt_mean(norm(gap) ** 2, scale=p_in)
         net_out = _eval(net, out_pts, "network")
-        term4, stderr4 = _sqrt_mean(
-            _row_norms(net_out, norm) ** 2, scale=p_out)
+        term4, stderr4 = _sqrt_mean(norm(net_out) ** 2, scale=p_out)
 
     return ErrorDecomposition(
         term1=term1, stderr1=stderr1, term2=term2, stderr2=stderr2,

@@ -64,12 +64,6 @@ class MultiIndex:
     def max_coord(self):
         return max((j for j, _ in self.pairs), default=0)
 
-    def degree(self, j):
-        for jj, s in self.pairs:
-            if jj == j:
-                return s
-        return 0
-
     def dense(self, dims=None):
         """Dense degree vector of length dims (default: max coordinate)."""
         n = self.max_coord if dims is None else dims
@@ -82,9 +76,6 @@ class MultiIndex:
     def sort_key(self):
         """Canonical order: total degree, then lexicographic dense prefix."""
         return (self.total_degree, tuple(self.dense()))
-
-    def __le__(self, other):
-        return all(s <= other.degree(j) for j, s in self.pairs)
 
     def subtract_mask(self, mask):
         """Subtract a binary mask given per support coordinate."""

@@ -29,11 +29,12 @@ its monomials' sizes and output rows, so W and L come from the recipes
 alone and are those of the per-triple networks, which
 `NetworkBundle.networks` builds through parallelize only when read.
 The unit table (_UnitTable) of the shared network is built only when a
-bundle is evaluated: `NetworkBundle.shared` hash-conses each distinct
-recipe's hidden rows into it once and takes the recipe's output row
-over it, as parallelize would build it but without identity carries: a
-unit may read any earlier unit, so a shorter monomial's sigma pair is
-read where it is made (a carried unit computes the same float).  W and
+bundle is evaluated: `NetworkBundle.shared` hash-conses the hidden rows
+of every distinct recipe into it, by blocks of rows, and takes each
+recipe's output row over it, as parallelize would build it but without
+identity carries: a unit may read any earlier unit, so a shorter
+monomial's sigma pair is read where it is made (a carried unit computes
+the same float).  W and
 L still count the carries, as the paper's size does.  The bundle
 artifact (format 4) stores no layers: each distinct monomial is its
 factor list, which depends only on the triples, and each member is its
@@ -632,78 +633,133 @@ def concatenate(first, second):
 # compilation of collocation triples
 
 class _UnitTable:
-    """Each distinct hidden unit once, over `input_dim` inputs.
+    """Each distinct hidden unit of some recipes once, over `input_dim`
+    inputs, hash-consed by row blocks.
 
-    A unit is keyed on its canonical input columns in stored order, its
-    weight bytes and its bias bits (so a -0.0 bias stays distinct);
-    equal keys over equal inputs compute equal floats.  A unit sits one
-    layer above its deepest input.  Canonical columns number the inputs
-    first, then the units in the order they were first seen.
+    The rows placed are each distinct monomial's hidden rows and, for a
+    monomial shorter than its recipe, the sigma(v), sigma(-v) pair of
+    its output row v, in the order the recipes name them.  A row is
+    keyed on the units its entries read, in stored order, its weight
+    bits and its bias bits (so a -0.0 bias stays distinct); equal keys
+    over equal inputs compute equal floats.  A block is every row at
+    one layer index of its monomial (a pair sits at its monomial's
+    depth) with one entry count; a row reads only rows of earlier
+    blocks, so each block is keyed in one pass over its columns,
+    weights and biases.  Canonical columns number the inputs first,
+    then the units in the order of their first row; a unit sits one
+    layer above its deepest input.
 
     Only evaluation needs one: `NetworkBundle.shared` builds it, and
     sizes never read it (see _Recipe).
     """
 
-    def __init__(self, input_dim):
-        self.input_dim = input_dim
-        self._uid = {}
-        self._layer = [0] * input_dim  # layer of each canonical column
-        self._rows = []                # by canonical column - input_dim
-        self._canon = {}               # hidden layers -> canonical columns
+    def __init__(self, input_dim, recipes):
+        d = self.input_dim = input_dim
+        # the layers of rows in placing order, each with its step and the
+        # row its monomial's rows start at; row i is column d + i, and a
+        # hidden column c of a monomial whose rows start at row `base` is
+        # column c + base
+        self._base, self._pair = {}, {}
+        layers, steps, bases = [], [], []
+        n = 0
+        for recipe in recipes:
+            for net in recipe.monos:
+                if id(net) not in self._base:
+                    hidden = net.layers[:-1]
+                    self._base[id(net)] = n
+                    layers += hidden
+                    steps += range(1, net.depth)
+                    bases += [n] * len(hidden)
+                    n += sum(net.widths[:-1])
+                if net.depth < recipe.depth and id(net) not in self._pair:
+                    out = net.layers[-1]  # one row
+                    self._pair[id(net)] = n
+                    layers.append(_Layer(np.tile(out.counts, 2),
+                                         np.tile(out.cols, 2),
+                                         np.concatenate([out.wts, -out.wts]),
+                                         np.concatenate([out.bias,
+                                                         -out.bias])))
+                    steps.append(net.depth)
+                    bases.append(self._base[id(net)])
+                    n += 2
+        widths = [len(layer.counts) for layer in layers]
+        self._counts = counts = np.concatenate([x.counts for x in layers])
+        cols = np.concatenate([x.cols for x in layers])
+        base = np.repeat(np.repeat(bases, widths), counts)
+        self._cols = cols = np.where(cols < d, cols, cols + base)
+        self._wts = np.concatenate([x.wts for x in layers])
+        self._bias = np.concatenate([x.bias for x in layers])
+        self._start = start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=start[1:])
 
-    def unit(self, ids, wts, bias):
-        """Canonical column of sigma(wts . z[ids] + bias), ids canonical."""
-        return self._unit((ids.tobytes(), wts.tobytes(), bias.hex()), ids,
-                          wts, bias)
+        # the class of a column is the column of the row that first gave
+        # its key: the classes its entries read, its weight bits and its
+        # bias bits.  A block holds the rows of one step and one entry
+        # count, and every entry of a block reads an earlier block.
+        cls = np.arange(d + n)
+        self._layer = np.zeros(d + n, dtype=np.int64)
+        bits = self._wts.view(np.int64)
+        bias_bits = self._bias.view(np.int64)[:, None]
+        keys = {}
+        step = np.repeat(steps, widths)
+        order = np.lexsort((counts, step))
+        cuts = np.flatnonzero(np.diff(step[order]) | np.diff(counts[order]))
+        for rows in np.split(order, cuts + 1):
+            at = start[rows, None] + np.arange(counts[rows[0]])
+            ids = cls[cols[at]]
+            found = _hash_cons(keys, np.concatenate(
+                [ids, bits[at], bias_bits[rows]], axis=1), rows + d)
+            self._layer[found] = 1 + self._layer[ids].max(axis=1, initial=0)
+            cls[rows + d] = found
 
-    def _unit(self, key, ids, wts, bias):
-        uid = self._uid.get(key)
-        if uid is None:
-            uid = self._uid[key] = len(self._layer)
-            self._layer.append(1 + max(
-                map(self._layer.__getitem__, ids.tolist()), default=0))
-            self._rows.append((ids, wts, bias))
-        return uid
+        classes, first = np.unique(cls[d:], return_index=True)
+        self._units = classes[np.argsort(first)]
+        uid = np.arange(d + n)
+        uid[self._units] = np.arange(d, d + len(self._units))
+        self._canon = uid[cls]  # canonical column of every column
 
-    def intern(self, net):
-        """Canonical column of each input and hidden column of net, its
-        hidden rows interned.  A network whose hidden layers are objects
-        already interned (a monomial shared by several recipes) reuses
-        their columns.  Row keys are cut from each layer's bytes."""
-        hidden = tuple(net.layers[:-1])
-        canon = self._canon.get(hidden)
-        if canon is None:
-            canon = np.arange(self.input_dim + sum(net.widths[:-1]),
-                              dtype=np.int64)
-            col = self.input_dim
-            for layer in hidden:
-                ids, wts = canon[layer.cols], layer.wts
-                id_bytes, wt_bytes = ids.tobytes(), wts.tobytes()
-                ends = np.cumsum(layer.counts).tolist()
-                uids = [self._unit((id_bytes[8 * a:8 * b],
-                                    wt_bytes[8 * a:8 * b], bias.hex()),
-                                   ids[a:b], wts[a:b], bias)
-                        for a, b, bias in zip([0] + ends[:-1], ends,
-                                              layer.bias.tolist())]
-                canon[col: col + len(uids)] = uids
-                col += len(uids)
-            self._canon[hidden] = canon
-        return canon
+    def columns(self, net, cols):
+        """Canonical columns of the columns `cols` of a placed monomial."""
+        cols = np.where(cols < self.input_dim, cols,
+                        cols + self._base[id(net)])
+        return self._canon[cols]
+
+    def pair(self, net):
+        """Canonical columns of the sigma(v), sigma(-v) pair placed for
+        the output row v of a monomial shorter than its recipe."""
+        return self._canon[self.input_dim + self._pair[id(net)]
+                           + np.arange(2)]
 
     def network(self, out_rows):
         """The units as hidden layers, grouped by layer in first-seen
         order, under one output row per (columns, weights, bias)."""
-        d = self.input_dim
-        order = sorted(range(d, len(self._layer)),
-                       key=self._layer.__getitem__)
-        new_col = np.arange(len(self._layer), dtype=np.int64)
-        new_col[order] = np.arange(d, len(self._layer))
-        layers = []
-        for _, group in itertools.groupby(order, key=self._layer.__getitem__):
-            layers.append(_moved_layer(new_col,
-                                       [self._rows[u - d] for u in group]))
+        d, units = self.input_dim, self._units
+        unit_layer = self._layer[units]
+        by_layer = np.argsort(unit_layer, kind="stable")
+        new_col = np.arange(d + len(units))
+        new_col[d + by_layer] = np.arange(d, d + len(units))
+        rows = units[by_layer] - d  # the row that keyed each unit
+        counts = self._counts[rows]
+        ends = np.cumsum(counts)
+        at = np.repeat(self._start[rows] - ends + counts, counts) \
+            + np.arange(int(counts.sum()))
+        cols = new_col[self._canon[self._cols[at]]]
+        cuts = np.cumsum(np.bincount(unit_layer)[1:])[:-1]
+        layers = [_Layer(*parts) for parts in zip(
+            np.split(counts, cuts), np.split(cols, ends[cuts - 1]),
+            np.split(self._wts[at], ends[cuts - 1]),
+            np.split(self._bias[rows], cuts))]
         layers.append(_moved_layer(new_col, out_rows))
         return ReluNetwork(d, layers, {"kind": "shared"})
+
+
+def _hash_cons(table, keys, ids):
+    """For each row of the int64 matrix `keys`, the id `table` holds for
+    an equal row, which is ids[i] for a row i that it did not hold."""
+    rows = np.ascontiguousarray(keys).view(
+        np.dtype((np.void, 8 * keys.shape[1]))).ravel().tolist()
+    return np.fromiter(map(table.setdefault, rows, ids.tolist()),
+                       dtype=np.int64, count=len(rows))
 
 
 def _moved_layer(new_col, rows):
@@ -764,8 +820,7 @@ class _Recipe:
 
     def row(self, table):
         """The output row parallelize gives the network, as (columns,
-        weights, bias) over `table`, with the monomials' hidden rows
-        placed in it.
+        weights, bias) over `table`, where the recipe is placed.
 
         It takes (c, w * lambda_j) from each full-depth monomial and
         (lambda_j, -lambda_j) on the sigma(v), sigma(-v) pair of each
@@ -780,20 +835,16 @@ class _Recipe:
         top = self.depth - 1
         layers, pieces, bias = [], [], 0.0
         for net, lam in zip(self.monos, self.lams):
-            canon = table.intern(net)
             out = net.layers[-1]
             cols, wts, b = out.cols, out.wts, out.bias.tolist()[0]
             if net.depth == self.depth:
-                pieces.append((canon[cols], wts * lam))
+                pieces.append((table.columns(net, cols), wts * lam))
                 bias += lam * b
                 starts = itertools.accumulate(net.widths[:-1],
                                               initial=net.input_dim)
                 layers.append(bisect.bisect_right(list(starts), cols[0]))
             else:
-                ids = canon[cols]
-                pieces.append((np.array([table.unit(ids, wts, b),
-                                         table.unit(ids, -wts, -b)]),
-                               np.array([lam, -lam])))
+                pieces.append((table.pair(net), np.array([lam, -lam])))
                 layers.append(top)
         order = sorted(range(len(pieces)), key=layers.__getitem__)
         cols = np.concatenate([pieces[i][0] for i in order])
@@ -961,10 +1012,9 @@ class NetworkBundle:
         canonical numbering.  No unit is an identity carry (see
         _Recipe.row); W and L count the carries all the same.
         """
-        table, rows = _UnitTable(self.input_dim), {}
-        for m in self.members:
-            if id(m) not in rows:
-                rows[id(m)] = m.row(table)
+        recipes = list({id(m): m for m in self.members}.values())
+        table = _UnitTable(self.input_dim, recipes)
+        rows = {id(m): m.row(table) for m in recipes}
         return table.network([rows[id(m)] for m in self.members])
 
 
@@ -1033,15 +1083,16 @@ def assemble_surrogate(plan, samples, delta, omega):
 
 def surrogate_bound(bundle, samples, *, norm):
     """Certificate for the surrogate-vs-interpolant gap on the box:
-    delta * sum_t norm(samples[t]) * coeff_abs_sum_t, with `samples` an
-    (n_triples, k) table holding member t's sample in row t.
+    delta * sum_t norm(samples)[t] * coeff_abs_sum_t, with `samples` an
+    (n_triples, k) table holding member t's sample in row t and `norm`
+    mapping it to its n_triples row norms.  The terms are added in t
+    order.
     """
-    samples = as_table(samples, len(bundle), "n_triples")
-    delta = bundle.meta.get("delta")
+    norms = norm(as_table(samples, len(bundle), "n_triples")).tolist()
     total = 0.0
-    for t, member in enumerate(bundle.members):
-        total += norm(samples[t]) * member.meta["coeff_abs_sum"]
-    return delta * total
+    for n_t, member in zip(norms, bundle.members):
+        total += n_t * member.meta["coeff_abs_sum"]
+    return bundle.meta.get("delta") * total
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import hermnet.cli as cli
+import hermnet.fem as fem
 from hermnet.cli import (
     ConfigError,
     build_model,
@@ -337,8 +338,7 @@ class TestSolveCmd:
             for row in stored:
                 assert row.base is None and row.flags.owndata
                 assert row.shape == (cfg["problem"]["mesh_n"] + 2,)
-            want = [fem_solve(cache.problem, p)[::cache.restrict]
-                    for p in pts]
+            want = fem_solve(cache.problem, pts)[:, ::cache.restrict]
             np.testing.assert_array_equal(block, want)
             np.testing.assert_array_equal(one, stored[-1])
 
@@ -385,7 +385,7 @@ class TestParallelSolves:
         got = cli.solve_at_points(problem, pts, parallel)
         assert sizes == ([] if size is None else [size])
         assert kinds == ([] if size is None else ["fork"])
-        want = np.stack([fem_solve(problem, p) for p in pts])
+        want = fem_solve(problem, pts)
         assert got.tobytes() == want.tobytes()
 
     def test_workers_solve_the_given_problem(self, monkeypatch):
@@ -397,6 +397,24 @@ class TestParallelSolves:
         serial = cli.solve_at_points(problem, pts, 1)
         assert cli.solve_at_points(problem, pts, 2).tobytes() == \
             serial.tobytes()
+
+    @pytest.mark.parametrize("restrict", [1, 4])
+    def test_blocks_match_serial_bytes(self, monkeypatch, restrict):
+        # 3-row blocks, so 11 rows straddle several; two forked workers
+        # write each block's restricted rows in place
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        problem = _small_problem(0.4)
+        monkeypatch.setattr(fem, "_SOLVE_CELL_LIMIT",
+                            3 * (problem.mesh_n + 1))
+        assert fem.block_rows(problem) == 3
+        pts = np.random.default_rng(4).normal(size=(11, 3))
+        serial = cli.solve_at_points(problem, pts, 1, restrict)
+        assert serial.shape == (11, len(range(0, problem.mesh_n + 2,
+                                              restrict)))
+        assert cli.solve_at_points(problem, pts, 2, restrict).tobytes() == \
+            serial.tobytes()
+        assert serial.tobytes() == \
+            fem_solve(problem, pts)[:, ::restrict].tobytes()
 
 
     @pytest.mark.parametrize("mode, batches", [("interpolant", 2),

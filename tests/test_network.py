@@ -57,6 +57,11 @@ def layer_of_rows(rows, bias):
         np.concatenate([np.empty(0)] + [w for _, w in rows]), bias)
 
 
+def row_norms(table):
+    """The Euclidean norm of each row of a table."""
+    return np.linalg.norm(table, axis=1)
+
+
 def nnz(net):
     """Nonzero weights and biases over the layer arrays."""
     return sum(int(np.count_nonzero(layer.wts))
@@ -988,7 +993,7 @@ class TestSurrogate:
         by_point = np.empty((plan.n_points, 1))
         by_point[[t.point_ref for t in plan.triples]] = interp.values
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
-        bound = surrogate_bound(bundle, interp.values, norm=np.linalg.norm)
+        bound = surrogate_bound(bundle, interp.values, norm=row_norms)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-2 * math.sqrt(omega), 2 * math.sqrt(omega),
                         size=(300, plan.m_active))
@@ -1200,7 +1205,7 @@ class TestSurrogate:
 
         monkeypatch.setattr(network, "parallelize", refuse)
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
-        bound = surrogate_bound(bundle, samples, norm=np.linalg.norm)
+        bound = surrogate_bound(bundle, samples, norm=row_norms)
         W, L = bundle.W, bundle.L
         Y = np.random.default_rng(7).normal(size=(50, plan.m_active))
         got = ev(Y)
@@ -1222,7 +1227,7 @@ class TestSurrogate:
         # the view leaves the recipes in place, with unchanged results
         assert bundle.members == members
         assert (bundle.W, bundle.L) == (W, L)
-        assert surrogate_bound(bundle, samples, norm=np.linalg.norm) == bound
+        assert surrogate_bound(bundle, samples, norm=row_norms) == bound
         assert ev(Y).tobytes() == got.tobytes()
 
     def test_sizes_never_build_a_unit_table(self, monkeypatch):
@@ -1231,7 +1236,7 @@ class TestSurrogate:
         plan = _small_plan()
         delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
 
-        def refuse(self, input_dim):
+        def refuse(self, input_dim, recipes):
             raise AssertionError("unit table built")
 
         monkeypatch.setattr(network._UnitTable, "__init__", refuse)
@@ -1263,7 +1268,7 @@ class TestSurrogate:
         for samples in (np.ones(plan.n_triples),
                         np.ones((plan.n_triples - 1, 1))):
             with pytest.raises(ValueError, match=r"\(n_triples, k\)"):
-                surrogate_bound(bundle, samples, norm=np.linalg.norm)
+                surrogate_bound(bundle, samples, norm=row_norms)
 
     def test_samples_per_triple_rejected(self):
         # samples are read per unique grid point, never per triple
@@ -1357,7 +1362,7 @@ def test_recipe_matches_parallelize(factors, lams, delta, repeat):
     assert (recipe.size, recipe.depth) == (net.size, net.depth) == \
         (nnz(net), net.depth)
 
-    table = network._UnitTable(2)
+    table = network._UnitTable(2, [recipe])
     cols, wts, bias = recipe.row(table)
     out = net.layers[-1]
     assert wts.tobytes() == out.wts.tobytes()
