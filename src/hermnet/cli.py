@@ -22,6 +22,7 @@ malformed or stale artifact, 3 numeric failure during a run.
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -392,24 +393,33 @@ class _SolutionCache:
     """Memoized batch map of a fixed problem: points (n, d) -> the
     table of their nodal values, every `restrict`-th node.
 
-    The rows not yet cached are solved together through solve_at_points
-    with `parallel` workers.  Each entry is a copy, so it does not keep
-    the whole solved block alive."""
+    A call keys its rows once, by their bytes.  The distinct rows not
+    yet cached are solved together through solve_at_points with
+    `parallel` workers and appended to one table, which holds only the
+    restricted nodes, and the output is one gather from it."""
 
     def __init__(self, problem, parallel, restrict=1):
         self.problem = problem
         self.parallel = parallel
         self.restrict = restrict
-        self._store = {}
+        self._row = {}  # point bytes -> its row of the table
+        self._table = None
 
     def __call__(self, pts):
-        fresh = [r for r in pts if r.tobytes() not in self._store]
+        pts = np.ascontiguousarray(pts, dtype=float)
+        keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1]))
+                        ).ravel().tolist()
+        fresh = list(dict.fromkeys(
+            itertools.filterfalse(self._row.__contains__, keys)))
         if fresh:
-            solved = solve_at_points(self.problem, np.stack(fresh),
-                                     self.parallel, self.restrict)
-            for r, v in zip(fresh, solved):
-                self._store[r.tobytes()] = v.copy()
-        return np.stack([self._store[r.tobytes()] for r in pts])
+            solved = solve_at_points(
+                self.problem, np.frombuffer(b"".join(fresh)).reshape(
+                    len(fresh), pts.shape[1]), self.parallel, self.restrict)
+            self._row.update(zip(fresh, itertools.count(len(self._row))))
+            self._table = solved if self._table is None else np.concatenate(
+                [self._table, solved])
+        return self._table[np.fromiter(map(self._row.__getitem__, keys),
+                                       dtype=np.intp, count=len(keys))]
 
 
 # ---------------------------------------------------------------------------

@@ -138,16 +138,6 @@ class NodeFamily:
         """Node value for signed index k."""
         return float(self.nodes[self._by_index[k]])
 
-    def weight(self, k):
-        """Quadrature weight for signed index k."""
-        return float(self.weights[self._by_index[k]])
-
-    def __len__(self):
-        return self.order + 1
-
-    def __repr__(self):
-        return f"NodeFamily(order={self.order})"
-
 
 def hermite_tensor_eval(s, y):
     """Product of H_{s_j}(y_j) over the entries of a sparse multi-index.

@@ -83,12 +83,6 @@ class MultiIndex:
             raise ValueError("mask length must match support size")
         return MultiIndex(tuple((j, s - b) for (j, s), b in zip(self.pairs, mask)))
 
-    def __repr__(self):
-        if not self.pairs:
-            return "MultiIndex(0)"
-        body = ",".join(f"{j}:{s}" for j, s in self.pairs)
-        return f"MultiIndex({body})"
-
 
 @dataclass(frozen=True)
 class WeightModel:
@@ -275,7 +269,8 @@ class Triple:
 
     s_ref/point_ref are positions in the plan's index and point tables;
     e_mask has one bit per support coordinate of s; k holds the signed
-    node indices per coordinate of supp(s-e); sign = (-1)^{|e|_1}.
+    node indices per coordinate of supp(s-e); sign = (-1)^{|e|_1};
+    s_minus_e is s-e, shared by every triple of one (s, e).
     """
 
     s_ref: int
@@ -283,6 +278,7 @@ class Triple:
     k: tuple
     sign: int
     point_ref: int
+    s_minus_e: MultiIndex
 
 
 @dataclass
@@ -377,7 +373,7 @@ def build_plan(xi, model, cap=1_000_000):
                     if fam.node(k) != 0.0
                 )
                 ref = intern_point(pt)
-                triples.append(Triple(s_ref, mask, combo, sign, ref))
+                triples.append(Triple(s_ref, mask, combo, sign, ref, sme))
     # canonical order: index position, mask bits, then node combination
     triples.sort(key=lambda t: (t.s_ref, t.e_mask, t.k))
     plan.triples = triples

@@ -182,9 +182,7 @@ class SparseInterpolant:
 
         factors = np.ones((plan.n_triples, pts.shape[0]))
         for t_idx, t in enumerate(plan.triples):
-            s = plan.indices[t.s_ref]
-            sme = s.subtract_mask(t.e_mask)
-            for (j, d), k in zip(sme.pairs, t.k):
+            for (j, d), k in zip(t.s_minus_e.pairs, t.k):
                 fam = lagrange_coeffs(d).family
                 factors[t_idx] *= l_table(d, j)[fam.position(k)]
         return factors

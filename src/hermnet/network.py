@@ -20,29 +20,23 @@ evaluated through one shared network that holds each distinct unit once;
 identical rows over identical inputs give identical floats, so every
 member output is unchanged to the bit.
 
-A compile builds no per-triple network.  Each monomial gadget product
-is built once per compile, by _monomial, from its factor list; each
-distinct (s-e, k) keeps a recipe (_Recipe): its monomial networks, their
-coefficients lambda_j and its depth; an empty s-e is the one-monomial
-recipe of a plateau gadget.  A recipe counts its W when it is made, from
-its monomials' sizes and output rows, so W and L come from the recipes
-alone and are those of the per-triple networks, which
-`NetworkBundle.networks` builds through parallelize only when read.
-The unit table (_UnitTable) of the shared network is built only when a
-bundle is evaluated: `NetworkBundle.shared` hash-conses the hidden rows
-of every distinct recipe into it, by blocks of rows, and takes each
+A compile builds no network.  Each distinct (s-e, k) becomes a recipe:
+the factor tuples of its monomial gadget products and their
+coefficients lambda_j (an empty s-e gives the one-monomial recipe of a
+plateau gadget).  A bundle holds what its artifact (format 4) stores:
+each distinct monomial as its factors, each distinct recipe over
+monomial indices, and one recipe index per member.  A monomial is its
+_template, cached by factor pattern, moved to its coordinates, and W
+and L are counted from the templates (_Pool): those of the per-triple
+networks, which `NetworkBundle.networks` builds through parallelize
+only when read.  `NetworkBundle.shared` hash-conses the template rows
+of every recipe into one unit table (_UnitTable) and takes each
 recipe's output row over it, as parallelize would build it but without
-identity carries: a unit may read any earlier unit, so a shorter
-monomial's sigma pair is read where it is made (a carried unit computes
-the same float).  W and
-L still count the carries, as the paper's size does.  The bundle
-artifact (format 4) stores no layers: each distinct monomial is its
-factor list, which depends only on the triples, and each member is its
-recipe.  A reload rebuilds the monomials through the same _monomial,
-with the omega and delta of the bundle meta.  A layer is one CSR array
-triple (entries per row, columns, weights) and its biases; _NetBuilder,
-network algebra and the unit table move whole arrays (parallelize: one
-column gather per member net, one stable sort).
+identity carries: a shorter monomial's sigma pair is read where it is
+made (a carried unit computes the same float); W and L still count the
+carries, as the paper's size does.  A layer is one CSR array triple
+(entries per row, columns, weights) and its biases; _NetBuilder,
+network algebra and the unit table move whole arrays.
 
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
@@ -52,7 +46,6 @@ the compiler turning Lagrange monomial tables into per-triple recipes,
 and the accuracy parameter delta derived from a collocation plan.
 """
 
-import bisect
 import functools
 import itertools
 import json
@@ -71,7 +64,7 @@ from .lagrange import as_table, lagrange_coeffs
 _EVAL_CELL_LIMIT = 1 << 22
 
 # Layout of bundle_to_dict's output: 4 stores each member as its recipe
-# over monomial networks stored as their gadget factors.
+# over monomials stored as their gadget factors.
 BUNDLE_FORMAT = 4
 
 # Pointwise certificates below float64 evaluation noise are unverifiable;
@@ -632,63 +625,149 @@ def concatenate(first, second):
 # ---------------------------------------------------------------------------
 # compilation of collocation triples
 
-class _UnitTable:
-    """Each distinct hidden unit of some recipes once, over `input_dim`
-    inputs, hash-consed by row blocks.
+def _ranges(starts, counts):
+    """arange(s, s + c) for each start s and count c, end to end."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    return (np.repeat(np.asarray(starts, dtype=np.int64) - ends + counts,
+                      counts) + np.arange(ends[-1] if len(ends) else 0))
 
-    The rows placed are each distinct monomial's hidden rows and, for a
-    monomial shorter than its recipe, the sigma(v), sigma(-v) pair of
-    its output row v, in the order the recipes name them.  A row is
-    keyed on the units its entries read, in stored order, its weight
-    bits and its bias bits (so a -0.0 bias stays distinct); equal keys
-    over equal inputs compute equal floats.  A block is every row at
-    one layer index of its monomial (a pair sits at its monomial's
-    depth) with one entry count; a row reads only rows of earlier
-    blocks, so each block is keyed in one pass over its columns,
-    weights and biases.  Canonical columns number the inputs first,
-    then the units in the order of their first row; a unit sits one
-    layer above its deepest input.
 
-    Only evaluation needs one: `NetworkBundle.shared` builds it, and
-    sizes never read it (see _Recipe).
+class _Pool:
+    """A bundle's recipes as arrays over the _templates of its monomials.
+
+    Monomial i is template tid[i], its k[i] inputs moved to coordinates
+    coords[cstart[i]:][:k[i]].  One bank of CSR rows over template
+    columns (counts, start, cols, wts, bias, step) holds each template's
+    hidden rows from row first[t], at their layer index, then the
+    sigma(v), sigma(-v) pair of its output row v at row pair[t], at its
+    depth.  The pieces, the (monomial, lambda) entries of the recipes in
+    order, are `rec`, `mono` and `lam`; `full` marks those whose
+    monomial has its recipe's `depth`, and `bias_of` is each recipe's
+    output bias (their lambda_j times output bias, added in order).
     """
 
-    def __init__(self, input_dim, recipes):
+    def __init__(self, monomials, recipes, omega, delta):
+        patterns, tid, coords = {}, [], []
+        for factors in monomials:
+            pattern, cs = _pattern(factors)
+            tid.append(patterns.setdefault(pattern, len(patterns)))
+            coords += cs
+        nets = [_template(p, omega, delta) for p in patterns]
+        rows = []
+        for net in nets:
+            out = net.layers[-1]  # one row
+            rows += net.layers[:-1] + [_Layer(
+                np.tile(out.counts, 2), np.tile(out.cols, 2),
+                np.concatenate([out.wts, -out.wts]),
+                np.concatenate([out.bias, -out.bias]))]
+        self.counts, self.cols, self.wts, self.bias = (
+            np.concatenate([getattr(x, name) for x in rows])
+            for name in ("counts", "cols", "wts", "bias"))
+        self.start = np.cumsum(self.counts) - self.counts
+        self.step = np.concatenate([np.repeat(np.arange(1, net.depth + 1),
+                                              net.widths[:-1] + [2])
+                                    for net in nets])
+        self.hidden = np.array([sum(net.widths[:-1]) for net in nets])
+        self.first = np.cumsum(self.hidden + 2) - self.hidden - 2
+        self.pair = self.first + self.hidden
+        self.tdepth = np.array([net.depth for net in nets])
+        self.hidden_W = np.array([net.meta["W"] - net.layers[-1].extent()[1]
+                                  for net in nets])
+        self.nnz = np.array([np.count_nonzero(net.layers[-1].wts)
+                             for net in nets])
+        self.min_w = np.array([np.abs(w).min(initial=np.inf, where=w != 0.0)
+                               for w in (net.layers[-1].wts for net in nets)])
+        self.tid = np.array(tid, dtype=np.int64)
+        self.k = np.array([net.input_dim for net in nets])[self.tid]
+        self.cstart = np.cumsum(self.k) - self.k
+        self.coords = np.array(coords, dtype=np.int64)
+
+        self.rec = np.repeat(np.arange(len(recipes)),
+                             [len(refs) for refs, _, _ in recipes])
+        chain = itertools.chain.from_iterable
+        self.mono = np.fromiter(chain(r for r, _, _ in recipes), np.int64,
+                                len(self.rec))
+        self.lam = np.fromiter(chain(lams for _, lams, _ in recipes), float,
+                               len(self.rec))
+        t = self.tid[self.mono]
+        self.depth = np.zeros(len(recipes), dtype=np.int64)
+        np.maximum.at(self.depth, self.rec, self.tdepth[t])
+        self.full = self.tdepth[t] == self.depth[self.rec]
+        scaled = self.lam * self.bias[self.pair[t]]
+        self.bias_of = np.bincount(self.rec[self.full],
+                                   weights=scaled[self.full],
+                                   minlength=len(recipes))
+
+    def sizes(self):
+        """Each recipe's W as parallelize counts it: each monomial's
+        hidden weights; a full-depth monomial's output row scaled by
+        lambda_j (a product can underflow to zero); for a shorter one its
+        sigma pair, 4 carry weights per layer it is carried up and the
+        pair (lambda_j, -lambda_j); and the output bias."""
+        t = self.tid[self.mono]
+        out = self.pair[t]
+        # rounding is monotone: lambda_j times each nonzero weight of a
+        # row is nonzero unless it is zero for the smallest |weight|
+        scaled = np.where(self.lam * self.min_w[t] != 0.0, self.nnz[t], 0)
+        for i in np.flatnonzero((scaled == 0) & (self.lam != 0.0)):
+            a = self.start[out[i]]
+            scaled[i] = np.count_nonzero(
+                self.wts[a:a + self.counts[out[i]]] * self.lam[i])
+        carried = (2 * self.nnz[t] + 2 * (self.bias[out] != 0.0)
+                   + 4 * (self.depth[self.rec] - 1 - self.tdepth[t])
+                   + 2 * (self.lam != 0.0))
+        piece = self.hidden_W[t] + np.where(self.full, scaled, carried)
+        return (np.bincount(self.rec, weights=piece,
+                            minlength=len(self.depth)).astype(np.int64)
+                + (self.bias_of != 0.0))
+
+
+class _UnitTable:
+    """Each distinct hidden unit of a _Pool's recipes once, over
+    `input_dim` inputs, hash-consed by row blocks.
+
+    It places a monomial's template rows, moved to its coordinates,
+    where a piece first names it, and the sigma(v), sigma(-v) pair of
+    its output row v where a piece first names it in a deeper recipe.
+    A row is keyed on the units its entries read, in stored order, its
+    weight bits and its bias bits (so a -0.0 bias stays distinct); equal
+    keys over equal inputs compute equal floats.  A block, every row of
+    one step with one entry count, reads only earlier blocks, so it is
+    keyed in one pass.  Canonical columns number the inputs, then the
+    units in the order of their first row; a unit sits one layer above
+    its deepest input.  Only `NetworkBundle.shared` builds one.
+    """
+
+    def __init__(self, input_dim, pool):
         d = self.input_dim = input_dim
-        # the layers of rows in placing order, each with its step and the
-        # row its monomial's rows start at; row i is column d + i, and a
-        # hidden column c of a monomial whose rows start at row `base` is
-        # column c + base
-        self._base, self._pair = {}, {}
-        layers, steps, bases = [], [], []
-        n = 0
-        for recipe in recipes:
-            for net in recipe.monos:
-                if id(net) not in self._base:
-                    hidden = net.layers[:-1]
-                    self._base[id(net)] = n
-                    layers += hidden
-                    steps += range(1, net.depth)
-                    bases += [n] * len(hidden)
-                    n += sum(net.widths[:-1])
-                if net.depth < recipe.depth and id(net) not in self._pair:
-                    out = net.layers[-1]  # one row
-                    self._pair[id(net)] = n
-                    layers.append(_Layer(np.tile(out.counts, 2),
-                                         np.tile(out.cols, 2),
-                                         np.concatenate([out.wts, -out.wts]),
-                                         np.concatenate([out.bias,
-                                                         -out.bias])))
-                    steps.append(net.depth)
-                    bases.append(self._base[id(net)])
-                    n += 2
-        widths = [len(layer.counts) for layer in layers]
-        self._counts = counts = np.concatenate([x.counts for x in layers])
-        cols = np.concatenate([x.cols for x in layers])
-        base = np.repeat(np.repeat(bases, widths), counts)
-        self._cols = cols = np.where(cols < d, cols, cols + base)
-        self._wts = np.concatenate([x.wts for x in layers])
-        self._bias = np.concatenate([x.bias for x in layers])
+        self._pool = p = pool
+        # placings in piece order, hidden rows before a pair; row i: d + i
+        hidden = np.unique(p.mono, return_index=True)[1]
+        short = np.flatnonzero(~p.full)
+        pairs = short[np.unique(p.mono[short], return_index=True)[1]]
+        order = np.argsort(np.concatenate([2 * hidden, 2 * pairs + 1]))
+        mono = np.concatenate([p.mono[hidden], p.mono[pairs]])[order]
+        is_pair = (np.arange(len(order)) >= len(hidden))[order]
+        t = p.tid[mono]
+        n_rows = np.where(is_pair, 2, p.hidden[t])
+        col = d + np.cumsum(n_rows) - n_rows
+        # the column of each monomial's first hidden row and first pair row
+        self._base = np.zeros(len(p.tid), dtype=np.int64)
+        self._pair = np.zeros(len(p.tid), dtype=np.int64)
+        self._base[mono[~is_pair]] = col[~is_pair]
+        self._pair[mono[is_pair]] = col[is_pair]
+        rows = _ranges(np.where(is_pair, p.pair[t], p.first[t]), n_rows)
+        self._counts = counts = p.counts[rows]
+        entries = _ranges(p.start[rows], counts)
+        mono = np.repeat(np.repeat(mono, n_rows), counts)  # per entry
+        local, k = p.cols[entries], p.k[mono]
+        self._cols = cols = local - k + self._base[mono]
+        inputs = local < k
+        cols[inputs] = p.coords[p.cstart[mono[inputs]] + local[inputs]]
+        self._wts = p.wts[entries]
+        self._bias = p.bias[rows]
+        n = len(rows)
         self._start = start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=start[1:])
 
@@ -701,7 +780,7 @@ class _UnitTable:
         bits = self._wts.view(np.int64)
         bias_bits = self._bias.view(np.int64)[:, None]
         keys = {}
-        step = np.repeat(steps, widths)
+        step = p.step[rows]
         order = np.lexsort((counts, step))
         cuts = np.flatnonzero(np.diff(step[order]) | np.diff(counts[order]))
         for rows in np.split(order, cuts + 1):
@@ -718,21 +797,44 @@ class _UnitTable:
         uid[self._units] = np.arange(d, d + len(self._units))
         self._canon = uid[cls]  # canonical column of every column
 
-    def columns(self, net, cols):
-        """Canonical columns of the columns `cols` of a placed monomial."""
-        cols = np.where(cols < self.input_dim, cols,
-                        cols + self._base[id(net)])
-        return self._canon[cols]
+    def _output_rows(self):
+        """Each recipe's output row as CSR arrays (counts, canonical
+        columns, weights): the row parallelize gives its network.
 
-    def pair(self, net):
-        """Canonical columns of the sigma(v), sigma(-v) pair placed for
-        the output row v of a monomial shorter than its recipe."""
-        return self._canon[self.input_dim + self._pair[id(net)]
-                           + np.arange(2)]
+        It takes (c, w * lambda_j) from each full-depth monomial and
+        (lambda_j, -lambda_j) on the sigma pair of each shorter one's
+        output row, without zero weights, ordered as parallelize orders
+        them: by the hidden layer of the piece's first column (a shorter
+        pair is carried to the last one), then by piece.  The pair is
+        read uncarried: a carried unit sigma(sigma(v) - sigma(-v)) is
+        sigma(v) to the bit.  Output rows read only hidden units.
+        """
+        p = self._pool
+        t = p.tid[p.mono]
+        out = p.pair[t]
+        key = np.where(p.full,
+                       p.step[p.first[t] + p.cols[p.start[out]] - p.k[p.mono]],
+                       p.depth[p.rec] - 1)
+        order = np.lexsort((key, p.rec))
+        full, out, mono = p.full[order], out[order], p.mono[order]
+        n = np.where(full, p.counts[out], 2)
+        at = _ranges(np.where(full, p.start[out], 0), n)  # pair: 0, 1
+        cols = np.repeat(np.where(full, self._base[mono] - p.k[mono],
+                                  self._pair[mono]), n)
+        full = np.repeat(full, n)
+        cols += np.where(full, p.cols[at], at)
+        wts = np.repeat(p.lam[order], n) * np.where(full, p.wts[at],
+                                                     1.0 - 2.0 * at)
+        keep = wts != 0.0
+        return (np.bincount(np.repeat(p.rec[order], n)[keep],
+                            minlength=len(p.depth)),
+                self._canon[cols[keep]], wts[keep])
 
-    def network(self, out_rows):
+    def network(self, members):
         """The units as hidden layers, grouped by layer in first-seen
-        order, under one output row per (columns, weights, bias)."""
+        order, under one output row per member, its recipe's row
+        (members[t] indexes the recipes; see _output_rows)."""
+        out_counts, out_cols, out_wts = self._output_rows()
         d, units = self.input_dim, self._units
         unit_layer = self._layer[units]
         by_layer = np.argsort(unit_layer, kind="stable")
@@ -741,15 +843,17 @@ class _UnitTable:
         rows = units[by_layer] - d  # the row that keyed each unit
         counts = self._counts[rows]
         ends = np.cumsum(counts)
-        at = np.repeat(self._start[rows] - ends + counts, counts) \
-            + np.arange(int(counts.sum()))
+        at = _ranges(self._start[rows], counts)
         cols = new_col[self._canon[self._cols[at]]]
         cuts = np.cumsum(np.bincount(unit_layer)[1:])[:-1]
         layers = [_Layer(*parts) for parts in zip(
             np.split(counts, cuts), np.split(cols, ends[cuts - 1]),
             np.split(self._wts[at], ends[cuts - 1]),
             np.split(self._bias[rows], cuts))]
-        layers.append(_moved_layer(new_col, out_rows))
+        at = _ranges((np.cumsum(out_counts) - out_counts)[members],
+                     out_counts[members])
+        layers.append(_Layer(out_counts[members], new_col[out_cols[at]],
+                             out_wts[at], self._pool.bias_of[members]))
         return ReluNetwork(d, layers, {"kind": "shared"})
 
 
@@ -762,97 +866,6 @@ def _hash_cons(table, keys, ids):
                        dtype=np.int64, count=len(rows))
 
 
-def _moved_layer(new_col, rows):
-    """The (columns, weights, bias) rows as one layer, every column c
-    moved to new_col[c] in one take."""
-    ids = np.concatenate([np.empty(0, dtype=np.int64)]
-                         + [c for c, _, _ in rows])
-    return _Layer([len(c) for c, _, _ in rows], new_col[ids],
-                  np.concatenate([np.empty(0)] + [w for _, w, _ in rows]),
-                  [b for _, _, b in rows])
-
-
-class _Recipe:
-    """A distinct triple's network before it is built: its monomial
-    networks, their coefficients lambda_j and the meta the network gets.
-
-    `depth` is the deepest monomial's and `size` the W parallelize gives
-    the network, both counted here from the monomials alone: each
-    monomial's hidden weights; a full-depth monomial's output row scaled
-    by lambda_j (a product can underflow to zero); for a shorter one its
-    sigma pair, the 4 carry weights per layer it is carried up and the
-    pair (lambda_j, -lambda_j); and the output bias.  `row` places the
-    network in a _UnitTable without building it; `network` builds it
-    through parallelize, and nothing else does.
-    """
-
-    __slots__ = ("input_dim", "monos", "lams", "meta", "depth", "size",
-                 "_net")
-
-    def __init__(self, monos, lams, meta):
-        self.input_dim = monos[0].input_dim
-        self.monos, self.meta = monos, meta
-        self.lams = [float(c) for c in lams]
-        self.depth = max(net.depth for net in monos)
-        self._net = None
-        size, bias = 0, 0.0
-        for net, lam in zip(monos, self.lams):
-            out = net.layers[-1]  # one row
-            wts, b = out.wts, out.bias.tolist()[0]
-            size += net.meta["W"] - out.extent()[1]
-            if net.depth == self.depth:
-                size += int(np.count_nonzero(wts * lam))
-                bias += lam * b
-            else:
-                size += (2 * int(np.count_nonzero(wts)) + 2 * (b != 0.0)
-                         + 4 * (self.depth - 1 - net.depth) + 2 * (lam != 0.0))
-        self.size = size + (bias != 0.0)
-
-    def network(self, label):
-        """The network parallelize builds, labelled `label`.  It is
-        built once; each call gives a new network over its layers, so a
-        repeated triple shares them."""
-        if self._net is None:
-            self._net = parallelize(self.monos, self.lams)
-            self._net.meta.update(self.meta)
-        return ReluNetwork(self.input_dim, self._net.layers,
-                           dict(self._net.meta, label=label))
-
-    def row(self, table):
-        """The output row parallelize gives the network, as (columns,
-        weights, bias) over `table`, where the recipe is placed.
-
-        It takes (c, w * lambda_j) from each full-depth monomial and
-        (lambda_j, -lambda_j) on the sigma(v), sigma(-v) pair of each
-        shorter one's output row v, without zero weights, ordered as
-        parallelize's columns order them: by the hidden layer that holds
-        the piece's first column (parallelize carries a shorter pair to
-        the last one), then by monomial.  The pair is read uncarried,
-        since a carried unit sigma(sigma(v) - sigma(-v)) is sigma(v) to
-        the bit.  A monomial's output row reads only hidden units, sorted
-        by column.
-        """
-        top = self.depth - 1
-        layers, pieces, bias = [], [], 0.0
-        for net, lam in zip(self.monos, self.lams):
-            out = net.layers[-1]
-            cols, wts, b = out.cols, out.wts, out.bias.tolist()[0]
-            if net.depth == self.depth:
-                pieces.append((table.columns(net, cols), wts * lam))
-                bias += lam * b
-                starts = itertools.accumulate(net.widths[:-1],
-                                              initial=net.input_dim)
-                layers.append(bisect.bisect_right(list(starts), cols[0]))
-            else:
-                pieces.append((table.pair(net), np.array([lam, -lam])))
-                layers.append(top)
-        order = sorted(range(len(pieces)), key=layers.__getitem__)
-        cols = np.concatenate([pieces[i][0] for i in order])
-        wts = np.concatenate([pieces[i][1] for i in order])
-        keep = wts != 0.0
-        return cols[keep], wts[keep], bias
-
-
 def _check_omega_delta(omega, delta):
     """ValueError unless omega is finite and >= 1 and delta in (0, 1)."""
     # compared, not passed to math.isfinite, so an int beyond the double
@@ -863,25 +876,27 @@ def _check_omega_delta(omega, delta):
         raise ValueError(f"delta must lie in (0, 1), not {delta!r}")
 
 
-def _monomial(factors, omega, delta, dim):
-    """The truncated gadget product over `factors`, a tuple of
-    (0-based coordinate, "phi0" | "phi1") pairs, fed with
-    y / (4 sqrt(omega)), as a network over `dim` inputs.  Its meta keeps
-    the factors, which are all bundle_to_dict stores of it.
-
-    The network is its _template moved into place: template input i
-    becomes the i-th smallest coordinate and the units follow the `dim`
-    inputs.  That map is increasing, so every row keeps its sorted order
-    and the layers are those a direct build gives, to the byte.
-    """
+def _pattern(factors):
+    """(pattern, coordinates) of a tuple of (0-based coordinate, "phi0"
+    | "phi1") factors: pattern coordinate i is the i-th smallest one."""
     coords = sorted({c for c, _ in factors})
-    net = _template(tuple((coords.index(c), kind) for c, kind in factors),
-                    omega, delta)
+    return tuple((coords.index(c), kind) for c, kind in factors), coords
+
+
+def _monomial(factors, omega, delta, dim):
+    """The truncated gadget product over `factors` (see _pattern), fed
+    with y / (4 sqrt(omega)), as a network over `dim` inputs: its
+    _template with input i moved to the i-th smallest coordinate and the
+    units after the inputs.  That map is increasing, so every row keeps
+    its sorted order, as a direct build gives it, to the byte.  Only
+    `NetworkBundle.networks` builds one."""
+    pattern, coords = _pattern(factors)
+    net = _template(pattern, omega, delta)
     colmap = np.concatenate([coords,
                              np.arange(dim, dim + sum(net.widths[:-1]))])
     return ReluNetwork(dim, [_Layer(layer.counts, colmap[layer.cols],
                                     layer.wts, layer.bias)
-                             for layer in net.layers], {"factors": factors})
+                             for layer in net.layers])
 
 
 @functools.lru_cache(maxsize=256)
@@ -899,40 +914,30 @@ def _template(factors, omega, delta):
     return net
 
 
-def _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
-                    monomials):
-    """The _Recipe of one collocation triple's scalar network.
+def _compile_triple(s_minus_e, k, omega, delta, gate_coord):
+    """(terms, meta) of one collocation triple's scalar network, the
+    terms parallelized: one (gadget factors, lambda) pair per monomial.
 
     The target is the product of univariate cardinal polynomials of
     order (s-e)_j at signed node k_j.  Each monomial term l <= s-e
     becomes a truncated gadget product over the support of s-e (phi1
     repeated l_j times for l_j >= 1, one phi0 plateau factor for
-    l_j = 0), fed with y/(4*sqrt(omega)) and rescaled by
-    b_l * (4*sqrt(omega))^{|l|_1}; the terms are parallelized.  Every
-    support coordinate is gated, so the network is exactly zero as soon
-    as any |y_j| > 8*sqrt(omega).  When s-e = 0 the network is a single
-    plateau gadget on `gate_coord` (1-based) with unit coefficient.
-
-    meta["coeff_abs_sum"] records sum_l |b_l| (4*sqrt(omega))^{|l|_1},
-    the certificate weight of this triple: the network is within
-    delta * coeff_abs_sum of its polynomial on the plateau box.
-
-    Each monomial network comes from `monomials` (factor tuple ->
-    network) when there and is added when not.  The networks also
-    depend on omega, delta and the input dimension, so one dict serves
-    one compile."""
+    l_j = 0), fed with y/(4*sqrt(omega)), with lambda =
+    b_l * (4*sqrt(omega))^{|l|_1}.  Every support coordinate is gated,
+    so the network is exactly zero once any |y_j| > 8*sqrt(omega).  When
+    s-e = 0 it is one plateau gadget on `gate_coord` (1-based).
+    meta["coeff_abs_sum"], sum_l |lambda_l|, is the triple's certificate
+    weight: the network is within delta * coeff_abs_sum of its
+    polynomial on the plateau box.
+    """
     _check_omega_delta(omega, delta)
     pairs = s_minus_e.pairs
     if len(k) != len(pairs):
         raise ValueError("need one signed node index per support coordinate")
     scale = 4.0 * math.sqrt(omega)
-    coords = [j for j, _ in pairs]
-    dim = max([input_dim or 0, max(coords, default=0), gate_coord])
-    dim = max(dim, 1)
-
     tables = [lagrange_coeffs(m).coeffs(kk)
               for (_, m), kk in zip(pairs, k)]
-    terms = []  # (gadget factors, lambda) per monomial
+    terms = []
     for exps in itertools.product(*(range(m + 1) for _, m in pairs)):
         b_l = 1.0
         for tab, e in zip(tables, exps):
@@ -945,77 +950,84 @@ def _compile_triple(s_minus_e, k, omega, delta, input_dim, gate_coord,
                 factors.append((j - 1, "phi0"))
             else:
                 factors.extend([(j - 1, "phi1")] * e)
-        terms.append((tuple(factors), b_l * scale ** sum(exps)))
+        terms.append((tuple(factors), float(b_l * scale ** sum(exps))))
     if not pairs:  # s-e = 0: one plateau gadget on the gate coordinate
         terms = [(((gate_coord - 1, "phi0"),), 1.0)]
+    return terms, {"kind": "phi_triple", "delta": delta, "omega": omega,
+                   "coeff_abs_sum": float(np.sum(np.abs(
+                       [lam for _, lam in terms])))}
 
-    nets = []
-    for key, _ in terms:
-        if key not in monomials:
-            monomials[key] = _monomial(key, omega, delta, dim)
-        nets.append(monomials[key])
-    lams = [lam for _, lam in terms]
-    return _Recipe(nets, lams, {
-        "kind": "phi_triple", "delta": delta, "omega": omega,
-        "coeff_abs_sum": float(np.sum(np.abs(lams)))})
+
+def _recipe_index(recipes, index, refs, lams, meta):
+    """The position of the recipe (refs, lams, meta) in `recipes`,
+    appended when new; `index` maps each recipe's key to its position."""
+    key = (refs, np.array(lams).tobytes(), json.dumps(meta, sort_keys=True))
+    if key not in index:
+        index[key] = len(recipes)
+        recipes.append((refs, lams, meta))
+    return index[key]
 
 
 class NetworkBundle:
-    """Per-triple scalar networks sharing one input dimension.
-
-    `members` holds each triple's _Recipe (a repeated triple's recipe is
-    the same object).  W is the sum and L the maximum of the recipes'
-    sizes and depths, and the labels list is parallel to the members.
-    The members are merged only for evaluation, in `shared`, which W and
-    L do not count and which alone builds a _UnitTable.
+    """Per-triple scalar networks over one input dimension, held as
+    bundle_to_dict writes them: `monomials`, each distinct monomial's
+    factor tuple (see _pattern); `recipes`, each distinct (monomial
+    indices, lambdas, meta) in first-use order; and `members`, one
+    recipe index per triple, with `labels` parallel to it.  W is the sum
+    and L the maximum of the members' sizes and depths (_Pool.sizes).
+    The members are merged only for evaluation, in `shared`.
     """
 
-    def __init__(self, members, labels, meta=None):
+    def __init__(self, input_dim, monomials, recipes, members, labels, meta):
         if not members:
             raise ValueError("a bundle needs at least one member")
         if len(members) != len(labels):
-            raise ValueError("labels must be parallel to networks")
-        dims = {m.input_dim for m in members}
-        if len(dims) > 1:
-            raise ValueError("member networks disagree on input dimension")
-        self.members = list(members)
-        self.labels = list(labels)
-        self.input_dim = dims.pop()
-        self.meta = dict(meta or {})
+            raise ValueError("labels must be parallel to members")
+        self.input_dim, self.meta = input_dim, dict(meta)
+        self.monomials, self.recipes, self.members, self.labels = map(
+            list, (monomials, recipes, members, labels))
 
     def __len__(self):
         return len(self.members)
 
-    @property
-    def W(self):
-        return sum(m.size for m in self.members)
+    @functools.cached_property
+    def _pool(self):
+        return _Pool(self.monomials, self.recipes, self.meta["omega"],
+                     self.meta["delta"])
 
-    @property
+    @functools.cached_property
+    def W(self):
+        return int(self._pool.sizes()[self.members].sum())
+
+    @functools.cached_property
     def L(self):
-        return max((m.depth for m in self.members), default=0)
+        return int(self._pool.depth[self.members].max())
 
     @functools.cached_property
     def networks(self):
-        """The member networks as parallelize builds them, each under
-        its label: a view for inspection, built on first access.  It
-        never changes `members`, and evaluation does not read it."""
-        return [m.network(label)
-                for m, label in zip(self.members, self.labels)]
+        """The member networks as parallelize builds them from _monomial
+        networks, each under its label: a view for inspection, built on
+        first access.  A repeated recipe's networks share their layers.
+        Nothing else builds a monomial or member network."""
+        monos = [_monomial(f, self.meta["omega"], self.meta["delta"],
+                           self.input_dim) for f in self.monomials]
+        built = {}
+        for r in dict.fromkeys(self.members):
+            refs, lams, meta = self.recipes[r]
+            built[r] = parallelize([monos[i] for i in refs], lams)
+            built[r].meta.update(meta)
+        return [ReluNetwork(self.input_dim, built[r].layers,
+                            dict(built[r].meta, label=label))
+                for r, label in zip(self.members, self.labels)]
 
     @functools.cached_property
     def shared(self):
-        """One network whose output t is member t's output, bit for bit.
-
-        Each distinct hidden unit is held once (see _UnitTable), and the
-        final layer holds each member's output row.  Each distinct recipe
-        is placed in the one table once, in member order, which fixes the
-        canonical numbering.  No unit is an identity carry (see
-        _Recipe.row); W and L count the carries all the same.
+        """One network whose output t is member t's output, bit for bit:
+        each distinct hidden unit once (see _UnitTable), placed recipe by
+        recipe, and no identity carry, which W and L count all the same.
         """
-        recipes = list({id(m): m for m in self.members}.values())
-        table = _UnitTable(self.input_dim, recipes)
-        rows = {id(m): m.row(table) for m in recipes}
-        return table.network([rows[id(m)] for m in self.members])
+        return _UnitTable(self.input_dim, self._pool).network(
+            np.array(self.members))
 
 
 def surrogate_eval(bundle, signs, samples, pts):
@@ -1050,24 +1062,25 @@ def assemble_surrogate(plan, samples, delta, omega):
     samples = as_table(samples, plan.n_points, "n_points")[
         np.array([t.point_ref for t in plan.triples], dtype=int)]
     dim = max(plan.m_active, 1)
-    # each distinct triple and monomial is compiled once
-    built, monomials = {}, {}
-    members, labels, signs = [], [], []
+    # each distinct triple is compiled once, and each monomial and
+    # recipe is numbered where it is first used
+    monomials, recipes, index, built = {}, [], {}, {}
+    members, labels = [], []
     for t in plan.triples:
-        s = plan.indices[t.s_ref]
-        sme = s.subtract_mask(t.e_mask)
+        s, sme = plan.indices[t.s_ref], t.s_minus_e
         gate = min(s.support) if s.pairs else 1
-        label = {"s": [list(p) for p in s.pairs],
-                 "e": list(t.e_mask), "k": list(t.k)}
-        key = (sme.pairs, tuple(t.k), None if sme.pairs else gate)
+        key = (sme.pairs, t.k, None if sme.pairs else gate)
         if key not in built:
-            built[key] = _compile_triple(sme, t.k, omega, delta, dim, gate,
-                                         monomials)
+            terms, meta = _compile_triple(sme, t.k, omega, delta, gate)
+            refs = tuple(monomials.setdefault(f, len(monomials))
+                         for f, _ in terms)
+            built[key] = _recipe_index(recipes, index, refs,
+                                       [lam for _, lam in terms], meta)
         members.append(built[key])
-        labels.append(label)
-        signs.append(float(t.sign))
-    signs = np.asarray(signs)
-    bundle = NetworkBundle(members, labels, meta={
+        labels.append({"s": [list(p) for p in s.pairs],
+                       "e": list(t.e_mask), "k": list(t.k)})
+    signs = np.array([float(t.sign) for t in plan.triples])
+    bundle = NetworkBundle(dim, monomials, recipes, members, labels, meta={
         "xi": plan.xi, "delta": delta, "omega": omega,
         "n_triples": plan.n_triples})
 
@@ -1090,8 +1103,8 @@ def surrogate_bound(bundle, samples, *, norm):
     """
     norms = norm(as_table(samples, len(bundle), "n_triples")).tolist()
     total = 0.0
-    for n_t, member in zip(norms, bundle.members):
-        total += n_t * member.meta["coeff_abs_sum"]
+    for n_t, r in zip(norms, bundle.members):
+        total += n_t * bundle.recipes[r][2]["coeff_abs_sum"]
     return bundle.meta.get("delta") * total
 
 
@@ -1194,57 +1207,45 @@ def _factors(spec, dim):
     return tuple(factors)
 
 
-def _pick(items, refs, what):
-    """items[i] for each index in refs; ValueError for an empty list or
-    an index that is not an int naming an entry of items."""
-    bad = [i for i in refs if type(i) is not int or not 0 <= i < len(items)]
+def _indices(refs, n, what):
+    """refs as a tuple; ValueError for an empty list or an index that
+    is not an int naming one of the n stored entries."""
+    bad = [i for i in refs if type(i) is not int or not 0 <= i < n]
     if bad or not refs:
         raise ValueError(f"{what} list {refs!r} names no entry or one "
-                         f"outside the {len(items)} stored")
-    return [items[i] for i in refs]
+                         f"outside the {n} stored")
+    return tuple(refs)
 
 
 def bundle_to_dict(bundle):
-    """JSON-ready bundle in the layout BUNDLE_FORMAT names.
-
-    `monomials` holds each distinct monomial network once, in first-use
-    order, as its factor list [[coordinate, "phi0" | "phi1"], ...]; the
-    networks follow from the factors and the bundle meta's omega and
-    delta.  Each member of `networks` is its recipe: its monomials by
-    index, their lambdas and its meta.
-    """
-    monomials, mono_of, networks = [], {}, []
-    for member in bundle.members:
-        refs = []
-        for net in member.monos:
-            key = net.meta["factors"]
-            if key not in mono_of:
-                mono_of[key] = len(monomials)
-                monomials.append([list(f) for f in key])
-            refs.append(mono_of[key])
-        networks.append({"monomials": refs, "lambdas": list(member.lams),
-                         "meta": dict(member.meta)})
+    """JSON-ready bundle in the layout BUNDLE_FORMAT names: the bundle's
+    fields, copied.  `monomials` holds each factor tuple as a list
+    [[coordinate, "phi0" | "phi1"], ...] and each member of `networks`
+    its recipe: monomial indices, lambdas and meta."""
     return {"format": BUNDLE_FORMAT, "meta": dict(bundle.meta),
             "input_dim": bundle.input_dim, "W": bundle.W, "L": bundle.L,
-            "monomials": monomials, "networks": networks,
+            "monomials": [[list(f) for f in factors]
+                          for factors in bundle.monomials],
+            "networks": [{"monomials": list(refs), "lambdas": list(lams),
+                          "meta": dict(meta)}
+                         for refs, lams, meta in (bundle.recipes[r]
+                                                  for r in bundle.members)],
             "labels": bundle.labels}
 
 
 def bundle_from_dict(data):
-    """Rebuild a bundle written by bundle_to_dict.
+    """Rebuild a bundle written by bundle_to_dict, building no network.
 
-    Each monomial network is rebuilt from its factors (see _monomial)
-    with the omega and delta of the bundle meta, once, and every member
-    naming it shares it.  Members with equal monomials, lambdas and meta
-    share one _Recipe, as at compile.  Raises ValueError for another
-    format, a missing field, an omega or delta that is not a JSON number
-    (int or float; true would read as 1), that compile would refuse or
-    that is not finite, a malformed factor list (see _factors), an
-    input_dim other than 1 + the largest stored factor coordinate (what
-    compile writes), a monomial index that names no stored monomial, a
-    member without monomials, lambdas that are not finite JSON numbers
-    (see json_floats) or not one per monomial, or a stored W or L that
-    differs from the recount.
+    Members with equal monomials, lambdas and meta name one recipe, as
+    at compile.  Raises ValueError for another format, a missing field,
+    an omega or delta that is not a JSON number (int or float; true
+    would read as 1), that compile would refuse or that is not finite, a
+    malformed factor list (see _factors), an input_dim other than 1 +
+    the largest stored factor coordinate (what compile writes), a
+    monomial index naming no stored monomial, a member without
+    monomials, lambdas that are not finite JSON numbers (see
+    json_floats) or not one per monomial, or a stored W or L that
+    differs from the recount from the templates (_Pool.sizes).
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
@@ -1262,22 +1263,19 @@ def bundle_from_dict(data):
         if dim != 1 + max((c for f in factors for c, _ in f), default=0):
             raise ValueError(f"input_dim {dim} is not 1 + the largest "
                              "stored factor coordinate")
-        monos = [_monomial(f, omega, delta, dim) for f in factors]
-        recipes, members = {}, []
+        recipes, index, members = [], {}, []
         for spec in data["networks"]:
-            refs = spec["monomials"]
-            nets = _pick(monos, refs, "member monomial")
+            refs = _indices(spec["monomials"], len(factors),
+                            "member monomial")
             lams = json_floats(spec["lambdas"],
                                f"member {len(members)} lambdas")
-            if lams.shape != (len(nets),):
+            if lams.shape != (len(refs),):
                 raise ValueError(f"member {len(members)} has {lams.shape} "
-                                 f"lambdas for {len(nets)} monomials")
-            key = (tuple(refs), lams.tobytes(),
-                   json.dumps(spec["meta"], sort_keys=True))
-            if key not in recipes:
-                recipes[key] = _Recipe(nets, lams.tolist(), spec["meta"])
-            members.append(recipes[key])
-        bundle = NetworkBundle(members, data["labels"], meta=meta)
+                                 f"lambdas for {len(refs)} monomials")
+            members.append(_recipe_index(recipes, index, refs,
+                                         lams.tolist(), spec["meta"]))
+        bundle = NetworkBundle(dim, factors, recipes, members,
+                               data["labels"], meta)
         stored = (data["W"], data["L"])
     except KeyError as exc:
         raise ValueError(f"bundle lacks field {exc.args[0]!r}") from None

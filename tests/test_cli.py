@@ -333,14 +333,39 @@ class TestSolveCmd:
             pts = rng.normal(size=(3, ev.dims))
             block = cache(pts)
             (one,) = cache(rng.normal(size=(1, ev.dims)))
-            stored = list(cache._store.values())
-            assert len(stored) == 4
-            for row in stored:
-                assert row.base is None and row.flags.owndata
-                assert row.shape == (cfg["problem"]["mesh_n"] + 2,)
+            table = cache._table
+            assert table.base is None and table.flags.owndata
+            assert table.shape == (4, cfg["problem"]["mesh_n"] + 2)
             want = fem_solve(cache.problem, pts)[:, ::cache.restrict]
             np.testing.assert_array_equal(block, want)
-            np.testing.assert_array_equal(one, stored[-1])
+            np.testing.assert_array_equal(one, table[-1])
+
+    def test_each_distinct_row_is_solved_once(self, cfg_file, monkeypatch):
+        cfg = load_config(cfg_file)
+        ev = cli._eval_setup(cfg, build_model(cfg),
+                             SimpleNamespace(seed=None, parallel=1))
+        solved, solve = [], cli.solve_at_points
+
+        def recording(problem, pts, parallel, restrict=1):
+            solved.append(pts.tobytes())
+            return solve(problem, pts, parallel, restrict)
+
+        monkeypatch.setattr(cli, "solve_at_points", recording)
+        rng = np.random.default_rng(5)
+        a, b, c = rng.normal(size=(3, 1, ev.dims))
+        zero, neg_zero = np.zeros((1, ev.dims)), np.full((1, ev.dims), -0.0)
+        for cache in (ev.coarse, ev.truth):
+            solved.clear()
+            first = cache(np.vstack([a, b, a, zero, b]))
+            second = cache(np.vstack([c, b, neg_zero, c, a]))
+            # one batch per call, of its distinct rows not yet solved, in
+            # first-seen order; -0.0 is a point of its own
+            assert solved == [np.vstack([a, b, zero]).tobytes(),
+                              np.vstack([c, neg_zero]).tobytes()]
+            want = fem_solve(cache.problem, np.vstack(
+                [a, b, zero, c, neg_zero]))[:, ::cache.restrict]
+            assert first.tobytes() == want[[0, 1, 0, 2, 1]].tobytes()
+            assert second.tobytes() == want[[3, 1, 4, 3, 0]].tobytes()
 
 
 def _small_problem(c):

@@ -291,6 +291,19 @@ class TestBuildPlan:
                 expect *= (d - b + 1)
             assert n == expect
 
+    def test_triples_carry_s_minus_e(self):
+        # one s - e object per (s, e), shared by its node combinations
+        w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
+        plan = build_plan(26.0, w)
+        first = {}
+        for t in plan.triples:
+            sme = plan.indices[t.s_ref].subtract_mask(t.e_mask)
+            assert t.s_minus_e == sme
+            assert len(t.k) == len(sme.pairs)
+            assert first.setdefault((t.s_ref, t.e_mask), t.s_minus_e) \
+                is t.s_minus_e
+        assert len(first) < plan.n_triples
+
     def test_xi_below_one_raises(self):
         w = WeightModel(q=1.0, rho=(2.0,))
         with pytest.raises(ValueError):

@@ -8,8 +8,10 @@ against a dense all-earlier-columns matrix implementation.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,10 +80,17 @@ def gadget_product(kinds, delta):
 
 def phi_triple(s_minus_e, k, omega, delta, input_dim=None, gate_coord=1,
                label=None):
-    """One collocation triple's network as compile builds it, through
-    parallelize, labelled `label`."""
-    return network._compile_triple(s_minus_e, k, omega, delta, input_dim,
-                                   gate_coord, {}).network(label)
+    """One collocation triple's network as compile builds its terms:
+    their monomials through parallelize, labelled `label`, over
+    input_dim inputs or as few as its factors read."""
+    terms, meta = network._compile_triple(s_minus_e, k, omega, delta,
+                                          gate_coord)
+    dim = max(input_dim or 1, 1 + max(c for f, _ in terms for c, _ in f))
+    net = parallelize(
+        [network._monomial(f, omega, delta, dim) for f, _ in terms],
+        [lam for _, lam in terms])
+    net.meta.update(meta, label=label)
+    return net
 
 
 def dense_forward(net, pts):
@@ -715,34 +724,41 @@ def _gadget_bundle():
     """The phi0 and phi1 gadgets as one-factor monomials (omega 1, so
     the input scale is 1/4), each a one-monomial member of a bundle."""
     return NetworkBundle(
-        [network._Recipe([gadget_product([kind], 1e-3)], [1.0],
-                         {"coeff_abs_sum": 1.0})
-         for kind in ("phi0", "phi1")], ["phi0", "phi1"],
-        meta={"omega": 1.0, "delta": 1e-3})
+        1, [((0, "phi0"),), ((0, "phi1"),)],
+        [((i,), [1.0], {"coeff_abs_sum": 1.0}) for i in (0, 1)], [0, 1],
+        ["phi0", "phi1"], meta={"omega": 1.0, "delta": 1e-3})
 
 
 def _repeat_bundle():
-    """Members: a triple's recipe, the same triple compiled anew (equal
-    monomials, other objects), and the first recipe again (a repeated
-    triple)."""
-
-    def triple():
-        return network._compile_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5, None, 1, {})
-    first = triple()
-    return NetworkBundle([first, triple(), first], ["a", "b", "c"],
+    """Three members of one triple, each compiled anew and numbered as
+    compile numbers them: all three name one recipe."""
+    monomials, recipes, index, members = {}, [], {}, []
+    for _ in range(3):
+        terms, meta = network._compile_triple(
+            MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5, 1)
+        refs = tuple(monomials.setdefault(f, len(monomials))
+                     for f, _ in terms)
+        members.append(network._recipe_index(
+            recipes, index, refs, [lam for _, lam in terms], meta))
+    return NetworkBundle(2, monomials, recipes, members, ["a", "b", "c"],
                          meta={"omega": 2.0, "delta": 1e-5})
+
+
+def _monomials(bundle):
+    """Each of the bundle's monomials as a network, in stored order."""
+    return [network._monomial(f, bundle.meta["omega"], bundle.meta["delta"],
+                              bundle.input_dim) for f in bundle.monomials]
+
+
+def _member_sizes(bundle):
+    """Each member's (W, L), counted from the templates."""
+    pool = bundle._pool
+    sizes = pool.sizes()
+    return [(int(sizes[r]), int(pool.depth[r])) for r in bundle.members]
 
 
 def _roundtrip(bundle):
     return bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
-
-
-def _sharing(members):
-    """For each member, the index of the first member that is the same
-    object."""
-    first = {}
-    return [first.setdefault(id(m), i) for i, m in enumerate(members)]
 
 
 def _extreme_points(dim):
@@ -783,9 +799,9 @@ class TestSerialization:
         bundle = _gadget_bundle()
         back = _roundtrip(bundle)
         x = np.linspace(-9, 9, 301)[:, None]
-        for a, b, gadget in zip(bundle.members, back.members,
-                                (phi0_net(), phi1_net())):
-            (na,), (nb,) = a.monos, b.monos
+        assert back.monomials == bundle.monomials
+        for na, nb, gadget in zip(_monomials(bundle), _monomials(back),
+                                  (phi0_net(), phi1_net())):
             # at omega 1 the monomial is the gadget at y / 4, to the bit
             assert nb.eval_batch(x).tobytes() == na.eval_batch(x).tobytes() \
                 == gadget.eval_batch(x / 4).tobytes()
@@ -829,21 +845,24 @@ class TestBundlePool:
         assert set(d) == {"format", "meta", "input_dim", "W", "L",
                           "monomials", "networks", "labels"}
         assert set(d["networks"][0]) == {"monomials", "lambdas", "meta"}
-        # the triple compiled anew has other monomial objects with the
-        # same factors, so all three members name the same entries
+        # the triple compiled anew names the same monomials and recipe,
+        # so all three members name the same entries
+        assert bundle.members == [0, 0, 0]
         assert [spec["monomials"] for spec in d["networks"]] == \
             [list(range(len(d["monomials"])))] * 3
-        assert d["monomials"] == [[list(f) for f in net.meta["factors"]]
-                                  for net in bundle.members[0].monos]
+        assert d["monomials"] == [[list(f) for f in factors]
+                                  for factors in bundle.monomials]
         back = bundle_from_dict(json.loads(json.dumps(d)))
         # equal monomials, lambdas and meta: one recipe
-        assert _sharing(back.members) == [0, 0, 0]
+        assert back.members == [0, 0, 0]
         assert (back.W, back.L) == (bundle.W, bundle.L)
         # the dict holds copies: editing it leaves the bundle as it was
-        lams, meta = list(bundle.members[0].lams), dict(bundle.members[0].meta)
+        lams, meta = list(bundle.recipes[0][1]), dict(bundle.recipes[0][2])
         d["networks"][0]["lambdas"].append(1.0)
         d["networks"][0]["meta"]["omega"] = 99.0
-        assert (bundle.members[0].lams, bundle.members[0].meta) == (lams, meta)
+        d["monomials"][0][0][0] = 1
+        assert bundle.recipes[0][1:] == (lams, meta)
+        assert bundle.monomials[0][0][0] == 0
 
     @pytest.mark.parametrize("damage, match", [
         (lambda d: d["networks"][-1]["monomials"].__setitem__(0, -1),
@@ -949,12 +968,8 @@ def _network_digests(bundle):
     """SHA-256 over the layer arrays (counts, cols, wts, bias) of each
     distinct monomial network in first-use order, and over those of
     bundle.shared."""
-    monos = {}
-    for member in bundle.members:
-        for net in member.monos:
-            monos.setdefault(id(net), net)
     digests = []
-    for nets in (monos.values(), [bundle.shared]):
+    for nets in (_monomials(bundle), [bundle.shared]):
         h = hashlib.sha256()
         for net in nets:
             for arrays in _layer_bytes(net):
@@ -982,6 +997,28 @@ def test_network_bytes_are_unchanged(delta, digests):
     bundle = _small_bundle(delta)
     assert _network_digests(bundle) == digests
     assert _network_digests(_roundtrip(bundle)) == digests
+
+
+def _tracing():
+    """benchmarks/tracing.py, loaded as a module."""
+    path = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+@pytest.mark.parametrize("delta", [1e-7, "auto"],
+                         ids=["fixed_delta", "auto_delta"])
+def test_tracer_profiles_the_member_networks(delta):
+    """The benchmark tracer profiles bundle.networks: their W and L
+    are the bundle's, after compile and after a reload."""
+    profile = _tracing().profile
+    bundle = _small_bundle(delta)
+    for b in (bundle, _roundtrip(bundle)):
+        summary, per_net = profile(b.networks)
+        assert (summary["W"], summary["L"]) == (b.W, b.L)
+        assert summary["networks"] == len(per_net) == len(b)
 
 
 class TestSurrogate:
@@ -1152,27 +1189,25 @@ class TestSurrogate:
                                        delta, omega)
         assert len({net.depth for net in bundle.networks}) > 1
         d = bundle_to_dict(bundle)
-        compiled = {}
-        for member, spec in zip(bundle.members, d["networks"]):
-            assert spec["lambdas"] == member.lams
-            assert spec["meta"] == member.meta
-            for net, i in zip(member.monos, spec["monomials"]):
-                assert compiled.setdefault(i, net) is net
-                assert d["monomials"][i] == [list(f)
-                                             for f in net.meta["factors"]]
-        assert len(compiled) == len(d["monomials"])
-        assert len(compiled) < sum(len(m.monos) for m in bundle.members)
+        assert d["monomials"] == [[list(f) for f in factors]
+                                  for factors in bundle.monomials]
+        for r, spec in zip(bundle.members, d["networks"]):
+            refs, lams, meta = bundle.recipes[r]
+            assert (spec["monomials"], spec["lambdas"], spec["meta"]) == \
+                (list(refs), lams, meta)
+        used = [i for refs, _, _ in bundle.recipes for i in refs]
+        assert set(used) == set(range(len(d["monomials"])))
+        assert len(set(used)) < sum(len(bundle.recipes[r][0])
+                                    for r in bundle.members)
 
         back = bundle_from_dict(json.loads(json.dumps(d, sort_keys=True)))
-        # one recipe object exactly where compile made one
-        assert _sharing(back.members) == _sharing(bundle.members)
-        assert len(set(_sharing(back.members))) < len(back.members)
-        reloaded = {}
-        for member, spec in zip(back.members, d["networks"]):
-            for net, i in zip(member.monos, spec["monomials"]):
-                assert reloaded.setdefault(i, net) is net
-        for i, net in reloaded.items():
-            assert _layer_bytes(net) == _layer_bytes(compiled[i])
+        # one recipe exactly where compile made one
+        assert back.members == bundle.members
+        assert len(set(back.members)) < len(back.members)
+        assert (back.monomials, back.recipes) == \
+            (bundle.monomials, bundle.recipes)
+        for a, b in zip(_monomials(bundle), _monomials(back)):
+            assert _layer_bytes(a) == _layer_bytes(b)
         for a, b in zip(bundle.networks, back.networks):
             assert a.meta == b.meta
             assert (a.input_dim, a.depth) == (b.input_dim, b.depth)
@@ -1210,7 +1245,7 @@ class TestSurrogate:
         Y = np.random.default_rng(7).normal(size=(50, plan.m_active))
         got = ev(Y)
         compiled = bundle.shared.eval_batch(Y)
-        sizes = [(m.size, m.depth) for m in bundle.members]
+        sizes = _member_sizes(bundle)
         members = list(bundle.members)
         back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
         assert back.shared.eval_batch(Y).tobytes() == compiled.tobytes()
@@ -1230,13 +1265,47 @@ class TestSurrogate:
         assert surrogate_bound(bundle, samples, norm=row_norms) == bound
         assert ev(Y).tobytes() == got.tobytes()
 
+    def test_only_networks_builds_monomials(self, monkeypatch):
+        # compile, W/L, serialization, reload, shared and evaluation read
+        # the templates; only the bundle.networks view moves a monomial
+        # network into place
+        plan = _small_plan()
+        omega = 2.0
+        delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
+        by_point = np.random.default_rng(42).normal(size=(plan.n_points, 2))
+        Y = np.random.default_rng(7).normal(size=(50, plan.m_active))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("monomial network built")
+
+        monkeypatch.setattr(network, "_monomial", refuse)
+        bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
+        W, L = bundle.W, bundle.L
+        back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
+        assert (back.W, back.L) == (W, L)
+        got = ev(Y)
+        assert back.shared.eval_batch(Y).tobytes() == \
+            bundle.shared.eval_batch(Y).tobytes()
+        with pytest.raises(AssertionError, match="monomial network built"):
+            bundle.networks
+        monkeypatch.undo()
+        nets = bundle.networks
+        assert (sum(net.size for net in nets),
+                max(net.depth for net in nets)) == (W, L)
+        samples = by_point[[t.point_ref for t in plan.triples]]
+        signs = np.array([float(t.sign) for t in plan.triples])
+        want = np.zeros_like(got)
+        for t, net in enumerate(nets):
+            want += (signs[t] * net.eval_batch(Y)) * samples[t]
+        assert got.tobytes() == want.tobytes()
+
     def test_sizes_never_build_a_unit_table(self, monkeypatch):
         # W and L come from the recipes: compile, W, serialization,
         # reload and W again place nothing; only bundle.shared does
         plan = _small_plan()
         delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
 
-        def refuse(self, input_dim, recipes):
+        def refuse(self, input_dim, pool):
             raise AssertionError("unit table built")
 
         monkeypatch.setattr(network._UnitTable, "__init__", refuse)
@@ -1279,10 +1348,11 @@ class TestSurrogate:
                                2.0)
 
     def test_mismatched_bundle_members_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkBundle([phi1_net(), identity_net(2)], ["a", "b"])
-        with pytest.raises(ValueError):
-            NetworkBundle([phi1_net()], ["a", "b"])
+        recipes = [((0,), [1.0], {})]
+        with pytest.raises(ValueError, match="parallel"):
+            NetworkBundle(1, [((0, "phi1"),)], recipes, [0], ["a", "b"], {})
+        with pytest.raises(ValueError, match="at least one"):
+            NetworkBundle(1, [((0, "phi1"),)], recipes, [], [], {})
 
 
 @settings(max_examples=25, deadline=None)
@@ -1302,7 +1372,7 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
         delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
     bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)), delta,
                                    omega)
-    sizes = [(m.size, m.depth) for m in bundle.members]
+    sizes = _member_sizes(bundle)
     W, L = bundle.W, bundle.L
     rng = np.random.default_rng(3)
     g = rng.normal(size=(64, bundle.input_dim))
@@ -1351,23 +1421,24 @@ def test_recipe_matches_parallelize(factors, lams, delta, repeat):
     over one, against the network parallelize builds from its monomials.
     One factor gives a shallower monomial than a product, so members of
     mixed depths are carried; a lambda of 5e-324 scales most output
-    weights to zero, -0.0 and 0.0 drop whole pieces."""
-    monos = [network._monomial(f, 1.0, delta, 2) for f in factors]
-    lams = lams[:len(monos)]
-    if repeat:  # the same monomial object twice, cancelling
-        monos.append(monos[0])
+    weights to zero, -0.0 and 0.0 drop whole pieces.  Equal factor lists
+    are distinct monomials, as a stored bundle may hold them."""
+    refs = tuple(range(len(factors)))
+    lams = lams[:len(refs)]
+    if repeat:  # the same monomial twice, cancelling
+        refs += (0,)
         lams.append(-lams[0])
-    recipe = network._Recipe(monos, lams, {})
-    net = parallelize(monos, lams)
-    assert (recipe.size, recipe.depth) == (net.size, net.depth) == \
+    pool = network._Pool(factors, [(refs, lams, {})], 1.0, delta)
+    monos = [network._monomial(f, 1.0, delta, 2) for f in factors]
+    net = parallelize([monos[i] for i in refs], lams)
+    assert (pool.sizes()[0], pool.depth[0]) == (net.size, net.depth) == \
         (nnz(net), net.depth)
 
-    table = network._UnitTable(2, [recipe])
-    cols, wts, bias = recipe.row(table)
-    out = net.layers[-1]
-    assert wts.tobytes() == out.wts.tobytes()
-    assert np.array([bias]).tobytes() == out.bias.tobytes()
+    shared = network._UnitTable(2, pool).network(np.array([0]))
+    out, want = shared.layers[-1], net.layers[-1]
+    assert out.counts.tolist() == want.counts.tolist()
+    assert out.wts.tobytes() == want.wts.tobytes()
+    assert out.bias.tobytes() == want.bias.tobytes()
     g = np.random.default_rng(5).uniform(-9, 9, size=(64, 2))
     Y = np.vstack([g, np.round(g), _extreme_points(2)])
-    assert table.network([(cols, wts, bias)]).eval_batch(Y).tobytes() == \
-        net.eval_batch(Y).tobytes()
+    assert shared.eval_batch(Y).tobytes() == net.eval_batch(Y).tobytes()
