@@ -646,12 +646,12 @@ def cmd_sweep(cfg, out_dir, args):
     return EXIT_NUMERIC if failures else EXIT_OK
 
 
-def _net_eval_share(bundle, signs, samples, pts, path):
+def _net_eval_share(bundle, signs, point_ref, samples, pts, path):
     """Write the CSV rows of the surrogate at pts to path, evaluated in
     blocks of _NET_EVAL_BLOCK points, each written before the next runs."""
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, pts.shape[0], _NET_EVAL_BLOCK):
-            block = surrogate_eval(bundle, signs, samples,
+            block = surrogate_eval(bundle, signs, point_ref, samples,
                                    pts[start:start + _NET_EVAL_BLOCK])
             fh.write("".join([",".join(map(repr, row)) + "\n"
                               for row in block.tolist()]))
@@ -693,7 +693,7 @@ def cmd_net_eval(args):
                 for i in refs):
             raise ValueError(f"point_ref is not {members} ints in "
                              f"[0, {len(samples)})")
-        samples = samples[refs]
+        refs = np.array(refs, dtype=np.int32)
     del art
 
     try:
@@ -736,15 +736,15 @@ def cmd_net_eval(args):
         for k in range(1, n):
             child = multiprocessing.get_context("fork").Process(
                 target=_net_eval_share,
-                args=(bundle, signs, samples, pts[cuts[k]:cuts[k + 1]],
-                      parts[k]))
+                args=(bundle, signs, refs, samples,
+                      pts[cuts[k]:cuts[k + 1]], parts[k]))
             try:
                 child.start()
             except OSError as exc:
                 raise RuntimeError(
                     f"cannot start a net eval worker ({exc})") from exc
             children.append(child)
-        _net_eval_share(bundle, signs, samples, pts[:cuts[1]], tmp)
+        _net_eval_share(bundle, signs, refs, samples, pts[:cuts[1]], tmp)
         for k, child in enumerate(children, 1):
             child.join()
             if child.exitcode:

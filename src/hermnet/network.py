@@ -16,9 +16,11 @@ columns (SciPy's CSR product sums a row left to right), the bias is
 added after the product, and points run in chunks that bound the
 activation buffer.  A bundle's members share most hidden units (the same
 gadgets and product-tree nodes recur across triples), so the bundle is
-evaluated through one shared network that holds each distinct unit once;
-identical rows over identical inputs give identical floats, so every
-member output is unchanged to the bit.
+evaluated through one shared network that holds each distinct unit once
+and one output per distinct recipe, which its members read, and each
+member's sample is read from the grid table at its point; identical
+rows over identical inputs give identical floats, so every member output
+is unchanged to the bit.
 
 A compile builds no network.  Each distinct (s-e, k) becomes a recipe:
 the factor tuples of its monomial gadget products and their
@@ -31,12 +33,13 @@ and L are counted from the templates (_Pool): those of the per-triple
 networks, which `NetworkBundle.networks` builds through parallelize
 only when read.  `NetworkBundle.shared` hash-conses the template rows
 of every recipe into one unit table (_UnitTable) and takes each
-recipe's output row over it, as parallelize would build it but without
-identity carries: a shorter monomial's sigma pair is read where it is
-made (a carried unit computes the same float); W and L still count the
-carries, as the paper's size does.  A layer is one CSR array triple
-(entries per row, columns, weights) and its biases; _NetBuilder,
-network algebra and the unit table move whole arrays.
+recipe's output row over it, in recipe order, as parallelize would
+build it but without identity carries: a shorter monomial's sigma pair
+is read where it is made (a carried unit computes the same float); W
+and L still count the carries, as the paper's size does.  A layer is
+one CSR array triple (entries per row, columns, weights) and its
+biases; _NetBuilder, network algebra and the unit table move whole
+arrays.
 
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
@@ -797,19 +800,36 @@ class _UnitTable:
         uid[self._units] = np.arange(d, d + len(self._units))
         self._canon = uid[cls]  # canonical column of every column
 
-    def _output_rows(self):
-        """Each recipe's output row as CSR arrays (counts, canonical
-        columns, weights): the row parallelize gives its network.
+    def network(self):
+        """The units as hidden layers, grouped by layer in first-seen
+        order, under one output row per recipe, in recipe order: the row
+        parallelize gives its network.
 
-        It takes (c, w * lambda_j) from each full-depth monomial and
-        (lambda_j, -lambda_j) on the sigma pair of each shorter one's
-        output row, without zero weights, ordered as parallelize orders
-        them: by the hidden layer of the piece's first column (a shorter
-        pair is carried to the last one), then by piece.  The pair is
-        read uncarried: a carried unit sigma(sigma(v) - sigma(-v)) is
-        sigma(v) to the bit.  Output rows read only hidden units.
+        An output row takes (c, w * lambda_j) from each full-depth
+        monomial and (lambda_j, -lambda_j) on the sigma pair of each
+        shorter one's output row, without zero weights, ordered as
+        parallelize orders them: by the hidden layer of the piece's
+        first column (a shorter pair is carried to the last one), then
+        by piece.  The pair is read uncarried: a carried unit
+        sigma(sigma(v) - sigma(-v)) is sigma(v) to the bit.  Output rows
+        read only hidden units.
         """
-        p = self._pool
+        d, p, units = self.input_dim, self._pool, self._units
+        unit_layer = self._layer[units]
+        by_layer = np.argsort(unit_layer, kind="stable")
+        new_col = np.arange(d + len(units))
+        new_col[d + by_layer] = np.arange(d, d + len(units))
+        rows = units[by_layer] - d  # the row that keyed each unit
+        counts = self._counts[rows]
+        ends = np.cumsum(counts)
+        at = _ranges(self._start[rows], counts)
+        cols = new_col[self._canon[self._cols[at]]]
+        cuts = np.cumsum(np.bincount(unit_layer)[1:])[:-1]
+        layers = [_Layer(*parts) for parts in zip(
+            np.split(counts, cuts), np.split(cols, ends[cuts - 1]),
+            np.split(self._wts[at], ends[cuts - 1]),
+            np.split(self._bias[rows], cuts))]
+
         t = p.tid[p.mono]
         out = p.pair[t]
         key = np.where(p.full,
@@ -826,34 +846,10 @@ class _UnitTable:
         wts = np.repeat(p.lam[order], n) * np.where(full, p.wts[at],
                                                      1.0 - 2.0 * at)
         keep = wts != 0.0
-        return (np.bincount(np.repeat(p.rec[order], n)[keep],
-                            minlength=len(p.depth)),
-                self._canon[cols[keep]], wts[keep])
-
-    def network(self, members):
-        """The units as hidden layers, grouped by layer in first-seen
-        order, under one output row per member, its recipe's row
-        (members[t] indexes the recipes; see _output_rows)."""
-        out_counts, out_cols, out_wts = self._output_rows()
-        d, units = self.input_dim, self._units
-        unit_layer = self._layer[units]
-        by_layer = np.argsort(unit_layer, kind="stable")
-        new_col = np.arange(d + len(units))
-        new_col[d + by_layer] = np.arange(d, d + len(units))
-        rows = units[by_layer] - d  # the row that keyed each unit
-        counts = self._counts[rows]
-        ends = np.cumsum(counts)
-        at = _ranges(self._start[rows], counts)
-        cols = new_col[self._canon[self._cols[at]]]
-        cuts = np.cumsum(np.bincount(unit_layer)[1:])[:-1]
-        layers = [_Layer(*parts) for parts in zip(
-            np.split(counts, cuts), np.split(cols, ends[cuts - 1]),
-            np.split(self._wts[at], ends[cuts - 1]),
-            np.split(self._bias[rows], cuts))]
-        at = _ranges((np.cumsum(out_counts) - out_counts)[members],
-                     out_counts[members])
-        layers.append(_Layer(out_counts[members], new_col[out_cols[at]],
-                             out_wts[at], self._pool.bias_of[members]))
+        layers.append(_Layer(
+            np.bincount(np.repeat(p.rec[order], n)[keep],
+                        minlength=len(p.depth)),
+            new_col[self._canon[cols[keep]]], wts[keep], p.bias_of))
         return ReluNetwork(d, layers, {"kind": "shared"})
 
 
@@ -1022,30 +1018,32 @@ class NetworkBundle:
 
     @functools.cached_property
     def shared(self):
-        """One network whose output t is member t's output, bit for bit:
-        each distinct hidden unit once (see _UnitTable), placed recipe by
-        recipe, and no identity carry, which W and L count all the same.
+        """One network whose output r is recipe r's output, bit for bit,
+        so member t's output is column members[t]: each distinct hidden
+        unit once (see _UnitTable), placed recipe by recipe, and no
+        identity carry, which W and L count all the same.
         """
-        return _UnitTable(self.input_dim, self._pool).network(
-            np.array(self.members))
+        return _UnitTable(self.input_dim, self._pool).network()
 
 
-def surrogate_eval(bundle, signs, samples, pts):
-    """sum_t signs[t] * samples[t] * net_t(pts), added up in t order.
+def surrogate_eval(bundle, signs, point_ref, samples, pts):
+    """sum_t signs[t] * samples[point_ref[t]] * net_t(pts), in t order.
 
-    `pts` has shape (n, bundle.input_dim) and `samples` one row per
-    member; the members are evaluated together through `bundle.shared`.
-    The sum is one CSR product whose row i holds signs[t] * net_t(pts[i])
-    for every t in order, zeros included, so each output cell adds the
-    same products in the same order as a loop over the members.
+    `pts` has shape (n, bundle.input_dim) and `samples` one row per grid
+    point; `bundle.shared` evaluates each recipe once, and member t reads
+    its recipe's output.  The sum is one CSR product whose row i holds
+    signs[t] * net_t(pts[i]) in column point_ref[t] for every t in
+    order, zeros and repeated columns included; SciPy adds a row's
+    entries in stored order, so each output cell adds the same products
+    in the same order as a loop over the members.
     Returns shape (n, samples.shape[1]).
     """
-    phi = bundle.shared.eval_batch(pts)
+    phi = bundle.shared.eval_batch(pts)[:, bundle.members]
     phi *= signs
     n, members = phi.shape
     return csr_matrix(
-        (phi.ravel(), np.tile(np.arange(members, dtype=np.int32), n),
-         np.arange(n + 1) * members), shape=(n, members)) @ samples
+        (phi.ravel(), np.tile(np.asarray(point_ref, dtype=np.int32), n),
+         np.arange(n + 1) * members), shape=(n, len(samples))) @ samples
 
 
 def assemble_surrogate(plan, samples, delta, omega):
@@ -1053,14 +1051,14 @@ def assemble_surrogate(plan, samples, delta, omega):
 
     `samples` is an (n_points, k) table: one solution row per unique
     grid point of the plan, in the plan's point order, k = 1 for a
-    scalar quantity; triple t reads the row of its point, t.point_ref.
+    scalar quantity; triple t reads the row of its point, t.point_ref,
+    from this table, of which no per-triple copy is made.
     The networks depend only on the triples, never on the samples; the
     evaluator maps points of shape (n, d), d >= max(m_active, 1), to the
     (n, k) table  sum_t sign_t * samples[t.point_ref] * net_t(y),
     slicing extra trailing coordinates off y.
     """
-    samples = as_table(samples, plan.n_points, "n_points")[
-        np.array([t.point_ref for t in plan.triples], dtype=int)]
+    samples = as_table(samples, plan.n_points, "n_points")
     dim = max(plan.m_active, 1)
     # each distinct triple is compiled once, and each monomial and
     # recipe is numbered where it is first used
@@ -1080,6 +1078,7 @@ def assemble_surrogate(plan, samples, delta, omega):
         labels.append({"s": [list(p) for p in s.pairs],
                        "e": list(t.e_mask), "k": list(t.k)})
     signs = np.array([float(t.sign) for t in plan.triples])
+    point_ref = np.array([t.point_ref for t in plan.triples], dtype=np.int32)
     bundle = NetworkBundle(dim, monomials, recipes, members, labels, meta={
         "xi": plan.xi, "delta": delta, "omega": omega,
         "n_triples": plan.n_triples})
@@ -1089,7 +1088,8 @@ def assemble_surrogate(plan, samples, delta, omega):
         if pts.ndim != 2 or pts.shape[1] < dim:
             raise ValueError(f"expected points of shape (n, d) with d >= "
                              f"{dim} coordinates, got shape {pts.shape}")
-        return surrogate_eval(bundle, signs, samples, pts[:, :dim])
+        return surrogate_eval(bundle, signs, point_ref, samples,
+                              pts[:, :dim])
 
     return bundle, evaluator
 

@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from hermnet.cli import main
+from hermnet.cli import build_model, main, make_schedules
 from hermnet.errors import (
     _sample_inside,
     error_decomposition,
@@ -252,6 +252,23 @@ def test_criterion_5_size_depth_envelopes(sweep_run):
     assert l_spread < 5.0
     report(5, f"theta*q={tq:g}; W envelope spread {w_spread:.2f}, "
               f"L envelope spread {l_spread:.2f} (both < 5)")
+
+
+def test_eval_network_size_at_xi_256(tmp_path):
+    """The evaluated network at the largest sweep entry, as counts: its
+    size W_eval, with one output row per distinct recipe, and the
+    paper's size W, which counts every member network."""
+    cfg = sweep_config(tmp_path)
+    model = build_model(cfg)
+    omega_of, delta_of = make_schedules(cfg, model)
+    plan = build_plan(256.0, model)
+    omega = omega_of(plan.xi)
+    bundle, _ = assemble_surrogate(plan, np.zeros((plan.n_points, 1)),
+                                   delta_of(plan, omega), omega)
+    assert (omega, len(bundle), len(bundle.recipes)) == (32.0, 3091, 1211)
+    assert bundle.shared.out_dim == len(bundle.recipes)
+    assert bundle.shared.size == 592162
+    assert bundle.W == 19015220
 
 
 def test_criterion_6_truncation_decay():

@@ -662,11 +662,15 @@ class TestNetEval:
         block = cli._NET_EVAL_BLOCK
         pts = np.random.default_rng(3).standard_normal((2 * block + 3, 2))
         pts_file = _write_points(tmp_path / "pts.csv", pts)
+        plan = build_plan(6.0, build_model(load_config(cfg_file)))
         rows = []
 
-        def recording(bundle, signs, samples, block_pts):
+        def recording(bundle, signs, point_ref, samples, block_pts):
             rows.append(block_pts.shape[0])
-            return surrogate_eval(bundle, signs, samples, block_pts)
+            # the grid table, read through point_ref, not a per-triple copy
+            assert samples.shape[0] == plan.n_points < len(point_ref)
+            return surrogate_eval(bundle, signs, point_ref, samples,
+                                  block_pts)
 
         monkeypatch.setattr(cli, "surrogate_eval", recording)
         _use_cpus(monkeypatch, 1)  # counted here, so no forked share
@@ -676,8 +680,6 @@ class TestNetEval:
                    "--points", pts_file, "--out", out_file) == 0
         assert max(rows) <= block and sum(rows) == pts.shape[0]
 
-        cfg = load_config(cfg_file)
-        plan = build_plan(6.0, build_model(cfg))
         art = json.loads(
             (tmp_path / "out" / "samples_02.json").read_text())
         _, net = assemble_surrogate(plan, np.asarray(art["values"]),

@@ -11,6 +11,11 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import platform
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -981,10 +986,10 @@ def _network_digests(bundle):
 
 @pytest.mark.parametrize("delta, digests", [
     (1e-7, ["8851fcbf2db1d7883226cc52976261da342796ff45afa742bab26a21486a4897",
-            "e58bb29bb8e2de57e4595895419d02288dc399f448df3549a775ab5c9f864bdf"]),
+            "4bd3887d8497d1a3054959a3bf1201a3b4fbb1b3b1b26751a865a7a95e2d0f1c"]),
     ("auto",
      ["5bb6af7aa9c3ebe4a408060b46f0d196fa0a2fee39815868e3f9e43c89429eb3",
-      "4755ee426cdd6ea7ba16fb4a3401d45d6ae9d33c9d29e9f1dabd5edfd40139a5"])],
+      "2883f80639d6e66d51e1618e66dad5733c4ad74ec7d6ac7ac85e20c67aba2f86"])],
     ids=["fixed_delta", "auto_delta"])
 def test_network_bytes_are_unchanged(delta, digests):
     """The monomial networks and the shared evaluation network, byte for
@@ -992,8 +997,10 @@ def test_network_bytes_are_unchanged(delta, digests):
     recorded with bundle format 3, which stored the monomial layers
     themselves; format 4 rebuilds them from their factors and must give
     the same bytes.  The shared digests were recorded when shared
-    stopped placing identity carries, which changed its layers but not
-    its outputs."""
+    took one output row per recipe instead of one per member, which
+    changed its output layer but not its hidden layers or any output
+    (the hidden layers are the same bytes as when shared stopped
+    placing identity carries)."""
     bundle = _small_bundle(delta)
     assert _network_digests(bundle) == digests
     assert _network_digests(_roundtrip(bundle)) == digests
@@ -1095,10 +1102,12 @@ class TestSurrogate:
         delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         rng = np.random.default_rng(42)
         by_point = rng.normal(size=(plan.n_points, 3))
-        samples = by_point[[t.point_ref for t in plan.triples]]
+        point_ref = np.array([t.point_ref for t in plan.triples])
+        samples = by_point[point_ref]  # the per-triple reference table
         signs = np.array([float(t.sign) for t in plan.triples])
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
         assert len({net.depth for net in bundle.networks}) > 1
+        assert len(set(bundle.members)) < len(bundle)
         W, L = bundle.W, bundle.L
 
         g = rng.normal(size=(200, plan.m_active))
@@ -1116,9 +1125,12 @@ class TestSurrogate:
 
         want = member_sum(Y)
         members = np.hstack([net.eval_batch(Y) for net in bundle.networks])
-        assert bundle.shared.eval_batch(Y).tobytes() == members.tobytes()
-        assert surrogate_eval(bundle, signs, samples, Y).tobytes() == \
-            want.tobytes()
+        # one output per recipe, which each of its members reads
+        assert bundle.shared.out_dim == len(bundle.recipes)
+        assert bundle.shared.eval_batch(Y)[:, bundle.members].tobytes() == \
+            members.tobytes()
+        assert surrogate_eval(bundle, signs, point_ref, by_point,
+                              Y).tobytes() == want.tobytes()
         assert ev(Y).tobytes() == want.tobytes()
         assert np.all(want[-200:] == 0.0)
         assert ev(Y[:1]).tobytes() == want[:1].tobytes()
@@ -1232,7 +1244,8 @@ class TestSurrogate:
         omega = 2.0
         delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         by_point = np.random.default_rng(42).normal(size=(plan.n_points, 2))
-        samples = by_point[[t.point_ref for t in plan.triples]]
+        point_ref = np.array([t.point_ref for t in plan.triples])
+        samples = by_point[point_ref]
         signs = np.array([float(t.sign) for t in plan.triples])
 
         def refuse(*args, **kwargs):
@@ -1249,8 +1262,9 @@ class TestSurrogate:
         members = list(bundle.members)
         back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
         assert back.shared.eval_batch(Y).tobytes() == compiled.tobytes()
-        assert surrogate_eval(back, signs, samples, Y).tobytes() == \
-            got.tobytes()
+        assert back.shared.out_dim == len(back.recipes)
+        assert surrogate_eval(back, signs, point_ref, by_point,
+                              Y).tobytes() == got.tobytes()
         assert (back.W, back.L) == (W, L)
         monkeypatch.undo()
 
@@ -1434,7 +1448,8 @@ def test_recipe_matches_parallelize(factors, lams, delta, repeat):
     assert (pool.sizes()[0], pool.depth[0]) == (net.size, net.depth) == \
         (nnz(net), net.depth)
 
-    shared = network._UnitTable(2, pool).network(np.array([0]))
+    shared = network._UnitTable(2, pool).network()
+    assert shared.out_dim == 1
     out, want = shared.layers[-1], net.layers[-1]
     assert out.counts.tolist() == want.counts.tolist()
     assert out.wts.tobytes() == want.wts.tobytes()
@@ -1442,3 +1457,67 @@ def test_recipe_matches_parallelize(factors, lams, delta, repeat):
     g = np.random.default_rng(5).uniform(-9, 9, size=(64, 2))
     Y = np.vstack([g, np.round(g), _extreme_points(2)])
     assert shared.eval_batch(Y).tobytes() == net.eval_batch(Y).tobytes()
+
+
+# Bytes of the network and FEM paths at fixed inputs, printed by a fresh
+# interpreter so that OPENBLAS_CORETYPE takes effect at numpy import.
+_KERNEL_SCRIPT = """
+import hashlib
+import numpy as np
+from hermnet.fem import LognormalProblem, fem_solve, sine_family
+from hermnet.indices import WeightModel, build_plan
+from hermnet.network import assemble_surrogate, compute_delta, fit_delta_K
+plan = build_plan(6.0, WeightModel(q=2.0 / 3.0, rho=[1.5, 2.5, 4.0],
+                                   tail=(2.0, 2.0)))
+rng = np.random.default_rng(11)
+samples = rng.normal(size=(plan.n_points, 3))
+delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
+_, ev = assemble_surrogate(plan, samples, delta, 2.0)
+g = rng.normal(size=(100, plan.m_active))
+problem = LognormalProblem(63, sine_family(0.4, 2.0, 4))
+for out in (ev(np.vstack([g, 4.0 * g, 12.0 * g])),
+            fem_solve(problem, rng.normal(size=(40, 4)))):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+# OpenBLAS built for x86-64 with DYNAMIC_ARCH runs the Katmai kernels as
+# Prescott's and reports the first name
+_CORE_NAMES = {"Prescott": ("Prescott", "Katmai"), "Nehalem": ("Nehalem",)}
+
+
+def _openblas_x86_64():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and platform.machine().lower() in ("x86_64", "amd64"))
+
+
+def _digests_under(core):
+    """(cores OpenBLAS reports, digests _KERNEL_SCRIPT prints) in a
+    fresh interpreter whose OpenBLAS kernel is forced to `core`."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
+               OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(network.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return (set(re.findall(r"Core: (\w+)", done.stdout + done.stderr)),
+            done.stdout.split()[-2:])
+
+
+@pytest.mark.skipif(not _openblas_x86_64(),
+                    reason="numpy does not use OpenBLAS on x86-64")
+def test_outputs_do_not_depend_on_the_blas_kernel():
+    """The surrogate (shared network, CSR sample product) and fem_solve
+    give the same bytes under two OpenBLAS kernels: they call no BLAS
+    routine whose summation order depends on the host CPU."""
+    digests = []
+    for core, names in _CORE_NAMES.items():
+        reported, printed = _digests_under(core)
+        if not reported & set(names):
+            pytest.skip(f"OpenBLAS did not switch to {core} ({reported})")
+        digests.append(printed)
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
