@@ -21,6 +21,7 @@ malformed or stale artifact, 3 numeric failure during a run.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -568,8 +569,8 @@ def cmd_compile(cfg, out_dir, args):
         art = {"kind": "bundle", "config_hash": h, "index": i,
                "xi": float(plan.xi), "omega": omega, "delta": delta,
                "input_dim": max(plan.m_active, 1),
-               "signs": [float(t.sign) for t in plan.triples],
-               "point_ref": [int(t.point_ref) for t in plan.triples],
+               "signs": plan.signs.tolist(),
+               "point_ref": plan.point_ref.tolist(),
                "samples": values.tolist(),
                "bundle": bundle_to_dict(bundle)}
         _write_json(out_dir / f"bundle_{i:02d}.json", art)
@@ -646,13 +647,12 @@ def cmd_sweep(cfg, out_dir, args):
     return EXIT_NUMERIC if failures else EXIT_OK
 
 
-def _net_eval_share(bundle, signs, point_ref, samples, pts, path):
-    """Write the CSV rows of the surrogate at pts to path, evaluated in
+def _net_eval_share(evaluator, pts, path):
+    """Write the CSV rows of evaluator at pts to path, evaluated in
     blocks of _NET_EVAL_BLOCK points, each written before the next runs."""
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, pts.shape[0], _NET_EVAL_BLOCK):
-            block = surrogate_eval(bundle, signs, point_ref, samples,
-                                   pts[start:start + _NET_EVAL_BLOCK])
+            block = evaluator(pts[start:start + _NET_EVAL_BLOCK])
             fh.write("".join([",".join(map(repr, row)) + "\n"
                               for row in block.tolist()]))
 
@@ -693,7 +693,8 @@ def cmd_net_eval(args):
                 for i in refs):
             raise ValueError(f"point_ref is not {members} ints in "
                              f"[0, {len(samples)})")
-        refs = np.array(refs, dtype=np.int32)
+        evaluator = functools.partial(surrogate_eval, bundle, signs,
+                                      np.array(refs, dtype=np.int32), samples)
     del art
 
     try:
@@ -722,7 +723,6 @@ def cmd_net_eval(args):
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out} ({exc})") from exc
 
-    pts = pts[:, :dim]
     blocks = -(-pts.shape[0] // _NET_EVAL_BLOCK)
     n = min(_usable_cpus(), blocks)
     cuts = [_NET_EVAL_BLOCK * (blocks * k // n) for k in range(n + 1)]
@@ -736,15 +736,14 @@ def cmd_net_eval(args):
         for k in range(1, n):
             child = multiprocessing.get_context("fork").Process(
                 target=_net_eval_share,
-                args=(bundle, signs, refs, samples,
-                      pts[cuts[k]:cuts[k + 1]], parts[k]))
+                args=(evaluator, pts[cuts[k]:cuts[k + 1]], parts[k]))
             try:
                 child.start()
             except OSError as exc:
                 raise RuntimeError(
                     f"cannot start a net eval worker ({exc})") from exc
             children.append(child)
-        _net_eval_share(bundle, signs, refs, samples, pts[:cuts[1]], tmp)
+        _net_eval_share(evaluator, pts[:cuts[1]], tmp)
         for k, child in enumerate(children, 1):
             child.join()
             if child.exitcode:

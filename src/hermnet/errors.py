@@ -207,8 +207,8 @@ def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
     from which the interpolant is built, and `surrogate` is the
     (bundle, evaluator) pair assemble_surrogate compiled from them.
     `norm` maps an (n, k) table to its n row norms.  term3's
-    certificate, delta * sum_t norm(sample_t) * coeff_sum_t, is reported
-    as `bound3`.
+    certificate, delta * sum_t norm(point_values[t.point_ref]) *
+    coeff_abs_sum_t (surrogate_bound), is reported as `bound3`.
     """
     m = plan.m_active
     if dims < max(m, 1):
@@ -220,7 +220,7 @@ def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
 
     interp = SparseInterpolant.from_point_values(plan, point_values)
     bundle, net = surrogate
-    bound3 = surrogate_bound(bundle, interp.values, norm=norm)
+    bound3 = surrogate_bound(bundle, plan.point_ref, point_values, norm=norm)
 
     gamma_pts = rng_stream(seed, "decomp/gamma").standard_normal(
         (n_samples, dims))

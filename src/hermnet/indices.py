@@ -292,6 +292,8 @@ class CollocationPlan:
     points: list          # sparse points: tuple of (coord, value) pairs
     m1: int = 0
     m_active: int = 0
+    signs: np.ndarray = None      # per triple, float (-1)^{|e|_1}
+    point_ref: np.ndarray = None  # per triple, intp row of the point table
     _families: dict = field(default_factory=dict, repr=False)
 
     def family(self, order):
@@ -329,16 +331,18 @@ def _support_masks(n):
         yield tuple((bits >> i) & 1 for i in range(n))
 
 
-def build_plan(xi, model, cap=1_000_000):
+def build_plan(xi, model):
     """Expand the admissible set at budget xi into a collocation plan.
 
     Every (s, e) pair spawns the tensor grid of order s-e over supp(s-e);
     node combinations are keyed by exact node values so points shared
-    between grids collapse into one solver call.
+    between grids collapse into one solver call.  The triples' signs and
+    point rows are also kept as the read-only arrays plan.signs and
+    plan.point_ref.
     """
     if xi < 1.0:
         raise ValueError("xi must be >= 1 so the plan contains the zero index")
-    lam_set = build_lambda(xi, model, cap=cap)
+    lam_set = build_lambda(xi, model)
     plan = CollocationPlan(xi=float(xi), model=model, indices=lam_set,
                            triples=[], points=[])
     plan.m1 = max((s.max_degree for s in lam_set), default=0)
@@ -377,6 +381,10 @@ def build_plan(xi, model, cap=1_000_000):
     # canonical order: index position, mask bits, then node combination
     triples.sort(key=lambda t: (t.s_ref, t.e_mask, t.k))
     plan.triples = triples
+    plan.signs = np.array([float(t.sign) for t in triples])
+    plan.point_ref = np.array([t.point_ref for t in triples], dtype=np.intp)
+    plan.signs.setflags(write=False)
+    plan.point_ref.setflags(write=False)
     return plan
 
 

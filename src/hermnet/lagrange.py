@@ -164,8 +164,7 @@ class SparseInterpolant:
     def from_point_values(cls, plan, point_values):
         """Build from an (n_points, k) table in the plan's point order."""
         point_values = as_table(point_values, plan.n_points, "n_points")
-        rows = np.array([t.point_ref for t in plan.triples], dtype=int)
-        return cls(plan, point_values[rows])
+        return cls(plan, point_values[plan.point_ref])
 
     def _triple_factors(self, pts):
         """Cardinal-product factors for each triple at points (n, d)."""
@@ -221,5 +220,4 @@ def evaluate_interpolant(interp, y):
                          f"{interp.plan.m_active} coordinates, got shape "
                          f"{pts.shape}")
     factors = interp._triple_factors(pts)
-    signs = np.array([t.sign for t in interp.plan.triples], dtype=float)
-    return (signs[:, None] * factors).T @ interp.values
+    return (interp.plan.signs[:, None] * factors).T @ interp.values

@@ -31,15 +31,16 @@ monomial indices, and one recipe index per member.  A monomial is its
 _template, cached by factor pattern, moved to its coordinates, and W
 and L are counted from the templates (_Pool): those of the per-triple
 networks, which `NetworkBundle.networks` builds through parallelize
-only when read.  `NetworkBundle.shared` hash-conses the template rows
-of every recipe into one unit table (_UnitTable) and takes each
-recipe's output row over it, in recipe order, as parallelize would
-build it but without identity carries: a shorter monomial's sigma pair
-is read where it is made (a carried unit computes the same float); W
-and L still count the carries, as the paper's size does.  A layer is
-one CSR array triple (entries per row, columns, weights) and its
-biases; _NetBuilder, network algebra and the unit table move whole
-arrays.
+only when read.  `NetworkBundle.shared`, _shared_network of the pool,
+hash-conses the template rows of every recipe into one set of hidden
+units and takes each recipe's output row over them, in recipe order, as
+parallelize would build it but without identity carries: a shorter
+monomial's sigma pair is read where it is made (a carried unit computes
+the same float); W and L still count the carries, as the paper's size
+does.  surrogate_eval and surrogate_bound are plain functions of
+(bundle, signs, point_ref, grid sample table).  A layer is one CSR
+array triple (entries per row, columns, weights) and its biases; all
+network construction moves whole arrays.
 
 Contents: the saturation gadgets phi0 (plateau) and phi1 (clipped
 identity), approximate product networks built from a pairwise squaring
@@ -297,7 +298,7 @@ def identity_net(dim):
 # ---------------------------------------------------------------------------
 # gadgets
 
-def _phi1_expr(b, coord, scale, base=1):
+def _phi1_expr(b, coord, scale):
     """phi1(scale*y_coord) as a two-column expression.
 
     phi1(t) = t on [-1,1], linear to 0 at |t|=2, exactly zero beyond:
@@ -305,22 +306,22 @@ def _phi1_expr(b, coord, scale, base=1):
     outer units saturate, so both columns are exact floating-point zeros
     for |t| >= 2 and reproduce t exactly on the plateau.
     """
-    l1a = b.unit(base, [(coord, 2.0 * scale)], -2.0)
-    l1b = b.unit(base, [(coord, -2.0 * scale)], -2.0)
-    ap = b.unit(base + 1, [(coord, scale), (l1a, -1.0)])
-    am = b.unit(base + 1, [(coord, -scale), (l1b, -1.0)])
+    l1a = b.unit(1, [(coord, 2.0 * scale)], -2.0)
+    l1b = b.unit(1, [(coord, -2.0 * scale)], -2.0)
+    ap = b.unit(2, [(coord, scale), (l1a, -1.0)])
+    am = b.unit(2, [(coord, -scale), (l1b, -1.0)])
     return [(ap, 1.0), (am, -1.0)]
 
 
-def _phi0_expr(b, coord, scale, base=1):
+def _phi0_expr(b, coord, scale):
     """phi0(scale*y_coord) as a one-column expression.
 
     phi0(t) = 1 on [-1,1], linear to 0 at |t|=2, exactly zero beyond:
     phi0(t) = sigma(1 - sigma(t-1) - sigma(-t-1)).
     """
-    l1a = b.unit(base, [(coord, scale)], -1.0)
-    l1b = b.unit(base, [(coord, -scale)], -1.0)
-    p = b.unit(base + 1, [(l1a, -1.0), (l1b, -1.0)], 1.0)
+    l1a = b.unit(1, [(coord, scale)], -1.0)
+    l1b = b.unit(1, [(coord, -scale)], -1.0)
+    p = b.unit(2, [(l1a, -1.0), (l1b, -1.0)], 1.0)
     return [(p, 1.0)]
 
 
@@ -438,8 +439,7 @@ def _gadget_product_expr(b, factors, scale, delta):
 
     Gadgets occupy layers 1-2; the pairing tree starts at layer 3.
     """
-    leaves = [_GADGETS[kind](b, coord, scale, base=1)
-              for coord, kind in factors]
+    leaves = [_GADGETS[kind](b, coord, scale) for coord, kind in factors]
     if len(leaves) == 1:
         return leaves[0]
     n = _sawtooth_depth(len(leaves), delta)
@@ -726,131 +726,114 @@ class _Pool:
                 + (self.bias_of != 0.0))
 
 
-class _UnitTable:
-    """Each distinct hidden unit of a _Pool's recipes once, over
-    `input_dim` inputs, hash-consed by row blocks.
+def _shared_network(input_dim, pool):
+    """One network over `input_dim` inputs holding each distinct hidden
+    unit of a _Pool's recipes once, under one output row per recipe, in
+    recipe order: the row parallelize gives its network.
 
-    It places a monomial's template rows, moved to its coordinates,
-    where a piece first names it, and the sigma(v), sigma(-v) pair of
-    its output row v where a piece first names it in a deeper recipe.
-    A row is keyed on the units its entries read, in stored order, its
-    weight bits and its bias bits (so a -0.0 bias stays distinct); equal
-    keys over equal inputs compute equal floats.  A block, every row of
-    one step with one entry count, reads only earlier blocks, so it is
-    keyed in one pass.  Canonical columns number the inputs, then the
-    units in the order of their first row; a unit sits one layer above
-    its deepest input.  Only `NetworkBundle.shared` builds one.
+    Placement: a monomial's template rows, moved to its coordinates, go
+    where a piece first names it, and the sigma(v), sigma(-v) pair of its
+    output row v where a piece first names it in a deeper recipe.
+
+    Hash-consing: a row is keyed on the units its entries read, in
+    stored order, its weight bits and its bias bits (so a -0.0 bias
+    stays distinct); equal keys over equal inputs compute equal floats.
+    A block, every row of one step with one entry count, reads only
+    earlier blocks, so it is keyed in one pass.  A unit sits one layer
+    above its deepest input; the hidden layers hold the units by layer,
+    in the order of their first row.
+
+    Output rows: a recipe's row takes (c, w * lambda_j) from each
+    full-depth monomial and (lambda_j, -lambda_j) on the sigma pair of
+    each shorter one's output row, without zero weights, ordered as
+    parallelize orders them: by the hidden layer of the piece's first
+    column (a shorter pair is carried to the last one), then by piece.
+    The pair is read uncarried: a carried unit sigma(sigma(v) -
+    sigma(-v)) is sigma(v) to the bit.  Output rows read only hidden
+    units.
     """
+    d, p = input_dim, pool
+    # placings in piece order, hidden rows before a pair; row i: d + i
+    hidden = np.unique(p.mono, return_index=True)[1]
+    short = np.flatnonzero(~p.full)
+    pairs = short[np.unique(p.mono[short], return_index=True)[1]]
+    order = np.argsort(np.concatenate([2 * hidden, 2 * pairs + 1]))
+    mono = np.concatenate([p.mono[hidden], p.mono[pairs]])[order]
+    is_pair = (np.arange(len(order)) >= len(hidden))[order]
+    t = p.tid[mono]
+    n_rows = np.where(is_pair, 2, p.hidden[t])
+    col = d + np.cumsum(n_rows) - n_rows
+    # the column of each monomial's first hidden row and first pair row
+    base = np.zeros(len(p.tid), dtype=np.int64)
+    pair = np.zeros(len(p.tid), dtype=np.int64)
+    base[mono[~is_pair]] = col[~is_pair]
+    pair[mono[is_pair]] = col[is_pair]
+    rows = _ranges(np.where(is_pair, p.pair[t], p.first[t]), n_rows)
+    counts, bias = p.counts[rows], p.bias[rows]
+    entries = _ranges(p.start[rows], counts)
+    mono = np.repeat(np.repeat(mono, n_rows), counts)  # per entry
+    local, k = p.cols[entries], p.k[mono]
+    cols, wts = local - k + base[mono], p.wts[entries]
+    inputs = local < k
+    cols[inputs] = p.coords[p.cstart[mono[inputs]] + local[inputs]]
+    start = np.cumsum(counts) - counts
 
-    def __init__(self, input_dim, pool):
-        d = self.input_dim = input_dim
-        self._pool = p = pool
-        # placings in piece order, hidden rows before a pair; row i: d + i
-        hidden = np.unique(p.mono, return_index=True)[1]
-        short = np.flatnonzero(~p.full)
-        pairs = short[np.unique(p.mono[short], return_index=True)[1]]
-        order = np.argsort(np.concatenate([2 * hidden, 2 * pairs + 1]))
-        mono = np.concatenate([p.mono[hidden], p.mono[pairs]])[order]
-        is_pair = (np.arange(len(order)) >= len(hidden))[order]
-        t = p.tid[mono]
-        n_rows = np.where(is_pair, 2, p.hidden[t])
-        col = d + np.cumsum(n_rows) - n_rows
-        # the column of each monomial's first hidden row and first pair row
-        self._base = np.zeros(len(p.tid), dtype=np.int64)
-        self._pair = np.zeros(len(p.tid), dtype=np.int64)
-        self._base[mono[~is_pair]] = col[~is_pair]
-        self._pair[mono[is_pair]] = col[is_pair]
-        rows = _ranges(np.where(is_pair, p.pair[t], p.first[t]), n_rows)
-        self._counts = counts = p.counts[rows]
-        entries = _ranges(p.start[rows], counts)
-        mono = np.repeat(np.repeat(mono, n_rows), counts)  # per entry
-        local, k = p.cols[entries], p.k[mono]
-        self._cols = cols = local - k + self._base[mono]
-        inputs = local < k
-        cols[inputs] = p.coords[p.cstart[mono[inputs]] + local[inputs]]
-        self._wts = p.wts[entries]
-        self._bias = p.bias[rows]
-        n = len(rows)
-        self._start = start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=start[1:])
+    # the class of a column is the column of the row that first gave
+    # its key: the classes its entries read, its weight bits and its
+    # bias bits.  A block holds the rows of one step and one entry
+    # count, and every entry of a block reads an earlier block.
+    cls = np.arange(d + len(rows))
+    layer, keys = np.zeros(len(cls), dtype=np.int64), {}
+    step = p.step[rows]
+    order = np.lexsort((counts, step))
+    cuts = np.flatnonzero(np.diff(step[order]) | np.diff(counts[order]))
+    for block in np.split(order, cuts + 1):
+        at = start[block, None] + np.arange(counts[block[0]])
+        ids = cls[cols[at]]
+        found = _hash_cons(keys, np.concatenate(
+            [ids, wts.view(np.int64)[at], bias.view(np.int64)[block, None]],
+            axis=1), block + d)
+        layer[found] = 1 + layer[ids].max(axis=1, initial=0)
+        cls[block + d] = found
+    del keys, entries, local, k, inputs, mono  # not held while layering
 
-        # the class of a column is the column of the row that first gave
-        # its key: the classes its entries read, its weight bits and its
-        # bias bits.  A block holds the rows of one step and one entry
-        # count, and every entry of a block reads an earlier block.
-        cls = np.arange(d + n)
-        self._layer = np.zeros(d + n, dtype=np.int64)
-        bits = self._wts.view(np.int64)
-        bias_bits = self._bias.view(np.int64)[:, None]
-        keys = {}
-        step = p.step[rows]
-        order = np.lexsort((counts, step))
-        cuts = np.flatnonzero(np.diff(step[order]) | np.diff(counts[order]))
-        for rows in np.split(order, cuts + 1):
-            at = start[rows, None] + np.arange(counts[rows[0]])
-            ids = cls[cols[at]]
-            found = _hash_cons(keys, np.concatenate(
-                [ids, bits[at], bias_bits[rows]], axis=1), rows + d)
-            self._layer[found] = 1 + self._layer[ids].max(axis=1, initial=0)
-            cls[rows + d] = found
+    # the units in first-seen order, then grouped by layer; canon is the
+    # hidden column of every column's class
+    classes, first = np.unique(cls[d:], return_index=True)
+    units = classes[np.argsort(first)]
+    unit_layer = layer[units]
+    by_layer = np.argsort(unit_layer, kind="stable")
+    canon = np.arange(len(cls))
+    canon[units[by_layer]] = np.arange(d, d + len(units))
+    canon = canon[cls]
+    keyed = units[by_layer] - d  # the row that keyed each unit
+    ends = np.cumsum(counts[keyed])
+    at = _ranges(start[keyed], counts[keyed])
+    cuts = np.cumsum(np.bincount(unit_layer)[1:])[:-1]
+    layers = [_Layer(*parts) for parts in zip(
+        np.split(counts[keyed], cuts),
+        np.split(canon[cols[at]], ends[cuts - 1]),
+        np.split(wts[at], ends[cuts - 1]), np.split(bias[keyed], cuts))]
 
-        classes, first = np.unique(cls[d:], return_index=True)
-        self._units = classes[np.argsort(first)]
-        uid = np.arange(d + n)
-        uid[self._units] = np.arange(d, d + len(self._units))
-        self._canon = uid[cls]  # canonical column of every column
-
-    def network(self):
-        """The units as hidden layers, grouped by layer in first-seen
-        order, under one output row per recipe, in recipe order: the row
-        parallelize gives its network.
-
-        An output row takes (c, w * lambda_j) from each full-depth
-        monomial and (lambda_j, -lambda_j) on the sigma pair of each
-        shorter one's output row, without zero weights, ordered as
-        parallelize orders them: by the hidden layer of the piece's
-        first column (a shorter pair is carried to the last one), then
-        by piece.  The pair is read uncarried: a carried unit
-        sigma(sigma(v) - sigma(-v)) is sigma(v) to the bit.  Output rows
-        read only hidden units.
-        """
-        d, p, units = self.input_dim, self._pool, self._units
-        unit_layer = self._layer[units]
-        by_layer = np.argsort(unit_layer, kind="stable")
-        new_col = np.arange(d + len(units))
-        new_col[d + by_layer] = np.arange(d, d + len(units))
-        rows = units[by_layer] - d  # the row that keyed each unit
-        counts = self._counts[rows]
-        ends = np.cumsum(counts)
-        at = _ranges(self._start[rows], counts)
-        cols = new_col[self._canon[self._cols[at]]]
-        cuts = np.cumsum(np.bincount(unit_layer)[1:])[:-1]
-        layers = [_Layer(*parts) for parts in zip(
-            np.split(counts, cuts), np.split(cols, ends[cuts - 1]),
-            np.split(self._wts[at], ends[cuts - 1]),
-            np.split(self._bias[rows], cuts))]
-
-        t = p.tid[p.mono]
-        out = p.pair[t]
-        key = np.where(p.full,
-                       p.step[p.first[t] + p.cols[p.start[out]] - p.k[p.mono]],
-                       p.depth[p.rec] - 1)
-        order = np.lexsort((key, p.rec))
-        full, out, mono = p.full[order], out[order], p.mono[order]
-        n = np.where(full, p.counts[out], 2)
-        at = _ranges(np.where(full, p.start[out], 0), n)  # pair: 0, 1
-        cols = np.repeat(np.where(full, self._base[mono] - p.k[mono],
-                                  self._pair[mono]), n)
-        full = np.repeat(full, n)
-        cols += np.where(full, p.cols[at], at)
-        wts = np.repeat(p.lam[order], n) * np.where(full, p.wts[at],
-                                                     1.0 - 2.0 * at)
-        keep = wts != 0.0
-        layers.append(_Layer(
-            np.bincount(np.repeat(p.rec[order], n)[keep],
-                        minlength=len(p.depth)),
-            new_col[self._canon[cols[keep]]], wts[keep], p.bias_of))
-        return ReluNetwork(d, layers, {"kind": "shared"})
+    t = p.tid[p.mono]
+    out = p.pair[t]
+    key = np.where(p.full,
+                   p.step[p.first[t] + p.cols[p.start[out]] - p.k[p.mono]],
+                   p.depth[p.rec] - 1)
+    order = np.lexsort((key, p.rec))
+    full, out, mono = p.full[order], out[order], p.mono[order]
+    n = np.where(full, p.counts[out], 2)
+    at = _ranges(np.where(full, p.start[out], 0), n)  # pair: 0, 1
+    cols = np.repeat(np.where(full, base[mono] - p.k[mono], pair[mono]), n)
+    full = np.repeat(full, n)
+    cols += np.where(full, p.cols[at], at)
+    wts = np.repeat(p.lam[order], n) * np.where(full, p.wts[at],
+                                                 1.0 - 2.0 * at)
+    keep = wts != 0.0
+    layers.append(_Layer(
+        np.bincount(np.repeat(p.rec[order], n)[keep], minlength=len(p.depth)),
+        canon[cols[keep]], wts[keep], p.bias_of))
+    return ReluNetwork(d, layers, {"kind": "shared"})
 
 
 def _hash_cons(table, keys, ids):
@@ -1019,26 +1002,31 @@ class NetworkBundle:
     @functools.cached_property
     def shared(self):
         """One network whose output r is recipe r's output, bit for bit,
-        so member t's output is column members[t]: each distinct hidden
-        unit once (see _UnitTable), placed recipe by recipe, and no
-        identity carry, which W and L count all the same.
+        so member t's output is column members[t]: _shared_network of
+        the pool, each distinct hidden unit once and no identity carry,
+        which W and L count all the same.
         """
-        return _UnitTable(self.input_dim, self._pool).network()
+        return _shared_network(self.input_dim, self._pool)
 
 
 def surrogate_eval(bundle, signs, point_ref, samples, pts):
     """sum_t signs[t] * samples[point_ref[t]] * net_t(pts), in t order.
 
-    `pts` has shape (n, bundle.input_dim) and `samples` one row per grid
-    point; `bundle.shared` evaluates each recipe once, and member t reads
-    its recipe's output.  The sum is one CSR product whose row i holds
-    signs[t] * net_t(pts[i]) in column point_ref[t] for every t in
-    order, zeros and repeated columns included; SciPy adds a row's
-    entries in stored order, so each output cell adds the same products
-    in the same order as a loop over the members.
-    Returns shape (n, samples.shape[1]).
+    `pts` has shape (n, d) with d >= bundle.input_dim, and coordinates
+    past input_dim are ignored; anything else raises ValueError.
+    `samples` has one row per grid point; `bundle.shared` evaluates each
+    recipe once, and member t reads its recipe's output.  The sum is one
+    CSR product whose row i holds signs[t] * net_t(pts[i]) in column
+    point_ref[t] for every t in order, zeros and repeated columns
+    included; SciPy adds a row's entries in stored order, so each output
+    cell adds the same products in the same order as a loop over the
+    members.  Returns shape (n, samples.shape[1]).
     """
-    phi = bundle.shared.eval_batch(pts)[:, bundle.members]
+    pts, dim = np.asarray(pts, dtype=float), bundle.input_dim
+    if pts.ndim != 2 or pts.shape[1] < dim:
+        raise ValueError(f"expected points of shape (n, d) with d >= "
+                         f"{dim} coordinates, got shape {pts.shape}")
+    phi = bundle.shared.eval_batch(pts[:, :dim])[:, bundle.members]
     phi *= signs
     n, members = phi.shape
     return csr_matrix(
@@ -1051,12 +1039,11 @@ def assemble_surrogate(plan, samples, delta, omega):
 
     `samples` is an (n_points, k) table: one solution row per unique
     grid point of the plan, in the plan's point order, k = 1 for a
-    scalar quantity; triple t reads the row of its point, t.point_ref,
-    from this table, of which no per-triple copy is made.
-    The networks depend only on the triples, never on the samples; the
-    evaluator maps points of shape (n, d), d >= max(m_active, 1), to the
-    (n, k) table  sum_t sign_t * samples[t.point_ref] * net_t(y),
-    slicing extra trailing coordinates off y.
+    scalar quantity.  The networks depend only on the triples, never on
+    the samples.  The evaluator is surrogate_eval bound to the bundle,
+    plan.signs, plan.point_ref and this table, of which no per-triple
+    copy is made: it maps points of shape (n, d), d >= max(m_active, 1),
+    to the (n, k) table  sum_t sign_t * samples[t.point_ref] * net_t(y).
     """
     samples = as_table(samples, plan.n_points, "n_points")
     dim = max(plan.m_active, 1)
@@ -1077,33 +1064,27 @@ def assemble_surrogate(plan, samples, delta, omega):
         members.append(built[key])
         labels.append({"s": [list(p) for p in s.pairs],
                        "e": list(t.e_mask), "k": list(t.k)})
-    signs = np.array([float(t.sign) for t in plan.triples])
-    point_ref = np.array([t.point_ref for t in plan.triples], dtype=np.int32)
     bundle = NetworkBundle(dim, monomials, recipes, members, labels, meta={
         "xi": plan.xi, "delta": delta, "omega": omega,
         "n_triples": plan.n_triples})
-
-    def evaluator(y):
-        pts = np.asarray(y, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] < dim:
-            raise ValueError(f"expected points of shape (n, d) with d >= "
-                             f"{dim} coordinates, got shape {pts.shape}")
-        return surrogate_eval(bundle, signs, point_ref, samples,
-                              pts[:, :dim])
-
-    return bundle, evaluator
+    return bundle, functools.partial(surrogate_eval, bundle, plan.signs,
+                                     plan.point_ref, samples)
 
 
-def surrogate_bound(bundle, samples, *, norm):
+def surrogate_bound(bundle, point_ref, samples, *, norm):
     """Certificate for the surrogate-vs-interpolant gap on the box:
-    delta * sum_t norm(samples)[t] * coeff_abs_sum_t, with `samples` an
-    (n_triples, k) table holding member t's sample in row t and `norm`
-    mapping it to its n_triples row norms.  The terms are added in t
-    order.
+    delta * sum_t norm(samples)[point_ref[t]] * coeff_abs_sum_t, with
+    `samples` the (n_points, k) grid table, member t reading row
+    point_ref[t], and `norm` mapping a table to its row norms.  The
+    terms are added in t order.  ValueError unless `samples` is 2-D.
     """
-    norms = norm(as_table(samples, len(bundle), "n_triples")).tolist()
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError(f"expected an (n_points, k) sample table, got "
+                         f"shape {samples.shape}")
     total = 0.0
-    for n_t, r in zip(norms, bundle.members):
+    for n_t, r in zip(norm(samples)[point_ref].tolist(), bundle.members,
+                      strict=True):
         total += n_t * bundle.recipes[r][2]["coeff_abs_sum"]
     return bundle.meta.get("delta") * total
 
@@ -1244,8 +1225,10 @@ def bundle_from_dict(data):
     the largest stored factor coordinate (what compile writes), a
     monomial index naming no stored monomial, a member without
     monomials, lambdas that are not finite JSON numbers (see
-    json_floats) or not one per monomial, or a stored W or L that
-    differs from the recount from the templates (_Pool.sizes).
+    json_floats) or not one per monomial, a member meta that is not an
+    object whose coeff_abs_sum is the sum of its |lambdas| (the
+    certificate weight compile writes), or a stored W or L that differs
+    from the recount from the templates (_Pool.sizes).
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
@@ -1272,8 +1255,12 @@ def bundle_from_dict(data):
             if lams.shape != (len(refs),):
                 raise ValueError(f"member {len(members)} has {lams.shape} "
                                  f"lambdas for {len(refs)} monomials")
+            weight, info = float(np.sum(np.abs(lams))), spec["meta"]
+            if type(info) is not dict or info.get("coeff_abs_sum") != weight:
+                raise ValueError(f"member {len(members)} meta is not an "
+                                 f"object with coeff_abs_sum {weight!r}")
             members.append(_recipe_index(recipes, index, refs,
-                                         lams.tolist(), spec["meta"]))
+                                         lams.tolist(), info))
         bundle = NetworkBundle(dim, factors, recipes, members,
                                data["labels"], meta)
         stored = (data["W"], data["L"])

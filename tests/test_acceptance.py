@@ -67,6 +67,7 @@ from hermnet.network import (
     phi0_net,
     phi1_net,
     product_net,
+    surrogate_bound,
 )
 
 SEED = 20260816
@@ -269,6 +270,30 @@ def test_eval_network_size_at_xi_256(tmp_path):
     assert bundle.shared.out_dim == len(bundle.recipes)
     assert bundle.shared.size == 592162
     assert bundle.W == 19015220
+
+
+def test_bound3_reads_the_grid_table(tmp_path):
+    """The certificate over the grid table through point_ref equals the
+    per-triple formula delta * sum_t ||u_t|| * coeff_abs_sum_t, added in
+    t order, bit for bit, with FEM samples and the H^1_0 norm."""
+    cfg = sweep_config(tmp_path)
+    model = build_model(cfg)
+    omega_of, delta_of = make_schedules(cfg, model)
+    plan = build_plan(64.0, model)
+    omega = omega_of(plan.xi)
+    delta = delta_of(plan, omega)
+    m = max(plan.m_active, 1)
+    problem = LognormalProblem(255, psi=sine_family(0.4, 2.0, m))
+    grid = fem_solve(problem, plan.point_array(m))
+    norm = lambda table: solution_norm(table, problem.h)
+    bundle, _ = assemble_surrogate(plan, grid, delta, omega)
+    per_triple = norm(grid[plan.point_ref]).tolist()
+    total = 0.0
+    for t, r in enumerate(bundle.members):
+        total += per_triple[t] * bundle.recipes[r][2]["coeff_abs_sum"]
+    assert plan.n_points < plan.n_triples
+    assert surrogate_bound(bundle, plan.point_ref, grid, norm=norm) == \
+        delta * total
 
 
 def test_criterion_6_truncation_decay():

@@ -607,7 +607,9 @@ class TestNetEval:
         _edit_artifact(lambda a: a["signs"].__setitem__(
             a["signs"].index(1.0), True)),
         _edit_artifact(lambda a: a.update(
-            samples=[row[0] for row in a["samples"]]))],
+            samples=[row[0] for row in a["samples"]])),
+        _edit_bundle(lambda b: b["networks"][0]["meta"].update(
+            coeff_abs_sum=1e-300))],
         ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
              "coordinate_negative", "coordinate_fraction", "kind_unknown",
              "factors_empty", "no_meta", "omega_nan", "omega_bool",
@@ -616,7 +618,8 @@ class TestNetEval:
              "point_ref_short", "signs_nan", "signs_short", "samples_inf",
              "samples_ragged", "input_dim_other", "signs_string",
              "samples_string", "lambdas_string", "lambda_nan", "lambda_inf",
-             "samples_huge_int", "signs_bool", "samples_flat"])
+             "samples_huge_int", "signs_bool", "samples_flat",
+             "coeff_abs_sum_tiny"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0

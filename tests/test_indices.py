@@ -304,6 +304,20 @@ class TestBuildPlan:
                 is t.s_minus_e
         assert len(first) < plan.n_triples
 
+    def test_sign_and_point_columns(self):
+        # the plan keeps each triple's sign and point row as read-only
+        # arrays, in triple order
+        w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
+        plan = build_plan(26.0, w)
+        assert plan.signs.dtype == np.float64
+        assert plan.point_ref.dtype == np.intp
+        assert plan.signs.tolist() == [float(t.sign) for t in plan.triples]
+        assert plan.point_ref.tolist() == [t.point_ref for t in plan.triples]
+        assert {-1.0, 1.0} == set(plan.signs.tolist())
+        for column in (plan.signs, plan.point_ref):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
     def test_xi_below_one_raises(self):
         w = WeightModel(q=1.0, rho=(2.0,))
         with pytest.raises(ValueError):

@@ -762,6 +762,15 @@ def _member_sizes(bundle):
     return [(int(sizes[r]), int(pool.depth[r])) for r in bundle.members]
 
 
+def _bound_per_triple(bundle, samples):
+    """delta * sum_t ||samples[t]|| * coeff_abs_sum_t, added in t order,
+    over a per-triple table with member t's sample in row t."""
+    total = 0.0
+    for n_t, r in zip(row_norms(samples).tolist(), bundle.members):
+        total += n_t * bundle.recipes[r][2]["coeff_abs_sum"]
+    return bundle.meta["delta"] * total
+
+
 def _roundtrip(bundle):
     return bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
 
@@ -920,6 +929,11 @@ class TestBundlePool:
         (lambda d: d.pop("format"), "format"),
         (lambda d: d["networks"][0].pop("monomials"), "monomials"),
         (lambda d: d.pop("labels"), "labels"),
+        (lambda d: d["networks"][0]["meta"].update(coeff_abs_sum=1e-300),
+         "coeff_abs_sum"),
+        (lambda d: d["networks"][0]["meta"].pop("coeff_abs_sum"),
+         "coeff_abs_sum"),
+        (lambda d: d["networks"][0].update(meta="junk"), "coeff_abs_sum"),
     ], ids=["monomial_index_-1", "monomial_index_past_end",
             "monomial_index_float", "member_no_monomials", "lambda_count",
             "lambda_string", "lambda_bool", "lambda_nan", "lambda_inf",
@@ -934,7 +948,8 @@ class TestBundlePool:
             "delta_zero", "delta_one", "delta_nan", "delta_huge_int",
             "delta_string",
             "W_plus_1", "L_minus_1", "old_format", "format_2", "format_3",
-            "no_format", "member_lacks_monomials", "no_labels"])
+            "no_format", "member_lacks_monomials", "no_labels",
+            "coeff_abs_sum_tiny", "no_coeff_abs_sum", "meta_not_object"])
     def test_bad_bundle_rejected(self, damage, match):
         d = bundle_to_dict(_repeat_bundle())
         bundle_from_dict(d)
@@ -1037,7 +1052,8 @@ class TestSurrogate:
         by_point = np.empty((plan.n_points, 1))
         by_point[[t.point_ref for t in plan.triples]] = interp.values
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
-        bound = surrogate_bound(bundle, interp.values, norm=row_norms)
+        bound = surrogate_bound(bundle, plan.point_ref, by_point,
+                                norm=row_norms)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-2 * math.sqrt(omega), 2 * math.sqrt(omega),
                         size=(300, plan.m_active))
@@ -1070,6 +1086,30 @@ class TestSurrogate:
         # one point is a (1, d) batch, not a 1-D array
         with pytest.raises(ValueError, match="coordinates"):
             ev(y[0])
+
+    def test_evaluator_is_surrogate_eval(self):
+        # assemble_surrogate's evaluator is surrogate_eval bound to the
+        # plan's columns: same bytes, same point contract
+        plan = _small_plan()
+        samples = np.random.default_rng(1).normal(size=(plan.n_points, 2))
+        bundle, ev = assemble_surrogate(plan, samples, 1e-6, 2.0)
+        Y = np.random.default_rng(2).normal(size=(20, plan.m_active))
+
+        def direct(pts):
+            return surrogate_eval(bundle, plan.signs, plan.point_ref,
+                                  samples, pts)
+
+        want = direct(Y)
+        assert ev(Y).tobytes() == want.tobytes()
+        wide = np.hstack([Y, np.full((20, 3), 1e300)])
+        assert ev(wide).tobytes() == direct(wide).tobytes() == want.tobytes()
+        for bad in (Y[0], Y[:, :-1], Y[None]):
+            messages = []
+            for fn in (ev, direct):
+                with pytest.raises(ValueError, match="coordinates") as err:
+                    fn(bad)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
 
     def test_networks_ignore_samples(self):
         plan = _small_plan()
@@ -1253,7 +1293,9 @@ class TestSurrogate:
 
         monkeypatch.setattr(network, "parallelize", refuse)
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
-        bound = surrogate_bound(bundle, samples, norm=row_norms)
+        bound = surrogate_bound(bundle, point_ref, by_point, norm=row_norms)
+        # the grid table through point_ref, as the per-triple table
+        assert bound == _bound_per_triple(bundle, samples)
         W, L = bundle.W, bundle.L
         Y = np.random.default_rng(7).normal(size=(50, plan.m_active))
         got = ev(Y)
@@ -1276,7 +1318,8 @@ class TestSurrogate:
         # the view leaves the recipes in place, with unchanged results
         assert bundle.members == members
         assert (bundle.W, bundle.L) == (W, L)
-        assert surrogate_bound(bundle, samples, norm=row_norms) == bound
+        assert surrogate_bound(bundle, point_ref, by_point,
+                               norm=row_norms) == bound
         assert ev(Y).tobytes() == got.tobytes()
 
     def test_only_networks_builds_monomials(self, monkeypatch):
@@ -1319,16 +1362,16 @@ class TestSurrogate:
         plan = _small_plan()
         delta = compute_delta(plan, 2.0, fit_delta_K(plan.m1))
 
-        def refuse(self, input_dim, pool):
-            raise AssertionError("unit table built")
+        def refuse(input_dim, pool):
+            raise AssertionError("shared network built")
 
-        monkeypatch.setattr(network._UnitTable, "__init__", refuse)
+        monkeypatch.setattr(network, "_shared_network", refuse)
         bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
                                        delta, 2.0)
         W, L = bundle.W, bundle.L
         back = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle))))
         assert (back.W, back.L) == (W, L)
-        with pytest.raises(AssertionError, match="unit table built"):
+        with pytest.raises(AssertionError, match="shared network built"):
             back.shared
         monkeypatch.undo()
         assert back.shared.widths == bundle.shared.widths
@@ -1348,10 +1391,13 @@ class TestSurrogate:
         plan = _small_plan()
         bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
                                        1e-6, 2.0)
-        for samples in (np.ones(plan.n_triples),
-                        np.ones((plan.n_triples - 1, 1))):
-            with pytest.raises(ValueError, match=r"\(n_triples, k\)"):
-                surrogate_bound(bundle, samples, norm=row_norms)
+        with pytest.raises(ValueError, match=r"\(n_points, k\)"):
+            surrogate_bound(bundle, plan.point_ref, np.ones(plan.n_points),
+                            norm=row_norms)
+        # one row reference per member
+        with pytest.raises(ValueError, match="zip"):
+            surrogate_bound(bundle, plan.point_ref[:-1],
+                            np.ones((plan.n_points, 1)), norm=row_norms)
 
     def test_samples_per_triple_rejected(self):
         # samples are read per unique grid point, never per triple
@@ -1431,8 +1477,9 @@ _FACTORS = st.lists(st.tuples(st.integers(0, 1),
                      min_size=5, max_size=5),
        delta=st.sampled_from([1e-1, 1e-3]), repeat=st.booleans())
 def test_recipe_matches_parallelize(factors, lams, delta, repeat):
-    """A recipe's size, counted without a unit table, and its output row
-    over one, against the network parallelize builds from its monomials.
+    """A recipe's size, counted from its pool, and its output row in
+    _shared_network, against the network parallelize builds from its
+    monomials.
     One factor gives a shallower monomial than a product, so members of
     mixed depths are carried; a lambda of 5e-324 scales most output
     weights to zero, -0.0 and 0.0 drop whole pieces.  Equal factor lists
@@ -1448,7 +1495,7 @@ def test_recipe_matches_parallelize(factors, lams, delta, repeat):
     assert (pool.sizes()[0], pool.depth[0]) == (net.size, net.depth) == \
         (nnz(net), net.depth)
 
-    shared = network._UnitTable(2, pool).network()
+    shared = network._shared_network(2, pool)
     assert shared.out_dim == 1
     out, want = shared.layers[-1], net.layers[-1]
     assert out.counts.tolist() == want.counts.tolist()
