@@ -207,7 +207,7 @@ def error_decomposition(u_ref, plan, omega, delta, dims, n_samples, seed, *,
     from which the interpolant is built, and `surrogate` is the
     (bundle, evaluator) pair assemble_surrogate compiled from them.
     `norm` maps an (n, k) table to its n row norms.  term3's
-    certificate, delta * sum_t norm(point_values[t.point_ref]) *
+    certificate, delta * sum_t norm(point_values[plan.point_ref[t]]) *
     coeff_abs_sum_t (surrogate_bound), is reported as `bound3`.
     """
     m = plan.m_active

@@ -14,11 +14,13 @@ non-decreasing in the coordinate.
 A collocation plan expands the set into difference-operator triples
 (s, e, k): for every s and every binary mask e on its support, the tensor
 Gauss-Hermite grid of order s-e contributes one signed evaluation point
-per node combination k.
+per node combination k.  The plan is one frozen record: each triple's
+sign and point row are stored once, as arrays beside the triples, and
+the unique points once, as one dense read-only table.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -267,41 +269,38 @@ def build_lambda(xi, model, cap=1_000_000):
 class Triple:
     """One difference-operator evaluation: index s, mask e, node combo k.
 
-    s_ref/point_ref are positions in the plan's index and point tables;
-    e_mask has one bit per support coordinate of s; k holds the signed
-    node indices per coordinate of supp(s-e); sign = (-1)^{|e|_1};
-    s_minus_e is s-e, shared by every triple of one (s, e).
+    s_ref is the position of s in the plan's index table; e_mask has one
+    bit per support coordinate of s; k holds the signed node indices per
+    coordinate of supp(s-e); s_minus_e is s-e, shared by every triple of
+    one (s, e).  The triple's sign and point row live in the plan, as
+    plan.signs and plan.point_ref.
     """
 
     s_ref: int
     e_mask: tuple
     k: tuple
-    sign: int
-    point_ref: int
     s_minus_e: MultiIndex
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollocationPlan:
-    """A fully expanded interpolation plan for one budget xi."""
+    """A fully expanded interpolation plan for one budget xi, built once.
+
+    `points` is a read-only float (n_points, m_active) array of the
+    unique grid points, first seen first, 0.0 off each point's support.
+    The read-only `signs` (float (-1)^{|e|_1}) and `point_ref` (intp row
+    of `points`) hold one entry per triple, in the order of `triples`.
+    """
 
     xi: float
     model: WeightModel
-    indices: list
-    triples: list
-    points: list          # sparse points: tuple of (coord, value) pairs
-    m1: int = 0
-    m_active: int = 0
-    signs: np.ndarray = None      # per triple, float (-1)^{|e|_1}
-    point_ref: np.ndarray = None  # per triple, intp row of the point table
-    _families: dict = field(default_factory=dict, repr=False)
-
-    def family(self, order):
-        fam = self._families.get(order)
-        if fam is None:
-            fam = NodeFamily(order)
-            self._families[order] = fam
-        return fam
+    indices: tuple
+    triples: tuple
+    points: np.ndarray
+    m1: int
+    m_active: int
+    signs: np.ndarray
+    point_ref: np.ndarray
 
     @property
     def n_indices(self):
@@ -316,13 +315,12 @@ class CollocationPlan:
         return len(self.points)
 
     def point_array(self, dims=None):
-        """Dense (n_points, dims) array of the unique evaluation points."""
+        """The points as a new (n_points, dims) array, zero-padded beyond
+        m_active; dims defaults to m_active and may not be below it."""
         d = self.m_active if dims is None else dims
-        out = np.zeros((len(self.points), d))
-        for i, pt in enumerate(self.points):
-            for j, v in pt:
-                out[i, j - 1] = v
-        return out
+        if d < self.m_active:
+            raise ValueError(f"dims {d} is below m_active {self.m_active}")
+        return np.pad(self.points, ((0, 0), (0, d - self.m_active)))
 
 
 def _support_masks(n):
@@ -336,56 +334,45 @@ def build_plan(xi, model):
 
     Every (s, e) pair spawns the tensor grid of order s-e over supp(s-e);
     node combinations are keyed by exact node values so points shared
-    between grids collapse into one solver call.  The triples' signs and
-    point rows are also kept as the read-only arrays plan.signs and
-    plan.point_ref.
+    between grids collapse into one solver call.
     """
     if xi < 1.0:
         raise ValueError("xi must be >= 1 so the plan contains the zero index")
     lam_set = build_lambda(xi, model)
-    plan = CollocationPlan(xi=float(xi), model=model, indices=lam_set,
-                           triples=[], points=[])
-    plan.m1 = max((s.max_degree for s in lam_set), default=0)
-    plan.m_active = max((s.max_coord for s in lam_set), default=0)
-
-    point_index = {}
-
-    def intern_point(pt):
-        ref = point_index.get(pt)
-        if ref is None:
-            ref = len(plan.points)
-            point_index[pt] = ref
-            plan.points.append(pt)
-        return ref
-
-    triples = []
+    m1 = max((s.max_degree for s in lam_set), default=0)
+    m_active = max((s.max_coord for s in lam_set), default=0)
+    # the set is downward closed, so the orders of s-e are exactly 1..m1
+    families = {d: NodeFamily(d) for d in range(1, m1 + 1)}
+    point_index = {}  # sparse point ((j, node), ...) -> row, first seen
+    rows = []         # (triple, sign, point row)
     for s_ref, s in enumerate(lam_set):
-        supp = s.pairs
-        n_supp = len(supp)
-        for mask in _support_masks(n_supp):
+        for mask in _support_masks(len(s.pairs)):
             sme = s.subtract_mask(mask)
-            sign = (-1) ** sum(mask)
+            sign = (-1.0) ** sum(mask)
             coords = [j for j, _ in sme.pairs]
-            fams = [plan.family(d) for _, d in sme.pairs]
+            fams = [families[d] for _, d in sme.pairs]
             combos = [()]
             for fam in fams:
                 combos = [c + (k,) for c in combos for k in fam.indices]
             for combo in combos:
-                pt = tuple(
-                    (j, fam.node(k))
-                    for j, fam, k in zip(coords, fams, combo)
-                    if fam.node(k) != 0.0
-                )
-                ref = intern_point(pt)
-                triples.append(Triple(s_ref, mask, combo, sign, ref, sme))
+                pt = tuple((j, fam.node(k)) for j, fam, k
+                           in zip(coords, fams, combo) if fam.node(k) != 0.0)
+                ref = point_index.setdefault(pt, len(point_index))
+                rows.append((Triple(s_ref, mask, combo, sme), sign, ref))
     # canonical order: index position, mask bits, then node combination
-    triples.sort(key=lambda t: (t.s_ref, t.e_mask, t.k))
-    plan.triples = triples
-    plan.signs = np.array([float(t.sign) for t in triples])
-    plan.point_ref = np.array([t.point_ref for t in triples], dtype=np.intp)
-    plan.signs.setflags(write=False)
-    plan.point_ref.setflags(write=False)
-    return plan
+    rows.sort(key=lambda r: (r[0].s_ref, r[0].e_mask, r[0].k))
+    triples, signs, point_ref = zip(*rows)
+    signs, point_ref = np.array(signs), np.array(point_ref, dtype=np.intp)
+    points = np.zeros((len(point_index), m_active))
+    for ref, pt in enumerate(point_index):
+        for j, v in pt:
+            points[ref, j - 1] = v
+    for column in (points, signs, point_ref):
+        column.setflags(write=False)
+    return CollocationPlan(
+        xi=float(xi), model=model, indices=tuple(lam_set), triples=triples,
+        points=points, m1=m1, m_active=m_active, signs=signs,
+        point_ref=point_ref)
 
 
 def plan_stats(plan):

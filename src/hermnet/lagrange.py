@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import NodeFamily
-from .indices import CollocationPlan, MultiIndex
+from .indices import CollocationPlan
 
 
 def hermite_monomial_coeffs(n):
@@ -203,8 +203,8 @@ def sparse_interpolate(plan, sampler):
         try:
             vals.append(np.atleast_1d(np.asarray(sampler(pts[i]), dtype=float)))
         except Exception as exc:
-            raise RuntimeError(
-                f"sampler failed at grid point {plan.points[i]}: {exc}") from exc
+            raise RuntimeError(f"sampler failed at grid point "
+                               f"{pts[i].tolist()}: {exc}") from exc
     return SparseInterpolant.from_point_values(plan, np.stack(vals))
 
 

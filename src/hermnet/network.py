@@ -1043,7 +1043,7 @@ def assemble_surrogate(plan, samples, delta, omega):
     the samples.  The evaluator is surrogate_eval bound to the bundle,
     plan.signs, plan.point_ref and this table, of which no per-triple
     copy is made: it maps points of shape (n, d), d >= max(m_active, 1),
-    to the (n, k) table  sum_t sign_t * samples[t.point_ref] * net_t(y).
+    to the (n, k) table  sum_t signs[t] * samples[point_ref[t]] * net_t(y).
     """
     samples = as_table(samples, plan.n_points, "n_points")
     dim = max(plan.m_active, 1)
@@ -1226,9 +1226,10 @@ def bundle_from_dict(data):
     monomial index naming no stored monomial, a member without
     monomials, lambdas that are not finite JSON numbers (see
     json_floats) or not one per monomial, a member meta that is not an
-    object whose coeff_abs_sum is the sum of its |lambdas| (the
-    certificate weight compile writes), or a stored W or L that differs
-    from the recount from the templates (_Pool.sizes).
+    object whose coeff_abs_sum is a JSON float equal to the sum of its
+    |lambdas| (the certificate weight compile writes; true or 1 would
+    compare equal to 1.0), or a stored W or L that differs from the
+    recount from the templates (_Pool.sizes).
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
@@ -1256,7 +1257,8 @@ def bundle_from_dict(data):
                 raise ValueError(f"member {len(members)} has {lams.shape} "
                                  f"lambdas for {len(refs)} monomials")
             weight, info = float(np.sum(np.abs(lams))), spec["meta"]
-            if type(info) is not dict or info.get("coeff_abs_sum") != weight:
+            claimed = info.get("coeff_abs_sum") if type(info) is dict else None
+            if type(claimed) is not float or claimed != weight:
                 raise ValueError(f"member {len(members)} meta is not an "
                                  f"object with coeff_abs_sum {weight!r}")
             members.append(_recipe_index(recipes, index, refs,

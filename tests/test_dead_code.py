@@ -6,6 +6,7 @@ but at its own definition: as a name, an attribute, an import, or a
 string (the benchmark's tracer wraps functions by name).  A package
 __init__.py does not count: re-exporting a name does not call it.
 Dunder methods are called by Python itself and are not checked.
+Every name a package module imports is used in that module.
 """
 
 import ast
@@ -71,3 +72,23 @@ def test_every_definition_has_a_caller():
 
 def test_allowlist_names_definitions():
     assert set(ALLOWED) <= {name for _, name in _definitions()}
+
+
+def _unused_imports(path):
+    """Names the module at `path` imports but never mentions."""
+    imported, used = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return imported - used
+
+
+def test_every_import_is_used():
+    unused = sorted(f"{path.name}:{name}"
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    if path.name != "__init__.py"
+                    for name in _unused_imports(path))
+    assert not unused, f"{unused} are imported but never used; delete them"

@@ -4,6 +4,7 @@ The enumeration is checked against an independent brute-force oracle
 (direct filtering of a bounding box of indices).
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -13,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from hermnet.hermite import NodeFamily
 from hermnet.indices import (
     CapacityError,
+    CollocationPlan,
     MultiIndex,
+    Triple,
     WeightModel,
     _logsumexp,
     build_lambda,
@@ -243,6 +247,14 @@ class TestBuildLambda:
         assert {s.pairs for s in lam} == {(), ((1, 1),), ((1, 2),)}
 
 
+def _triple_point(plan, t):
+    """The dense grid point of triple t, from its nodes alone."""
+    out = np.zeros(plan.m_active)
+    for (j, d), k in zip(t.s_minus_e.pairs, t.k):
+        out[j - 1] = NodeFamily(d).node(k)
+    return out
+
+
 class TestBuildPlan:
     def test_worked_example_counts(self):
         # oracle triple count for the xi = 5.1 example: 63
@@ -258,15 +270,15 @@ class TestBuildPlan:
         plan = build_plan(1.0, w)
         assert plan.n_indices == 1
         assert plan.n_triples == 1
-        assert plan.points == [()]
+        assert plan.points.shape == (1, 0)
         t = plan.triples[0]
-        assert (t.s_ref, t.e_mask, t.k, t.sign) == (0, (), (), 1)
+        assert (t.s_ref, t.e_mask, t.k, plan.signs[0]) == (0, (), (), 1)
 
     def test_signs(self):
         w = WeightModel(q=1.0, rho=(2.0, 3.0), eta=1)
         plan = build_plan(3.0, w)  # indices: 0, e1, 2e1
-        for t in plan.triples:
-            assert t.sign == (-1) ** sum(t.e_mask)
+        for t, sign in zip(plan.triples, plan.signs):
+            assert sign == (-1) ** sum(t.e_mask)
 
     def test_point_dedup(self):
         # node 0 appears in every even-order family; the origin and axis
@@ -311,12 +323,60 @@ class TestBuildPlan:
         plan = build_plan(26.0, w)
         assert plan.signs.dtype == np.float64
         assert plan.point_ref.dtype == np.intp
-        assert plan.signs.tolist() == [float(t.sign) for t in plan.triples]
-        assert plan.point_ref.tolist() == [t.point_ref for t in plan.triples]
+        assert plan.signs.tolist() == [float((-1) ** sum(t.e_mask))
+                                       for t in plan.triples]
+        rows = [tuple(row) for row in plan.points.tolist()]
+        assert plan.point_ref.tolist() == [
+            rows.index(tuple(_triple_point(plan, t))) for t in plan.triples]
         assert {-1.0, 1.0} == set(plan.signs.tolist())
         for column in (plan.signs, plan.point_ref):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
+
+    def test_points_hold_each_triples_nodes(self):
+        # row point_ref[t] holds node k of the order-d family at column
+        # j - 1 for each (j, d) of s - e, and 0.0 elsewhere; rows are unique
+        w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
+        plan = build_plan(26.0, w)
+        assert plan.points.dtype == np.float64
+        assert plan.points.shape == (plan.n_points, plan.m_active)
+        for t, ref in zip(plan.triples, plan.point_ref):
+            assert plan.points[ref].tolist() == \
+                _triple_point(plan, t).tolist()
+        assert len(set(map(tuple, plan.points.tolist()))) == plan.n_points
+
+    def test_plan_is_one_frozen_record(self):
+        # every field is set once by build_plan: no defaults, no
+        # assignment, read-only arrays; a triple keeps no sign or row
+        assert all(f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING
+                   for f in dataclasses.fields(CollocationPlan))
+        assert [f.name for f in dataclasses.fields(Triple)] == \
+            ["s_ref", "e_mask", "k", "s_minus_e"]
+        plan = build_plan(3.0, WeightModel(q=1.0, rho=(2.0, 3.0), eta=1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.m1 = 7
+        for column in (plan.points, plan.signs, plan.point_ref):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_point_array_pads_with_zeros(self):
+        w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
+        plan = build_plan(26.0, w)
+        m = plan.m_active
+        assert m >= 2
+        same = plan.point_array()
+        assert same.tobytes() == plan.points.tobytes()
+        same[0] = 1.0  # a writable copy, not a view of the plan's points
+        assert plan.points.tobytes() != same.tobytes()
+        wide = plan.point_array(m + 3)
+        assert wide.shape == (plan.n_points, m + 3)
+        assert wide[:, :m].tobytes() == plan.points.tobytes()
+        assert not wide[:, m:].any()
+        with pytest.raises(ValueError, match="m_active"):
+            plan.point_array(m - 1)
+        single = build_plan(1.0, WeightModel(q=1.0, rho=(5.0,)))
+        assert single.point_array(2).tolist() == [[0.0, 0.0]]
 
     def test_xi_below_one_raises(self):
         w = WeightModel(q=1.0, rho=(2.0,))

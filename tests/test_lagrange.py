@@ -247,10 +247,9 @@ class TestSparseInterpolate:
         interp = sparse_interpolate(plan, v)
         pts = np.random.default_rng(42).normal(size=(100, plan.m_active))
         factors = interp._triple_factors(pts)
-        signs = np.array([t.sign for t in plan.triples])
         delta_vals = np.zeros(100)
         for i in rows:
-            delta_vals += signs[i] * factors[i] * interp.values[i, 0]
+            delta_vals += plan.signs[i] * factors[i] * interp.values[i, 0]
         np.testing.assert_allclose(delta_vals, np.zeros(100), atol=1e-9)
 
     def test_matches_dense_bruteforce(self):

@@ -749,6 +749,24 @@ def _repeat_bundle():
                          meta={"omega": 2.0, "delta": 1e-5})
 
 
+def _unit_weight(d, value):
+    """Give member 0 four lambdas of magnitude 0.25, so their |lambda|
+    sum is 1.0, and store `value` as its coeff_abs_sum."""
+    member = d["networks"][0]
+    assert len(member["lambdas"]) == 4
+    member["lambdas"] = [math.copysign(0.25, lam)
+                         for lam in member["lambdas"]]
+    member["meta"]["coeff_abs_sum"] = value
+
+
+def test_unit_weight_reloads_as_float():
+    # the control for the coeff_abs_sum_true and _int cases: 1.0 reloads
+    d = bundle_to_dict(_repeat_bundle())
+    _unit_weight(d, 1.0)
+    back = bundle_from_dict(d)
+    assert back.recipes[back.members[0]][2]["coeff_abs_sum"] == 1.0
+
+
 def _monomials(bundle):
     """Each of the bundle's monomials as a network, in stored order."""
     return [network._monomial(f, bundle.meta["omega"], bundle.meta["delta"],
@@ -934,6 +952,8 @@ class TestBundlePool:
         (lambda d: d["networks"][0]["meta"].pop("coeff_abs_sum"),
          "coeff_abs_sum"),
         (lambda d: d["networks"][0].update(meta="junk"), "coeff_abs_sum"),
+        (lambda d: _unit_weight(d, True), "coeff_abs_sum"),
+        (lambda d: _unit_weight(d, 1), "coeff_abs_sum"),
     ], ids=["monomial_index_-1", "monomial_index_past_end",
             "monomial_index_float", "member_no_monomials", "lambda_count",
             "lambda_string", "lambda_bool", "lambda_nan", "lambda_inf",
@@ -949,7 +969,8 @@ class TestBundlePool:
             "delta_string",
             "W_plus_1", "L_minus_1", "old_format", "format_2", "format_3",
             "no_format", "member_lacks_monomials", "no_labels",
-            "coeff_abs_sum_tiny", "no_coeff_abs_sum", "meta_not_object"])
+            "coeff_abs_sum_tiny", "no_coeff_abs_sum", "meta_not_object",
+            "coeff_abs_sum_true", "coeff_abs_sum_int"])
     def test_bad_bundle_rejected(self, damage, match):
         d = bundle_to_dict(_repeat_bundle())
         bundle_from_dict(d)
@@ -1050,7 +1071,7 @@ class TestSurrogate:
         delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         interp = sparse_interpolate(plan, lambda y: math.exp(0.3 * y[0]))
         by_point = np.empty((plan.n_points, 1))
-        by_point[[t.point_ref for t in plan.triples]] = interp.values
+        by_point[plan.point_ref] = interp.values
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
         bound = surrogate_bound(bundle, plan.point_ref, by_point,
                                 norm=row_norms)
@@ -1142,9 +1163,9 @@ class TestSurrogate:
         delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         rng = np.random.default_rng(42)
         by_point = rng.normal(size=(plan.n_points, 3))
-        point_ref = np.array([t.point_ref for t in plan.triples])
+        point_ref = plan.point_ref
         samples = by_point[point_ref]  # the per-triple reference table
-        signs = np.array([float(t.sign) for t in plan.triples])
+        signs = plan.signs
         bundle, ev = assemble_surrogate(plan, by_point, delta, omega)
         assert len({net.depth for net in bundle.networks}) > 1
         assert len(set(bundle.members)) < len(bundle)
@@ -1284,9 +1305,9 @@ class TestSurrogate:
         omega = 2.0
         delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         by_point = np.random.default_rng(42).normal(size=(plan.n_points, 2))
-        point_ref = np.array([t.point_ref for t in plan.triples])
+        point_ref = plan.point_ref
         samples = by_point[point_ref]
-        signs = np.array([float(t.sign) for t in plan.triples])
+        signs = plan.signs
 
         def refuse(*args, **kwargs):
             raise AssertionError("parallelize called")
@@ -1349,8 +1370,8 @@ class TestSurrogate:
         nets = bundle.networks
         assert (sum(net.size for net in nets),
                 max(net.depth for net in nets)) == (W, L)
-        samples = by_point[[t.point_ref for t in plan.triples]]
-        signs = np.array([float(t.sign) for t in plan.triples])
+        samples = by_point[plan.point_ref]
+        signs = plan.signs
         want = np.zeros_like(got)
         for t, net in enumerate(nets):
             want += (signs[t] * net.eval_batch(Y)) * samples[t]
