@@ -9,7 +9,6 @@ Runs in a few seconds; all randomness is seeded.
 """
 
 import json
-import math
 
 import numpy as np
 

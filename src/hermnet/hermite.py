@@ -128,15 +128,6 @@ class NodeFamily:
         self.order = int(order)
         self.indices = signed_indices(self.order)
         self.nodes, self.weights = gauss_hermite_nodes(self.order)
-        self._by_index = dict(zip(self.indices, range(len(self.indices))))
-
-    def position(self, k):
-        """Row of signed index k in the ascending node order."""
-        return self._by_index[k]
-
-    def node(self, k):
-        """Node value for signed index k."""
-        return float(self.nodes[self._by_index[k]])
 
 
 def hermite_tensor_eval(s, y):

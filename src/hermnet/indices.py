@@ -14,11 +14,13 @@ non-decreasing in the coordinate.
 A collocation plan expands the set into difference-operator triples
 (s, e, k): for every s and every binary mask e on its support, the tensor
 Gauss-Hermite grid of order s-e contributes one signed evaluation point
-per node combination k.  The plan is one frozen record: each triple's
-sign and point row are stored once, as arrays beside the triples, and
-the unique points once, as one dense read-only table.
+per node combination k.  The plan is one frozen record of read-only
+arrays: the triples as an index position and fixed-width tables of
+(coordinate, order, node index) slots on supp(s-e), each triple's sign
+and point row, and the unique points once, as one dense table.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,14 +57,6 @@ class MultiIndex:
         return sum(s for _, s in self.pairs)
 
     @property
-    def support(self):
-        return tuple(j for j, _ in self.pairs)
-
-    @property
-    def max_degree(self):
-        return max((s for _, s in self.pairs), default=0)
-
-    @property
     def max_coord(self):
         return max((j for j, _ in self.pairs), default=0)
 
@@ -78,12 +72,6 @@ class MultiIndex:
     def sort_key(self):
         """Canonical order: total degree, then lexicographic dense prefix."""
         return (self.total_degree, tuple(self.dense()))
-
-    def subtract_mask(self, mask):
-        """Subtract a binary mask given per support coordinate."""
-        if len(mask) != len(self.pairs):
-            raise ValueError("mask length must match support size")
-        return MultiIndex(tuple((j, s - b) for (j, s), b in zip(self.pairs, mask)))
 
 
 @dataclass(frozen=True)
@@ -219,8 +207,10 @@ def build_lambda(xi, model, cap=1_000_000):
     non-decreasing, so once the unit index e_j is infeasible every later
     coordinate is too.  Raises CapacityError beyond `cap` indices, or if
     feasibility past the end of an explicit weight list cannot be ruled
-    out (no tail rule).
+    out (no tail rule).  Each distinct factor is computed once per call.
     """
+    log_factor = functools.cache(
+        lambda rho_j, s_j: _log_factor(rho_j, s_j, model.eta))
     log_budget = math.log(xi) + 1e-12 if xi > 0 else -math.inf
     found = []
     if 0.0 > log_budget:  # sigma_0 = 1; empty set when xi < 1
@@ -230,13 +220,13 @@ def build_lambda(xi, model, cap=1_000_000):
         rho_j = model.weight(j)
         if rho_j is None:
             # safe only if even the floor weight makes e_j infeasible
-            floor = _log_factor(model.weight_floor(j), 1, model.eta)
+            floor = log_factor(model.weight_floor(j), 1)
             if (model.q / 2.0) * floor <= log_budget:
                 raise CapacityError(
                     f"explicit weight list exhausted at coordinate {j} "
                     "while indices may remain feasible; provide a tail rule")
             return None
-        return _log_factor(rho_j, s_j, model.eta)
+        return log_factor(rho_j, s_j)
 
     def extend(pairs, log_sig_q, j_min):
         j = j_min
@@ -246,7 +236,7 @@ def build_lambda(xi, model, cap=1_000_000):
                 return
             s_j = 1
             while True:
-                lf = _log_factor(model.weight(j), s_j, model.eta)
+                lf = log_factor(model.weight(j), s_j)
                 cand = log_sig_q + (model.q / 2.0) * lf
                 if cand > log_budget:
                     break
@@ -265,50 +255,31 @@ def build_lambda(xi, model, cap=1_000_000):
     return found
 
 
-@dataclass(frozen=True)
-class Triple:
-    """One difference-operator evaluation: index s, mask e, node combo k.
-
-    s_ref is the position of s in the plan's index table; e_mask has one
-    bit per support coordinate of s; k holds the signed node indices per
-    coordinate of supp(s-e); s_minus_e is s-e, shared by every triple of
-    one (s, e).  The triple's sign and point row live in the plan, as
-    plan.signs and plan.point_ref.
-    """
-
-    s_ref: int
-    e_mask: tuple
-    k: tuple
-    s_minus_e: MultiIndex
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollocationPlan:
-    """A fully expanded interpolation plan for one budget xi, built once.
-
-    `points` is a read-only float (n_points, m_active) array of the
-    unique grid points, first seen first, 0.0 off each point's support.
-    The read-only `signs` (float (-1)^{|e|_1}) and `point_ref` (intp row
-    of `points`) hold one entry per triple, in the order of `triples`.
-    """
+    """A collocation plan for one budget xi, compared by identity.  Row t
+    of its read-only arrays is triple t (s, e, k) in canonical order
+    (index position, mask bits, node combination): `s_ref`, the position
+    of s; `coords`, `orders`, `k`, the j, (s-e)_j and k_j of supp(s-e)
+    in coordinate order, padded with 0; `signs`, (-1)^{|e|_1}; and
+    `point_ref`, its row of the unique grid `points` (first seen first)."""
 
     xi: float
     model: WeightModel
     indices: tuple
-    triples: tuple
     points: np.ndarray
     m1: int
     m_active: int
+    s_ref: np.ndarray
+    coords: np.ndarray
+    orders: np.ndarray
+    k: np.ndarray
     signs: np.ndarray
     point_ref: np.ndarray
 
     @property
-    def n_indices(self):
-        return len(self.indices)
-
-    @property
     def n_triples(self):
-        return len(self.triples)
+        return len(self.s_ref)
 
     @property
     def n_points(self):
@@ -323,60 +294,97 @@ class CollocationPlan:
         return np.pad(self.points, ((0, 0), (0, d - self.m_active)))
 
 
-def _support_masks(n):
-    """All binary masks of length n, low bit = first support coordinate."""
-    for bits in range(1 << n):
-        yield tuple((bits >> i) & 1 for i in range(n))
+def _ranges(starts, counts):
+    """arange(s, s + c) for each start s and count c, end to end."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    return (np.repeat(np.asarray(starts, dtype=np.int64) - ends + counts,
+                      counts) + np.arange(ends[-1] if len(ends) else 0))
+
+
+def _unique_rows(table):
+    """(first, inverse) of the distinct rows of an integer table, numbered
+    in order of first occurrence.  Rows compare as bytes, much faster
+    than np.unique(axis=0); a zero column gives empty rows some bytes."""
+    table = np.column_stack([np.zeros(len(table), np.int64), table])
+    rows = table.view(np.dtype((np.void, 8 * table.shape[1]))).ravel()
+    _, first, inv = np.unique(rows, return_index=True, return_inverse=True)
+    by_use = np.argsort(first)
+    return first[by_use], np.argsort(by_use)[inv]
+
+
+def _pair_table(indices, r):
+    """The intp (len(indices), r, 2) table of each index's (coordinate,
+    degree) pairs, padded with (0, 0)."""
+    return np.array([s.pairs + ((0, 0),) * (r - len(s.pairs))
+                     for s in indices], dtype=np.intp).reshape(
+                         len(indices), r, 2)
 
 
 def build_plan(xi, model):
     """Expand the admissible set at budget xi into a collocation plan.
 
-    Every (s, e) pair spawns the tensor grid of order s-e over supp(s-e);
-    node combinations are keyed by exact node values so points shared
-    between grids collapse into one solver call.
-    """
+    Every (s, e) spawns the tensor grid of order s-e over supp(s-e), as
+    arrays: s by position, e by the integer whose bit i is e on the i-th
+    support coordinate, node combinations in product order.  Points are
+    keyed by exact node values, numbered in that order."""
     if xi < 1.0:
         raise ValueError("xi must be >= 1 so the plan contains the zero index")
+
+    def first_slots(keep, *tables):  # the slots where `keep` holds first
+        slot = np.argsort(~keep, axis=1, kind="stable")
+        return [np.take_along_axis(t, slot, axis=1) for t in tables]
+
     lam_set = build_lambda(xi, model)
-    m1 = max((s.max_degree for s in lam_set), default=0)
-    m_active = max((s.max_coord for s in lam_set), default=0)
-    # the set is downward closed, so the orders of s-e are exactly 1..m1
-    families = {d: NodeFamily(d) for d in range(1, m1 + 1)}
-    point_index = {}  # sparse point ((j, node), ...) -> row, first seen
-    rows = []         # (triple, sign, point row)
-    for s_ref, s in enumerate(lam_set):
-        for mask in _support_masks(len(s.pairs)):
-            sme = s.subtract_mask(mask)
-            sign = (-1.0) ** sum(mask)
-            coords = [j for j, _ in sme.pairs]
-            fams = [families[d] for _, d in sme.pairs]
-            combos = [()]
-            for fam in fams:
-                combos = [c + (k,) for c in combos for k in fam.indices]
-            for combo in combos:
-                pt = tuple((j, fam.node(k)) for j, fam, k
-                           in zip(coords, fams, combo) if fam.node(k) != 0.0)
-                ref = point_index.setdefault(pt, len(point_index))
-                rows.append((Triple(s_ref, mask, combo, sme), sign, ref))
-    # canonical order: index position, mask bits, then node combination
-    rows.sort(key=lambda r: (r[0].s_ref, r[0].e_mask, r[0].k))
-    triples, signs, point_ref = zip(*rows)
-    signs, point_ref = np.array(signs), np.array(point_ref, dtype=np.intp)
-    points = np.zeros((len(point_index), m_active))
-    for ref, pt in enumerate(point_index):
-        for j, v in pt:
-            points[ref, j - 1] = v
-    for column in (points, signs, point_ref):
+    width = np.array([len(s.pairs) for s in lam_set])
+    s_tab = _pair_table(lam_set, width.max())
+    m_active, m1 = (int(x) for x in s_tab.max(axis=(0, 1), initial=0))
+    # [d, p]: signed index and node at position p of the order-d family
+    signed = np.zeros((m1 + 1, m1 + 1), dtype=np.intp)
+    nodes = np.zeros((m1 + 1, m1 + 1))
+    for d in range(1, m1 + 1):
+        fam = NodeFamily(d)
+        signed[d, : d + 1], nodes[d, : d + 1] = fam.indices, fam.nodes
+
+    # the (s, e) blocks: e's bit on each support slot of s, then s - e
+    block_s = np.repeat(np.arange(len(lam_set)), 1 << width)
+    e = (_ranges(0, 1 << width)[:, None] >> np.arange(width.max())) & 1
+    orders = s_tab[block_s, :, 1] - e
+    orders, coords = first_slots(orders > 0, orders,
+                                 s_tab[block_s, :, 0] * (orders > 0))
+
+    # the triples, block by block: node positions in product order
+    size = np.prod(orders + 1, axis=1)
+    block = np.repeat(np.arange(len(size)), size)
+    local, t_orders = _ranges(0, size), orders[block]
+    rest, pos = local, np.zeros_like(t_orders)
+    for i in reversed(range(width.max())):
+        rest, pos[:, i] = np.divmod(rest, t_orders[:, i] + 1)
+    value = nodes[t_orders, pos]
+
+    # a point: its (coordinate, node) pairs with a nonzero node, in order
+    live = value != 0.0
+    pc, pv = first_slots(live, coords[block] * live, value)
+    first, inverse = _unique_rows(np.hstack([pc, pv.view(np.int64)]))
+    points = np.zeros((len(first), m_active))
+    u, i = np.nonzero(pc[first])
+    points[u, pc[first][u, i] - 1] = pv[first][u, i]
+
+    # canonical order: index position, mask bits, node combination
+    order = np.lexsort((local, *e[block].T[::-1], block_s[block]))
+    blk = block[order]
+    columns = dict(s_ref=block_s[blk], coords=coords[blk], orders=orders[blk],
+                   k=signed[t_orders, pos][order], point_ref=inverse[order],
+                   signs=np.where(e.sum(axis=1) % 2, -1.0, 1.0)[blk],
+                   points=points)
+    for column in columns.values():
         column.setflags(write=False)
-    return CollocationPlan(
-        xi=float(xi), model=model, indices=tuple(lam_set), triples=triples,
-        points=points, m1=m1, m_active=m_active, signs=signs,
-        point_ref=point_ref)
+    return CollocationPlan(xi=float(xi), model=model, indices=tuple(lam_set),
+                           m1=m1, m_active=m_active, **columns)
 
 
 def plan_stats(plan):
     """The sizes of one plan, as its plan artifact stores them."""
-    return {"n_indices": plan.n_indices, "n_triples": plan.n_triples,
+    return {"n_indices": len(plan.indices), "n_triples": plan.n_triples,
             "n_points": plan.n_points, "m1": plan.m1,
             "m_active": plan.m_active}

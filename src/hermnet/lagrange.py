@@ -79,7 +79,7 @@ class LagrangeBasis:
 
     def coeffs(self, k):
         """Monomial coefficients for signed index k."""
-        return self.coeff_table[self.family.position(k)]
+        return self.coeff_table[self.family.indices.index(k)]
 
     def eval_all(self, y):
         """All cardinal polynomials at y via the stable node-product form.
@@ -167,23 +167,24 @@ class SparseInterpolant:
         return cls(plan, point_values[plan.point_ref])
 
     def _triple_factors(self, pts):
-        """Cardinal-product factors for each triple at points (n, d)."""
-        plan = self.plan
-        cache = {}
-
-        def l_table(order, coord):
-            key = (order, coord)
-            tab = cache.get(key)
-            if tab is None:
-                tab = lagrange_coeffs(order).eval_all(pts[:, coord - 1])
-                cache[key] = tab
-            return tab
-
+        """Cardinal-product factors for each triple at points (n, d): the
+        product over supp(s-e) of the order-(s-e)_j cardinal polynomial
+        of node k_j at y_j.  Slot by slot, each (coordinate, order) group
+        takes one in-place multiply, so factors build up from 1.0 in
+        coordinate order, bit for bit as a per-triple loop."""
+        plan, cache = self.plan, {}
         factors = np.ones((plan.n_triples, pts.shape[0]))
-        for t_idx, t in enumerate(plan.triples):
-            for (j, d), k in zip(t.s_minus_e.pairs, t.k):
-                fam = lagrange_coeffs(d).family
-                factors[t_idx] *= l_table(d, j)[fam.position(k)]
+        for coords, orders, k in zip(plan.coords.T, plan.orders.T, plan.k.T):
+            rows = np.flatnonzero(orders)
+            rows = rows[np.lexsort((orders[rows], coords[rows]))]
+            cuts = np.flatnonzero(np.diff(coords[rows])
+                                  | np.diff(orders[rows])) + 1
+            for group in np.split(rows, cuts):
+                j, d = coords[group[0]], orders[group[0]]
+                if (d, j) not in cache:
+                    cache[d, j] = lagrange_coeffs(d).eval_all(pts[:, j - 1])
+                at = np.searchsorted(lagrange_coeffs(d).family.indices, k[group])
+                factors[group] *= cache[d, j][at]
         return factors
 
     def __call__(self, y):

@@ -60,7 +60,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .hermite import NodeFamily
-from .indices import _logsumexp, p_weight
+from .indices import (_logsumexp, _pair_table, _ranges, _unique_rows,
+                      p_weight)
 from .lagrange import as_table, lagrange_coeffs
 
 # Cells (network columns x points) of the activation buffer one
@@ -628,14 +629,6 @@ def concatenate(first, second):
 # ---------------------------------------------------------------------------
 # compilation of collocation triples
 
-def _ranges(starts, counts):
-    """arange(s, s + c) for each start s and count c, end to end."""
-    counts = np.asarray(counts, dtype=np.int64)
-    ends = np.cumsum(counts)
-    return (np.repeat(np.asarray(starts, dtype=np.int64) - ends + counts,
-                      counts) + np.arange(ends[-1] if len(ends) else 0))
-
-
 class _Pool:
     """A bundle's recipes as arrays over the _templates of its monomials.
 
@@ -893,24 +886,23 @@ def _template(factors, omega, delta):
     return net
 
 
-def _compile_triple(s_minus_e, k, omega, delta, gate_coord):
+def _compile_triple(pairs, k, omega, delta, gate_coord):
     """(terms, meta) of one collocation triple's scalar network, the
     terms parallelized: one (gadget factors, lambda) pair per monomial.
 
     The target is the product of univariate cardinal polynomials of
-    order (s-e)_j at signed node k_j.  Each monomial term l <= s-e
-    becomes a truncated gadget product over the support of s-e (phi1
-    repeated l_j times for l_j >= 1, one phi0 plateau factor for
-    l_j = 0), fed with y/(4*sqrt(omega)), with lambda =
-    b_l * (4*sqrt(omega))^{|l|_1}.  Every support coordinate is gated,
-    so the network is exactly zero once any |y_j| > 8*sqrt(omega).  When
-    s-e = 0 it is one plateau gadget on `gate_coord` (1-based).
-    meta["coeff_abs_sum"], sum_l |lambda_l|, is the triple's certificate
-    weight: the network is within delta * coeff_abs_sum of its
-    polynomial on the plateau box.
+    order (s-e)_j at signed node k_j over the (j, (s-e)_j) `pairs` of
+    supp(s-e), in coordinate order.  Each monomial term l <= s-e becomes
+    a truncated gadget product over the support of s-e (phi1 repeated
+    l_j times for l_j >= 1, one phi0 plateau factor for l_j = 0), fed
+    with y/(4*sqrt(omega)), with lambda = b_l * (4*sqrt(omega))^{|l|_1}.
+    Every support coordinate is gated, so the network is exactly zero
+    once any |y_j| > 8*sqrt(omega).  When s-e = 0 it is one plateau
+    gadget on `gate_coord` (1-based).  meta["coeff_abs_sum"],
+    sum_l |lambda_l|, is the triple's certificate weight: the network is
+    within delta * coeff_abs_sum of its polynomial on the plateau box.
     """
     _check_omega_delta(omega, delta)
-    pairs = s_minus_e.pairs
     if len(k) != len(pairs):
         raise ValueError("need one signed node index per support coordinate")
     scale = 4.0 * math.sqrt(omega)
@@ -1037,36 +1029,42 @@ def surrogate_eval(bundle, signs, point_ref, samples, pts):
 def assemble_surrogate(plan, samples, delta, omega):
     """Compile a plan into (bundle, evaluator).
 
-    `samples` is an (n_points, k) table: one solution row per unique
-    grid point of the plan, in the plan's point order, k = 1 for a
-    scalar quantity.  The networks depend only on the triples, never on
-    the samples.  The evaluator is surrogate_eval bound to the bundle,
-    plan.signs, plan.point_ref and this table, of which no per-triple
-    copy is made: it maps points of shape (n, d), d >= max(m_active, 1),
-    to the (n, k) table  sum_t signs[t] * samples[point_ref[t]] * net_t(y).
+    `samples` is the (n_points, k) table of the grid points' solution
+    rows, k = 1 for a scalar quantity.  The networks depend only on the
+    triples: each distinct row of [coords | orders | k | gate] (gate the
+    first coordinate of s where s-e = 0, else 0) is compiled once, in
+    first-use order, which numbers monomials and recipes.  The evaluator
+    is surrogate_eval bound to the bundle, plan.signs, plan.point_ref
+    and this table: it maps points (n, d), d >= max(m_active, 1), to
+    the (n, k) table  sum_t signs[t] * samples[point_ref[t]] * net_t(y).
     """
     samples = as_table(samples, plan.n_points, "n_points")
-    dim = max(plan.m_active, 1)
-    # each distinct triple is compiled once, and each monomial and
-    # recipe is numbered where it is first used
-    monomials, recipes, index, built = {}, [], {}, {}
-    members, labels = [], []
-    for t in plan.triples:
-        s, sme = plan.indices[t.s_ref], t.s_minus_e
-        gate = min(s.support) if s.pairs else 1
-        key = (sme.pairs, t.k, None if sme.pairs else gate)
-        if key not in built:
-            terms, meta = _compile_triple(sme, t.k, omega, delta, gate)
-            refs = tuple(monomials.setdefault(f, len(monomials))
-                         for f, _ in terms)
-            built[key] = _recipe_index(recipes, index, refs,
-                                       [lam for _, lam in terms], meta)
-        members.append(built[key])
-        labels.append({"s": [list(p) for p in s.pairs],
-                       "e": list(t.e_mask), "k": list(t.k)})
-    bundle = NetworkBundle(dim, monomials, recipes, members, labels, meta={
-        "xi": plan.xi, "delta": delta, "omega": omega,
-        "n_triples": plan.n_triples})
+    gate = np.array([s.pairs[0][0] if s.pairs else 1 for s in plan.indices])
+    gate = np.where(plan.orders.any(axis=1), 0, gate[plan.s_ref])
+    first, inverse = _unique_rows(
+        np.column_stack([plan.coords, plan.orders, plan.k, gate]))
+    n = np.count_nonzero(plan.orders, axis=1)  # the width of supp(s-e)
+    monomials, recipes, index, recipe_of = {}, [], {}, []
+    for c, d, k, w, g in zip(*(a[first].tolist() for a in (
+            plan.coords, plan.orders, plan.k, n, gate))):
+        terms, meta = _compile_triple(tuple(zip(c[:w], d[:w])), tuple(k[:w]),
+                                      omega, delta, g)
+        refs = tuple(monomials.setdefault(f, len(monomials))
+                     for f, _ in terms)
+        recipe_of.append(_recipe_index(recipes, index, refs,
+                                       [lam for _, lam in terms], meta))
+    # the stored labels, whose "s" lists are shared per s; e = s - (s-e)
+    s_tab = _pair_table(plan.indices, plan.coords.shape[1])[plan.s_ref]
+    kept = (plan.coords[:, None, :] == s_tab[:, :, :1]) * plan.orders[:, None]
+    e = (s_tab[:, :, 1] - kept.sum(axis=2)).tolist()
+    s_pairs = [[list(p) for p in s.pairs] for s in plan.indices]
+    labels = [{"s": s_pairs[i], "e": e_t[:len(s_pairs[i])], "k": k[:w]}
+              for i, e_t, k, w in zip(plan.s_ref.tolist(), e,
+                                      plan.k.tolist(), n.tolist())]
+    bundle = NetworkBundle(max(plan.m_active, 1), monomials, recipes,
+                           np.array(recipe_of)[inverse].tolist(), labels, {
+                               "xi": plan.xi, "delta": delta,
+                               "omega": omega, "n_triples": plan.n_triples})
     return bundle, functools.partial(surrogate_eval, bundle, plan.signs,
                                      plan.point_ref, samples)
 
@@ -1076,17 +1074,18 @@ def surrogate_bound(bundle, point_ref, samples, *, norm):
     delta * sum_t norm(samples)[point_ref[t]] * coeff_abs_sum_t, with
     `samples` the (n_points, k) grid table, member t reading row
     point_ref[t], and `norm` mapping a table to its row norms.  The
-    terms are added in t order.  ValueError unless `samples` is 2-D.
-    """
+    terms are added in t order (a running sum).  ValueError unless
+    `samples` is 2-D with one point row per member."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"expected an (n_points, k) sample table, got "
                          f"shape {samples.shape}")
-    total = 0.0
-    for n_t, r in zip(norm(samples)[point_ref].tolist(), bundle.members,
-                      strict=True):
-        total += n_t * bundle.recipes[r][2]["coeff_abs_sum"]
-    return bundle.meta.get("delta") * total
+    if len(point_ref) != len(bundle.members):
+        raise ValueError(f"{len(point_ref)} point rows for "
+                         f"{len(bundle.members)} members")
+    weight = np.array([meta["coeff_abs_sum"] for *_, meta in bundle.recipes])
+    terms = norm(samples)[point_ref] * weight[bundle.members]
+    return bundle.meta.get("delta") * float(np.cumsum(terms)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from hermnet.network import (
     assemble_surrogate,
     surrogate_eval,
 )
+from triple_loops import plan_triples
 
 CSV_COLUMNS = ("xi", "n_solvers", "n_unique_points", "W", "L",
                "l2_error", "l2_stderr", "sup_error",
@@ -258,13 +259,11 @@ class TestPlanCmd:
             plan = build_plan(xi, model)
             # independent recount of the unique grid points via triples
             seen = set()
-            for t in plan.triples:
-                s = plan.indices[t.s_ref]
-                sme = s.subtract_mask(t.e_mask)
+            for t in plan_triples(plan):
                 point = []
-                for (j, d), k in zip(sme.pairs, t.k):
+                for (j, d), k in zip(t.s_minus_e.pairs, t.k):
                     fam = NodeFamily(d)
-                    node = float(fam.nodes[fam.position(k)])
+                    node = float(fam.nodes[fam.indices.index(k)])
                     if node != 0.0:  # y_j = 0 is the same vector as absent j
                         point.append((j, node))
                 seen.add(tuple(point))

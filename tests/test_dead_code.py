@@ -6,7 +6,8 @@ but at its own definition: as a name, an attribute, an import, or a
 string (the benchmark's tracer wraps functions by name).  A package
 __init__.py does not count: re-exporting a name does not call it.
 Dunder methods are called by Python itself and are not checked.
-Every name a package module imports is used in that module.
+Every name a module of the package, demos/ or tests/ imports is used in
+that module.
 """
 
 import ast
@@ -87,8 +88,9 @@ def _unused_imports(path):
 
 
 def test_every_import_is_used():
-    unused = sorted(f"{path.name}:{name}"
-                    for path in sorted(PACKAGE.glob("*.py"))
-                    if path.name != "__init__.py"
-                    for name in _unused_imports(path))
+    paths = [path for folder in (PACKAGE, ROOT / "demos", ROOT / "tests")
+             for path in sorted(folder.glob("*.py"))
+             if path.name != "__init__.py"]
+    unused = sorted(f"{path.parent.name}/{path.name}:{name}"
+                    for path in paths for name in _unused_imports(path))
     assert not unused, f"{unused} are imported but never used; delete them"

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erfc
 
 from hermnet.errors import (
-    ErrorDecomposition,
     RateFit,
     _sample_inside,
     _sample_outside,
@@ -21,7 +20,6 @@ from hermnet.errors import (
 )
 from hermnet.fem import LognormalProblem, fem_solve, sine_family, solution_norm
 from hermnet.indices import WeightModel, build_plan
-from hermnet.lagrange import SparseInterpolant
 from hermnet.network import assemble_surrogate
 
 # E[y^2 1_{|y|>1}] = 2 (g(1) + 1 - Phi(1)); sqrt of it, to the last bit

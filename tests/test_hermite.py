@@ -190,16 +190,20 @@ class TestNodeFamily:
     def test_lookup(self):
         fam = NodeFamily(3)
         assert fam.order + 1 == len(fam.nodes) == len(fam.indices) == 4
-        np.testing.assert_allclose(fam.node(2), 2.3344142183389773, rtol=1e-12)
-        np.testing.assert_allclose(fam.node(-2), -2.3344142183389773, rtol=1e-12)
-        assert fam.node(1) == -fam.node(-1)
-        np.testing.assert_allclose(fam.weights[fam.position(2)],
+        np.testing.assert_allclose(fam.nodes[fam.indices.index(2)],
+                                   2.3344142183389773, rtol=1e-12)
+        np.testing.assert_allclose(fam.nodes[fam.indices.index(-2)],
+                                   -2.3344142183389773, rtol=1e-12)
+        assert fam.nodes[fam.indices.index(1)] == \
+            -fam.nodes[fam.indices.index(-1)]
+        np.testing.assert_allclose(fam.weights[fam.indices.index(2)],
                                    0.045875854768068484, rtol=1e-10)
 
     def test_zero_index_only_for_even(self):
-        assert 0 in NodeFamily(2)._by_index
-        assert 0 not in NodeFamily(3)._by_index
-        assert NodeFamily(2).node(0) == 0.0
+        assert 0 in NodeFamily(2).indices
+        assert 0 not in NodeFamily(3).indices
+        fam = NodeFamily(2)
+        assert fam.nodes[fam.indices.index(0)] == 0.0
 
 
 class TestHermiteTensorEval:

@@ -5,7 +5,9 @@ The enumeration is checked against an independent brute-force oracle
 """
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from hermnet import indices
 from hermnet.hermite import NodeFamily
 from hermnet.indices import (
     CapacityError,
     CollocationPlan,
     MultiIndex,
-    Triple,
     WeightModel,
     _logsumexp,
     build_lambda,
@@ -28,6 +30,7 @@ from hermnet.indices import (
     p_weight,
     plan_stats,
 )
+from triple_loops import plan_triples
 
 
 def brute_sigma_sq(s_dense, rho, eta):
@@ -44,8 +47,6 @@ class TestMultiIndex:
         s = MultiIndex(((3, 2), (1, 1)))
         assert s.pairs == ((1, 1), (3, 2))
         assert s.total_degree == 3
-        assert s.support == (1, 3)
-        assert s.max_degree == 2
         assert s.max_coord == 3
         assert s.dense()[1] == 0  # no degree at coordinate 2
 
@@ -64,11 +65,6 @@ class TestMultiIndex:
                       <= MultiIndex(((1, 2), (2, 1))).dense(2))
         assert not np.all(MultiIndex(((3, 1),)).dense(3)
                           <= MultiIndex(((1, 2),)).dense(3))
-
-    def test_subtract_mask(self):
-        s = MultiIndex(((1, 2), (4, 1)))
-        assert s.subtract_mask((1, 1)).pairs == ((1, 1),)
-        assert s.subtract_mask((0, 1)).pairs == ((1, 2),)
 
     def test_canonical_order(self):
         # total degree first, then lexicographic on the dense prefix
@@ -246,12 +242,31 @@ class TestBuildLambda:
         lam = build_lambda(5.0, w)
         assert {s.pairs for s in lam} == {(), ((1, 1),), ((1, 2),)}
 
+    def test_each_factor_once_per_call(self, monkeypatch):
+        # every factor is computed once per call, and nothing is kept
+        # from one call to the next
+        calls = []
+        factor = indices._log_factor
+        monkeypatch.setattr(indices, "_log_factor",
+                            lambda *args: calls.append(args) or factor(*args))
+        model = WeightModel(q=2.0 / 3.0, rho=(), tail=(2.0, 2.0))
+        lam = build_lambda(32.0, model)
+        assert len(calls) == len(set(calls)) == 25
+        calls.clear()
+        assert build_lambda(32.0, model) == lam
+        assert len(calls) == 25
+        # the floor factor past an explicit list is computed once too
+        calls.clear()
+        build_lambda(5.0, WeightModel(q=1.0, rho=(2.0, 6.0)))
+        assert len(calls) == len(set(calls))
+
 
 def _triple_point(plan, t):
     """The dense grid point of triple t, from its nodes alone."""
     out = np.zeros(plan.m_active)
     for (j, d), k in zip(t.s_minus_e.pairs, t.k):
-        out[j - 1] = NodeFamily(d).node(k)
+        fam = NodeFamily(d)
+        out[j - 1] = fam.nodes[fam.indices.index(k)]
     return out
 
 
@@ -260,7 +275,7 @@ class TestBuildPlan:
         # oracle triple count for the xi = 5.1 example: 63
         w = WeightModel(q=1.0, rho=tuple(float(j + 2) for j in range(6)), eta=1)
         plan = build_plan(5.1, w)
-        assert plan.n_indices == 11
+        assert len(plan.indices) == 11
         assert plan.n_triples == 63
         assert plan.m1 == 6
         assert plan.m_active == 4
@@ -268,16 +283,17 @@ class TestBuildPlan:
     def test_single_index_plan(self):
         w = WeightModel(q=1.0, rho=(5.0,))
         plan = build_plan(1.0, w)
-        assert plan.n_indices == 1
+        assert len(plan.indices) == 1
         assert plan.n_triples == 1
         assert plan.points.shape == (1, 0)
-        t = plan.triples[0]
+        t = plan_triples(plan)[0]
         assert (t.s_ref, t.e_mask, t.k, plan.signs[0]) == (0, (), (), 1)
+        assert plan.coords.shape == plan.orders.shape == plan.k.shape == (1, 0)
 
     def test_signs(self):
         w = WeightModel(q=1.0, rho=(2.0, 3.0), eta=1)
         plan = build_plan(3.0, w)  # indices: 0, e1, 2e1
-        for t, sign in zip(plan.triples, plan.signs):
+        for t, sign in zip(plan_triples(plan), plan.signs, strict=True):
             assert sign == (-1) ** sum(t.e_mask)
 
     def test_point_dedup(self):
@@ -294,7 +310,7 @@ class TestBuildPlan:
         w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
         plan = build_plan(26.0, w)
         counts = {}
-        for t in plan.triples:
+        for t in plan_triples(plan):
             counts[(t.s_ref, t.e_mask)] = counts.get((t.s_ref, t.e_mask), 0) + 1
         for (s_ref, mask), n in counts.items():
             s = plan.indices[s_ref]
@@ -304,17 +320,46 @@ class TestBuildPlan:
             assert n == expect
 
     def test_triples_carry_s_minus_e(self):
-        # one s - e object per (s, e), shared by its node combinations
+        # one s - e row per (s, e), shared by its node combinations; e is
+        # a binary mask on supp(s)
         w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
         plan = build_plan(26.0, w)
         first = {}
-        for t in plan.triples:
-            sme = plan.indices[t.s_ref].subtract_mask(t.e_mask)
+        for i, t in enumerate(plan_triples(plan)):
+            s = plan.indices[t.s_ref]
+            assert set(t.e_mask) <= {0, 1}
+            assert len(t.e_mask) == len(s.pairs)
+            sme = MultiIndex(tuple((j, d - b)
+                                   for (j, d), b in zip(s.pairs, t.e_mask)))
             assert t.s_minus_e == sme
             assert len(t.k) == len(sme.pairs)
-            assert first.setdefault((t.s_ref, t.e_mask), t.s_minus_e) \
-                is t.s_minus_e
+            row = (plan.coords[i].tolist(), plan.orders[i].tolist())
+            assert first.setdefault((t.s_ref, t.e_mask), row) == row
         assert len(first) < plan.n_triples
+
+    def test_triple_arrays(self):
+        # (n_triples, r) tables, r the largest support: supp(s - e) in
+        # ascending coordinate order, then slots of order 0, coordinate 0
+        # and node index 0; each k_j is a signed index of its family
+        w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
+        plan = build_plan(26.0, w)
+        r = max(len(s.pairs) for s in plan.indices)
+        assert r >= 2
+        assert plan.s_ref.shape == (plan.n_triples,)
+        for table in (plan.s_ref, plan.coords, plan.orders, plan.k):
+            assert table.dtype == np.intp
+            assert table.shape[1:] in ((), (r,))
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        for c, d, k in zip(plan.coords.tolist(), plan.orders.tolist(),
+                           plan.k.tolist()):
+            n = sum(x > 0 for x in d)
+            assert d[n:] == c[n:] == k[n:] == [0] * (r - n)
+            assert min(d[:n], default=1) >= 1
+            assert c[:n] == sorted(set(c[:n])) and min(c[:n], default=1) >= 1
+            for order, kk in zip(d[:n], k[:n]):
+                assert kk in NodeFamily(order).indices
+        assert plan.s_ref.tolist() == sorted(plan.s_ref.tolist())
 
     def test_sign_and_point_columns(self):
         # the plan keeps each triple's sign and point row as read-only
@@ -324,10 +369,11 @@ class TestBuildPlan:
         assert plan.signs.dtype == np.float64
         assert plan.point_ref.dtype == np.intp
         assert plan.signs.tolist() == [float((-1) ** sum(t.e_mask))
-                                       for t in plan.triples]
+                                       for t in plan_triples(plan)]
         rows = [tuple(row) for row in plan.points.tolist()]
         assert plan.point_ref.tolist() == [
-            rows.index(tuple(_triple_point(plan, t))) for t in plan.triples]
+            rows.index(tuple(_triple_point(plan, t)))
+            for t in plan_triples(plan)]
         assert {-1.0, 1.0} == set(plan.signs.tolist())
         for column in (plan.signs, plan.point_ref):
             with pytest.raises(ValueError, match="read-only"):
@@ -340,23 +386,25 @@ class TestBuildPlan:
         plan = build_plan(26.0, w)
         assert plan.points.dtype == np.float64
         assert plan.points.shape == (plan.n_points, plan.m_active)
-        for t, ref in zip(plan.triples, plan.point_ref):
+        for t, ref in zip(plan_triples(plan), plan.point_ref, strict=True):
             assert plan.points[ref].tolist() == \
                 _triple_point(plan, t).tolist()
         assert len(set(map(tuple, plan.points.tolist()))) == plan.n_points
 
     def test_plan_is_one_frozen_record(self):
         # every field is set once by build_plan: no defaults, no
-        # assignment, read-only arrays; a triple keeps no sign or row
+        # assignment, read-only arrays; the triples are arrays, no objects
         assert all(f.default is dataclasses.MISSING
                    and f.default_factory is dataclasses.MISSING
                    for f in dataclasses.fields(CollocationPlan))
-        assert [f.name for f in dataclasses.fields(Triple)] == \
-            ["s_ref", "e_mask", "k", "s_minus_e"]
+        assert [f.name for f in dataclasses.fields(CollocationPlan)][-6:] == \
+            ["s_ref", "coords", "orders", "k", "signs", "point_ref"]
+        assert not hasattr(indices, "Triple")
         plan = build_plan(3.0, WeightModel(q=1.0, rho=(2.0, 3.0), eta=1))
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.m1 = 7
-        for column in (plan.points, plan.signs, plan.point_ref):
+        for column in (plan.points, plan.s_ref, plan.coords, plan.orders,
+                       plan.k, plan.signs, plan.point_ref):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
 
@@ -377,6 +425,36 @@ class TestBuildPlan:
             plan.point_array(m - 1)
         single = build_plan(1.0, WeightModel(q=1.0, rho=(5.0,)))
         assert single.point_array(2).tolist() == [[0.0, 0.0]]
+
+    def test_plans_compare_by_identity(self):
+        w = WeightModel(q=1.0, rho=(2.0, 3.0), eta=1)
+        a, b = build_plan(3.0, w), build_plan(3.0, w)
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True
+        assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+
+    def test_acceptance_plan_at_xi_1024(self):
+        # the acceptance weights at xi = 1024: stats, and digests of the
+        # sign, point-row and point arrays and of a layout-independent
+        # list of the triples (s_ref, e_mask, k, s - e)
+        plan = build_plan(1024.0, WeightModel(q=2.0 / 3.0, rho=(),
+                                              tail=(2.0, 2.0)))
+        assert plan_stats(plan) == {"n_indices": 746, "n_triples": 16346,
+                                    "n_points": 4669, "m1": 12,
+                                    "m_active": 127}
+        assert plan.coords.shape == (16346, 4)
+
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        assert plan.point_ref.dtype == np.int64
+        assert [digest(a.tobytes()) for a in (plan.signs, plan.point_ref,
+                                             plan.points)] == [
+            "77f5e4e65883d24c", "4202855c7cd77895", "8a787f03662f5cea"]
+        rows = [[t.s_ref, list(t.e_mask), list(t.k),
+                 [list(p) for p in t.s_minus_e.pairs]]
+                for t in plan_triples(plan)]
+        assert digest(json.dumps(rows).encode()) == "4d9b2cf370cbc794"
 
     def test_xi_below_one_raises(self):
         w = WeightModel(q=1.0, rho=(2.0,))

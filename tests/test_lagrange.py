@@ -13,7 +13,6 @@ import pytest
 from hermnet.hermite import NodeFamily, gauss_hermite_nodes, hermite_eval
 from hermnet.indices import MultiIndex, WeightModel, build_plan
 from hermnet.lagrange import (
-    LagrangeBasis,
     SparseInterpolant,
     delta_op,
     evaluate_interpolant,
@@ -22,6 +21,7 @@ from hermnet.lagrange import (
     sparse_interpolate,
     _deflate,
 )
+from triple_loops import triple_factors
 
 
 class TestHermiteMonomialCoeffs:
@@ -228,14 +228,31 @@ class TestSparseInterpolate:
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() / scale < 1e-8
 
+    def test_triple_factors_match_per_triple_loop(self):
+        # bit for bit against the per-triple loop, at a plan with
+        # supports of 3 coordinates: Gaussian points, points far outside
+        # the sampling box and points with zeroed coordinates
+        plan = build_plan(64.0, WeightModel(q=2.0 / 3.0, rho=(),
+                                            tail=(2.0, 2.0)))
+        assert plan.coords.shape[1] >= 3
+        g = np.random.default_rng(7).normal(size=(40, plan.m_active))
+        zeroed = g.copy()
+        zeroed[:, ::2] = 0.0
+        pts = np.vstack([g, 40.0 * g, zeroed])
+        interp = SparseInterpolant.from_point_values(
+            plan, np.ones((plan.n_points, 1)))
+        got = interp._triple_factors(pts)
+        assert np.isfinite(got).all() and np.abs(got).max() > 1e6
+        assert got.tobytes() == triple_factors(plan, pts).tobytes()
+
     def test_delta_annihilates_noncomparable(self):
         # the lone Delta_s term of H_{s'} vanishes when s is not <= s'
         w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
         plan = build_plan(26.0, w)
         s = MultiIndex(((1, 2),))
         s_prime = MultiIndex(((2, 1),))  # s not <= s'
-        rows = [i for i, t in enumerate(plan.triples)
-                if plan.indices[t.s_ref] == s]
+        rows = [i for i, s_ref in enumerate(plan.s_ref.tolist())
+                if plan.indices[s_ref] == s]
         assert rows
 
         def v(y):
@@ -277,8 +294,9 @@ class TestSparseInterpolate:
                 pt = np.zeros(2)
                 weight = 1.0
                 for j, k in combo.items():
-                    pt[j - 1] = fams[j].node(k)
-                    weight *= bases[j].eval_all(y[j - 1])[fams[j].position(k), 0]
+                    pt[j - 1] = fams[j].nodes[fams[j].indices.index(k)]
+                    weight *= bases[j].eval_all(
+                        y[j - 1])[fams[j].indices.index(k), 0]
                 total += v(pt) * weight
             return total
 
@@ -290,7 +308,8 @@ class TestSparseInterpolate:
                 for bits in range(1 << n):
                     mask = tuple((bits >> i) & 1 for i in range(n))
                     acc += (-1) ** sum(mask) * tensor_interp(
-                        s.subtract_mask(mask), y)
+                        MultiIndex(tuple((j, d - b) for (j, d), b
+                                         in zip(s.pairs, mask))), y)
             want.append(acc)
         np.testing.assert_allclose(got, np.array(want), rtol=1e-9, atol=1e-10)
 

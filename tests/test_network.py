@@ -43,6 +43,7 @@ from hermnet.network import (
     surrogate_eval,
     DELTA_FLOOR,
 )
+from triple_loops import keyed_compile, plan_triples
 
 
 def phi0_ref(t):
@@ -88,7 +89,7 @@ def phi_triple(s_minus_e, k, omega, delta, input_dim=None, gate_coord=1,
     """One collocation triple's network as compile builds its terms:
     their monomials through parallelize, labelled `label`, over
     input_dim inputs or as few as its factors read."""
-    terms, meta = network._compile_triple(s_minus_e, k, omega, delta,
+    terms, meta = network._compile_triple(s_minus_e.pairs, k, omega, delta,
                                           gate_coord)
     dim = max(input_dim or 1, 1 + max(c for f, _ in terms for c, _ in f))
     net = parallelize(
@@ -442,7 +443,7 @@ def _cardinal(order, k):
     basis = lagrange_coeffs(order)
 
     def f(y):
-        return basis.eval_all(y)[basis.family.position(k)]
+        return basis.eval_all(y)[basis.family.indices.index(k)]
 
     return f
 
@@ -685,7 +686,7 @@ class TestComputeDelta:
         # single index {0}: 1/delta = xi^(1/q - 1/2), so xi=4, q=2/3 -> 1/4
         model = WeightModel(q=2.0 / 3.0, rho=[1e9], tail=(1e9, 2.0))
         plan = build_plan(4.0, model)
-        assert plan.n_indices == 1
+        assert len(plan.indices) == 1
         delta, info = compute_delta(plan, 1.0, fit_delta_K(plan.m1),
                                     return_info=True)
         assert delta == 0.25
@@ -740,7 +741,7 @@ def _repeat_bundle():
     monomials, recipes, index, members = {}, [], {}, []
     for _ in range(3):
         terms, meta = network._compile_triple(
-            MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5, 1)
+            ((1, 1), (2, 1)), (1, -1), 2.0, 1e-5, 1)
         refs = tuple(monomials.setdefault(f, len(monomials))
                      for f, _ in terms)
         members.append(network._recipe_index(
@@ -1221,11 +1222,10 @@ class TestSurrogate:
         assert len({net.depth for net in bundle.networks}) > 1
         dim = max(plan.m_active, 1)
         first, repeats = {}, 0
-        for t, net, label in zip(plan.triples, bundle.networks,
-                                 bundle.labels):
-            s = plan.indices[t.s_ref]
-            sme = s.subtract_mask(t.e_mask)
-            gate = min(s.support) if s.pairs else 1
+        for t, net, label in zip(plan_triples(plan), bundle.networks,
+                                 bundle.labels, strict=True):
+            s, sme = plan.indices[t.s_ref], t.s_minus_e
+            gate = s.pairs[0][0] if s.pairs else 1
             fresh = phi_triple(sme, t.k, omega, delta, input_dim=dim,
                                gate_coord=gate, label=label)
             assert net.meta == fresh.meta
@@ -1251,6 +1251,27 @@ class TestSurrogate:
         shared_layers = {id(layer) for net in bundle.networks
                          for layer in net.layers}
         assert len(shared_layers) == sum(net.depth for net in first.values())
+
+    @pytest.mark.parametrize("weights, xi", [
+        (((1.5, 2.5, 4.0), (2.0, 2.0)), 6.0),
+        (((), (2.0, 2.0)), 64.0)], ids=["small", "support_3"])
+    def test_compile_matches_keyed_loop(self, weights, xi):
+        # the same monomials, recipes, members and labels as compiling
+        # each distinct (s - e, k, gate) key in a loop over the triples;
+        # the small plan has s - e = 0 triples under several gates
+        rho, tail = weights
+        plan = build_plan(xi, WeightModel(q=2.0 / 3.0, rho=rho, tail=tail))
+        omega = 2.0
+        delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
+        bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
+                                       delta, omega)
+        monomials, recipes, members, labels = keyed_compile(plan, delta,
+                                                            omega)
+        assert bundle.monomials == list(monomials)
+        assert bundle.recipes == recipes
+        assert bundle.members == members
+        assert bundle.labels == labels
+        assert json.dumps(bundle.labels) == json.dumps(labels)
 
     def test_pool_factoring_is_lossless(self):
         # auto delta: members of depths 3, 17 and 34 sharing monomials
@@ -1416,7 +1437,7 @@ class TestSurrogate:
             surrogate_bound(bundle, plan.point_ref, np.ones(plan.n_points),
                             norm=row_norms)
         # one row reference per member
-        with pytest.raises(ValueError, match="zip"):
+        with pytest.raises(ValueError, match="point rows for"):
             surrogate_bound(bundle, plan.point_ref[:-1],
                             np.ones((plan.n_points, 1)), norm=row_norms)
 
@@ -1462,11 +1483,11 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
     compiled = bundle.shared.eval_batch(Y)
 
     dim = max(plan.m_active, 1)
-    for t, net, label, size in zip(plan.triples, bundle.networks,
-                                   bundle.labels, sizes):
+    for t, net, label, size in zip(plan_triples(plan), bundle.networks,
+                                   bundle.labels, sizes, strict=True):
         s = plan.indices[t.s_ref]
-        gate = min(s.support) if s.pairs else 1
-        fresh = phi_triple(s.subtract_mask(t.e_mask), t.k, omega, delta,
+        gate = s.pairs[0][0] if s.pairs else 1
+        fresh = phi_triple(t.s_minus_e, t.k, omega, delta,
                            input_dim=dim, gate_coord=gate, label=label)
         assert net.meta == fresh.meta
         assert size == (fresh.size, fresh.depth)
