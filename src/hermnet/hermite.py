@@ -135,8 +135,7 @@ def hermite_tensor_eval(s, y):
 
     Parameters
     ----------
-    s : sequence of (coord, degree) pairs with 1-based coords, or a
-        MultiIndex-like object exposing .pairs.
+    s : sequence of (coord, degree) pairs with 1-based coords.
     y : ndarray of shape (d,) or (n, d); coordinates beyond those named in
         s contribute a factor of one.
 
@@ -144,12 +143,11 @@ def hermite_tensor_eval(s, y):
     -------
     float or ndarray of shape (n,).
     """
-    pairs = getattr(s, "pairs", s)
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     pts = y[None, :] if single else y
     out = np.ones(pts.shape[0])
-    for coord, deg in pairs:
+    for coord, deg in s:
         if coord < 1 or coord > pts.shape[1]:
             raise ValueError(f"coordinate {coord} outside sampled dims")
         out *= hermite_eval(int(deg), pts[:, coord - 1])

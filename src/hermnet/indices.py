@@ -1,8 +1,10 @@
 """Weighted multi-index sets and collocation plans.
 
 A multi-index s assigns a polynomial degree to finitely many coordinates.
-The admissible set for a budget xi collects every s whose weight
-sigma_s^q stays below xi, where
+It is a tuple of (coordinate, degree) pairs: 1-based coordinates in
+ascending order, degrees >= 1, so the zero index is ().  The admissible
+set for a budget xi collects every s whose weight sigma_s^q stays below
+xi, where
 
     sigma_s^2 = prod_j  sum_{t=0}^{min(s_j, eta)} C(s_j, t) * rho_j^{2t}
 
@@ -15,9 +17,10 @@ A collocation plan expands the set into difference-operator triples
 (s, e, k): for every s and every binary mask e on its support, the tensor
 Gauss-Hermite grid of order s-e contributes one signed evaluation point
 per node combination k.  The plan is one frozen record of read-only
-arrays: the triples as an index position and fixed-width tables of
-(coordinate, order, node index) slots on supp(s-e), each triple's sign
-and point row, and the unique points once, as one dense table.
+arrays: the index set as one table of (coordinate, degree) pairs, the
+triples as an index position and fixed-width tables of (coordinate,
+order, node index) slots on supp(s-e), each triple's sign and point
+row, and the unique points once, as one dense table.
 """
 
 import functools
@@ -34,44 +37,8 @@ class CapacityError(RuntimeError):
     """Raised when an enumeration would exceed its index budget."""
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Sparse multi-index: sorted tuple of (coordinate, degree) pairs.
-
-    Coordinates are 1-based; degrees are >= 1 (zero entries are dropped).
-    """
-
-    pairs: tuple = ()
-
-    def __post_init__(self):
-        pairs = tuple(sorted((int(j), int(s)) for j, s in self.pairs if s != 0))
-        for j, s in pairs:
-            if j < 1 or s < 1:
-                raise ValueError(f"invalid entry ({j}, {s})")
-        if len({j for j, _ in pairs}) != len(pairs):
-            raise ValueError("duplicate coordinate")
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def total_degree(self):
-        return sum(s for _, s in self.pairs)
-
-    @property
-    def max_coord(self):
-        return max((j for j, _ in self.pairs), default=0)
-
-    def dense(self, dims=None):
-        """Dense degree vector of length dims (default: max coordinate)."""
-        n = self.max_coord if dims is None else dims
-        out = np.zeros(n, dtype=int)
-        for j, s in self.pairs:
-            if j <= n:
-                out[j - 1] = s
-        return out
-
-    def sort_key(self):
-        """Canonical order: total degree, then lexicographic dense prefix."""
-        return (self.total_degree, tuple(self.dense()))
+# The most indices build_lambda enumerates before it raises.
+INDEX_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -180,8 +147,10 @@ def _log_factor(rho_j, s_j, eta):
 
 
 def log_sigma(s, model):
+    """log sigma_s of the multi-index s, given as (coordinate, degree)
+    pairs."""
     total = 0.0
-    for j, s_j in s.pairs:
+    for j, s_j in s:
         rho_j = model.weight(j)
         if rho_j is None:
             raise CapacityError(
@@ -190,24 +159,33 @@ def log_sigma(s, model):
     return 0.5 * total
 
 
-def p_weight(s, theta, lam=1.0):
-    """Auxiliary polynomial weight prod_j (1 + lam*s_j)^theta."""
-    out = 1.0
-    for _, s_j in s.pairs:
-        out *= (1.0 + lam * s_j) ** theta
+def p_weight(pairs, theta, lam=1.0):
+    """Auxiliary polynomial weight prod_j (1 + lam*s_j)^theta of each
+    multi-index in an (..., r, 2) table of (coordinate, degree) pairs
+    padded with (0, 0).  Each degree's factor is one float power, and
+    the factors multiply slot by slot, in coordinate order."""
+    degree = np.asarray(pairs, dtype=np.intp)[..., 1]
+    factor = np.array([(1.0 + lam * d) ** theta
+                       for d in range(degree.max(initial=0) + 1)])[degree]
+    out = np.ones(degree.shape[:-1])
+    for i in range(degree.shape[-1]):
+        out *= factor[..., i]
     return out
 
 
-def build_lambda(xi, model, cap=1_000_000):
-    """All multi-indices with sigma_s^q <= xi, in canonical order.
+def build_lambda(xi, model):
+    """All multi-indices with sigma_s^q <= xi, in canonical order: total
+    degree, then the dense degree vector's prefix up to the last
+    coordinate, lexicographically.
 
     Depth-first enumeration over (coordinate, degree) extensions. The
     degree loop breaks because each coordinate factor strictly increases
     with the degree; the coordinate loop breaks because the weights are
     non-decreasing, so once the unit index e_j is infeasible every later
-    coordinate is too.  Raises CapacityError beyond `cap` indices, or if
-    feasibility past the end of an explicit weight list cannot be ruled
-    out (no tail rule).  Each distinct factor is computed once per call.
+    coordinate is too.  Raises CapacityError beyond INDEX_CAP indices, or
+    if feasibility past the end of an explicit weight list cannot be
+    ruled out (no tail rule).  Each distinct factor is computed once per
+    call.
     """
     log_factor = functools.cache(
         lambda rho_j, s_j: _log_factor(rho_j, s_j, model.eta))
@@ -241,32 +219,42 @@ def build_lambda(xi, model, cap=1_000_000):
                 if cand > log_budget:
                     break
                 s = pairs + ((j, s_j),)
-                found.append(MultiIndex(s))
-                if len(found) > cap:
-                    raise CapacityError(
-                        f"index budget {cap} exceeded (partial count {len(found)})")
+                found.append(s)
+                if len(found) > INDEX_CAP:
+                    raise CapacityError(f"index budget {INDEX_CAP} exceeded "
+                                        f"(partial count {len(found)})")
                 extend(s, cand, j + 1)
                 s_j += 1
             j += 1
 
-    found.append(MultiIndex(()))
+    def canonical(s):
+        dense = [0] * (s[-1][0] if s else 0)
+        for j, s_j in s:
+            dense[j - 1] = s_j
+        return sum(dense), dense
+
+    found.append(())
     extend((), 0.0, 1)
-    found.sort(key=MultiIndex.sort_key)
+    found.sort(key=canonical)
     return found
 
 
 @dataclass(frozen=True, eq=False)
 class CollocationPlan:
-    """A collocation plan for one budget xi, compared by identity.  Row t
-    of its read-only arrays is triple t (s, e, k) in canonical order
-    (index position, mask bits, node combination): `s_ref`, the position
-    of s; `coords`, `orders`, `k`, the j, (s-e)_j and k_j of supp(s-e)
-    in coordinate order, padded with 0; `signs`, (-1)^{|e|_1}; and
-    `point_ref`, its row of the unique grid `points` (first seen first)."""
+    """A collocation plan for one budget xi, compared by identity.
+    `indices` is the index set in canonical order as a read-only intp
+    (n_indices, r, 2) table of each index's (coordinate, degree) pairs,
+    padded with (0, 0), r the largest support.  Row t of the other
+    read-only arrays but `points` is triple t (s, e, k) in canonical
+    order (index position, mask bits, node combination): `s_ref`, the
+    position of s in `indices`; `coords`, `orders`, `k`, the j, (s-e)_j
+    and k_j of supp(s-e) in coordinate order, padded with 0; `signs`,
+    (-1)^{|e|_1}; and `point_ref`, its row of the unique grid `points`
+    (first seen first)."""
 
     xi: float
     model: WeightModel
-    indices: tuple
+    indices: np.ndarray
     points: np.ndarray
     m1: int
     m_active: int
@@ -313,14 +301,6 @@ def _unique_rows(table):
     return first[by_use], np.argsort(by_use)[inv]
 
 
-def _pair_table(indices, r):
-    """The intp (len(indices), r, 2) table of each index's (coordinate,
-    degree) pairs, padded with (0, 0)."""
-    return np.array([s.pairs + ((0, 0),) * (r - len(s.pairs))
-                     for s in indices], dtype=np.intp).reshape(
-                         len(indices), r, 2)
-
-
 def build_plan(xi, model):
     """Expand the admissible set at budget xi into a collocation plan.
 
@@ -336,8 +316,10 @@ def build_plan(xi, model):
         return [np.take_along_axis(t, slot, axis=1) for t in tables]
 
     lam_set = build_lambda(xi, model)
-    width = np.array([len(s.pairs) for s in lam_set])
-    s_tab = _pair_table(lam_set, width.max())
+    width = np.array([len(s) for s in lam_set])
+    r = width.max()
+    s_tab = np.array([s + ((0, 0),) * (r - len(s)) for s in lam_set],
+                     dtype=np.intp).reshape(len(lam_set), r, 2)
     m_active, m1 = (int(x) for x in s_tab.max(axis=(0, 1), initial=0))
     # [d, p]: signed index and node at position p of the order-d family
     signed = np.zeros((m1 + 1, m1 + 1), dtype=np.intp)
@@ -348,7 +330,7 @@ def build_plan(xi, model):
 
     # the (s, e) blocks: e's bit on each support slot of s, then s - e
     block_s = np.repeat(np.arange(len(lam_set)), 1 << width)
-    e = (_ranges(0, 1 << width)[:, None] >> np.arange(width.max())) & 1
+    e = (_ranges(0, 1 << width)[:, None] >> np.arange(r)) & 1
     orders = s_tab[block_s, :, 1] - e
     orders, coords = first_slots(orders > 0, orders,
                                  s_tab[block_s, :, 0] * (orders > 0))
@@ -358,7 +340,7 @@ def build_plan(xi, model):
     block = np.repeat(np.arange(len(size)), size)
     local, t_orders = _ranges(0, size), orders[block]
     rest, pos = local, np.zeros_like(t_orders)
-    for i in reversed(range(width.max())):
+    for i in reversed(range(r)):
         rest, pos[:, i] = np.divmod(rest, t_orders[:, i] + 1)
     value = nodes[t_orders, pos]
 
@@ -376,11 +358,11 @@ def build_plan(xi, model):
     columns = dict(s_ref=block_s[blk], coords=coords[blk], orders=orders[blk],
                    k=signed[t_orders, pos][order], point_ref=inverse[order],
                    signs=np.where(e.sum(axis=1) % 2, -1.0, 1.0)[blk],
-                   points=points)
+                   points=points, indices=s_tab)
     for column in columns.values():
         column.setflags(write=False)
-    return CollocationPlan(xi=float(xi), model=model, indices=tuple(lam_set),
-                           m1=m1, m_active=m_active, **columns)
+    return CollocationPlan(xi=float(xi), model=model, m1=m1,
+                           m_active=m_active, **columns)
 
 
 def plan_stats(plan):

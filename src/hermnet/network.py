@@ -52,7 +52,6 @@ and the accuracy parameter delta derived from a collocation plan.
 
 import functools
 import itertools
-import json
 import math
 import sys
 
@@ -60,8 +59,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .hermite import NodeFamily
-from .indices import (_logsumexp, _pair_table, _ranges, _unique_rows,
-                      p_weight)
+from .indices import _logsumexp, _ranges, _unique_rows, p_weight
 from .lagrange import as_table, lagrange_coeffs
 
 # Cells (network columns x points) of the activation buffer one
@@ -680,11 +678,11 @@ class _Pool:
         self.coords = np.array(coords, dtype=np.int64)
 
         self.rec = np.repeat(np.arange(len(recipes)),
-                             [len(refs) for refs, _, _ in recipes])
+                             [len(refs) for refs, _ in recipes])
         chain = itertools.chain.from_iterable
-        self.mono = np.fromiter(chain(r for r, _, _ in recipes), np.int64,
+        self.mono = np.fromiter(chain(r for r, _ in recipes), np.int64,
                                 len(self.rec))
-        self.lam = np.fromiter(chain(lams for _, lams, _ in recipes), float,
+        self.lam = np.fromiter(chain(lams for _, lams in recipes), float,
                                len(self.rec))
         t = self.tid[self.mono]
         self.depth = np.zeros(len(recipes), dtype=np.int64)
@@ -887,8 +885,8 @@ def _template(factors, omega, delta):
 
 
 def _compile_triple(pairs, k, omega, delta, gate_coord):
-    """(terms, meta) of one collocation triple's scalar network, the
-    terms parallelized: one (gadget factors, lambda) pair per monomial.
+    """The terms of one collocation triple's scalar network, which
+    parallelize sums: one (gadget factors, lambda) pair per monomial.
 
     The target is the product of univariate cardinal polynomials of
     order (s-e)_j at signed node k_j over the (j, (s-e)_j) `pairs` of
@@ -898,9 +896,9 @@ def _compile_triple(pairs, k, omega, delta, gate_coord):
     with y/(4*sqrt(omega)), with lambda = b_l * (4*sqrt(omega))^{|l|_1}.
     Every support coordinate is gated, so the network is exactly zero
     once any |y_j| > 8*sqrt(omega).  When s-e = 0 it is one plateau
-    gadget on `gate_coord` (1-based).  meta["coeff_abs_sum"],
-    sum_l |lambda_l|, is the triple's certificate weight: the network is
-    within delta * coeff_abs_sum of its polynomial on the plateau box.
+    gadget on `gate_coord` (1-based).  sum_l |lambda_l|, coeff_abs_sum,
+    is the triple's certificate weight: the network is within
+    delta * coeff_abs_sum of its polynomial on the plateau box.
     """
     _check_omega_delta(omega, delta)
     if len(k) != len(pairs):
@@ -923,27 +921,34 @@ def _compile_triple(pairs, k, omega, delta, gate_coord):
                 factors.extend([(j - 1, "phi1")] * e)
         terms.append((tuple(factors), float(b_l * scale ** sum(exps))))
     if not pairs:  # s-e = 0: one plateau gadget on the gate coordinate
-        terms = [(((gate_coord - 1, "phi0"),), 1.0)]
-    return terms, {"kind": "phi_triple", "delta": delta, "omega": omega,
-                   "coeff_abs_sum": float(np.sum(np.abs(
-                       [lam for _, lam in terms])))}
+        return [(((gate_coord - 1, "phi0"),), 1.0)]
+    return terms
 
 
-def _recipe_index(recipes, index, refs, lams, meta):
-    """The position of the recipe (refs, lams, meta) in `recipes`,
-    appended when new; `index` maps each recipe's key to its position."""
-    key = (refs, np.array(lams).tobytes(), json.dumps(meta, sort_keys=True))
+def _recipe_index(recipes, index, refs, lams):
+    """The position of the recipe (refs, lams) in `recipes`, appended
+    when new; `index` maps each recipe's key to its position."""
+    key = (refs, np.array(lams).tobytes())
     if key not in index:
         index[key] = len(recipes)
-        recipes.append((refs, lams, meta))
+        recipes.append((refs, lams))
     return index[key]
+
+
+def _member_meta(meta, lams):
+    """The meta of a member with lambdas `lams` in a bundle with meta
+    `meta`, as bundle_to_dict writes it: the bundle's delta and omega
+    and coeff_abs_sum, the sum of |lambda|, its certificate weight."""
+    return {"kind": "phi_triple", "delta": meta["delta"],
+            "omega": meta["omega"],
+            "coeff_abs_sum": float(np.sum(np.abs(lams)))}
 
 
 class NetworkBundle:
     """Per-triple scalar networks over one input dimension, held as
     bundle_to_dict writes them: `monomials`, each distinct monomial's
     factor tuple (see _pattern); `recipes`, each distinct (monomial
-    indices, lambdas, meta) in first-use order; and `members`, one
+    indices, lambdas) in first-use order; and `members`, one
     recipe index per triple, with `labels` parallel to it.  W is the sum
     and L the maximum of the members' sizes and depths (_Pool.sizes).
     The members are merged only for evaluation, in `shared`.
@@ -984,9 +989,9 @@ class NetworkBundle:
                            self.input_dim) for f in self.monomials]
         built = {}
         for r in dict.fromkeys(self.members):
-            refs, lams, meta = self.recipes[r]
+            refs, lams = self.recipes[r]
             built[r] = parallelize([monos[i] for i in refs], lams)
-            built[r].meta.update(meta)
+            built[r].meta.update(_member_meta(self.meta, lams))
         return [ReluNetwork(self.input_dim, built[r].layers,
                             dict(built[r].meta, label=label))
                 for r, label in zip(self.members, self.labels)]
@@ -1039,25 +1044,25 @@ def assemble_surrogate(plan, samples, delta, omega):
     the (n, k) table  sum_t signs[t] * samples[point_ref[t]] * net_t(y).
     """
     samples = as_table(samples, plan.n_points, "n_points")
-    gate = np.array([s.pairs[0][0] if s.pairs else 1 for s in plan.indices])
-    gate = np.where(plan.orders.any(axis=1), 0, gate[plan.s_ref])
+    s_tab = plan.indices[plan.s_ref]
+    gate = np.where(plan.orders.any(axis=1), 0,
+                    np.maximum(s_tab[:, :1, 0].sum(axis=1), 1))
     first, inverse = _unique_rows(
         np.column_stack([plan.coords, plan.orders, plan.k, gate]))
     n = np.count_nonzero(plan.orders, axis=1)  # the width of supp(s-e)
     monomials, recipes, index, recipe_of = {}, [], {}, []
     for c, d, k, w, g in zip(*(a[first].tolist() for a in (
             plan.coords, plan.orders, plan.k, n, gate))):
-        terms, meta = _compile_triple(tuple(zip(c[:w], d[:w])), tuple(k[:w]),
-                                      omega, delta, g)
+        terms = _compile_triple(tuple(zip(c[:w], d[:w])), tuple(k[:w]),
+                                omega, delta, g)
         refs = tuple(monomials.setdefault(f, len(monomials))
                      for f, _ in terms)
         recipe_of.append(_recipe_index(recipes, index, refs,
-                                       [lam for _, lam in terms], meta))
+                                       [lam for _, lam in terms]))
     # the stored labels, whose "s" lists are shared per s; e = s - (s-e)
-    s_tab = _pair_table(plan.indices, plan.coords.shape[1])[plan.s_ref]
     kept = (plan.coords[:, None, :] == s_tab[:, :, :1]) * plan.orders[:, None]
     e = (s_tab[:, :, 1] - kept.sum(axis=2)).tolist()
-    s_pairs = [[list(p) for p in s.pairs] for s in plan.indices]
+    s_pairs = [[p for p in s if p[1]] for s in plan.indices.tolist()]
     labels = [{"s": s_pairs[i], "e": e_t[:len(s_pairs[i])], "k": k[:w]}
               for i, e_t, k, w in zip(plan.s_ref.tolist(), e,
                                       plan.k.tolist(), n.tolist())]
@@ -1073,9 +1078,10 @@ def surrogate_bound(bundle, point_ref, samples, *, norm):
     """Certificate for the surrogate-vs-interpolant gap on the box:
     delta * sum_t norm(samples)[point_ref[t]] * coeff_abs_sum_t, with
     `samples` the (n_points, k) grid table, member t reading row
-    point_ref[t], and `norm` mapping a table to its row norms.  The
-    terms are added in t order (a running sum).  ValueError unless
-    `samples` is 2-D with one point row per member."""
+    point_ref[t], coeff_abs_sum_t the sum of |lambda| of its recipe,
+    and `norm` mapping a table to its row norms.  The terms are added
+    in t order (a running sum).  ValueError unless `samples` is 2-D and
+    `point_ref` has one entry per member."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"expected an (n_points, k) sample table, got "
@@ -1083,9 +1089,9 @@ def surrogate_bound(bundle, point_ref, samples, *, norm):
     if len(point_ref) != len(bundle.members):
         raise ValueError(f"{len(point_ref)} point rows for "
                          f"{len(bundle.members)} members")
-    weight = np.array([meta["coeff_abs_sum"] for *_, meta in bundle.recipes])
+    weight = np.array([np.sum(np.abs(lams)) for _, lams in bundle.recipes])
     terms = norm(samples)[point_ref] * weight[bundle.members]
-    return bundle.meta.get("delta") * float(np.cumsum(terms)[-1])
+    return bundle.meta["delta"] * float(np.cumsum(terms)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -1118,21 +1124,26 @@ def compute_delta(plan, omega, K, *, return_info=False):
     1/delta = xi^(1/q - 1/2) * sum_s exp(K|s|) p_s(2) (4 sqrt(omega))^|s| B_s
     with K from fit_delta_K(plan.m1) and B_s the product over support
     coordinates of the largest cardinal monomial coefficient at order
-    s_j or s_j - 1.  Evaluated in log space, clamped into (0, 1/2], and
-    floored at DELTA_FLOOR (a float64 evaluation cannot certify below
-    that); both values are reported when return_info is set.
+    s_j or s_j - 1.  Evaluated in log space over the table
+    plan.indices, each sum over an index's pairs taken slot by slot,
+    clamped into (0, 1/2], and floored at DELTA_FLOOR (a float64
+    evaluation cannot certify below that); both values are reported
+    when return_info is set.
     """
     if omega < 1:
         raise ValueError("omega must be >= 1")
     log_scale = math.log(4.0 * math.sqrt(omega))
-    terms = []
-    for s in plan.indices:
-        tot = s.total_degree
-        log_b = 0.0
-        for _, sj in s.pairs:
-            log_b += math.log(max(_coeff_bmax(sj), _coeff_bmax(sj - 1)))
-        terms.append(K * tot + math.log(p_weight(s, 2.0, plan.model.lam))
-                     + tot * log_scale + log_b)
+    degree = plan.indices[:, :, 1]
+    log_bmax = np.array([0.0] + [
+        math.log(max(_coeff_bmax(m), _coeff_bmax(m - 1)))
+        for m in range(1, plan.m1 + 1)])
+    log_b = np.zeros(len(degree))
+    for i in range(degree.shape[1]):
+        log_b += log_bmax[degree[:, i]]
+    log_p = [math.log(p)
+             for p in p_weight(plan.indices, 2.0, plan.model.lam).tolist()]
+    tot = degree.sum(axis=1)
+    terms = K * tot + np.array(log_p) + tot * log_scale + log_b
     log_inv = ((1.0 / plan.model.q - 0.5) * math.log(plan.xi)
                + float(_logsumexp(terms)))
     requested = math.exp(-log_inv) if log_inv < 700 else 0.0
@@ -1201,34 +1212,35 @@ def bundle_to_dict(bundle):
     """JSON-ready bundle in the layout BUNDLE_FORMAT names: the bundle's
     fields, copied.  `monomials` holds each factor tuple as a list
     [[coordinate, "phi0" | "phi1"], ...] and each member of `networks`
-    its recipe: monomial indices, lambdas and meta."""
+    its recipe, monomial indices and lambdas, and its _member_meta."""
+    metas = [_member_meta(bundle.meta, lams) for _, lams in bundle.recipes]
     return {"format": BUNDLE_FORMAT, "meta": dict(bundle.meta),
             "input_dim": bundle.input_dim, "W": bundle.W, "L": bundle.L,
             "monomials": [[list(f) for f in factors]
                           for factors in bundle.monomials],
-            "networks": [{"monomials": list(refs), "lambdas": list(lams),
-                          "meta": dict(meta)}
-                         for refs, lams, meta in (bundle.recipes[r]
-                                                  for r in bundle.members)],
+            "networks": [{"monomials": list(bundle.recipes[r][0]),
+                          "lambdas": list(bundle.recipes[r][1]),
+                          "meta": dict(metas[r])} for r in bundle.members],
             "labels": bundle.labels}
 
 
 def bundle_from_dict(data):
     """Rebuild a bundle written by bundle_to_dict, building no network.
 
-    Members with equal monomials, lambdas and meta name one recipe, as
-    at compile.  Raises ValueError for another format, a missing field,
+    Members with equal monomials and lambdas name one recipe, as at
+    compile.  Raises ValueError for another format, a missing field,
     an omega or delta that is not a JSON number (int or float; true
     would read as 1), that compile would refuse or that is not finite, a
     malformed factor list (see _factors), an input_dim other than 1 +
     the largest stored factor coordinate (what compile writes), a
     monomial index naming no stored monomial, a member without
     monomials, lambdas that are not finite JSON numbers (see
-    json_floats) or not one per monomial, a member meta that is not an
-    object whose coeff_abs_sum is a JSON float equal to the sum of its
-    |lambdas| (the certificate weight compile writes; true or 1 would
-    compare equal to 1.0), or a stored W or L that differs from the
-    recount from the templates (_Pool.sizes).
+    json_floats) or not one per monomial, a member meta other than the
+    _member_meta bundle_to_dict writes (the same keys and values, each
+    of the same JSON type: the bundle meta's delta and omega, and a
+    float coeff_abs_sum, where true or 1 would compare equal to 1.0),
+    or a stored W or L that differs from the recount from the templates
+    (_Pool.sizes).
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
@@ -1255,13 +1267,14 @@ def bundle_from_dict(data):
             if lams.shape != (len(refs),):
                 raise ValueError(f"member {len(members)} has {lams.shape} "
                                  f"lambdas for {len(refs)} monomials")
-            weight, info = float(np.sum(np.abs(lams))), spec["meta"]
-            claimed = info.get("coeff_abs_sum") if type(info) is dict else None
-            if type(claimed) is not float or claimed != weight:
-                raise ValueError(f"member {len(members)} meta is not an "
-                                 f"object with coeff_abs_sum {weight!r}")
+            want, info = _member_meta(meta, lams), spec["meta"]
+            if type(info) is not dict or info.keys() != want.keys() or any(
+                    type(info[key]) is not type(value) or info[key] != value
+                    for key, value in want.items()):
+                raise ValueError(f"member {len(members)} meta is not "
+                                 f"{want!r}")
             members.append(_recipe_index(recipes, index, refs,
-                                         lams.tolist(), info))
+                                         lams.tolist()))
         bundle = NetworkBundle(dim, factors, recipes, members,
                                data["labels"], meta)
         stored = (data["W"], data["L"])

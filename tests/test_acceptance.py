@@ -46,7 +46,6 @@ from hermnet.errors import (
 from hermnet.fem import LognormalProblem, fem_solve, sine_family, solution_norm
 from hermnet.hermite import gauss_hermite_nodes, hermite_eval, hermite_tensor_eval
 from hermnet.indices import (
-    MultiIndex,
     WeightModel,
     build_lambda,
     build_plan,
@@ -61,6 +60,7 @@ from hermnet.lagrange import (
 )
 from hermnet.network import (
     assemble_surrogate,
+    bundle_to_dict,
     concatenate,
     identity_net,
     parallelize,
@@ -148,7 +148,7 @@ def test_criterion_1_interpolation_exactness():
     y = rng.standard_normal((1000, plan.m_active))
     worst = 0.0
     for i in picks:
-        s = plan.indices[int(i)]
+        s = [(j, d) for j, d in plan.indices[int(i)].tolist() if d]
         interp = sparse_interpolate(plan, lambda pt: hermite_tensor_eval(s, pt))
         got = evaluate_interpolant(interp, y)[:, 0]
         want = hermite_tensor_eval(s, y)
@@ -289,8 +289,8 @@ def test_bound3_reads_the_grid_table(tmp_path):
     bundle, _ = assemble_surrogate(plan, grid, delta, omega)
     per_triple = norm(grid[plan.point_ref]).tolist()
     total = 0.0
-    for t, r in enumerate(bundle.members):
-        total += per_triple[t] * bundle.recipes[r][2]["coeff_abs_sum"]
+    for n_t, spec in zip(per_triple, bundle_to_dict(bundle)["networks"]):
+        total += n_t * spec["meta"]["coeff_abs_sum"]
     assert plan.n_points < plan.n_triples
     assert surrogate_bound(bundle, plan.point_ref, grid, norm=norm) == \
         delta * total
@@ -363,21 +363,22 @@ def test_criterion_7_structural_invariants():
     for _ in range(30):
         support = rng.choice(np.arange(1, 13), size=3, replace=False)
         pairs = tuple((int(j), int(rng.integers(0, 5))) for j in support)
-        s = MultiIndex(pairs)
-        for j in list({j for j, _ in s.pairs} | {1, 14}):
-            bumped = dict(s.pairs)
+        s = tuple(sorted((j, d) for j, d in pairs if d))
+        for j in list({j for j, _ in s} | {1, 14}):
+            bumped = dict(s)
             bumped[j] = bumped.get(j, 0) + 1
-            assert log_sigma(MultiIndex(tuple(bumped.items())), model) \
+            assert log_sigma(tuple(sorted(bumped.items())), model) \
                 > log_sigma(s, model)
 
     # downward closure of the budgeted index set
     lam = build_lambda(64.0, model)
     members = set(lam)
     for s in lam:
-        for j, degree in s.pairs:
-            lowered = dict(s.pairs)
+        for j, degree in s:
+            lowered = dict(s)
             lowered[j] = degree - 1
-            assert MultiIndex(tuple(lowered.items())) in members
+            assert tuple((jj, dd) for jj, dd in sorted(lowered.items())
+                         if dd) in members
 
     # |Lambda(xi)| and the theta=1 weighted count both grow linearly in
     # xi across two decades of budget; at large theta the (finite)
@@ -387,7 +388,8 @@ def test_criterion_7_structural_invariants():
     for xi in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
         lam = build_lambda(xi, model)
         lam_ratio.append(len(lam) / xi)
-        p_ratio.append(sum(p_weight(s, 1.0, model.lam) for s in lam) / xi)
+        p_ratio.append(sum(float(p_weight(np.reshape(s, (-1, 2)), 1.0,
+                                          model.lam)) for s in lam) / xi)
     assert max(lam_ratio) / min(lam_ratio) < 1.5
     assert max(p_ratio) / min(p_ratio) < 4.0
 

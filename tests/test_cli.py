@@ -261,7 +261,7 @@ class TestPlanCmd:
             seen = set()
             for t in plan_triples(plan):
                 point = []
-                for (j, d), k in zip(t.s_minus_e.pairs, t.k):
+                for (j, d), k in zip(t.s_minus_e, t.k):
                     fam = NodeFamily(d)
                     node = float(fam.nodes[fam.indices.index(k)])
                     if node != 0.0:  # y_j = 0 is the same vector as absent j
@@ -608,7 +608,12 @@ class TestNetEval:
         _edit_artifact(lambda a: a.update(
             samples=[row[0] for row in a["samples"]])),
         _edit_bundle(lambda b: b["networks"][0]["meta"].update(
-            coeff_abs_sum=1e-300))],
+            coeff_abs_sum=1e-300)),
+        _edit_bundle(lambda b: b["networks"][0]["meta"].update(note=1)),
+        _edit_bundle(lambda b: b["networks"][0]["meta"].update(
+            omega=b["meta"]["omega"] + 1.0)),
+        _edit_bundle(lambda b: b["networks"][0]["meta"].update(
+            kind="phi_other"))],
         ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
              "coordinate_negative", "coordinate_fraction", "kind_unknown",
              "factors_empty", "no_meta", "omega_nan", "omega_bool",
@@ -618,7 +623,8 @@ class TestNetEval:
              "samples_ragged", "input_dim_other", "signs_string",
              "samples_string", "lambdas_string", "lambda_nan", "lambda_inf",
              "samples_huge_int", "signs_bool", "samples_flat",
-             "coeff_abs_sum_tiny"])
+             "coeff_abs_sum_tiny", "member_meta_extra_key",
+             "member_meta_other_omega", "member_meta_other_kind"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0

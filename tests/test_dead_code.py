@@ -2,9 +2,11 @@
 the tests.
 
 A name counts as used when src/, demos/ or benchmarks/ name it anywhere
-but at its own definition: as a name, an attribute, an import, or a
-string (the benchmark's tracer wraps functions by name).  A package
-__init__.py does not count: re-exporting a name does not call it.
+outside its own definition: as a name, an attribute, an import, or a
+string (the benchmark's tracer wraps functions by name).  An attribute
+read off numpy or math (np.concatenate) names that library's function,
+not ours, and does not count.  A package __init__.py does not count:
+re-exporting a name does not call it.
 Dunder methods are called by Python itself and are not checked.
 Every name a module of the package, demos/ or tests/ imports is used in
 that module.
@@ -15,10 +17,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hermnet"
+# module names whose attributes are library functions
+LIBRARIES = {"np", "math"}
 
 # name -> why it stays without a caller outside the tests
 ALLOWED = {
-    "parallelize": "paper operation: weighted sum of networks (criteria 2, 7)",
     "concatenate": "paper operation: composition of networks (criteria 2, 7)",
     "identity_net": "paper gadget: the identity as a ReLU network (criterion 7)",
     "product_net": "paper gadget: the approximate product (criteria 2, 7)",
@@ -43,23 +46,37 @@ def _definitions():
                     yield path.name, item.name
 
 
+def _mentions(node, inside=frozenset()):
+    """The names `node` mentions, but none in the body of a definition
+    of that name: a function's own name inside it, such as a kind tag
+    or a recursive call, does not call it from outside."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                         ast.AsyncFunctionDef)):
+        inside = inside | {node.name}
+    names = []
+    if isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute) and not (
+            isinstance(node.value, ast.Name) and node.value.id in LIBRARIES):
+        names = [node.attr]
+    elif isinstance(node, ast.alias):
+        names = node.name.split(".")
+    elif isinstance(node, ast.Constant) and isinstance(
+            node.value, str) and node.value.isidentifier():
+        names = [node.value]
+    yield from (name for name in names if name not in inside)
+    for child in ast.iter_child_nodes(node):
+        yield from _mentions(child, inside)
+
+
 def _uses():
-    """Every name the non-test code mentions outside a definition line."""
+    """Every name the non-test code mentions outside its own definition."""
     names = set()
     for folder in ("src", "demos", "benchmarks"):
         for path in (ROOT / folder).rglob("*.py"):
-            if path.name == "__init__.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.update(node.name.split("."))
-                elif isinstance(node, ast.Constant) and isinstance(
-                        node.value, str) and node.value.isidentifier():
-                    names.add(node.value)
+            if path.name != "__init__.py":
+                names.update(_mentions(
+                    ast.parse(path.read_text(encoding="utf-8"))))
     return names
 
 
@@ -73,6 +90,13 @@ def test_every_definition_has_a_caller():
 
 def test_allowlist_names_definitions():
     assert set(ALLOWED) <= {name for _, name in _definitions()}
+
+
+def test_allowlist_names_only_uncalled():
+    # an allowlisted name that gained a caller outside the tests no
+    # longer needs its entry
+    called = sorted(set(ALLOWED) & _uses())
+    assert not called, f"{called} have callers; drop them from ALLOWED"
 
 
 def _unused_imports(path):

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from hermnet import indices
-from hermnet.hermite import NodeFamily
+from hermnet.hermite import NodeFamily, hermite_tensor_eval
 from hermnet.indices import (
     CapacityError,
     CollocationPlan,
-    MultiIndex,
     WeightModel,
     _logsumexp,
     build_lambda,
@@ -30,7 +29,7 @@ from hermnet.indices import (
     p_weight,
     plan_stats,
 )
-from triple_loops import plan_triples
+from triple_loops import index_set, plan_triples
 
 
 def brute_sigma_sq(s_dense, rho, eta):
@@ -42,41 +41,52 @@ def brute_sigma_sq(s_dense, rho, eta):
     return out
 
 
+def dense(s):
+    """The degree vector of the multi-index s up to its last coordinate."""
+    out = [0] * (s[-1][0] if s else 0)
+    for j, d in s:
+        out[j - 1] = d
+    return out
+
+
 class TestMultiIndex:
+    # a multi-index is a tuple of (coordinate, degree) pairs: 1-based
+    # coordinates in ascending order, degrees >= 1
+    MODEL = WeightModel(q=1.0, rho=(2.0, 2.5, 3.0), tail=(1.5, 1.6))
+
     def test_normalization(self):
-        s = MultiIndex(((3, 2), (1, 1)))
-        assert s.pairs == ((1, 1), (3, 2))
-        assert s.total_degree == 3
-        assert s.max_coord == 3
-        assert s.dense()[1] == 0  # no degree at coordinate 2
+        lam = build_lambda(40.0, self.MODEL)
+        assert len(lam) > 20 and ((1, 1), (3, 1)) in lam
+        for s in lam:
+            assert type(s) is tuple
+            coords = [j for j, _ in s]
+            assert coords == sorted(set(coords))
+            assert all(type(j) is int and type(d) is int and j >= 1
+                       for j, d in s)
 
     def test_zero_entries_dropped(self):
-        assert MultiIndex(((2, 0), (1, 3))).pairs == ((1, 3),)
+        # no pair of degree 0; the plan's table pads with (0, 0) only
+        # after each index's pairs
+        lam = build_lambda(40.0, self.MODEL)
+        assert all(d >= 1 for s in lam for _, d in s)
+        table = build_plan(40.0, self.MODEL).indices
+        r = max(map(len, lam))
+        assert table.shape == (len(lam), r, 2)
+        assert table.tolist() == [[list(p) for p in s]
+                                  + [[0, 0]] * (r - len(s)) for s in lam]
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            MultiIndex(((0, 1),))
-        with pytest.raises(ValueError):
-            MultiIndex(((1, 1), (1, 2)))
-
-    def test_partial_order(self):
-        # s <= s' coordinate by coordinate, read from the dense vectors
-        assert np.all(MultiIndex(((1, 1),)).dense(2)
-                      <= MultiIndex(((1, 2), (2, 1))).dense(2))
-        assert not np.all(MultiIndex(((3, 1),)).dense(3)
-                          <= MultiIndex(((1, 2),)).dense(3))
+        # coordinates are 1-based: coordinate 0 has neither a weight nor
+        # a sampled dimension
+        with pytest.raises(ValueError, match="1-based"):
+            log_sigma(((0, 1),), self.MODEL)
+        with pytest.raises(ValueError, match="outside"):
+            hermite_tensor_eval(((0, 1),), np.zeros(3))
 
     def test_canonical_order(self):
         # total degree first, then lexicographic on the dense prefix
-        items = [MultiIndex(((1, 2),)), MultiIndex(((2, 1),)),
-                 MultiIndex(((1, 1),)), MultiIndex(())]
-        ordered = sorted(items, key=MultiIndex.sort_key)
-        assert ordered == [MultiIndex(()), MultiIndex(((2, 1),)),
-                           MultiIndex(((1, 1),)), MultiIndex(((1, 2),))]
-
-    def test_dense(self):
-        np.testing.assert_array_equal(
-            MultiIndex(((2, 3),)).dense(4), [0, 3, 0, 0])
+        w = WeightModel(q=1.0, rho=(2.0, 2.5), tail=(2.0, 2.0), eta=1)
+        assert build_lambda(3.1, w) == [(), ((2, 1),), ((1, 1),), ((1, 2),)]
 
 
 class TestWeightModel:
@@ -115,22 +125,22 @@ class TestSigma:
     def test_frozen_values(self):
         # oracle: direct binomial sums
         w1 = WeightModel(q=1.0, rho=(2.0,), eta=1)
-        assert abs(log_sigma(MultiIndex(((1, 2),)), w1) - math.log(3.0)) < 1e-13
+        assert abs(log_sigma(((1, 2),), w1) - math.log(3.0)) < 1e-13
         w2 = WeightModel(q=1.0, rho=(2.0,), eta=2)
-        assert abs(log_sigma(MultiIndex(((1, 2),)), w2) - math.log(5.0)) < 1e-13
+        assert abs(log_sigma(((1, 2),), w2) - math.log(5.0)) < 1e-13
         w3 = WeightModel(q=1.0, rho=(2.0, 3.0), eta=3)
         np.testing.assert_allclose(
-            log_sigma(MultiIndex(((1, 1), (2, 1))), w3), math.log(7.0710678118654755),
+            log_sigma(((1, 1), (2, 1)), w3), math.log(7.0710678118654755),
             rtol=1e-13)
 
     def test_zero_index(self):
         w = WeightModel(q=1.0, rho=(2.0,))
-        assert log_sigma(MultiIndex(()), w) == 0.0
+        assert log_sigma((), w) == 0.0
 
     def test_binomial_closed_form(self):
         # for s_j <= eta the factor is (1+rho^2)^{s_j}
         w = WeightModel(q=1.0, rho=(3.0,), eta=50)
-        s = MultiIndex(((1, 8),))
+        s = ((1, 8),)
         np.testing.assert_allclose(log_sigma(s, w), 4 * math.log(10.0), rtol=1e-12)
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4),
@@ -139,7 +149,7 @@ class TestSigma:
     def test_matches_bruteforce(self, dense, eta):
         rho = [1.5 + 0.5 * j for j in range(len(dense))]
         w = WeightModel(q=1.0, rho=tuple(rho), eta=eta)
-        s = MultiIndex(tuple((j + 1, d) for j, d in enumerate(dense) if d))
+        s = tuple((j + 1, d) for j, d in enumerate(dense) if d)
         np.testing.assert_allclose(
             2 * log_sigma(s, w), math.log(brute_sigma_sq(dense, rho, eta)),
             rtol=0, atol=1e-10)
@@ -172,12 +182,22 @@ class TestLogSumExp:
 
 class TestPWeight:
     def test_frozen_values(self):
-        assert p_weight(MultiIndex(((1, 2), (3, 1))), 2, 1.0) == 36.0
+        assert p_weight(((1, 2), (3, 1)), 2, 1.0) == 36.0
         np.testing.assert_allclose(
-            p_weight(MultiIndex(((1, 3),)), 1.5, 0.5), 3.952847075210474, rtol=1e-14)
+            p_weight(((1, 3),), 1.5, 0.5), 3.952847075210474, rtol=1e-14)
 
     def test_zero_index_is_one(self):
-        assert p_weight(MultiIndex(()), 7.0, 2.0) == 1.0
+        assert p_weight(np.zeros((0, 2), dtype=int), 7.0, 2.0) == 1.0
+
+    def test_table_matches_each_index(self):
+        # over a padded table, row by row what the pairs alone give: the
+        # (0, 0) padding multiplies by exactly 1.0
+        plan = build_plan(40.0, TestMultiIndex.MODEL)
+        weights = p_weight(plan.indices, 2.5, 0.7)
+        assert weights.shape == (len(plan.indices),)
+        for s, w in zip(index_set(plan), weights.tolist()):
+            pairs = np.reshape(s, (-1, 2))
+            assert w == p_weight(pairs, 2.5, 0.7)
 
 
 class TestBuildLambda:
@@ -189,7 +209,7 @@ class TestBuildLambda:
         expected = {(), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),),
                     ((1, 2),), ((1, 3),), ((1, 4),), ((1, 5),), ((1, 6),),
                     ((2, 2),)}
-        assert {s.pairs for s in lam} == expected
+        assert set(lam) == expected
         assert len(lam) == 11
 
     def test_matches_bruteforce_box(self):
@@ -203,32 +223,32 @@ class TestBuildLambda:
         for dense in itertools.product(range(5), repeat=4):
             if brute_sigma_sq(dense, rho, 4) ** (w.q / 2) <= xi + 1e-9:
                 brute.add(tuple((j + 1, d) for j, d in enumerate(dense) if d))
-        assert {s.pairs for s in lam} == brute
+        assert set(lam) == brute
 
     def test_downward_closed(self):
         w = WeightModel(q=1.0, rho=(2.0, 2.5, 3.0), tail=(1.5, 1.6))
         lam = build_lambda(40.0, w)
-        members = {s.pairs for s in lam}
+        members = set(lam)
         for s in lam:
-            for i in range(len(s.pairs)):
-                j, d = s.pairs[i]
-                lower = tuple((jj, dd - 1 if jj == j else dd) for jj, dd in s.pairs)
-                assert MultiIndex(lower).pairs in members
+            for j, _ in s:
+                lower = tuple((jj, dd - (jj == j)) for jj, dd in s)
+                assert tuple(p for p in lower if p[1]) in members
 
     def test_canonical_sorted(self):
         w = WeightModel(q=1.0, rho=(2.0,), tail=(2.0, 1.5))
         lam = build_lambda(25.0, w)
-        keys = [s.sort_key() for s in lam]
+        keys = [(sum(d for _, d in s), dense(s)) for s in lam]
         assert keys == sorted(keys)
 
     def test_empty_below_one(self):
         w = WeightModel(q=1.0, rho=(2.0,))
         assert build_lambda(0.5, w) == []
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
         w = WeightModel(q=1.0, rho=(), tail=(1.2, 1.1))
-        with pytest.raises(CapacityError):
-            build_lambda(1000.0, w, cap=50)
+        monkeypatch.setattr(indices, "INDEX_CAP", 50)
+        with pytest.raises(CapacityError, match="index budget 50"):
+            build_lambda(1000.0, w)
 
     def test_exhausted_weight_list(self):
         # xi large enough that coordinate 3 would be feasible
@@ -240,7 +260,7 @@ class TestBuildLambda:
         # xi too small for coordinate 3 even at the floor weight
         w = WeightModel(q=1.0, rho=(2.0, 6.0))
         lam = build_lambda(5.0, w)
-        assert {s.pairs for s in lam} == {(), ((1, 1),), ((1, 2),)}
+        assert set(lam) == {(), ((1, 1),), ((1, 2),)}
 
     def test_each_factor_once_per_call(self, monkeypatch):
         # every factor is computed once per call, and nothing is kept
@@ -264,7 +284,7 @@ class TestBuildLambda:
 def _triple_point(plan, t):
     """The dense grid point of triple t, from its nodes alone."""
     out = np.zeros(plan.m_active)
-    for (j, d), k in zip(t.s_minus_e.pairs, t.k):
+    for (j, d), k in zip(t.s_minus_e, t.k):
         fam = NodeFamily(d)
         out[j - 1] = fam.nodes[fam.indices.index(k)]
     return out
@@ -312,10 +332,10 @@ class TestBuildPlan:
         counts = {}
         for t in plan_triples(plan):
             counts[(t.s_ref, t.e_mask)] = counts.get((t.s_ref, t.e_mask), 0) + 1
+        lam = index_set(plan)
         for (s_ref, mask), n in counts.items():
-            s = plan.indices[s_ref]
             expect = 1
-            for (j, d), b in zip(s.pairs, mask):
+            for (j, d), b in zip(lam[s_ref], mask):
                 expect *= (d - b + 1)
             assert n == expect
 
@@ -324,15 +344,14 @@ class TestBuildPlan:
         # a binary mask on supp(s)
         w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
         plan = build_plan(26.0, w)
-        first = {}
+        first, lam = {}, index_set(plan)
         for i, t in enumerate(plan_triples(plan)):
-            s = plan.indices[t.s_ref]
+            s = lam[t.s_ref]
             assert set(t.e_mask) <= {0, 1}
-            assert len(t.e_mask) == len(s.pairs)
-            sme = MultiIndex(tuple((j, d - b)
-                                   for (j, d), b in zip(s.pairs, t.e_mask)))
+            assert len(t.e_mask) == len(s)
+            sme = tuple((j, d - b) for (j, d), b in zip(s, t.e_mask) if d - b)
             assert t.s_minus_e == sme
-            assert len(t.k) == len(sme.pairs)
+            assert len(t.k) == len(sme)
             row = (plan.coords[i].tolist(), plan.orders[i].tolist())
             assert first.setdefault((t.s_ref, t.e_mask), row) == row
         assert len(first) < plan.n_triples
@@ -343,7 +362,7 @@ class TestBuildPlan:
         # and node index 0; each k_j is a signed index of its family
         w = WeightModel(q=1.0, rho=(2.0, 3.0, 27.0), eta=2)
         plan = build_plan(26.0, w)
-        r = max(len(s.pairs) for s in plan.indices)
+        r = max(map(len, index_set(plan)))
         assert r >= 2
         assert plan.s_ref.shape == (plan.n_triples,)
         for table in (plan.s_ref, plan.coords, plan.orders, plan.k):
@@ -400,11 +419,15 @@ class TestBuildPlan:
         assert [f.name for f in dataclasses.fields(CollocationPlan)][-6:] == \
             ["s_ref", "coords", "orders", "k", "signs", "point_ref"]
         assert not hasattr(indices, "Triple")
+        assert not hasattr(indices, "MultiIndex")
         plan = build_plan(3.0, WeightModel(q=1.0, rho=(2.0, 3.0), eta=1))
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.m1 = 7
-        for column in (plan.points, plan.s_ref, plan.coords, plan.orders,
-                       plan.k, plan.signs, plan.point_ref):
+        # the index set is one (n_indices, r, 2) table of pairs: 0, e1, 2e1
+        assert plan.indices.dtype == np.intp
+        assert plan.indices.tolist() == [[[0, 0]], [[1, 1]], [[1, 2]]]
+        for column in (plan.indices, plan.points, plan.s_ref, plan.coords,
+                       plan.orders, plan.k, plan.signs, plan.point_ref):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
 
@@ -452,7 +475,7 @@ class TestBuildPlan:
                                              plan.points)] == [
             "77f5e4e65883d24c", "4202855c7cd77895", "8a787f03662f5cea"]
         rows = [[t.s_ref, list(t.e_mask), list(t.k),
-                 [list(p) for p in t.s_minus_e.pairs]]
+                 [list(p) for p in t.s_minus_e]]
                 for t in plan_triples(plan)]
         assert digest(json.dumps(rows).encode()) == "4d9b2cf370cbc794"
 

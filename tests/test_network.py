@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermnet import network
-from hermnet.indices import MultiIndex, WeightModel, build_plan
+from hermnet.indices import WeightModel, build_plan
 from hermnet.lagrange import evaluate_interpolant, lagrange_coeffs, sparse_interpolate
 from hermnet.network import (
     NetworkBundle,
@@ -43,7 +43,7 @@ from hermnet.network import (
     surrogate_eval,
     DELTA_FLOOR,
 )
-from triple_loops import keyed_compile, plan_triples
+from triple_loops import index_set, keyed_compile, plan_triples
 
 
 def phi0_ref(t):
@@ -89,13 +89,14 @@ def phi_triple(s_minus_e, k, omega, delta, input_dim=None, gate_coord=1,
     """One collocation triple's network as compile builds its terms:
     their monomials through parallelize, labelled `label`, over
     input_dim inputs or as few as its factors read."""
-    terms, meta = network._compile_triple(s_minus_e.pairs, k, omega, delta,
-                                          gate_coord)
+    terms = network._compile_triple(s_minus_e, k, omega, delta, gate_coord)
     dim = max(input_dim or 1, 1 + max(c for f, _ in terms for c, _ in f))
     net = parallelize(
         [network._monomial(f, omega, delta, dim) for f, _ in terms],
         [lam for _, lam in terms])
-    net.meta.update(meta, label=label)
+    net.meta.update(network._member_meta(
+        {"delta": delta, "omega": omega}, [lam for _, lam in terms]),
+        label=label)
     return net
 
 
@@ -202,7 +203,7 @@ class TestEvaluator:
     def test_chunked_batch_matches_rows(self, monkeypatch, points_per_chunk):
         # a cell budget below one point's columns still runs one point
         # per chunk; 10 points at 3 per chunk leave a short last chunk
-        net = phi_triple(MultiIndex(((1, 1), (2, 1))), (1, -1), 2.0, 1e-5)
+        net = phi_triple(((1, 1), (2, 1)), (1, -1), 2.0, 1e-5)
         total = net.input_dim + sum(net.widths[:-1])
         monkeypatch.setattr(network, "_EVAL_CELL_LIMIT",
                             max(1, points_per_chunk * total))
@@ -614,7 +615,7 @@ class TestReindex:
 
 class TestPhiTriple:
     def test_empty_difference_is_plateau(self):
-        net = phi_triple(MultiIndex(()), (), 4.0, 1e-6)
+        net = phi_triple((), (), 4.0, 1e-6)
         assert net.meta["coeff_abs_sum"] == 1.0
         for y in (-3.0, 0.0, 7.9):
             assert net.eval_batch([[y]])[0, 0] == 1.0
@@ -624,7 +625,7 @@ class TestPhiTriple:
 
     def test_order_one_matches_cardinal(self):
         omega, delta = 4.0, 1e-6
-        sme = MultiIndex(((1, 1),))
+        sme = ((1, 1),)
         net = phi_triple(sme, (1,), omega, delta)
         bound = delta * net.meta["coeff_abs_sum"]
         f = _cardinal(1, 1)
@@ -635,7 +636,7 @@ class TestPhiTriple:
 
     def test_two_dim_product_of_cardinals(self):
         omega, delta = 2.0, 1e-5
-        sme = MultiIndex(((1, 1), (3, 2)))
+        sme = ((1, 1), (3, 2))
         net = phi_triple(sme, (1, -1), omega, delta)
         bound = delta * net.meta["coeff_abs_sum"]
         f1, f3 = _cardinal(1, 1), _cardinal(2, -1)
@@ -648,7 +649,7 @@ class TestPhiTriple:
 
     def test_support_coordinates_are_gated(self):
         omega = 2.0
-        sme = MultiIndex(((1, 1), (3, 2)))
+        sme = ((1, 1), (3, 2))
         net = phi_triple(sme, (1, -1), omega, 1e-5)
         rng = np.random.default_rng(42)
         Y = rng.uniform(-1, 1, size=(100, 3))
@@ -664,7 +665,7 @@ class TestPhiTriple:
 
     def test_coeff_abs_sum_matches_tables(self):
         omega, delta = 2.0, 1e-5
-        sme = MultiIndex(((2, 2),))
+        sme = ((2, 2),)
         net = phi_triple(sme, (0,), omega, delta)
         tab = lagrange_coeffs(2).coeffs(0)
         scale = 4.0 * math.sqrt(omega)
@@ -672,7 +673,7 @@ class TestPhiTriple:
         assert net.meta["coeff_abs_sum"] == pytest.approx(want, rel=1e-12)
 
     def test_invalid_args(self):
-        sme = MultiIndex(((1, 1),))
+        sme = ((1, 1),)
         with pytest.raises(ValueError):
             phi_triple(sme, (1,), 0.5, 1e-6)
         with pytest.raises(ValueError):
@@ -714,6 +715,21 @@ class TestComputeDelta:
         assert delta == DELTA_FLOOR
         assert info["delta_requested"] < DELTA_FLOOR
 
+    @pytest.mark.parametrize("xi, requested, log_inv", [
+        (16.0, "0x1.1f1c97c02125bp-32", "0x1.610e66b4b6705p+4"),
+        (256.0, "0x1.0b429be3280ccp-61", "0x1.51e9559658cd9p+5"),
+        (1024.0, "0x1.171277ee84536p-73", "0x1.941b8c5b253b5p+5")])
+    def test_bits_are_unchanged(self, xi, requested, log_inv):
+        # the acceptance weights at omega 2, recorded when the index set
+        # became the plan's pair table: the sums over it must keep their
+        # order, and each p-product its math.log
+        plan = build_plan(xi, WeightModel(q=2.0 / 3.0, rho=(),
+                                          tail=(2.0, 2.0)))
+        _, info = compute_delta(plan, 2.0, fit_delta_K(plan.m1),
+                                return_info=True)
+        assert (info["delta_requested"].hex(), info["log_inv_delta"].hex()) \
+            == (requested, log_inv)
+
     def test_fitted_exponent_grows_with_order(self):
         ks = [fit_delta_K(m) for m in (1, 3, 6, 10)]
         assert all(b >= a for a, b in zip(ks, ks[1:]))
@@ -731,7 +747,7 @@ def _gadget_bundle():
     the input scale is 1/4), each a one-monomial member of a bundle."""
     return NetworkBundle(
         1, [((0, "phi0"),), ((0, "phi1"),)],
-        [((i,), [1.0], {"coeff_abs_sum": 1.0}) for i in (0, 1)], [0, 1],
+        [((i,), [1.0]) for i in (0, 1)], [0, 1],
         ["phi0", "phi1"], meta={"omega": 1.0, "delta": 1e-3})
 
 
@@ -740,12 +756,12 @@ def _repeat_bundle():
     compile numbers them: all three name one recipe."""
     monomials, recipes, index, members = {}, [], {}, []
     for _ in range(3):
-        terms, meta = network._compile_triple(
+        terms = network._compile_triple(
             ((1, 1), (2, 1)), (1, -1), 2.0, 1e-5, 1)
         refs = tuple(monomials.setdefault(f, len(monomials))
                      for f, _ in terms)
         members.append(network._recipe_index(
-            recipes, index, refs, [lam for _, lam in terms], meta))
+            recipes, index, refs, [lam for _, lam in terms]))
     return NetworkBundle(2, monomials, recipes, members, ["a", "b", "c"],
                          meta={"omega": 2.0, "delta": 1e-5})
 
@@ -765,7 +781,8 @@ def test_unit_weight_reloads_as_float():
     d = bundle_to_dict(_repeat_bundle())
     _unit_weight(d, 1.0)
     back = bundle_from_dict(d)
-    assert back.recipes[back.members[0]][2]["coeff_abs_sum"] == 1.0
+    assert bundle_to_dict(back)["networks"][0]["meta"]["coeff_abs_sum"] \
+        == 1.0
 
 
 def _monomials(bundle):
@@ -783,10 +800,12 @@ def _member_sizes(bundle):
 
 def _bound_per_triple(bundle, samples):
     """delta * sum_t ||samples[t]|| * coeff_abs_sum_t, added in t order,
-    over a per-triple table with member t's sample in row t."""
+    over a per-triple table with member t's sample in row t, and each
+    coeff_abs_sum_t read from the stored member meta."""
     total = 0.0
-    for n_t, r in zip(row_norms(samples).tolist(), bundle.members):
-        total += n_t * bundle.recipes[r][2]["coeff_abs_sum"]
+    for n_t, spec in zip(row_norms(samples).tolist(),
+                         bundle_to_dict(bundle)["networks"]):
+        total += n_t * spec["meta"]["coeff_abs_sum"]
     return bundle.meta["delta"] * total
 
 
@@ -886,15 +905,16 @@ class TestBundlePool:
         assert d["monomials"] == [[list(f) for f in factors]
                                   for factors in bundle.monomials]
         back = bundle_from_dict(json.loads(json.dumps(d)))
-        # equal monomials, lambdas and meta: one recipe
+        # equal monomials and lambdas: one recipe
         assert back.members == [0, 0, 0]
         assert (back.W, back.L) == (bundle.W, bundle.L)
         # the dict holds copies: editing it leaves the bundle as it was
-        lams, meta = list(bundle.recipes[0][1]), dict(bundle.recipes[0][2])
+        lams, meta = list(bundle.recipes[0][1]), dict(bundle.meta)
         d["networks"][0]["lambdas"].append(1.0)
         d["networks"][0]["meta"]["omega"] = 99.0
+        d["meta"]["omega"] = 99.0
         d["monomials"][0][0][0] = 1
-        assert bundle.recipes[0][1:] == (lams, meta)
+        assert (bundle.recipes[0][1], bundle.meta) == (lams, meta)
         assert bundle.monomials[0][0][0] == 0
 
     @pytest.mark.parametrize("damage, match", [
@@ -955,6 +975,13 @@ class TestBundlePool:
         (lambda d: d["networks"][0].update(meta="junk"), "coeff_abs_sum"),
         (lambda d: _unit_weight(d, True), "coeff_abs_sum"),
         (lambda d: _unit_weight(d, 1), "coeff_abs_sum"),
+        (lambda d: d["networks"][0]["meta"].update(note=1), "meta is not"),
+        (lambda d: d["networks"][0]["meta"].update(omega=3.0), "meta is not"),
+        (lambda d: d["networks"][0]["meta"].update(omega=2), "meta is not"),
+        (lambda d: d["networks"][0]["meta"].update(delta=1e-6),
+         "meta is not"),
+        (lambda d: d["networks"][0]["meta"].update(kind="phi"),
+         "meta is not"),
     ], ids=["monomial_index_-1", "monomial_index_past_end",
             "monomial_index_float", "member_no_monomials", "lambda_count",
             "lambda_string", "lambda_bool", "lambda_nan", "lambda_inf",
@@ -971,7 +998,9 @@ class TestBundlePool:
             "W_plus_1", "L_minus_1", "old_format", "format_2", "format_3",
             "no_format", "member_lacks_monomials", "no_labels",
             "coeff_abs_sum_tiny", "no_coeff_abs_sum", "meta_not_object",
-            "coeff_abs_sum_true", "coeff_abs_sum_int"])
+            "coeff_abs_sum_true", "coeff_abs_sum_int", "member_meta_extra_key",
+            "member_meta_other_omega", "member_meta_omega_int",
+            "member_meta_other_delta", "member_meta_other_kind"])
     def test_bad_bundle_rejected(self, damage, match):
         d = bundle_to_dict(_repeat_bundle())
         bundle_from_dict(d)
@@ -1220,12 +1249,12 @@ class TestSurrogate:
         bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
                                        delta, omega)
         assert len({net.depth for net in bundle.networks}) > 1
-        dim = max(plan.m_active, 1)
+        dim, lam_set = max(plan.m_active, 1), index_set(plan)
         first, repeats = {}, 0
         for t, net, label in zip(plan_triples(plan), bundle.networks,
                                  bundle.labels, strict=True):
-            s, sme = plan.indices[t.s_ref], t.s_minus_e
-            gate = s.pairs[0][0] if s.pairs else 1
+            s, sme = lam_set[t.s_ref], t.s_minus_e
+            gate = s[0][0] if s else 1
             fresh = phi_triple(sme, t.k, omega, delta, input_dim=dim,
                                gate_coord=gate, label=label)
             assert net.meta == fresh.meta
@@ -1238,7 +1267,7 @@ class TestSurrogate:
                 for (ac, aw), (bc, bw) in zip(a.rows, b.rows):
                     assert ac.tobytes() == bc.tobytes()
                     assert aw.tobytes() == bw.tobytes()
-            key = (sme.pairs, tuple(t.k), None if sme.pairs else gate)
+            key = (sme, tuple(t.k), None if sme else gate)
             if key in first:
                 repeats += 1
                 assert all(a is b for a, b in zip(net.layers,
@@ -1286,10 +1315,10 @@ class TestSurrogate:
         assert d["monomials"] == [[list(f) for f in factors]
                                   for factors in bundle.monomials]
         for r, spec in zip(bundle.members, d["networks"]):
-            refs, lams, meta = bundle.recipes[r]
+            refs, lams = bundle.recipes[r]
             assert (spec["monomials"], spec["lambdas"], spec["meta"]) == \
-                (list(refs), lams, meta)
-        used = [i for refs, _, _ in bundle.recipes for i in refs]
+                (list(refs), lams, network._member_meta(bundle.meta, lams))
+        used = [i for refs, _ in bundle.recipes for i in refs]
         assert set(used) == set(range(len(d["monomials"])))
         assert len(set(used)) < sum(len(bundle.recipes[r][0])
                                     for r in bundle.members)
@@ -1450,7 +1479,7 @@ class TestSurrogate:
                                2.0)
 
     def test_mismatched_bundle_members_rejected(self):
-        recipes = [((0,), [1.0], {})]
+        recipes = [((0,), [1.0])]
         with pytest.raises(ValueError, match="parallel"):
             NetworkBundle(1, [((0, "phi1"),)], recipes, [0], ["a", "b"], {})
         with pytest.raises(ValueError, match="at least one"):
@@ -1482,11 +1511,11 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
     Y = np.vstack([g, 4.0 * g, np.where(g < 0, -edge, edge) + g])
     compiled = bundle.shared.eval_batch(Y)
 
-    dim = max(plan.m_active, 1)
+    dim, lam_set = max(plan.m_active, 1), index_set(plan)
     for t, net, label, size in zip(plan_triples(plan), bundle.networks,
                                    bundle.labels, sizes, strict=True):
-        s = plan.indices[t.s_ref]
-        gate = s.pairs[0][0] if s.pairs else 1
+        s = lam_set[t.s_ref]
+        gate = s[0][0] if s else 1
         fresh = phi_triple(t.s_minus_e, t.k, omega, delta,
                            input_dim=dim, gate_coord=gate, label=label)
         assert net.meta == fresh.meta
@@ -1531,7 +1560,7 @@ def test_recipe_matches_parallelize(factors, lams, delta, repeat):
     if repeat:  # the same monomial twice, cancelling
         refs += (0,)
         lams.append(-lams[0])
-    pool = network._Pool(factors, [(refs, lams, {})], 1.0, delta)
+    pool = network._Pool(factors, [(refs, lams)], 1.0, delta)
     monos = [network._monomial(f, 1.0, delta, 2) for f in factors]
     net = parallelize([monos[i] for i in refs], lams)
     assert (pool.sizes()[0], pool.depth[0]) == (net.size, net.depth) == \
