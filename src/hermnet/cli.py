@@ -28,6 +28,7 @@ import json
 import math
 import multiprocessing
 import os
+import resource
 import shutil
 import sys
 import time
@@ -50,6 +51,7 @@ from .fem import (
     sine_family,
     solution_norm,
 )
+from .floatcsv import csv_text
 from .indices import WeightModel, build_plan, plan_stats
 from .lagrange import SparseInterpolant
 from .network import (
@@ -534,10 +536,8 @@ def cmd_solve(cfg, out_dir, args):
             header = "x," + ",".join(
                 f"point_{j}" for j in range(values.shape[0]))
             cols = np.column_stack([problem.nodes, values.T])
-            lines = [header] + [",".join(repr(float(v)) for v in r)
-                                for r in cols]
             (out_dir / f"solutions_{i:02d}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8")
+                header + "\n" + csv_text(cols), encoding="utf-8")
         print(f"solve {i:02d}: xi={plan.xi:g} solves={plan.n_points} "
               f"mesh_n={problem.mesh_n}")
     return EXIT_OK
@@ -649,12 +649,14 @@ def cmd_sweep(cfg, out_dir, args):
 
 def _net_eval_share(evaluator, pts, path):
     """Write the CSV rows of evaluator at pts to path, evaluated in
-    blocks of _NET_EVAL_BLOCK points, each written before the next runs."""
+    blocks of _NET_EVAL_BLOCK points, each written before the next runs.
+    Each cell is repr of its float, written by floatcsv.csv_text: array
+    operations for 1e-4 <= |v| < 1e16 and +-0.0, repr itself for every
+    other cell (nan, inf, subnormal, smaller or larger), so the bytes are
+    those of ",".join(map(repr, row)) either way."""
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, pts.shape[0], _NET_EVAL_BLOCK):
-            block = evaluator(pts[start:start + _NET_EVAL_BLOCK])
-            fh.write("".join([",".join(map(repr, row)) + "\n"
-                              for row in block.tolist()]))
+            fh.write(csv_text(evaluator(pts[start:start + _NET_EVAL_BLOCK])))
 
 
 def cmd_net_eval(args):
@@ -723,6 +725,7 @@ def cmd_net_eval(args):
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out} ({exc})") from exc
 
+    start = time.perf_counter()
     blocks = -(-pts.shape[0] // _NET_EVAL_BLOCK)
     n = min(_usable_cpus(), blocks)
     cuts = [_NET_EVAL_BLOCK * (blocks * k // n) for k in range(n + 1)]
@@ -764,7 +767,13 @@ def cmd_net_eval(args):
             child.join()
         for part in parts:
             part.unlink(missing_ok=True)
-    print(f"net eval: {pts.shape[0]} points -> {args.out}")
+    rate = pts.shape[0] / (time.perf_counter() - start)
+    # ru_maxrss: the largest reaped child's peak, in KiB on Linux
+    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    workers = (f"workers {len(children)}, peak RSS {rss:.1f} MB"
+               if children else "no workers")
+    print(f"net eval: {pts.shape[0]} points -> {args.out} "
+          f"({rate:.0f} points/s; {workers})")
     return EXIT_OK
 
 

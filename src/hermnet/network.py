@@ -935,13 +935,13 @@ def _recipe_index(recipes, index, refs, lams):
     return index[key]
 
 
-def _member_meta(meta, lams):
-    """The meta of a member with lambdas `lams` in a bundle with meta
-    `meta`, as bundle_to_dict writes it: the bundle's delta and omega
-    and coeff_abs_sum, the sum of |lambda|, its certificate weight."""
+def _member_meta(meta, coeff_abs_sum):
+    """The meta of a member in a bundle with meta `meta`, as
+    bundle_to_dict writes it: the bundle's delta and omega and
+    coeff_abs_sum, its recipe's sum of |lambda| (the certificate
+    weight, NetworkBundle.coeff_abs_sums)."""
     return {"kind": "phi_triple", "delta": meta["delta"],
-            "omega": meta["omega"],
-            "coeff_abs_sum": float(np.sum(np.abs(lams)))}
+            "omega": meta["omega"], "coeff_abs_sum": coeff_abs_sum}
 
 
 class NetworkBundle:
@@ -980,6 +980,14 @@ class NetworkBundle:
         return int(self._pool.depth[self.members].max())
 
     @functools.cached_property
+    def coeff_abs_sums(self):
+        """Each recipe's sum of |lambda| as np.sum adds it: one sum over
+        the recipe's contiguous slice of the pool's lambdas."""
+        lam = np.abs(self._pool.lam)
+        ends = np.cumsum([len(refs) for refs, _ in self.recipes]).tolist()
+        return [float(lam[a:b].sum()) for a, b in zip([0] + ends, ends)]
+
+    @functools.cached_property
     def networks(self):
         """The member networks as parallelize builds them from _monomial
         networks, each under its label: a view for inspection, built on
@@ -991,7 +999,8 @@ class NetworkBundle:
         for r in dict.fromkeys(self.members):
             refs, lams = self.recipes[r]
             built[r] = parallelize([monos[i] for i in refs], lams)
-            built[r].meta.update(_member_meta(self.meta, lams))
+            built[r].meta.update(_member_meta(self.meta,
+                                              self.coeff_abs_sums[r]))
         return [ReluNetwork(self.input_dim, built[r].layers,
                             dict(built[r].meta, label=label))
                 for r, label in zip(self.members, self.labels)]
@@ -1089,7 +1098,7 @@ def surrogate_bound(bundle, point_ref, samples, *, norm):
     if len(point_ref) != len(bundle.members):
         raise ValueError(f"{len(point_ref)} point rows for "
                          f"{len(bundle.members)} members")
-    weight = np.array([np.sum(np.abs(lams)) for _, lams in bundle.recipes])
+    weight = np.array(bundle.coeff_abs_sums)
     terms = norm(samples)[point_ref] * weight[bundle.members]
     return bundle.meta["delta"] * float(np.cumsum(terms)[-1])
 
@@ -1213,7 +1222,7 @@ def bundle_to_dict(bundle):
     fields, copied.  `monomials` holds each factor tuple as a list
     [[coordinate, "phi0" | "phi1"], ...] and each member of `networks`
     its recipe, monomial indices and lambdas, and its _member_meta."""
-    metas = [_member_meta(bundle.meta, lams) for _, lams in bundle.recipes]
+    metas = [_member_meta(bundle.meta, s) for s in bundle.coeff_abs_sums]
     return {"format": BUNDLE_FORMAT, "meta": dict(bundle.meta),
             "input_dim": bundle.input_dim, "W": bundle.W, "L": bundle.L,
             "monomials": [[list(f) for f in factors]
@@ -1258,7 +1267,7 @@ def bundle_from_dict(data):
         if dim != 1 + max((c for f in factors for c, _ in f), default=0):
             raise ValueError(f"input_dim {dim} is not 1 + the largest "
                              "stored factor coordinate")
-        recipes, index, members = [], {}, []
+        recipes, index, members, infos = [], {}, [], []
         for spec in data["networks"]:
             refs = _indices(spec["monomials"], len(factors),
                             "member monomial")
@@ -1267,16 +1276,17 @@ def bundle_from_dict(data):
             if lams.shape != (len(refs),):
                 raise ValueError(f"member {len(members)} has {lams.shape} "
                                  f"lambdas for {len(refs)} monomials")
-            want, info = _member_meta(meta, lams), spec["meta"]
-            if type(info) is not dict or info.keys() != want.keys() or any(
-                    type(info[key]) is not type(value) or info[key] != value
-                    for key, value in want.items()):
-                raise ValueError(f"member {len(members)} meta is not "
-                                 f"{want!r}")
+            infos.append(spec["meta"])
             members.append(_recipe_index(recipes, index, refs,
                                          lams.tolist()))
         bundle = NetworkBundle(dim, factors, recipes, members,
                                data["labels"], meta)
+        for i, (r, info) in enumerate(zip(members, infos)):
+            want = _member_meta(meta, bundle.coeff_abs_sums[r])
+            if type(info) is not dict or info.keys() != want.keys() or any(
+                    type(info[key]) is not type(value) or info[key] != value
+                    for key, value in want.items()):
+                raise ValueError(f"member {i} meta is not {want!r}")
         stored = (data["W"], data["L"])
     except KeyError as exc:
         raise ValueError(f"bundle lacks field {exc.args[0]!r}") from None

@@ -313,6 +313,23 @@ class TestSolveCmd:
         xs = np.array([float(r["x"]) for r in rows])
         assert xs[0] == 0.0 and xs[-1] == 1.0 and len(xs) == 10
 
+    def test_dump_solutions_bytes_are_repr(self, cfg_file, tmp_path):
+        # the rows ",".join(repr(float(v)) for v in r) wrote, header kept
+        assert run("plan", "--config", cfg_file) == 0
+        assert run("solve", "--config", cfg_file, "--dump-solutions") == 0
+        cfg = load_config(cfg_file)
+        for i in range(len(cfg["xi_sweep"])):
+            art = json.loads(
+                (tmp_path / "out" / f"samples_{i:02d}.json").read_text())
+            values = np.array(art["values"])
+            nodes = cli.build_problem(cfg, 1).nodes
+            lines = ["x," + ",".join(f"point_{j}"
+                                     for j in range(values.shape[0]))]
+            lines += [",".join(repr(float(v)) for v in r)
+                      for r in np.column_stack([nodes, values.T])]
+            text = (tmp_path / "out" / f"solutions_{i:02d}.csv").read_bytes()
+            assert text == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_stale_plan_hash_aborts(self, cfg_file, tmp_path, capsys):
         assert run("plan", "--config", cfg_file) == 0
         raw = json.loads(cfg_file.read_text())
@@ -696,6 +713,25 @@ class TestNetEval:
         want = "".join(",".join(map(repr, row)) + "\n"
                        for row in direct.tolist())
         assert out_file.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("cpus, workers", [
+        (1, "no workers"), (2, r"workers 1, peak RSS \d+\.\d MB")])
+    def test_summary_reports_rate_and_workers(self, cfg_file, tmp_path,
+                                              capsys, monkeypatch, cpus,
+                                              workers):
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        pts_file = _write_points(tmp_path / "pts.csv",
+                                 np.zeros((2 * cli._NET_EVAL_BLOCK, 2)))
+        _use_cpus(monkeypatch, cpus)
+        capsys.readouterr()
+        out_file = tmp_path / "vals.csv"
+        assert run("net", "eval", "--bundle",
+                   tmp_path / "out" / "bundle_02.json",
+                   "--points", pts_file, "--out", out_file) == 0
+        assert re.fullmatch(
+            rf"net eval: 512 points -> {re.escape(str(out_file))} "
+            rf"\(\d+ points/s; {workers}\)\n", capsys.readouterr().out)
 
     @pytest.mark.parametrize("target", ["missing/vals.csv", "out"],
                              ids=["missing_dir", "directory"])

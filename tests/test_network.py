@@ -95,8 +95,8 @@ def phi_triple(s_minus_e, k, omega, delta, input_dim=None, gate_coord=1,
         [network._monomial(f, omega, delta, dim) for f, _ in terms],
         [lam for _, lam in terms])
     net.meta.update(network._member_meta(
-        {"delta": delta, "omega": omega}, [lam for _, lam in terms]),
-        label=label)
+        {"delta": delta, "omega": omega},
+        float(np.sum(np.abs([lam for _, lam in terms])))), label=label)
     return net
 
 
@@ -1035,6 +1035,17 @@ def test_bundle_json_is_unchanged(delta, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("xi", [16.0, 32.0, 256.0])
+def test_coeff_abs_sums_are_np_sums(xi):
+    """Each recipe's coeff_abs_sum, one sum per slice of the pool's
+    lambdas, has the bits of np.sum over that recipe's own |lambda|."""
+    plan = build_plan(xi, WeightModel(q=2.0 / 3.0, rho=(), tail=(2.0, 2.0)))
+    bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
+                                   1e-7, 2.0)
+    assert bundle.coeff_abs_sums == [float(np.sum(np.abs(lams)))
+                                     for _, lams in bundle.recipes]
+
+
 def _network_digests(bundle):
     """SHA-256 over the layer arrays (counts, cols, wts, bias) of each
     distinct monomial network in first-use order, and over those of
@@ -1317,7 +1328,8 @@ class TestSurrogate:
         for r, spec in zip(bundle.members, d["networks"]):
             refs, lams = bundle.recipes[r]
             assert (spec["monomials"], spec["lambdas"], spec["meta"]) == \
-                (list(refs), lams, network._member_meta(bundle.meta, lams))
+                (list(refs), lams, network._member_meta(
+                    bundle.meta, float(np.sum(np.abs(lams)))))
         used = [i for refs, _ in bundle.recipes for i in refs]
         assert set(used) == set(range(len(d["monomials"])))
         assert len(set(used)) < sum(len(bundle.recipes[r][0])
