@@ -664,7 +664,7 @@ def cmd_net_eval(args):
 
     The artifact's signs (finite JSON numbers, one per member), samples
     (a finite table of JSON numbers), point_ref (a samples row index per
-    member) and input_dim (the bundle's) are checked before any write.
+    member) and input_dim (the bundle's, an int) are checked before any write.
     The points are split into one contiguous share of whole
     _NET_EVAL_BLOCK blocks per usable CPU (no more shares than blocks).
     This process evaluates the first share into a temporary file beside
@@ -683,7 +683,7 @@ def cmd_net_eval(args):
         signs = json_floats(art["signs"], "signs")
         samples = json_floats(art["samples"], "samples")
         refs = art["point_ref"]
-        if art["input_dim"] != dim:
+        if type(art["input_dim"]) is not int or art["input_dim"] != dim:
             raise ValueError(f"input_dim {art['input_dim']!r} is not the "
                              f"bundle's {dim}")
         if signs.shape != (members,):

@@ -25,7 +25,7 @@ is unchanged to the bit.
 A compile builds no network.  Each distinct (s-e, k) becomes a recipe:
 the factor tuples of its monomial gadget products and their
 coefficients lambda_j (an empty s-e gives the one-monomial recipe of a
-plateau gadget).  A bundle holds what its artifact (format 4) stores:
+plateau gadget).  A bundle holds what its artifact (format 5) stores:
 each distinct monomial as its factors, each distinct recipe over
 monomial indices, and one recipe index per member.  A monomial is its
 _template, cached by factor pattern, moved to its coordinates, and W
@@ -66,9 +66,10 @@ from .lagrange import as_table, lagrange_coeffs
 # eval_batch chunk may use: 32 MiB of float64.
 _EVAL_CELL_LIMIT = 1 << 22
 
-# Layout of bundle_to_dict's output: 4 stores each member as its recipe
-# over monomials stored as their gadget factors.
-BUNDLE_FORMAT = 4
+# Layout of bundle_to_dict's output: 5 stores each distinct recipe once,
+# over monomials stored as their gadget factors, and each member as the
+# index of its recipe.
+BUNDLE_FORMAT = 5
 
 # Pointwise certificates below float64 evaluation noise are unverifiable;
 # delta is floored here and both values are reported.
@@ -935,36 +936,30 @@ def _recipe_index(recipes, index, refs, lams):
     return index[key]
 
 
-def _member_meta(meta, coeff_abs_sum):
-    """The meta of a member in a bundle with meta `meta`, as
-    bundle_to_dict writes it: the bundle's delta and omega and
-    coeff_abs_sum, its recipe's sum of |lambda| (the certificate
-    weight, NetworkBundle.coeff_abs_sums)."""
-    return {"kind": "phi_triple", "delta": meta["delta"],
-            "omega": meta["omega"], "coeff_abs_sum": coeff_abs_sum}
-
-
 class NetworkBundle:
-    """Per-triple scalar networks over one input dimension, held as
-    bundle_to_dict writes them: `monomials`, each distinct monomial's
-    factor tuple (see _pattern); `recipes`, each distinct (monomial
-    indices, lambdas) in first-use order; and `members`, one
-    recipe index per triple, with `labels` parallel to it.  W is the sum
-    and L the maximum of the members' sizes and depths (_Pool.sizes).
-    The members are merged only for evaluation, in `shared`.
+    """Per-triple scalar networks, held as bundle_to_dict writes them:
+    `monomials`, each distinct monomial's factor tuple (see _pattern);
+    `recipes`, each distinct (monomial indices, lambdas) in first-use
+    order; and `members`, one recipe index per triple.  `meta` holds the
+    omega and delta the monomials are built at.  W is the sum and L the
+    maximum of the members' sizes and depths (_Pool.sizes).  The members
+    are merged only for evaluation, in `shared`.
     """
 
-    def __init__(self, input_dim, monomials, recipes, members, labels, meta):
+    def __init__(self, monomials, recipes, members, meta):
         if not members:
             raise ValueError("a bundle needs at least one member")
-        if len(members) != len(labels):
-            raise ValueError("labels must be parallel to members")
-        self.input_dim, self.meta = input_dim, dict(meta)
-        self.monomials, self.recipes, self.members, self.labels = map(
-            list, (monomials, recipes, members, labels))
+        self.meta = dict(meta)
+        self.monomials, self.recipes, self.members = map(
+            list, (monomials, recipes, members))
 
     def __len__(self):
         return len(self.members)
+
+    @functools.cached_property
+    def input_dim(self):
+        """1 + the largest factor coordinate: max(m_active, 1) at compile."""
+        return 1 + max(c for factors in self.monomials for c, _ in factors)
 
     @functools.cached_property
     def _pool(self):
@@ -990,20 +985,15 @@ class NetworkBundle:
     @functools.cached_property
     def networks(self):
         """The member networks as parallelize builds them from _monomial
-        networks, each under its label: a view for inspection, built on
-        first access.  A repeated recipe's networks share their layers.
-        Nothing else builds a monomial or member network."""
+        networks: a view for inspection, built on first access, one
+        network per recipe, which each of its members names.  Nothing
+        else builds a monomial or member network."""
         monos = [_monomial(f, self.meta["omega"], self.meta["delta"],
                            self.input_dim) for f in self.monomials]
-        built = {}
-        for r in dict.fromkeys(self.members):
-            refs, lams = self.recipes[r]
-            built[r] = parallelize([monos[i] for i in refs], lams)
-            built[r].meta.update(_member_meta(self.meta,
-                                              self.coeff_abs_sums[r]))
-        return [ReluNetwork(self.input_dim, built[r].layers,
-                            dict(built[r].meta, label=label))
-                for r, label in zip(self.members, self.labels)]
+        built = {r: parallelize([monos[i] for i in self.recipes[r][0]],
+                                self.recipes[r][1])
+                 for r in dict.fromkeys(self.members)}
+        return [built[r] for r in self.members]
 
     @functools.cached_property
     def shared(self):
@@ -1053,9 +1043,8 @@ def assemble_surrogate(plan, samples, delta, omega):
     the (n, k) table  sum_t signs[t] * samples[point_ref[t]] * net_t(y).
     """
     samples = as_table(samples, plan.n_points, "n_points")
-    s_tab = plan.indices[plan.s_ref]
-    gate = np.where(plan.orders.any(axis=1), 0,
-                    np.maximum(s_tab[:, :1, 0].sum(axis=1), 1))
+    gate = np.where(plan.orders.any(axis=1), 0, np.maximum(
+        plan.indices[plan.s_ref, :1, 0].sum(axis=1), 1))
     first, inverse = _unique_rows(
         np.column_stack([plan.coords, plan.orders, plan.k, gate]))
     n = np.count_nonzero(plan.orders, axis=1)  # the width of supp(s-e)
@@ -1068,17 +1057,9 @@ def assemble_surrogate(plan, samples, delta, omega):
                      for f, _ in terms)
         recipe_of.append(_recipe_index(recipes, index, refs,
                                        [lam for _, lam in terms]))
-    # the stored labels, whose "s" lists are shared per s; e = s - (s-e)
-    kept = (plan.coords[:, None, :] == s_tab[:, :, :1]) * plan.orders[:, None]
-    e = (s_tab[:, :, 1] - kept.sum(axis=2)).tolist()
-    s_pairs = [[p for p in s if p[1]] for s in plan.indices.tolist()]
-    labels = [{"s": s_pairs[i], "e": e_t[:len(s_pairs[i])], "k": k[:w]}
-              for i, e_t, k, w in zip(plan.s_ref.tolist(), e,
-                                      plan.k.tolist(), n.tolist())]
-    bundle = NetworkBundle(max(plan.m_active, 1), monomials, recipes,
-                           np.array(recipe_of)[inverse].tolist(), labels, {
-                               "xi": plan.xi, "delta": delta,
-                               "omega": omega, "n_triples": plan.n_triples})
+    bundle = NetworkBundle(monomials, recipes,
+                           np.array(recipe_of)[inverse].tolist(),
+                           {"delta": delta, "omega": omega})
     return bundle, functools.partial(surrogate_eval, bundle, plan.signs,
                                      plan.point_ref, samples)
 
@@ -1186,10 +1167,11 @@ def json_floats(raw, what):
     return arr
 
 
-def _factors(spec, dim):
+def _factors(spec):
     """The factor tuple a stored monomial names.  ValueError unless it
     is a non-empty list of [coordinate, kind] pairs, each coordinate an
-    int in [0, dim) and each kind "phi0" or "phi1"."""
+    int in [0, sys.maxsize) (_Pool holds them as int64) and each kind
+    "phi0" or "phi1"."""
     if not isinstance(spec, list) or not spec:
         raise ValueError(f"monomial {spec!r} is not a non-empty factor list")
     factors = []
@@ -1198,9 +1180,9 @@ def _factors(spec, dim):
             raise ValueError(f"factor {factor!r} is not a [coordinate, kind] "
                              "pair")
         coord, kind = factor
-        if type(coord) is not int or not 0 <= coord < dim:
+        if type(coord) is not int or not 0 <= coord < sys.maxsize:
             raise ValueError(f"factor coordinate {coord!r} is not an int in "
-                             f"[0, {dim})")
+                             "[0, sys.maxsize)")
         if kind not in ("phi0", "phi1"):
             raise ValueError(f"factor kind {kind!r} is not phi0 or phi1")
         factors.append((coord, kind))
@@ -1212,80 +1194,74 @@ def _indices(refs, n, what):
     is not an int naming one of the n stored entries."""
     bad = [i for i in refs if type(i) is not int or not 0 <= i < n]
     if bad or not refs:
-        raise ValueError(f"{what} list {refs!r} names no entry or one "
-                         f"outside the {n} stored")
+        raise ValueError(f"{what} list names no entry or one outside the "
+                         f"{n} stored {bad[:1]!r}")
     return tuple(refs)
 
 
 def bundle_to_dict(bundle):
     """JSON-ready bundle in the layout BUNDLE_FORMAT names: the bundle's
     fields, copied.  `monomials` holds each factor tuple as a list
-    [[coordinate, "phi0" | "phi1"], ...] and each member of `networks`
-    its recipe, monomial indices and lambdas, and its _member_meta."""
-    metas = [_member_meta(bundle.meta, s) for s in bundle.coeff_abs_sums]
+    [[coordinate, "phi0" | "phi1"], ...], `recipes` each recipe's
+    monomial indices and lambdas, and `networks` each member's recipe
+    index and the recipe's coeff_abs_sum (its certificate weight), one
+    record per triple in plan order.  Those per-member weights are a
+    copy: they stay because benchmarks/workloads.py reads
+    networks[t]["meta"]["coeff_abs_sum"] per triple."""
+    sums = bundle.coeff_abs_sums
     return {"format": BUNDLE_FORMAT, "meta": dict(bundle.meta),
-            "input_dim": bundle.input_dim, "W": bundle.W, "L": bundle.L,
+            "W": bundle.W, "L": bundle.L,
             "monomials": [[list(f) for f in factors]
                           for factors in bundle.monomials],
-            "networks": [{"monomials": list(bundle.recipes[r][0]),
-                          "lambdas": list(bundle.recipes[r][1]),
-                          "meta": dict(metas[r])} for r in bundle.members],
-            "labels": bundle.labels}
+            "recipes": [{"monomials": list(refs), "lambdas": list(lams)}
+                        for refs, lams in bundle.recipes],
+            "networks": [{"recipe": r, "meta": {"coeff_abs_sum": sums[r]}}
+                         for r in bundle.members]}
 
 
 def bundle_from_dict(data):
     """Rebuild a bundle written by bundle_to_dict, building no network.
 
-    Members with equal monomials and lambdas name one recipe, as at
-    compile.  Raises ValueError for another format, a missing field,
-    an omega or delta that is not a JSON number (int or float; true
-    would read as 1), that compile would refuse or that is not finite, a
-    malformed factor list (see _factors), an input_dim other than 1 +
-    the largest stored factor coordinate (what compile writes), a
-    monomial index naming no stored monomial, a member without
-    monomials, lambdas that are not finite JSON numbers (see
-    json_floats) or not one per monomial, a member meta other than the
-    _member_meta bundle_to_dict writes (the same keys and values, each
-    of the same JSON type: the bundle meta's delta and omega, and a
-    float coeff_abs_sum, where true or 1 would compare equal to 1.0),
-    or a stored W or L that differs from the recount from the templates
+    Raises ValueError for another format, a missing field, an omega or
+    delta that is not a JSON number (int or float; true would read as
+    1), that compile would refuse or that is not finite, a malformed
+    factor list (see _factors), a monomial index naming no stored
+    monomial, a recipe without monomials, lambdas that are not finite
+    JSON numbers (see json_floats) or not one per monomial, a member
+    recipe that is not an int naming a stored recipe, a member meta
+    other than {"coeff_abs_sum": its recipe's coeff_abs_sum} (a JSON
+    float, where true or 1 would compare equal to 1.0), or a stored W
+    or L that differs from the recount from the templates
     (_Pool.sizes).
     """
     fmt = data.get("format")
     if fmt != BUNDLE_FORMAT:
         raise ValueError(f"bundle format {fmt!r} is not {BUNDLE_FORMAT}")
     try:
-        dim, meta = data["input_dim"], data["meta"]
-        omega, delta = meta["omega"], meta["delta"]
+        omega, delta = data["meta"]["omega"], data["meta"]["delta"]
         for key, value in (("omega", omega), ("delta", delta)):
             if type(value) not in (int, float):
                 raise ValueError(f"meta {key} {value!r} is not a JSON number")
         _check_omega_delta(omega, delta)
-        if type(dim) is not int:
-            raise ValueError(f"input_dim {dim!r} is not an int")
-        factors = [_factors(spec, dim) for spec in data["monomials"]]
-        if dim != 1 + max((c for f in factors for c, _ in f), default=0):
-            raise ValueError(f"input_dim {dim} is not 1 + the largest "
-                             "stored factor coordinate")
-        recipes, index, members, infos = [], {}, [], []
-        for spec in data["networks"]:
+        factors = [_factors(spec) for spec in data["monomials"]]
+        recipes = []
+        for spec in data["recipes"]:
             refs = _indices(spec["monomials"], len(factors),
-                            "member monomial")
+                            "recipe monomial")
             lams = json_floats(spec["lambdas"],
-                               f"member {len(members)} lambdas")
+                               f"recipe {len(recipes)} lambdas")
             if lams.shape != (len(refs),):
-                raise ValueError(f"member {len(members)} has {lams.shape} "
+                raise ValueError(f"recipe {len(recipes)} has {lams.shape} "
                                  f"lambdas for {len(refs)} monomials")
-            infos.append(spec["meta"])
-            members.append(_recipe_index(recipes, index, refs,
-                                         lams.tolist()))
-        bundle = NetworkBundle(dim, factors, recipes, members,
-                               data["labels"], meta)
-        for i, (r, info) in enumerate(zip(members, infos)):
-            want = _member_meta(meta, bundle.coeff_abs_sums[r])
-            if type(info) is not dict or info.keys() != want.keys() or any(
-                    type(info[key]) is not type(value) or info[key] != value
-                    for key, value in want.items()):
+            recipes.append((refs, lams.tolist()))
+        members = _indices([spec["recipe"] for spec in data["networks"]],
+                           len(recipes), "member recipe")
+        bundle = NetworkBundle(factors, recipes, members,
+                               {"delta": delta, "omega": omega})
+        for i, spec in enumerate(data["networks"]):
+            want = {"coeff_abs_sum": bundle.coeff_abs_sums[members[i]]}
+            if spec["meta"] != want or type(
+                    spec["meta"]["coeff_abs_sum"]) is not float:
                 raise ValueError(f"member {i} meta is not {want!r}")
         stored = (data["W"], data["L"])
     except KeyError as exc:

@@ -30,9 +30,10 @@ from hermnet.hermite import NodeFamily
 from hermnet.indices import build_plan
 from hermnet.network import (
     assemble_surrogate,
+    bundle_from_dict,
     surrogate_eval,
 )
-from triple_loops import plan_triples
+from triple_loops import as_format_4, plan_triples
 
 CSV_COLUMNS = ("xi", "n_solvers", "n_unique_points", "W", "L",
                "l2_error", "l2_stderr", "sup_error",
@@ -485,12 +486,32 @@ class TestCompileCmd:
             assert run(cmd, "--config", cfg_file) == 0
         art = json.loads(
             (tmp_path / "out" / "bundle_01.json").read_text())
-        from hermnet.network import bundle_from_dict
         bundle = bundle_from_dict(art["bundle"])
         assert bundle.W == sum(n.size for n in bundle.networks)
         assert bundle.L == max(n.depth for n in bundle.networks)
         assert art["omega"] == 2.0 and art["delta"] == 1e-4
         assert len(art["signs"]) == len(art["point_ref"])
+
+    def test_artifact_holds_what_the_benchmark_reads(self, cfg_file,
+                                                     tmp_path):
+        # benchmarks/workloads.py reads these fields of bundle_XX.json:
+        # the build check the top-level ones and W, L, the query oracle
+        # one coeff_abs_sum per triple, in plan order
+        for cmd in ("plan", "solve", "compile"):
+            assert run(cmd, "--config", cfg_file) == 0
+        cfg = load_config(cfg_file)
+        for i, xi in enumerate(cfg["xi_sweep"]):
+            art = json.loads(
+                (tmp_path / "out" / f"bundle_{i:02d}.json").read_text())
+            assert {"xi", "omega", "delta", "input_dim", "samples"} <= set(art)
+            assert {"W", "L"} <= set(art["bundle"])
+            bundle = bundle_from_dict(art["bundle"])
+            plan = build_plan(xi, build_model(cfg))
+            coeff = [n["meta"]["coeff_abs_sum"]
+                     for n in art["bundle"]["networks"]]
+            assert len(coeff) == plan.n_triples
+            assert coeff == [bundle.coeff_abs_sums[r]
+                             for r in bundle.members]
 
     def test_idempotent_bytes(self, cfg_file, tmp_path):
         for cmd in ("plan", "solve", "compile"):
@@ -591,8 +612,9 @@ class TestNetEval:
 
     @pytest.mark.parametrize("damage", [
         _edit_bundle(lambda b: b.update(format=2)),
-        _edit_bundle(lambda b: b.update(format=3)), _truncate,
-        _edit_bundle(lambda b: b["networks"][0].pop("monomials")),
+        _edit_bundle(lambda b: b.update(format=3)),
+        _edit_bundle(as_format_4), _truncate,
+        _edit_bundle(lambda b: b["recipes"][0].pop("monomials")),
         _edit_bundle(_set_factor(0, -1)), _edit_bundle(_set_factor(0, 0.7)),
         _edit_bundle(_set_factor(1, "phi2")),
         _edit_bundle(lambda b: b["monomials"].__setitem__(-1, [])),
@@ -610,14 +632,15 @@ class TestNetEval:
         _edit_artifact(lambda a: a["samples"][0].__setitem__(0, math.inf)),
         _edit_artifact(lambda a: a["samples"][0].pop()),
         _edit_artifact(lambda a: a.update(input_dim=a["input_dim"] + 1)),
+        _edit_artifact(lambda a: a.update(input_dim=float(a["input_dim"]))),
         _edit_artifact(lambda a: a.update(signs=_as_strings(a["signs"]))),
         _edit_artifact(lambda a: a.update(
             samples=_as_strings(a["samples"]))),
-        _edit_bundle(lambda b: b["networks"][0].update(
-            lambdas=_as_strings(b["networks"][0]["lambdas"]))),
-        _edit_bundle(lambda b: b["networks"][-1]["lambdas"].__setitem__(
+        _edit_bundle(lambda b: b["recipes"][0].update(
+            lambdas=_as_strings(b["recipes"][0]["lambdas"]))),
+        _edit_bundle(lambda b: b["recipes"][-1]["lambdas"].__setitem__(
             0, math.nan)),
-        _edit_bundle(lambda b: b["networks"][-1]["lambdas"].__setitem__(
+        _edit_bundle(lambda b: b["recipes"][-1]["lambdas"].__setitem__(
             0, math.inf)),
         _edit_artifact(lambda a: a["samples"][0].__setitem__(0, 10 ** 400)),
         _edit_artifact(lambda a: a["signs"].__setitem__(
@@ -630,18 +653,31 @@ class TestNetEval:
         _edit_bundle(lambda b: b["networks"][0]["meta"].update(
             omega=b["meta"]["omega"] + 1.0)),
         _edit_bundle(lambda b: b["networks"][0]["meta"].update(
-            kind="phi_other"))],
-        ids=["old_layout", "format_3", "truncated", "member_lacks_monomials",
+            kind="phi_other")),
+        _edit_bundle(lambda b: b["networks"][0]["meta"].pop("coeff_abs_sum")),
+        _edit_bundle(lambda b: b["networks"][0]["meta"].update(
+            coeff_abs_sum=str(b["networks"][0]["meta"]["coeff_abs_sum"]))),
+        _edit_bundle(lambda b: b["networks"][-1].update(recipe=-1)),
+        _edit_bundle(lambda b: b["networks"][-1].update(
+            recipe=len(b["recipes"]))),
+        _edit_bundle(lambda b: b["networks"][-1].update(recipe=0.0)),
+        _edit_bundle(lambda b: b["networks"][-1].update(recipe=True))],
+        ids=["old_layout", "format_3", "format_4", "truncated",
+             "member_lacks_monomials",
              "coordinate_negative", "coordinate_fraction", "kind_unknown",
              "factors_empty", "no_meta", "omega_nan", "omega_bool",
              "not_an_object",
              "point_ref_negative", "point_ref_fraction", "point_ref_past_end",
              "point_ref_short", "signs_nan", "signs_short", "samples_inf",
-             "samples_ragged", "input_dim_other", "signs_string",
+             "samples_ragged", "input_dim_other", "input_dim_float",
+             "signs_string",
              "samples_string", "lambdas_string", "lambda_nan", "lambda_inf",
              "samples_huge_int", "signs_bool", "samples_flat",
              "coeff_abs_sum_tiny", "member_meta_extra_key",
-             "member_meta_other_omega", "member_meta_other_kind"])
+             "member_meta_other_omega", "member_meta_other_kind",
+             "no_coeff_abs_sum", "coeff_abs_sum_string",
+             "member_recipe_negative", "member_recipe_past_end",
+             "member_recipe_float", "member_recipe_bool"])
     def test_bad_bundle_exits_2(self, cfg_file, tmp_path, capsys, damage):
         for cmd in ("plan", "solve", "compile"):
             assert run(cmd, "--config", cfg_file) == 0

@@ -43,7 +43,7 @@ from hermnet.network import (
     surrogate_eval,
     DELTA_FLOOR,
 )
-from triple_loops import index_set, keyed_compile, plan_triples
+from triple_loops import as_format_4, index_set, keyed_compile, plan_triples
 
 
 def phi0_ref(t):
@@ -84,19 +84,17 @@ def gadget_product(kinds, delta):
                              len(kinds))
 
 
-def phi_triple(s_minus_e, k, omega, delta, input_dim=None, gate_coord=1,
-               label=None):
+def phi_triple(s_minus_e, k, omega, delta, input_dim=None, gate_coord=1):
     """One collocation triple's network as compile builds its terms:
-    their monomials through parallelize, labelled `label`, over
-    input_dim inputs or as few as its factors read."""
+    their monomials through parallelize, over input_dim inputs or as few
+    as its factors read, with its certificate weight (the np.sum of its
+    |lambda|) as meta["coeff_abs_sum"]."""
     terms = network._compile_triple(s_minus_e, k, omega, delta, gate_coord)
     dim = max(input_dim or 1, 1 + max(c for f, _ in terms for c, _ in f))
     net = parallelize(
         [network._monomial(f, omega, delta, dim) for f, _ in terms],
         [lam for _, lam in terms])
-    net.meta.update(network._member_meta(
-        {"delta": delta, "omega": omega},
-        float(np.sum(np.abs([lam for _, lam in terms])))), label=label)
+    net.meta["coeff_abs_sum"] = float(np.sum(np.abs([lam for _, lam in terms])))
     return net
 
 
@@ -746,9 +744,9 @@ def _gadget_bundle():
     """The phi0 and phi1 gadgets as one-factor monomials (omega 1, so
     the input scale is 1/4), each a one-monomial member of a bundle."""
     return NetworkBundle(
-        1, [((0, "phi0"),), ((0, "phi1"),)],
+        [((0, "phi0"),), ((0, "phi1"),)],
         [((i,), [1.0]) for i in (0, 1)], [0, 1],
-        ["phi0", "phi1"], meta={"omega": 1.0, "delta": 1e-3})
+        meta={"omega": 1.0, "delta": 1e-3})
 
 
 def _repeat_bundle():
@@ -762,18 +760,21 @@ def _repeat_bundle():
                      for f, _ in terms)
         members.append(network._recipe_index(
             recipes, index, refs, [lam for _, lam in terms]))
-    return NetworkBundle(2, monomials, recipes, members, ["a", "b", "c"],
+    return NetworkBundle(monomials, recipes, members,
                          meta={"omega": 2.0, "delta": 1e-5})
 
 
 def _unit_weight(d, value):
-    """Give member 0 four lambdas of magnitude 0.25, so their |lambda|
-    sum is 1.0, and store `value` as its coeff_abs_sum."""
-    member = d["networks"][0]
-    assert len(member["lambdas"]) == 4
-    member["lambdas"] = [math.copysign(0.25, lam)
-                         for lam in member["lambdas"]]
-    member["meta"]["coeff_abs_sum"] = value
+    """Give recipe 0 four lambdas of magnitude 0.25, so their |lambda|
+    sum is 1.0, store that sum for every member of it and `value` for
+    member 0."""
+    recipe = d["recipes"][0]
+    assert len(recipe["lambdas"]) == 4
+    recipe["lambdas"] = [math.copysign(0.25, lam)
+                         for lam in recipe["lambdas"]]
+    for member in d["networks"]:
+        member["meta"]["coeff_abs_sum"] = 1.0
+    d["networks"][0]["meta"]["coeff_abs_sum"] = value
 
 
 def test_unit_weight_reloads_as_float():
@@ -892,62 +893,66 @@ class TestBundlePool:
     def test_equal_monomials_share_one_entry(self):
         bundle = _repeat_bundle()
         d = bundle_to_dict(bundle)
-        assert d["format"] == network.BUNDLE_FORMAT == 4
+        assert d["format"] == network.BUNDLE_FORMAT == 5
         # no layers and no weight arrays: monomials are factor lists
-        assert set(d) == {"format", "meta", "input_dim", "W", "L",
-                          "monomials", "networks", "labels"}
-        assert set(d["networks"][0]) == {"monomials", "lambdas", "meta"}
+        assert set(d) == {"format", "meta", "W", "L", "monomials",
+                          "recipes", "networks"}
+        assert d["meta"] == {"omega": 2.0, "delta": 1e-5}
         # the triple compiled anew names the same monomials and recipe,
-        # so all three members name the same entries
+        # so all three members name the one stored recipe
         assert bundle.members == [0, 0, 0]
-        assert [spec["monomials"] for spec in d["networks"]] == \
-            [list(range(len(d["monomials"])))] * 3
+        assert d["recipes"] == [{"monomials": list(range(len(d["monomials"]))),
+                                 "lambdas": bundle.recipes[0][1]}]
+        assert d["networks"] == [{"recipe": 0, "meta": {
+            "coeff_abs_sum": bundle.coeff_abs_sums[0]}}] * 3
         assert d["monomials"] == [[list(f) for f in factors]
                                   for factors in bundle.monomials]
         back = bundle_from_dict(json.loads(json.dumps(d)))
-        # equal monomials and lambdas: one recipe
         assert back.members == [0, 0, 0]
         assert (back.W, back.L) == (bundle.W, bundle.L)
         # the dict holds copies: editing it leaves the bundle as it was
         lams, meta = list(bundle.recipes[0][1]), dict(bundle.meta)
-        d["networks"][0]["lambdas"].append(1.0)
-        d["networks"][0]["meta"]["omega"] = 99.0
+        d["recipes"][0]["lambdas"].append(1.0)
         d["meta"]["omega"] = 99.0
         d["monomials"][0][0][0] = 1
         assert (bundle.recipes[0][1], bundle.meta) == (lams, meta)
         assert bundle.monomials[0][0][0] == 0
 
     @pytest.mark.parametrize("damage, match", [
-        (lambda d: d["networks"][-1]["monomials"].__setitem__(0, -1),
+        (lambda d: d["recipes"][-1]["monomials"].__setitem__(0, -1),
          "outside"),
-        (lambda d: d["networks"][-1]["monomials"].__setitem__(
+        (lambda d: d["recipes"][-1]["monomials"].__setitem__(
             0, len(d["monomials"])), "outside"),
-        (lambda d: d["networks"][-1]["monomials"].__setitem__(0, 0.0),
+        (lambda d: d["recipes"][-1]["monomials"].__setitem__(0, 0.0),
          "outside"),
-        (lambda d: d["networks"][0].update(monomials=[]), "no entry"),
-        (lambda d: d["networks"][0]["lambdas"].append(1.0), "lambdas"),
-        (lambda d: d["networks"][0]["lambdas"].__setitem__(0, "1.0"),
+        (lambda d: d["recipes"][0].update(monomials=[]), "no entry"),
+        (lambda d: d["recipes"][0]["lambdas"].append(1.0), "lambdas"),
+        (lambda d: d["recipes"][0]["lambdas"].__setitem__(0, "1.0"),
          "lambdas"),
-        (lambda d: d["networks"][0]["lambdas"].__setitem__(0, True),
+        (lambda d: d["recipes"][0]["lambdas"].__setitem__(0, True),
          "lambdas"),
-        (lambda d: d["networks"][-1]["lambdas"].__setitem__(0, math.nan),
+        (lambda d: d["recipes"][-1]["lambdas"].__setitem__(0, math.nan),
          "lambdas"),
-        (lambda d: d["networks"][-1]["lambdas"].__setitem__(0, -math.inf),
+        (lambda d: d["recipes"][-1]["lambdas"].__setitem__(0, -math.inf),
          "lambdas"),
-        (lambda d: d["networks"][-1]["lambdas"].__setitem__(0, 10 ** 400),
+        (lambda d: d["recipes"][-1]["lambdas"].__setitem__(0, 10 ** 400),
          "lambdas"),
         (lambda d: _factor(d).__setitem__(0, 0.7), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, True), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, "1"), "coordinate"),
         (lambda d: _factor(d).__setitem__(0, -1), "coordinate"),
-        (lambda d: _factor(d).__setitem__(0, d["input_dim"]), "coordinate"),
+        (lambda d: _factor(d).__setitem__(0, sys.maxsize), "coordinate"),
         (lambda d: _factor(d).__setitem__(1, "phi2"), "kind"),
         (lambda d: _factor(d).append("phi0"), "pair"),
         (lambda d: d["monomials"].__setitem__(-1, []), "factor list"),
-        (lambda d: d.update(input_dim=2.5), "input_dim"),
-        (lambda d: d.update(input_dim=2 ** 40), "input_dim"),
-        (lambda d: d.update(input_dim=2 ** 63), "input_dim"),
-        (lambda d: d.update(input_dim=10 ** 400), "input_dim"),
+        (lambda d: d["networks"][-1].update(recipe=-1), "recipe"),
+        (lambda d: d["networks"][-1].update(recipe=len(d["recipes"])),
+         "recipe"),
+        (lambda d: d["networks"][-1].update(recipe=0.0), "recipe"),
+        (lambda d: d["networks"][-1].update(recipe=True), "recipe"),
+        (lambda d: d["networks"][0].pop("recipe"), "recipe"),
+        (lambda d: d.update(networks=[]), "no entry"),
+        (lambda d: d.pop("recipes"), "recipes"),
         (lambda d: d.pop("meta"), "meta"),
         (lambda d: d["meta"].pop("omega"), "omega"),
         (lambda d: d["meta"].update(omega=0.5), "omega"),
@@ -965,9 +970,9 @@ class TestBundlePool:
         (lambda d: d.update(format=1), "format"),
         (lambda d: d.update(format=2), "format"),
         (lambda d: d.update(format=3), "format"),
+        (as_format_4, "format"),
         (lambda d: d.pop("format"), "format"),
-        (lambda d: d["networks"][0].pop("monomials"), "monomials"),
-        (lambda d: d.pop("labels"), "labels"),
+        (lambda d: d["recipes"][0].pop("monomials"), "monomials"),
         (lambda d: d["networks"][0]["meta"].update(coeff_abs_sum=1e-300),
          "coeff_abs_sum"),
         (lambda d: d["networks"][0]["meta"].pop("coeff_abs_sum"),
@@ -987,16 +992,17 @@ class TestBundlePool:
             "lambda_string", "lambda_bool", "lambda_nan", "lambda_inf",
             "lambda_huge_int",
             "coordinate_fraction", "coordinate_bool", "coordinate_string",
-            "coordinate_negative", "coordinate_past_input", "kind_unknown",
-            "factor_not_pair", "factors_empty", "input_dim_fraction",
-            "input_dim_2_40", "input_dim_2_63", "input_dim_huge_int",
-            "no_meta", "no_omega",
+            "coordinate_negative", "coordinate_past_int64", "kind_unknown",
+            "factor_not_pair", "factors_empty", "member_recipe_negative",
+            "member_recipe_past_end", "member_recipe_float",
+            "member_recipe_bool", "member_lacks_recipe", "no_members",
+            "no_recipes", "no_meta", "no_omega",
             "omega_below_1", "omega_nan", "omega_inf", "omega_bool",
             "omega_huge_int",
             "delta_zero", "delta_one", "delta_nan", "delta_huge_int",
             "delta_string",
             "W_plus_1", "L_minus_1", "old_format", "format_2", "format_3",
-            "no_format", "member_lacks_monomials", "no_labels",
+            "format_4", "no_format", "member_lacks_monomials",
             "coeff_abs_sum_tiny", "no_coeff_abs_sum", "meta_not_object",
             "coeff_abs_sum_true", "coeff_abs_sum_int", "member_meta_extra_key",
             "member_meta_other_omega", "member_meta_omega_int",
@@ -1022,17 +1028,32 @@ def _small_bundle(delta):
 
 
 @pytest.mark.parametrize("delta, digest", [
-    (1e-5, "33c718f0135e13f038dcde881c59fd8330e3fe5966ebfdda19b443ac10204641"),
+    (1e-5, "5698ee4879ca3bc3b86db50b711e58d5620b0a568169f2d8629cdced2f9fbde6"),
     ("auto",
-     "b3f1e8134dd203c7a18b025a991ba10e6e99a3b98376bb4793fdc805e881e52e")],
+     "9db4adc9aae9ab0f62a0108bd41248c138f18a83500b7d400c92a57b1a899bb0")],
     ids=["fixed_delta", "auto_delta"])
 def test_bundle_json_is_unchanged(delta, digest):
     """SHA-256 of the bundle JSON text, written as the CLI writes it,
-    recorded when bundle format 4 (monomials as factor lists) was
-    introduced: any change to the artifact bytes must be deliberate."""
+    recorded when bundle format 5 (each recipe stored once, members by
+    recipe index) was introduced: any change to the artifact bytes must
+    be deliberate."""
     text = json.dumps(bundle_to_dict(_small_bundle(delta)), sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("xi", [1.0, 16.0, 32.0, 256.0])
+def test_roundtrip_gives_back_the_bundle(xi):
+    """input_dim, 1 + the largest factor coordinate, is max(m_active, 1)
+    at compile, and a reload gives back every field of the bundle."""
+    plan = build_plan(xi, WeightModel(q=2.0 / 3.0, rho=(), tail=(2.0, 2.0)))
+    bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
+                                   1e-7, 2.0)
+    assert bundle.input_dim == max(plan.m_active, 1)
+    back = _roundtrip(bundle)
+    for name in ("input_dim", "monomials", "recipes", "members", "W", "L",
+                 "coeff_abs_sums"):
+        assert getattr(back, name) == getattr(bundle, name)
 
 
 @pytest.mark.parametrize("xi", [16.0, 32.0, 256.0])
@@ -1130,7 +1151,8 @@ class TestSurrogate:
         assert len(bundle) == plan.n_triples
         assert bundle.W == sum(n.size for n in bundle.networks)
         assert bundle.L == max(n.depth for n in bundle.networks)
-        assert len(bundle.labels) == len(bundle.networks)
+        assert len(bundle.networks) == len(bundle)
+        assert bundle.input_dim == plan.m_active
         assert all(n.input_dim == plan.m_active for n in bundle.networks)
 
     def test_single_point_and_extra_dims(self):
@@ -1189,7 +1211,8 @@ class TestSurrogate:
                                        delta, 2.0)
         back = bundle_from_dict(bundle_to_dict(bundle))
         assert back.W == bundle.W and back.L == bundle.L
-        assert back.labels == bundle.labels
+        assert (back.monomials, back.recipes, back.members) == \
+            (bundle.monomials, bundle.recipes, bundle.members)
         rng = np.random.default_rng(42)
         Y = rng.normal(size=(10, bundle.input_dim))
         for a, b in zip(bundle.networks, back.networks):
@@ -1262,14 +1285,14 @@ class TestSurrogate:
         assert len({net.depth for net in bundle.networks}) > 1
         dim, lam_set = max(plan.m_active, 1), index_set(plan)
         first, repeats = {}, 0
-        for t, net, label in zip(plan_triples(plan), bundle.networks,
-                                 bundle.labels, strict=True):
+        for t, net, r in zip(plan_triples(plan), bundle.networks,
+                             bundle.members, strict=True):
             s, sme = lam_set[t.s_ref], t.s_minus_e
             gate = s[0][0] if s else 1
             fresh = phi_triple(sme, t.k, omega, delta, input_dim=dim,
-                               gate_coord=gate, label=label)
-            assert net.meta == fresh.meta
-            assert net.meta["label"] is label
+                               gate_coord=gate)
+            assert dict(net.meta, coeff_abs_sum=bundle.coeff_abs_sums[r]) \
+                == fresh.meta
             assert (net.input_dim, net.depth) == (fresh.input_dim,
                                                   fresh.depth)
             for a, b in zip(net.layers, fresh.layers):
@@ -1281,9 +1304,8 @@ class TestSurrogate:
             key = (sme, tuple(t.k), None if sme else gate)
             if key in first:
                 repeats += 1
-                assert all(a is b for a, b in zip(net.layers,
-                                                  first[key].layers))
-                assert net is not first[key]
+                # one network per recipe, which each of its members names
+                assert net is first[key]
             else:
                 first[key] = net
         assert repeats > 0
@@ -1296,7 +1318,7 @@ class TestSurrogate:
         (((1.5, 2.5, 4.0), (2.0, 2.0)), 6.0),
         (((), (2.0, 2.0)), 64.0)], ids=["small", "support_3"])
     def test_compile_matches_keyed_loop(self, weights, xi):
-        # the same monomials, recipes, members and labels as compiling
+        # the same monomials, recipes and members as compiling
         # each distinct (s - e, k, gate) key in a loop over the triples;
         # the small plan has s - e = 0 triples under several gates
         rho, tail = weights
@@ -1305,13 +1327,10 @@ class TestSurrogate:
         delta = compute_delta(plan, omega, fit_delta_K(plan.m1))
         bundle, _ = assemble_surrogate(plan, np.ones((plan.n_points, 1)),
                                        delta, omega)
-        monomials, recipes, members, labels = keyed_compile(plan, delta,
-                                                            omega)
+        monomials, recipes, members = keyed_compile(plan, delta, omega)
         assert bundle.monomials == list(monomials)
         assert bundle.recipes == recipes
         assert bundle.members == members
-        assert bundle.labels == labels
-        assert json.dumps(bundle.labels) == json.dumps(labels)
 
     def test_pool_factoring_is_lossless(self):
         # auto delta: members of depths 3, 17 and 34 sharing monomials
@@ -1325,11 +1344,12 @@ class TestSurrogate:
         d = bundle_to_dict(bundle)
         assert d["monomials"] == [[list(f) for f in factors]
                                   for factors in bundle.monomials]
-        for r, spec in zip(bundle.members, d["networks"]):
-            refs, lams = bundle.recipes[r]
-            assert (spec["monomials"], spec["lambdas"], spec["meta"]) == \
-                (list(refs), lams, network._member_meta(
-                    bundle.meta, float(np.sum(np.abs(lams)))))
+        assert d["recipes"] == [{"monomials": list(refs), "lambdas": lams}
+                                for refs, lams in bundle.recipes]
+        for r, spec in zip(bundle.members, d["networks"], strict=True):
+            lams = bundle.recipes[r][1]
+            assert spec == {"recipe": r, "meta": {
+                "coeff_abs_sum": float(np.sum(np.abs(lams)))}}
         used = [i for refs, _ in bundle.recipes for i in refs]
         assert set(used) == set(range(len(d["monomials"])))
         assert len(set(used)) < sum(len(bundle.recipes[r][0])
@@ -1491,11 +1511,8 @@ class TestSurrogate:
                                2.0)
 
     def test_mismatched_bundle_members_rejected(self):
-        recipes = [((0,), [1.0])]
-        with pytest.raises(ValueError, match="parallel"):
-            NetworkBundle(1, [((0, "phi1"),)], recipes, [0], ["a", "b"], {})
         with pytest.raises(ValueError, match="at least one"):
-            NetworkBundle(1, [((0, "phi1"),)], recipes, [], [], {})
+            NetworkBundle([((0, "phi1"),)], [((0,), [1.0])], [], {})
 
 
 @settings(max_examples=25, deadline=None)
@@ -1524,13 +1541,14 @@ def test_recipes_match_parallelize_members(rho, xi, omega, delta):
     compiled = bundle.shared.eval_batch(Y)
 
     dim, lam_set = max(plan.m_active, 1), index_set(plan)
-    for t, net, label, size in zip(plan_triples(plan), bundle.networks,
-                                   bundle.labels, sizes, strict=True):
+    for t, net, r, size in zip(plan_triples(plan), bundle.networks,
+                               bundle.members, sizes, strict=True):
         s = lam_set[t.s_ref]
         gate = s[0][0] if s else 1
         fresh = phi_triple(t.s_minus_e, t.k, omega, delta,
-                           input_dim=dim, gate_coord=gate, label=label)
-        assert net.meta == fresh.meta
+                           input_dim=dim, gate_coord=gate)
+        assert dict(net.meta, coeff_abs_sum=bundle.coeff_abs_sums[r]) == \
+            fresh.meta
         assert size == (fresh.size, fresh.depth)
         assert (net.input_dim, net.depth) == (fresh.input_dim, fresh.depth)
         for a, b in zip(net.layers, fresh.layers):

@@ -4,6 +4,8 @@ A plan holds its triples (s, e, k) as arrays; `plan_triples` reads them
 back one by one, and the two loops below are the per-triple forms of
 `SparseInterpolant._triple_factors` and of the keyed compile loop of
 `assemble_surrogate`, which the array code must match bit for bit.
+`as_format_4` writes a bundle record in the per-triple layout that
+bundle format 5 replaced, which a reload must refuse.
 """
 
 from collections import namedtuple
@@ -58,10 +60,10 @@ def triple_factors(plan, pts):
 
 
 def keyed_compile(plan, delta, omega):
-    """(monomials, recipes, members, labels) of the plan's triples, each
+    """(monomials, recipes, members) of the plan's triples, each
     distinct (s - e, k, gate) key compiled once where it is first met."""
     monomials, recipes, index, built = {}, [], {}, {}
-    members, labels, lam_set = [], [], index_set(plan)
+    members, lam_set = [], index_set(plan)
     for t in plan_triples(plan):
         s, sme = lam_set[t.s_ref], t.s_minus_e
         gate = s[0][0] if s else 1
@@ -73,6 +75,17 @@ def keyed_compile(plan, delta, omega):
             built[key] = _recipe_index(recipes, index, refs,
                                        [lam for _, lam in terms])
         members.append(built[key])
-        labels.append({"s": [list(p) for p in s],
-                       "e": list(t.e_mask), "k": list(t.k)})
-    return monomials, recipes, members, labels
+    return monomials, recipes, members
+
+
+def as_format_4(d):
+    """Rewrite the bundle_to_dict record d in place in bundle format 4:
+    each member's recipe copied into its record, with the bundle's delta
+    and omega and kind "phi_triple" in its meta, plus an input_dim and a
+    labels list."""
+    recipes = d.pop("recipes")
+    d.update(format=4, labels=[{}] * len(d["networks"]),
+             input_dim=1 + max(c for f in d["monomials"] for c, _ in f),
+             networks=[dict(recipes[m["recipe"]], meta=dict(
+                 m["meta"], kind="phi_triple", **d["meta"]))
+                 for m in d["networks"]])
