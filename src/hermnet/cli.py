@@ -281,9 +281,26 @@ def _out_dir(cfg, override):
 
 
 def _write_json(path, obj):
-    path.write_text(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8")
+    """Write the dict obj as json.dumps(obj, sort_keys=True,
+    separators=(",", ":")) + "\\n" would with its float64 arrays as
+    lists.  Those top-level 1-D and 2-D tables are written by csv_text,
+    rows joined by "],[", so they cost no float repr per cell.  A
+    non-finite cell raises ValueError before the file is opened: JSON
+    has no spelling for it that a reader accepts (json_floats)."""
+    parts = []
+    for key in sorted(obj):
+        value = obj[key]
+        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+            if not np.isfinite(value).all():
+                raise ValueError(f"{path.name}: {key} holds a non-finite "
+                                 "value (nan or inf)")
+            rows = csv_text(np.atleast_2d(value))[:-1].replace("\n", "],[")
+            text = (f"[{rows}]" if value.ndim == 1
+                    else f"[[{rows}]]" if len(value) else "[]")
+        else:
+            text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        parts.append(f"{json.dumps(key)}:{text}")
+    path.write_text("{" + ",".join(parts) + "}\n", encoding="utf-8")
 
 
 @contextlib.contextmanager
@@ -530,7 +547,7 @@ def cmd_solve(cfg, out_dir, args):
         values = solve_at_points(problem, pts, args.parallel)
         art = {"kind": "samples", "config_hash": h, "index": i,
                "xi": float(plan.xi), "mesh_n": problem.mesh_n,
-               "n_points": plan.n_points, "values": values.tolist()}
+               "n_points": plan.n_points, "values": values}
         _write_json(out_dir / f"samples_{i:02d}.json", art)
         if args.dump_solutions:
             header = "x," + ",".join(
@@ -569,9 +586,9 @@ def cmd_compile(cfg, out_dir, args):
         art = {"kind": "bundle", "config_hash": h, "index": i,
                "xi": float(plan.xi), "omega": omega, "delta": delta,
                "input_dim": max(plan.m_active, 1),
-               "signs": plan.signs.tolist(),
+               "signs": plan.signs,
                "point_ref": plan.point_ref.tolist(),
-               "samples": values.tolist(),
+               "samples": values,
                "bundle": bundle_to_dict(bundle)}
         _write_json(out_dir / f"bundle_{i:02d}.json", art)
         print(f"compile {i:02d}: xi={plan.xi:g} W={bundle.W} L={bundle.L} "

@@ -1,5 +1,10 @@
 """Float tables as CSV text, byte for byte what Python's repr writes.
 
+`net eval` and `solve --dump-solutions` write their CSV through
+csv_text, and cli._write_json writes the float tables of the samples and
+bundle artifacts through it too, rows joined by "],[": the same bytes
+as json.dumps of the table as lists.
+
 Cells with 1e-4 <= |v| < 1e16 (repr's positional range) and +-0.0 are
 formatted by array operations, every other cell by repr itself.  The
 digits are the shortest round trip, as in Ryu (Adams, PLDI 2018): with

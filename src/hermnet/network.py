@@ -1189,6 +1189,15 @@ def _factors(spec):
     return tuple(factors)
 
 
+def _typed(value, kind, what):
+    """value, the JSON object (dict) or array (list) field `what`;
+    ValueError naming the field for any other JSON type."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ValueError(f"{what} is not {name}")
+    return value
+
+
 def _indices(refs, n, what):
     """refs as a tuple; ValueError for an empty list or an index that
     is not an int naming one of the n stored entries."""
@@ -1222,10 +1231,12 @@ def bundle_to_dict(bundle):
 def bundle_from_dict(data):
     """Rebuild a bundle written by bundle_to_dict, building no network.
 
-    Raises ValueError for another format, a missing field, an omega or
-    delta that is not a JSON number (int or float; true would read as
-    1), that compile would refuse or that is not finite, a malformed
-    factor list (see _factors), a monomial index naming no stored
+    Raises ValueError for another format, a missing field, a field of
+    the wrong JSON type (the bundle, its meta and each recipe and member
+    record not an object; monomials, recipes, networks and each recipe's
+    monomials not an array), an omega or delta that is not a JSON number
+    (int or float; true would read as 1), that compile would refuse or
+    that is not finite, a malformed factor list (see _factors), a monomial index naming no stored
     monomial, a recipe without monomials, lambdas that are not finite
     JSON numbers (see json_floats) or not one per monomial, a member
     recipe that is not an int naming a stored recipe, a member meta
@@ -1234,31 +1245,38 @@ def bundle_from_dict(data):
     or L that differs from the recount from the templates
     (_Pool.sizes).
     """
-    fmt = data.get("format")
+    fmt = _typed(data, dict, "bundle").get("format")
     if fmt != BUNDLE_FORMAT:
         raise ValueError(f"bundle format {fmt!r} is not {BUNDLE_FORMAT}")
     try:
-        omega, delta = data["meta"]["omega"], data["meta"]["delta"]
+        meta = _typed(data["meta"], dict, "meta")
+        omega, delta = meta["omega"], meta["delta"]
         for key, value in (("omega", omega), ("delta", delta)):
             if type(value) not in (int, float):
                 raise ValueError(f"meta {key} {value!r} is not a JSON number")
         _check_omega_delta(omega, delta)
-        factors = [_factors(spec) for spec in data["monomials"]]
+        factors = [_factors(spec)
+                   for spec in _typed(data["monomials"], list, "monomials")]
         recipes = []
-        for spec in data["recipes"]:
-            refs = _indices(spec["monomials"], len(factors),
-                            "recipe monomial")
+        for spec in _typed(data["recipes"], list, "recipes"):
+            spec = _typed(spec, dict, f"recipe {len(recipes)}")
+            refs = _indices(
+                _typed(spec["monomials"], list,
+                       f"recipe {len(recipes)} monomials"),
+                len(factors), "recipe monomial")
             lams = json_floats(spec["lambdas"],
                                f"recipe {len(recipes)} lambdas")
             if lams.shape != (len(refs),):
                 raise ValueError(f"recipe {len(recipes)} has {lams.shape} "
                                  f"lambdas for {len(refs)} monomials")
             recipes.append((refs, lams.tolist()))
-        members = _indices([spec["recipe"] for spec in data["networks"]],
+        specs = [_typed(spec, dict, f"member {i}") for i, spec in
+                 enumerate(_typed(data["networks"], list, "networks"))]
+        members = _indices([spec["recipe"] for spec in specs],
                            len(recipes), "member recipe")
         bundle = NetworkBundle(factors, recipes, members,
                                {"delta": delta, "omega": omega})
-        for i, spec in enumerate(data["networks"]):
+        for i, spec in enumerate(specs):
             want = {"coeff_abs_sum": bundle.coeff_abs_sums[members[i]]}
             if spec["meta"] != want or type(
                     spec["meta"]["coeff_abs_sum"]) is not float:

@@ -1,6 +1,7 @@
 """Tests for hermnet.cli: config validation, artifacts, determinism."""
 
 import contextlib
+import hashlib
 import importlib.util
 import json
 import math
@@ -519,6 +520,83 @@ class TestCompileCmd:
         first = (tmp_path / "out" / "bundle_00.json").read_bytes()
         assert run("compile", "--config", cfg_file) == 0
         assert (tmp_path / "out" / "bundle_00.json").read_bytes() == first
+
+
+# SHA-256 of what plan, solve and compile write for the benchmark's
+# build config (acceptance problem, xi [16, 32], delta 1e-7, seed 0)
+_BUILD_DIGESTS = {
+    "plan_00.json":
+        "2869da1e4d9843533e088ddbb7d658265b31c843e1bdb912ac9d56ffb6023b68",
+    "plan_01.json":
+        "e41cab12fb385398866d84e96e90ecb0818f5cb89e4beb3d513d1f3bbd353a8f",
+    "samples_00.json":
+        "fe746d36263e3b88436fc369596803d53790add640a0d92ed74a6bb09c64b1ce",
+    "samples_01.json":
+        "7513de6c8d6c061666fcf0ee2564c7b07f74d7e10f3625ed905d11efcb741baf",
+    "bundle_00.json":
+        "7cbc74946dce59e420f199ac8821c59351f75de4eb4cc17f17f620c162acefc8",
+    "bundle_01.json":
+        "b15c3a7ac2fffc7ad99ee0485e4f04cb709463549929818f9c61b32ca9124874",
+}
+
+# cells whose repr changes form: the smallest subnormal and normal, the
+# ends of repr's positional range [1e-4, 1e16), the largest double
+_EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5,
+               -1e-5, 9999999999999998.0, 1e16, -1e16,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def test_cli_artifact_bytes_are_pinned(tmp_path):
+    """The bytes cli.main writes, not only what json.dumps would: a
+    change to the artifact writer or to any number in an artifact shows
+    here."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        _benchmark_config([16, 32], 1e-7, tmp_path / "out")))
+    for cmd in ("plan", "solve", "compile"):
+        assert run(cmd, "--config", cfg) == 0
+    got = {name: hashlib.sha256(
+        (tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in _BUILD_DIGESTS}
+    assert got == _BUILD_DIGESTS
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("obj", [
+        {"kind": "samples", "index": 3, "point_ref": [0, 2, 1],
+         "stats": {"b": [1, 2], "a": {"z": 1.5, "y": None}},
+         "rows_none": np.empty((0, 3)), "cols_none": np.empty((3, 0)),
+         "one": np.array([[0.1]]), "flat": np.array(_EDGE_CELLS),
+         "flat_none": np.empty(0),
+         "edges": np.array(_EDGE_CELLS).reshape(3, 4),
+         "samples": np.random.default_rng(0).normal(0.0, 0.1, (91, 257))},
+        {"signs": np.array([1.0, -1.0, -1.0]), "xi": 16.0, "\u00e9": "x"},
+        {}], ids=["mixed", "signs", "empty"])
+    def test_bytes_are_json_dumps(self, tmp_path, obj):
+        path = tmp_path / "a.json"
+        cli._write_json(path, obj)
+        plain = {key: value.tolist() if isinstance(value, np.ndarray)
+                 else value for key, value in obj.items()}
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            plain, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    def test_non_finite_cell_writes_no_file(self, tmp_path, cell, shape):
+        table = np.zeros(shape)
+        table.flat[-1] = cell
+        path = tmp_path / "a.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._write_json(path, {"index": 0, "values": table})
+        assert not path.exists()
+
+    def test_nan_solution_exits_3_before_writing(self, cfg_file, tmp_path,
+                                                 monkeypatch):
+        assert run("plan", "--config", cfg_file) == 0
+        monkeypatch.setattr(cli, "fem_solve", lambda problem, pts: np.full(
+            (len(pts), problem.mesh_n + 2), np.nan))
+        assert run("solve", "--config", cfg_file) == 3
+        assert not (tmp_path / "out" / "samples_00.json").exists()
 
 
 def _edit_artifact(edit):

@@ -987,6 +987,15 @@ class TestBundlePool:
          "meta is not"),
         (lambda d: d["networks"][0]["meta"].update(kind="phi"),
          "meta is not"),
+        (lambda d: d.update(meta=[1]), "^meta is not an object"),
+        (lambda d: d.update(networks={"a": 1}), "^networks is not an array"),
+        (lambda d: d["recipes"].__setitem__(0, "x"),
+         "^recipe 0 is not an object"),
+        (lambda d: d["networks"].__setitem__(-1, "x"),
+         r"^member \d+ is not an object"),
+        (lambda d: d.update(recipes={"a": 1}), "^recipes is not an array"),
+        (lambda d: d["recipes"][0].update(monomials=5),
+         "^recipe 0 monomials is not an array"),
     ], ids=["monomial_index_-1", "monomial_index_past_end",
             "monomial_index_float", "member_no_monomials", "lambda_count",
             "lambda_string", "lambda_bool", "lambda_nan", "lambda_inf",
@@ -1006,7 +1015,10 @@ class TestBundlePool:
             "coeff_abs_sum_tiny", "no_coeff_abs_sum", "meta_not_object",
             "coeff_abs_sum_true", "coeff_abs_sum_int", "member_meta_extra_key",
             "member_meta_other_omega", "member_meta_omega_int",
-            "member_meta_other_delta", "member_meta_other_kind"])
+            "member_meta_other_delta", "member_meta_other_kind",
+            "meta_a_list", "networks_an_object", "recipe_a_string",
+            "member_a_string", "recipes_an_object",
+            "recipe_monomials_an_int"])
     def test_bad_bundle_rejected(self, damage, match):
         d = bundle_to_dict(_repeat_bundle())
         bundle_from_dict(d)
